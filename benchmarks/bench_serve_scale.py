@@ -1,4 +1,4 @@
-"""Benchmark the sharded serving engine (``repro.serve.shard``).
+"""Benchmark the sharded serving engine (``repro.serve.engine``).
 
 Two phases, one diffgate-compatible snapshot (``repro.obs`` registry
 shape, same convention as ``bench_block_jit.py``):
@@ -6,10 +6,11 @@ shape, same convention as ``bench_block_jit.py``):
 * **event-vs-dense** -- the same sparse 4-shard workload served twice
   from transplanted memo tables (so neither run interprets a single
   micro-op and the timer sees pure scheduler cost): once through the
-  event-driven loop that skips idle gaps, once through a dense
-  quantum-stepping loop that ticks every shard every ``dense_quantum``
-  cycles.  The reports must be **byte-identical**; the wall-clock ratio
-  is the event-skip speedup, gated ``>= 10x`` (``--no-gate`` to skip).
+  engine's event-driven loop, which skips idle gaps, once through
+  :func:`serve_dense`, the quantum-stepping reference loop kept here
+  that ticks every shard every ``quantum`` cycles.  The reports must be
+  **byte-identical**; the wall-clock ratio is the event-skip speedup,
+  gated ``>= 10x`` (``--no-gate`` to skip).
 * **million** -- a 10^6-request, 8-tenant, 8-shard experiment end to
   end (memo service model, least-loaded placement with periodic
   re-evaluation), asserting arrival conservation and recording the
@@ -30,17 +31,23 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from typing import Callable
 
 from repro.obs import MetricsRegistry
-from repro.serve.shard import (
-    ShardedServeConfig,
+from repro.serve.engine import (
+    Placer,
+    ServeConfig,
+    ServeReport,
+    ShardScheduler,
+    boot_shards,
     memo_tables_of,
-    run_serve_sharded,
+    run_serve,
+    serve_arrivals,
 )
 
 #: Event-vs-dense speedup floor.  Sparse traffic (one arrival per ~500k
 #: cycles aggregate) makes the dense loop iterate ~10^5 idle quanta per
-#: shard; measured ratios land well above 100x, so 10x is a safe CI
+#: shard; measured ratios land well above 10x, so 10x is a safe CI
 #: margin.
 GATE_EVENT_SKIP = 10.0
 
@@ -62,17 +69,59 @@ MILLION = dict(scheme="perspective", seed=0, tenants=8, shards=8,
                service_model="memo", memo_warmup=1, memo_period=24)
 
 
+def serve_dense(config: ServeConfig, shards: list[ShardScheduler],
+                quantum: float = 1000.0) -> Placer:
+    """The dense reference for the engine's event loop
+    (:func:`repro.serve.engine.serve_arrivals`): walk simulated time in
+    ``quantum``-cycle ticks, hand each tick's arrivals to their shards,
+    and poll every shard each tick.  Dispatch outcomes depend only on
+    arrival order and queue state, never on when the host executes
+    them, so the report is byte-identical to the event loop's for any
+    quantum -- only the wall clock pays for every idle tick."""
+    placer = Placer(config)
+    stream = config.arrivals()
+    pending = next(stream, None)
+    now = 0.0
+    while pending is not None:
+        now += quantum
+        while pending is not None and pending.cycle <= now:
+            shard, migration = placer.route(pending)
+            sched = shards[shard]
+            if migration is not None:
+                sched.note_migration(pending.tenant, migration.src)
+            sched.offer(pending)
+            pending = next(stream, None)
+        for sched in shards:
+            sched.drain_until(now)
+    for sched in shards:
+        sched.drain()
+    return placer
+
+
+def timed_serve(config: ServeConfig,
+                loop: Callable[..., Placer] = serve_arrivals, *,
+                block_cache: bool | None = True,
+                memo_seed: list[dict] | None = None,
+                **loop_args) -> tuple[ServeReport, float]:
+    """Boot the shards, then run and time ``loop`` alone (boot and the
+    placement pre-pass excluded); returns (report, loop wall seconds)."""
+    shards = boot_shards(config, block_cache=block_cache,
+                         memo_seed=memo_seed)
+    start = time.perf_counter()
+    placer = loop(config, shards, **loop_args)
+    wall = time.perf_counter() - start
+    return ServeReport.of(config, shards, placer), wall
+
+
 def _event_vs_dense(reg: MetricsRegistry) -> float:
-    config = ShardedServeConfig(**SPARSE)
+    config = ServeConfig(**SPARSE)
     # Warm-up run builds the memo tables; transplanting them into both
     # timed runs makes them interpretation-free, so the ratio below is
     # scheduler cost only (not JIT or interpreter noise).
-    warm = run_serve_sharded(config, block_cache=True, mode="event")
+    warm = run_serve(config, block_cache=True)
     tables = memo_tables_of(warm)
-    event = run_serve_sharded(config, block_cache=True, mode="event",
-                              memo_seed=tables)
-    dense = run_serve_sharded(config, block_cache=True, mode="dense",
-                              memo_seed=tables)
+    event, event_s = timed_serve(config, memo_seed=tables)
+    dense, dense_s = timed_serve(config, serve_dense, memo_seed=tables)
     assert event.as_dict() == dense.as_dict(), \
         "event-vs-dense: reports diverged"
 
@@ -94,21 +143,21 @@ def _event_vs_dense(reg: MetricsRegistry) -> float:
                 "switches", "switch_cycles", "latency_p99",
                 "memo_replays", "memo_interpreted"):
         reg.gauge(f"serve_scale.sparse.{key}", out[key])
-    speedup = dense.serve_seconds / event.serve_seconds
+    speedup = dense_s / event_s
     reg.meta["speedup_event_skip"] = f"{speedup:.1f}"
-    reg.meta["wall_sparse_event_s"] = f"{event.serve_seconds:.4f}"
-    reg.meta["wall_sparse_dense_s"] = f"{dense.serve_seconds:.4f}"
-    print(f"{'event-vs-dense':<14} dense={dense.serve_seconds:8.3f}s  "
-          f"event={event.serve_seconds:8.3f}s  speedup={speedup:.1f}x",
+    reg.meta["wall_sparse_event_s"] = f"{event_s:.4f}"
+    reg.meta["wall_sparse_dense_s"] = f"{dense_s:.4f}"
+    print(f"{'event-vs-dense':<14} dense={dense_s:8.3f}s  "
+          f"event={event_s:8.3f}s  speedup={speedup:.1f}x",
           file=sys.stderr)
     return speedup
 
 
 def _million(reg: MetricsRegistry) -> None:
-    config = ShardedServeConfig(**MILLION)
+    config = ServeConfig(**MILLION)
     offered = config.tenants * config.requests_per_tenant
     start = time.perf_counter()
-    report = run_serve_sharded(config, block_cache=True, mode="event")
+    report = run_serve(config, block_cache=True)
     wall = time.perf_counter() - start
     out = report.as_dict()
     assert out["completed"] + out["shed"] == offered, \

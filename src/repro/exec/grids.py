@@ -319,11 +319,9 @@ def _slab_assemble(params: dict[str, Any], payloads: dict[Key, Any],
 def _serve_cells(params: dict[str, Any]) -> CellList:
     config_keys = ("scheme", "requests_per_tenant", "mean_interarrival",
                    "queue_bound", "profiles", "rare_every",
-                   "profile_requests",
-                   # Sharding knobs (repro.serve.shard): their presence
-                   # routes cells through the sharded engine.
-                   "shards", "placement", "migrate_every",
-                   "service_model", "memo_warmup", "memo_period",
+                   "profile_requests", "shards", "placement",
+                   "migrate_every", "service_model", "memo_warmup",
+                   "memo_period",
                    # Observation-only extras (repro.serve.engine
                    # serve_cell): the report bytes are identical with or
                    # without them.

@@ -5,32 +5,29 @@ ab/redis-benchmark/memslap (Ch. 7) but at *multi-tenant* pressure, where
 the interesting security/perf trade-off lives: context switches between
 distrusting tenants are exactly where ISV/DSV view switches concentrate.
 
-Three layers:
+Five modules:
 
 * :mod:`repro.serve.arrival` -- a seeded open-loop arrival process; a
   pure function of ``(seed, config)``, so schedules are byte-identical
   regardless of process, worker count, or hash seed;
-* :mod:`repro.serve.engine` -- the deterministic traffic engine: tenants
-  are cgroup-backed kernel processes sharing one simulated core; a
-  run-to-completion scheduler charges real context-switch and view-switch
-  costs through the existing pipeline and driver; an admission-control
-  bound sheds load deterministically;
-* :mod:`repro.serve.shard` -- the N-shard scale-out engine: each shard
-  is a private MiniKernel core, tenants are placed by deterministic
-  policies, cross-shard migrations are explicitly charged, and an
-  event-driven scheduler skips idle gaps so million-request experiments
+* :mod:`repro.serve.engine` -- the deterministic serving engine:
+  tenants are cgroup-backed kernel processes placed on one or more
+  simulated cores (each a private MiniKernel); a run-to-completion
+  scheduler per core charges real context-switch, view-switch and
+  migration costs through the pipeline, sheds load at an admission
+  bound, and can replay memoized per-class service costs; an
+  event-driven loop skips idle gaps, so million-request experiments
   finish in seconds;
+* :mod:`repro.serve.shard` -- the ``serve-scale`` grid: one cell per
+  shard, merged into scheme x tenants x shards scaling rows;
+* :mod:`repro.serve.campaign` -- adversarial campaigns: attacker
+  tenants, fault storms and adaptive hardening under live traffic;
 * :mod:`repro.serve.conformance` -- the cross-scheme differential
   oracle: every defense scheme must produce identical *architectural*
   results on a seeded syscall corpus, differing only in cycle counts.
 """
 
-from repro.serve.arrival import (
-    Arrival,
-    arrival_schedule,
-    arrival_stream,
-    percentile,
-)
+from repro.serve.arrival import Arrival, arrival_stream, percentile
 from repro.serve.conformance import (
     CONFORMANCE_SCHEMES,
     ConformanceResult,
@@ -40,27 +37,21 @@ from repro.serve.conformance import (
     run_corpus,
 )
 from repro.serve.engine import (
+    PLACEMENT_POLICIES,
+    Placer,
     ServeConfig,
     ServeReport,
     TenantReport,
-    run_serve,
-    serve_cell,
-)
-from repro.serve.shard import (
-    PLACEMENT_POLICIES,
-    Placer,
-    ShardedServeConfig,
-    ShardedServeReport,
     memo_tables_of,
     plan_placement,
-    run_serve_sharded,
-    scale_shard_cell,
+    run_serve,
+    serve_cell,
     static_placement,
 )
+from repro.serve.shard import scale_shard_cell
 
 __all__ = [
     "Arrival",
-    "arrival_schedule",
     "arrival_stream",
     "percentile",
     "ServeConfig",
@@ -70,11 +61,8 @@ __all__ = [
     "serve_cell",
     "PLACEMENT_POLICIES",
     "Placer",
-    "ShardedServeConfig",
-    "ShardedServeReport",
     "memo_tables_of",
     "plan_placement",
-    "run_serve_sharded",
     "scale_shard_cell",
     "static_placement",
     "CONFORMANCE_SCHEMES",

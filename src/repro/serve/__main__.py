@@ -4,8 +4,8 @@ Without a subcommand, runs the multi-tenant serving sweep (seeds x
 tenant counts) through the :mod:`repro.exec` engine and emits the merged
 metrics snapshot.  Everything derives from seeded schedules and simulated
 cycles, so two invocations with the same arguments produce
-**byte-identical** output regardless of ``--workers`` -- the CI smoke
-step runs the sweep twice (1 and 2 workers), byte-compares the files,
+**byte-identical** output regardless of ``--workers`` -- CI runs the
+sweep at 1 and 4 workers under two hash seeds, byte-compares the files,
 and gates the committed snapshot with ``python -m repro.obs diff``.
 
 Usage::
@@ -71,9 +71,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
     params = dict(SMOKE_SWEEP if args.smoke else DEFAULT_SWEEP)
     params["scheme"] = args.scheme
-    # Routing through the sharded engine (even at --shards 1) keeps one
-    # code path; shards=1 + the full service model is byte-identical to
-    # the single-kernel engine apart from additive shard gauges.
     params["shards"] = args.shards
     # Replay through the block JIT is byte-exact (cache-parity gate), so
     # forcing it on changes only the snapshot's blockcache counters --
@@ -121,6 +118,13 @@ def _run_sweep(args: argparse.Namespace) -> int:
             handle.write(rendered_json)
         print(f"snapshot written to {args.out}", file=sys.stderr)
     return 0
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _parse_seeds(spec: str) -> list[int]:
@@ -475,7 +479,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="trimmed CI sweep (2 seeds x 2 tenant counts)")
     parser.add_argument("--scheme", default="perspective",
                         help="defense scheme to serve under")
-    parser.add_argument("--shards", type=int, default=1,
+    parser.add_argument("--shards", type=_positive_int, default=1,
                         help="simulated cores per cell (tenants placed "
                              "by the hash policy; default 1)")
     parser.add_argument("--workers", type=int, default=1,

@@ -49,32 +49,16 @@ def tenant_rng(seed: int, tenant: int,
 
 def tenant_arrivals(seed: int, tenant: int, requests: int,
                     mean_interarrival: float,
-                    stream: str = DEFAULT_STREAM) -> list[Arrival]:
-    """One tenant's arrival times: exponential gaps, accumulated."""
+                    stream: str = DEFAULT_STREAM) -> Iterator[Arrival]:
+    """One tenant's arrivals: exponential gaps, accumulated (a
+    generator, so million-request schedules stream in O(1) memory)."""
     if mean_interarrival <= 0:
         raise ValueError("mean_interarrival must be positive")
     rng = tenant_rng(seed, tenant, stream=stream)
     cycle = 0.0
-    out: list[Arrival] = []
     for seq in range(requests):
         # Inline inverse-CDF sampling (rather than rng.expovariate) so
         # the schedule depends only on rng.random()'s documented stream.
-        cycle += -mean_interarrival * math.log(1.0 - rng.random())
-        out.append(Arrival(cycle=cycle, tenant=tenant, seq=seq))
-    return out
-
-
-def tenant_arrival_iter(seed: int, tenant: int, requests: int,
-                        mean_interarrival: float,
-                        stream: str = DEFAULT_STREAM) -> Iterator[Arrival]:
-    """Generator form of :func:`tenant_arrivals` (same draws, same order,
-    O(1) memory): the sharded engine streams million-request schedules
-    instead of materializing them."""
-    if mean_interarrival <= 0:
-        raise ValueError("mean_interarrival must be positive")
-    rng = tenant_rng(seed, tenant, stream=stream)
-    cycle = 0.0
-    for seq in range(requests):
         cycle += -mean_interarrival * math.log(1.0 - rng.random())
         yield Arrival(cycle=cycle, tenant=tenant, seq=seq)
 
@@ -82,30 +66,17 @@ def tenant_arrival_iter(seed: int, tenant: int, requests: int,
 def arrival_stream(seed: int, tenants: int, requests_per_tenant: int,
                    mean_interarrival: float,
                    stream: str = DEFAULT_STREAM) -> Iterator[Arrival]:
-    """Streaming merge of the per-tenant arrival generators.
+    """The merged multi-tenant schedule, in deterministic service order.
 
-    Yields exactly the sequence :func:`arrival_schedule` returns (the
-    per-tenant streams are already cycle-sorted, and ``heapq.merge`` on
-    ``(cycle, tenant, seq)`` reproduces the stable merged order) while
-    holding only one pending arrival per tenant in memory.
+    The per-tenant streams are already cycle-sorted, so ``heapq.merge``
+    on ``(cycle, tenant, seq)`` yields the stable sort of all arrivals
+    while holding only one pending arrival per tenant in memory.
     """
     return heapq.merge(
-        *(tenant_arrival_iter(seed, tenant, requests_per_tenant,
-                              mean_interarrival, stream=stream)
+        *(tenant_arrivals(seed, tenant, requests_per_tenant,
+                          mean_interarrival, stream=stream)
           for tenant in range(tenants)),
         key=lambda a: (a.cycle, a.tenant, a.seq))
-
-
-def arrival_schedule(seed: int, tenants: int, requests_per_tenant: int,
-                     mean_interarrival: float,
-                     stream: str = DEFAULT_STREAM) -> list[Arrival]:
-    """The merged multi-tenant schedule, in deterministic service order."""
-    merged: list[Arrival] = []
-    for tenant in range(tenants):
-        merged.extend(tenant_arrivals(seed, tenant, requests_per_tenant,
-                                      mean_interarrival, stream=stream))
-    merged.sort(key=lambda a: (a.cycle, a.tenant, a.seq))
-    return merged
 
 
 def percentile(values: list[float], q: float) -> float:

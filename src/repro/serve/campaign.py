@@ -50,15 +50,12 @@ from repro.obs import slo
 from repro.obs.events import EventJournal, SecurityEvent, journaling
 from repro.reliability.faultplane import FaultPlane, FaultSpec, inject
 from repro.scanner.kasper import scan
-from repro.serve.arrival import Arrival, arrival_schedule, percentile
+from repro.serve.arrival import Arrival, arrival_stream, percentile
 from repro.serve.engine import (
     LATENCY_BUCKETS,
-    RunToCompletionScheduler,
     ServeConfig,
-    Tenant,
-    TenantReport,
+    ShardScheduler,
     boot_tenants,
-    collect_tenant_stats,
 )
 from repro.workloads.apps import AppState
 from repro.workloads.driver import Driver
@@ -300,11 +297,8 @@ def run_campaign(spec: CampaignSpec, image=None) -> dict[str, Any]:
     journal = EventJournal(meta={"plane": "serve-campaign",
                                  "seed": spec.seed,
                                  "scenario": spec.scenario})
-    reports = [TenantReport(tenant=t.index, profile=t.profile.name)
-               for t in victims]
-    sched = RunToCompletionScheduler(victims, reports,
-                                     queue_bound=spec.queue_bound,
-                                     trace_seed=spec.seed)
+    sched = ShardScheduler(serve_config, victims)
+    reports = sched.reports
     rollup = slo.SloRollup(spec.slo_window_cycles,
                            latency_buckets=LATENCY_BUCKETS)
     alert_keys: set[tuple[str, int, int]] = set()
@@ -341,11 +335,13 @@ def run_campaign(spec: CampaignSpec, image=None) -> dict[str, Any]:
                 schedule = [
                     Arrival(cycle=a.cycle + offset, tenant=a.tenant,
                             seq=a.seq)
-                    for a in arrival_schedule(
+                    for a in arrival_stream(
                         spec.seed, spec.victims, spec.requests_per_epoch,
                         spec.mean_interarrival,
                         stream=f"campaign:epoch:{epoch}")]
-                sched.serve_batch(schedule)
+                for arr in schedule:
+                    sched.offer(arr)
+                sched.drain()
                 for attacker in attackers:
                     target = victims[(epoch + attacker.index)
                                      % len(victims)]
@@ -454,7 +450,7 @@ def run_campaign(spec: CampaignSpec, image=None) -> dict[str, Any]:
                 "slo_alerts": [a.as_dict() for a in epoch_alerts],
                 "attacks": attacks_row})
 
-    collect_tenant_stats(victims, reports)
+    sched.collect()
 
     # -- SLO baseline, storm recovery ----------------------------------
     pre_storm = [row for row in epoch_rows if not storm_epochs

@@ -10,9 +10,8 @@ import pytest
 
 from repro.exec import EngineConfig, ExperimentEngine
 from repro.serve import (
-    Arrival,
     ServeConfig,
-    arrival_schedule,
+    arrival_stream,
     percentile,
     run_serve,
 )
@@ -42,17 +41,20 @@ FAST = dict(scheme="fence", tenants=2, requests_per_tenant=5,
 # ---------------------------------------------------------------------------
 
 
+def schedule(*args) -> list:
+    return list(arrival_stream(*args))
+
+
 class TestArrival:
     def test_schedule_sorted_and_deterministic(self):
-        a = arrival_schedule(7, 3, 10, 1000.0)
-        b = arrival_schedule(7, 3, 10, 1000.0)
+        a = schedule(7, 3, 10, 1000.0)
+        b = schedule(7, 3, 10, 1000.0)
         assert a == b
         assert len(a) == 30
         assert all(x.cycle <= y.cycle for x, y in zip(a, a[1:]))
 
     def test_seed_changes_schedule(self):
-        assert arrival_schedule(0, 2, 5, 1000.0) != \
-            arrival_schedule(1, 2, 5, 1000.0)
+        assert schedule(0, 2, 5, 1000.0) != schedule(1, 2, 5, 1000.0)
 
     def test_tenants_draw_independent_streams(self):
         t0 = tenant_arrivals(0, 0, 5, 1000.0)
@@ -61,13 +63,15 @@ class TestArrival:
 
     def test_per_tenant_streams_are_prefix_stable(self):
         # More requests extend the stream; they never reshuffle it.
-        short = tenant_arrivals(3, 0, 4, 500.0)
-        long = tenant_arrivals(3, 0, 9, 500.0)
+        short = list(tenant_arrivals(3, 0, 4, 500.0))
+        long = list(tenant_arrivals(3, 0, 9, 500.0))
         assert long[:4] == short
 
     def test_mean_must_be_positive(self):
         with pytest.raises(ValueError):
-            tenant_arrivals(0, 0, 3, 0.0)
+            list(tenant_arrivals(0, 0, 3, 0.0))
+        with pytest.raises(ValueError, match="mean_interarrival"):
+            ServeConfig(mean_interarrival=0.0)
 
     def test_gaps_are_positive(self):
         arr = tenant_arrivals(11, 2, 50, 200.0)

@@ -13,14 +13,9 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from repro.kernel.image import shared_image
-from repro.serve import ServeConfig, arrival_schedule, percentile, run_serve
+from repro.serve import ServeConfig, percentile, run_serve
 from repro.serve.arrival import arrival_stream, tenant_arrivals
-from repro.serve.shard import (
-    Placer,
-    ShardedServeConfig,
-    run_serve_sharded,
-    static_placement,
-)
+from repro.serve.engine import Placer, static_placement
 
 
 def reference_percentile(values: list[float], q: float) -> float:
@@ -71,8 +66,8 @@ class TestArrivalProperties:
            st.floats(min_value=1.0, max_value=1e6))
     @settings(max_examples=100, deadline=None)
     def test_seed_deterministic(self, seed, tenants, requests, mean):
-        a = arrival_schedule(seed, tenants, requests, mean)
-        b = arrival_schedule(seed, tenants, requests, mean)
+        a = list(arrival_stream(seed, tenants, requests, mean))
+        b = list(arrival_stream(seed, tenants, requests, mean))
         assert a == b
         assert len(a) == tenants * requests
 
@@ -85,7 +80,7 @@ class TestArrivalProperties:
         # The schedule must equal the sort of the per-tenant streams no
         # matter which order the streams are generated in -- the property
         # that makes repro.exec fan-out worker-count invariant.
-        merged = arrival_schedule(seed, tenants, requests, mean)
+        merged = list(arrival_stream(seed, tenants, requests, mean))
         reversed_order = []
         for tenant in reversed(range(tenants)):
             reversed_order.extend(
@@ -146,10 +141,13 @@ class TestShardingProperties:
     @settings(max_examples=100, deadline=None)
     def test_stream_equals_schedule(self, seed, tenants, requests, mean):
         # The O(1)-memory heap merge yields exactly the materialized
-        # sorted schedule -- the sharded engine may stream without
-        # changing a single arrival.
+        # schedule (every tenant's arrivals, stably sorted) -- the
+        # engine may stream without changing a single arrival.
+        schedule = [a for tenant in range(tenants)
+                    for a in tenant_arrivals(seed, tenant, requests, mean)]
+        schedule.sort(key=lambda a: (a.cycle, a.tenant, a.seq))
         assert list(arrival_stream(seed, tenants, requests, mean)) == \
-            arrival_schedule(seed, tenants, requests, mean)
+            schedule
 
     @given(st.integers(min_value=0, max_value=10_000),
            st.integers(min_value=1, max_value=5),
@@ -164,7 +162,7 @@ class TestShardingProperties:
         # that tenant's private stream regardless of the shard count or
         # migration policy.  This is why per-tenant reports cannot
         # depend on how many cores serve them.
-        config = ShardedServeConfig(
+        config = ServeConfig(
             scheme="fence", seed=seed, tenants=tenants,
             requests_per_tenant=requests, mean_interarrival=5_000.0,
             shards=shards, placement="least-loaded",
@@ -176,7 +174,7 @@ class TestShardingProperties:
             routed[arr.tenant].append(arr)
         for tenant in range(tenants):
             assert routed[tenant] == \
-                tenant_arrivals(seed, tenant, requests, 5_000.0)
+                list(tenant_arrivals(seed, tenant, requests, 5_000.0))
 
     @given(st.integers(min_value=0, max_value=10_000),
            st.integers(min_value=1, max_value=8),
@@ -204,13 +202,13 @@ class TestShardingProperties:
                                       migrate_every):
         # Offered == admitted + shed, summed across shards, for any
         # shard count, backpressure bound, and migration cadence.
-        config = ShardedServeConfig(
+        config = ServeConfig(
             scheme="fence", seed=seed, tenants=2,
             requests_per_tenant=4, mean_interarrival=900.0,
             queue_bound=queue_bound, profile_requests=1,
             shards=shards, placement="least-loaded",
             migrate_every=migrate_every)
-        report = run_serve_sharded(config, image=shared_image())
+        report = run_serve(config, image=shared_image())
         offered = 2 * 4
         assert sum(s.arrivals for s in report.shards) == offered
         assert sum(s.admitted for s in report.shards) + \

@@ -1,38 +1,56 @@
-"""The sharded multi-core serving engine (:mod:`repro.serve.shard`):
-single-shard parity with the legacy engine, event-vs-dense scheduling
-equivalence, placement policies, migration charging, the memoized
-service model, the scale-grid cells, and the CLI."""
+"""Sharded serving (:mod:`repro.serve.engine`, :mod:`repro.serve.shard`):
+single-shard outputs pinned to the former single-kernel engine,
+event-vs-dense scheduling equivalence against the benchmark's dense
+reference loop, placement policies, migration charging, the memoized
+service model and its measured error against ``full``, the scale-grid
+cells, and the CLI."""
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import json
+import pathlib
+from dataclasses import replace
 
 import pytest
 
 from repro.exec import EngineConfig, ExperimentEngine
 from repro.obs import events as ev
-from repro.serve import ServeConfig, run_serve
-from repro.serve.engine import serve_cell
-from repro.serve.shard import (
+from repro.serve.engine import (
     PLACEMENT_POLICIES,
     Placer,
-    ShardedServeConfig,
+    ServeConfig,
     affinity_placement,
+    config_from_params,
+    plan_placement,
+    run_serve,
+    serve_cell,
+    static_placement,
+)
+from repro.serve.shard import (
+    ShardedServeConfig,
     histogram_percentile,
     latency_histogram,
     memo_tables_of,
     merge_scale_shards,
-    plan_placement,
     run_serve_sharded,
     scale_shard_cell,
-    sharded_config_from_params,
-    static_placement,
 )
 from repro.serve.__main__ import main as serve_main
 
 
 def canon(payload) -> str:
     return json.dumps(payload, sort_keys=True)
+
+
+def _load_bench(name: str):
+    path = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" \
+        / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 #: Small-but-real config reused across the tests: queueing pressure,
@@ -48,39 +66,60 @@ BASE = dict(scheme="fence", seed=0, tenants=3, requests_per_tenant=5,
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError, match="shards"):
-            ShardedServeConfig(**BASE, shards=0)
-        with pytest.raises(ValueError, match="placement"):
-            ShardedServeConfig(**BASE, placement="round-robin")
-        with pytest.raises(ValueError, match="service_model"):
-            ShardedServeConfig(**BASE, service_model="magic")
-        with pytest.raises(ValueError, match="memo_warmup"):
-            ShardedServeConfig(**BASE, memo_warmup=0)
-        with pytest.raises(ValueError, match="migrate_every"):
-            ShardedServeConfig(**BASE, migrate_every=-1)
+        for field, value in [
+                ("shards", 0), ("placement", "round-robin"),
+                ("service_model", "magic"), ("memo_warmup", 0),
+                ("migrate_every", -1), ("memo_period", -1),
+                # Each of these used to fail late or not at all: a
+                # negative bound shed every arrival, no profiles divided
+                # by zero, an unknown profile reached boot, a
+                # non-positive mean raised on first iteration, negative
+                # requests offered nothing.
+                ("queue_bound", -1), ("profiles", ()),
+                ("profiles", ("httpd", "gopher")),
+                ("mean_interarrival", 0.0), ("mean_interarrival", -5.0),
+                ("requests_per_tenant", -1), ("tenants", 0)]:
+            with pytest.raises(ValueError, match=field):
+                ServeConfig(**{**BASE, field: value})
 
     def test_as_dict_superset_and_from_params(self):
-        config = ShardedServeConfig(**BASE, shards=2,
-                                    placement="least-loaded")
-        legacy = ServeConfig(**BASE).as_dict()
+        # The single-kernel fields come first, unchanged; the shard
+        # fields follow; the dict round-trips through the one parser.
+        config = ServeConfig(**BASE, shards=2, placement="least-loaded")
         out = config.as_dict()
-        for key, value in legacy.items():
-            assert out[key] == value
-        rebuilt = sharded_config_from_params(out)
-        assert rebuilt == config
+        assert list(out)[:9] == [
+            "scheme", "tenants", "seed", "requests_per_tenant",
+            "mean_interarrival", "queue_bound", "profiles", "rare_every",
+            "profile_requests"]
+        assert out["profiles"] == list(config.profiles)
+        assert out["shards"] == 2 and out["placement"] == "least-loaded"
+        assert config_from_params({**out, "observe": True}) == config
+        # The names the end-to-end benchmark imports stay bound.
+        assert ShardedServeConfig is ServeConfig
+        assert run_serve_sharded is run_serve
 
     def test_static_placement_properties(self):
-        # Deterministic, in range, and independent of evaluation order.
+        # Every policy's initial answer is in range and independent of
+        # the order tenants are evaluated in; the static policies match
+        # their pure functions.
+        profiles = ServeConfig(**BASE).profiles
         for policy in PLACEMENT_POLICIES:
-            for tenant in range(16):
-                s = static_placement(7, tenant, 4)
-                assert 0 <= s < 4
-                assert s == static_placement(7, tenant, 4)
-        assert affinity_placement(0, "httpd", 4) == \
-            affinity_placement(0, "httpd", 4)
+            config = ServeConfig(**{**BASE, "tenants": 16}, shards=4,
+                                 placement=policy)
+            forward = [Placer(config)._initial(t) for t in range(16)]
+            placer = Placer(config)
+            backward = {t: placer._initial(t) for t in reversed(range(16))}
+            assert forward == [backward[t] for t in range(16)], policy
+            assert all(0 <= s < 4 for s in forward), policy
+            if policy == "hash":
+                assert forward == [static_placement(0, t, 4)
+                                   for t in range(16)]
+            elif policy == "affinity":
+                assert forward == [affinity_placement(
+                    0, profiles[t % len(profiles)], 4) for t in range(16)]
 
     def test_plan_covers_tenants(self):
-        config = ShardedServeConfig(**BASE, shards=2,
+        config = ServeConfig(**BASE, shards=2,
                                     placement="least-loaded",
                                     migrate_every=3)
         members, migrations, loads = plan_placement(config)
@@ -95,12 +134,11 @@ class TestConfig:
         assert again[0] == members and again[1] == migrations
 
     def test_placer_routes_every_arrival(self):
-        config = ShardedServeConfig(**BASE, shards=2,
+        config = ServeConfig(**BASE, shards=2,
                                     placement="least-loaded",
                                     migrate_every=2)
         placer = Placer(config)
-        from repro.serve.shard import _arrivals
-        for arr in _arrivals(config):
+        for arr in config.arrivals():
             shard, migration = placer.route(arr)
             assert 0 <= shard < config.shards
             if migration is not None:
@@ -109,58 +147,64 @@ class TestConfig:
 
 
 # ---------------------------------------------------------------------------
-# Single-shard parity with the legacy engine
+# Single-shard outputs pinned to the former single-kernel engine
 # ---------------------------------------------------------------------------
+
+#: The keys of the former single-kernel report, minus ``config``.
+LEGACY_KEYS = ("makespan_cycles", "completed", "shed", "throughput_rps",
+               "latency_p50", "latency_p95", "latency_p99",
+               "kernel_cycles", "switches", "switch_cycles",
+               "fence_stall_cycles", "tenants")
+
+
+def legacy_digest(report) -> str:
+    out = report.as_dict()
+    return hashlib.sha256(json.dumps(
+        {k: v for k, v in out.items() if k in LEGACY_KEYS},
+        sort_keys=True).encode()).hexdigest()
 
 
 class TestSingleShardParity:
+    """The digests were measured with the former single-kernel
+    ``run_serve`` (identical under PYTHONHASHSEED 0 and 7): the one
+    engine at its ``shards=1`` / ``full`` defaults must reproduce them
+    byte for byte."""
+
     def test_full_model_matches_run_serve_byte_exact(self):
-        legacy = run_serve(ServeConfig(**BASE)).as_dict()
-        sharded = run_serve_sharded(
-            ShardedServeConfig(**BASE, shards=1)).as_dict()
-        for key, value in legacy.items():
-            if key == "config":
-                continue
-            assert canon(sharded[key]) == canon(value), key
-        # config is a superset; tenants (the per-tenant reports) must be
-        # byte-identical.
-        assert canon(sharded["tenants"]) == canon(legacy["tenants"])
+        assert legacy_digest(run_serve(ServeConfig(**BASE))) == \
+            "ba3faf45712babf8ef88187f461ab899247f59796a55bd3906f97ec455cb9176"
 
     def test_rare_paths_and_queueing_still_match(self):
         params = dict(BASE, requests_per_tenant=8, rare_every=5,
                       queue_bound=2, mean_interarrival=1_500.0)
-        legacy = run_serve(ServeConfig(**params)).as_dict()
-        sharded = run_serve_sharded(
-            ShardedServeConfig(**params, shards=1)).as_dict()
-        assert canon(sharded["tenants"]) == canon(legacy["tenants"])
-        assert sharded["makespan_cycles"] == legacy["makespan_cycles"]
+        assert legacy_digest(run_serve(ServeConfig(**params))) == \
+            "38dc38f7adff88d703082530ecf0b200979fd4d864ea1a60f9d1f7f76adeed40"
 
 
 # ---------------------------------------------------------------------------
-# Event-driven vs dense scheduling
+# Event-driven vs dense scheduling (the reference lives in the benchmark)
 # ---------------------------------------------------------------------------
 
 
 class TestEventVsDense:
+    bench = _load_bench("bench_serve_scale")
+
+    def dense(self, config, **loop_args) -> dict:
+        report, _ = self.bench.timed_serve(
+            config, self.bench.serve_dense, block_cache=None, **loop_args)
+        return report.as_dict()
+
     def test_byte_identical_reports(self):
-        config = ShardedServeConfig(**BASE, shards=2,
-                                    placement="least-loaded",
-                                    migrate_every=4)
-        event = run_serve_sharded(config, mode="event").as_dict()
-        dense = run_serve_sharded(config, mode="dense").as_dict()
-        assert canon(event) == canon(dense)
+        config = ServeConfig(**BASE, shards=2, placement="least-loaded",
+                             migrate_every=4)
+        event = run_serve(config).as_dict()
+        assert canon(event) == canon(self.dense(config))
 
     def test_dense_quantum_does_not_matter(self):
-        config = ShardedServeConfig(**BASE, shards=2)
-        coarse = run_serve_sharded(config, mode="dense",
-                                   dense_quantum=10_000.0).as_dict()
-        fine = run_serve_sharded(config, mode="dense",
-                                 dense_quantum=500.0).as_dict()
+        config = ServeConfig(**BASE, shards=2)
+        coarse = self.dense(config, quantum=10_000.0)
+        fine = self.dense(config, quantum=500.0)
         assert canon(coarse) == canon(fine)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            run_serve_sharded(ShardedServeConfig(**BASE), mode="warp")
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +221,7 @@ class TestMigrations:
         # size the ring so migration events survive to the end.
         journal = ev.EventJournal(capacity=100_000)
         with ev.journaling(journal):
-            report = run_serve_sharded(ShardedServeConfig(**self.CONFIG))
+            report = run_serve(ServeConfig(**self.CONFIG))
         out = report.as_dict()
         assert out["migrations"] == len(report.migrations) > 0
         flushes = sum(s.ibpb_flushes for s in report.shards)
@@ -191,13 +235,13 @@ class TestMigrations:
 
     def test_static_policies_never_migrate(self):
         for policy in ("hash", "affinity"):
-            config = ShardedServeConfig(
+            config = ServeConfig(
                 **dict(self.CONFIG, placement=policy))
-            report = run_serve_sharded(config)
+            report = run_serve(config)
             assert report.as_dict()["migrations"] == 0
 
     def test_conservation_across_shards(self):
-        report = run_serve_sharded(ShardedServeConfig(**self.CONFIG))
+        report = run_serve(ServeConfig(**self.CONFIG))
         offered = self.CONFIG["tenants"] * self.CONFIG[
             "requests_per_tenant"]
         admitted = sum(s.admitted for s in report.shards)
@@ -216,14 +260,14 @@ class TestMemoModel:
                   service_model="memo", memo_period=6)
 
     def test_deterministic(self):
-        a = run_serve_sharded(ShardedServeConfig(**self.CONFIG))
-        b = run_serve_sharded(ShardedServeConfig(**self.CONFIG))
+        a = run_serve(ServeConfig(**self.CONFIG))
+        b = run_serve(ServeConfig(**self.CONFIG))
         assert canon(a.as_dict()) == canon(b.as_dict())
 
     def test_transplant_is_interpretation_free(self):
-        config = ShardedServeConfig(**self.CONFIG)
-        warm = run_serve_sharded(config)
-        replay = run_serve_sharded(config,
+        config = ServeConfig(**self.CONFIG)
+        warm = run_serve(config)
+        replay = run_serve(config,
                                    memo_seed=memo_tables_of(warm))
         out, ref = replay.as_dict(), warm.as_dict()
         assert out["memo_interpreted"] == 0
@@ -240,12 +284,46 @@ class TestMemoModel:
     def test_replays_preserve_totals(self):
         # Memoization changes *which* dispatches interpret, never the
         # aggregate accounting identities.
-        report = run_serve_sharded(ShardedServeConfig(**self.CONFIG))
+        report = run_serve(ServeConfig(**self.CONFIG))
         out = report.as_dict()
         assert out["completed"] + out["shed"] == \
             self.CONFIG["tenants"] * self.CONFIG["requests_per_tenant"]
         assert out["memo_replays"] + out["memo_interpreted"] > 0
         assert out["kernel_cycles"] > 0
+
+
+class TestMemoFidelity:
+    """The memo model's error against the ``full`` ground truth.
+
+    ``docs/serving.md`` tabulates the worst per-tenant relative error
+    over tenants {2, 4} x shards {1, 2} x memo_period {6, 24}; two of
+    those configs hold ceilings just above their measured errors."""
+
+    SETUP = dict(scheme="perspective", seed=0, placement="least-loaded",
+                 migrate_every=6, requests_per_tenant=24,
+                 profile_requests=2, mean_interarrival=20_000.0)
+    #: (tenants, shards, memo_period) -> ceilings on the worst tenant's
+    #: relative error in kernel cycles, p50 and p99 latency (measured:
+    #: 12.3%/1.1%/35.0% and 4.1%/1.4%/12.8%).
+    CEILINGS = {(2, 1, 24): (0.13, 0.02, 0.36),
+                (4, 2, 6): (0.05, 0.02, 0.14)}
+
+    @pytest.mark.parametrize("tenants, shards, period", sorted(CEILINGS))
+    def test_error_within_ceiling(self, tenants, shards, period):
+        config = ServeConfig(**self.SETUP, tenants=tenants, shards=shards)
+        full = run_serve(config, block_cache=True)
+        memo = run_serve(replace(config, service_model="memo",
+                                 memo_period=period), block_cache=True)
+        assert memo.as_dict()["memo_replays"] > 0
+        errors = [max(abs(metric(m) - metric(f)) / metric(f)
+                      for f, m in zip(full.tenants, memo.tenants))
+                  for metric in (lambda t: t.kernel_cycles,
+                                 lambda t: t.latency_percentile(50.0),
+                                 lambda t: t.latency_percentile(99.0))]
+        ceilings = self.CEILINGS[(tenants, shards, period)]
+        for name, error, ceiling in zip(("kernel_cycles", "p50", "p99"),
+                                        errors, ceilings):
+            assert error <= ceiling, (name, error, ceiling)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +348,7 @@ class TestScaleGrid:
             "scheme": "fence", "tenants": 3, "shards": shards,
             "shard": k}) for k in range(shards)]
         merged = merge_scale_shards("fence", 3, shards, payloads)
-        direct = run_serve_sharded(sharded_config_from_params({
+        direct = run_serve(config_from_params({
             **{k: v for k, v in SCALE_PARAMS.items()
                if k not in ("schemes", "tenants", "shards")},
             "scheme": "fence", "tenants": 3,
@@ -338,3 +416,9 @@ class TestScaleCLI:
         assert rc == 0
         snap = json.loads(out.read_text())
         assert snap["meta"]["shards"] == 1
+
+    def test_sweep_rejects_nonpositive_shards(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            serve_main(["--smoke", "--no-cache", "--shards", "0"])
+        assert exc.value.code == 2
+        assert "--shards" in capsys.readouterr().err
