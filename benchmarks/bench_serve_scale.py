@@ -15,6 +15,12 @@ shape, same convention as ``bench_block_jit.py``):
   end (memo service model, least-loaded placement with periodic
   re-evaluation), asserting arrival conservation and recording the
   scale counters CI byte-gates.
+* **memo fidelity** -- the bound on the memo model the million-request
+  run relies on: the two configs ``TestMemoFidelity`` gates
+  (``tests/test_serve_shard.py``), each served under the ``full`` model
+  and under ``memo``, record the worst per-tenant relative error in
+  kernel cycles, p50 and p99 latency as
+  ``serve_scale.memo_error.t<tenants>.s<shards>.p<memo_period>.*``.
 
 Counters/gauges are deterministic (seeded schedules, simulated clock),
 so CI diff-gates them against the committed
@@ -31,6 +37,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from typing import Callable
 
 from repro.obs import MetricsRegistry
@@ -67,6 +74,13 @@ MILLION = dict(scheme="perspective", seed=0, tenants=8, shards=8,
                rare_every=0, profile_requests=2,
                placement="least-loaded", migrate_every=5000,
                service_model="memo", memo_warmup=1, memo_period=24)
+
+#: The memo-fidelity configs (``TestMemoFidelity``): a shared setup plus
+#: (tenants, shards, memo_period) per config.
+FIDELITY = dict(scheme="perspective", seed=0, placement="least-loaded",
+                migrate_every=6, requests_per_tenant=24,
+                profile_requests=2, mean_interarrival=20_000.0)
+FIDELITY_CONFIGS = ((2, 1, 24), (4, 2, 6))
 
 
 def serve_dense(config: ServeConfig, shards: list[ShardScheduler],
@@ -178,6 +192,27 @@ def _million(reg: MetricsRegistry) -> None:
           f"interpreted={out['memo_interpreted']})", file=sys.stderr)
 
 
+def _memo_fidelity(reg: MetricsRegistry) -> None:
+    for tenants, shards, period in FIDELITY_CONFIGS:
+        config = ServeConfig(**FIDELITY, tenants=tenants, shards=shards)
+        full = run_serve(config, block_cache=True)
+        memo = run_serve(replace(config, service_model="memo",
+                                 memo_period=period), block_cache=True)
+        name = f"serve_scale.memo_error.t{tenants}.s{shards}.p{period}"
+        errors = []
+        for key, metric in (
+                ("kernel_cycles", lambda t: t.kernel_cycles),
+                ("p50", lambda t: t.latency_percentile(50.0)),
+                ("p99", lambda t: t.latency_percentile(99.0))):
+            error = max(abs(metric(m) - metric(f)) / metric(f)
+                        for f, m in zip(full.tenants, memo.tenants))
+            reg.gauge(f"{name}.{key}", error)
+            errors.append(f"{key}={error:.1%}")
+        print(f"{'memo-fidelity':<14} tenants={tenants} shards={shards} "
+              f"memo_period={period}: worst tenant "
+              f"{' '.join(errors)}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("-o", "--output", default=None,
@@ -189,6 +224,7 @@ def main(argv: list[str] | None = None) -> int:
     reg = MetricsRegistry(meta={"bench": "serve_scale"})
     speedup = _event_vs_dense(reg)
     _million(reg)
+    _memo_fidelity(reg)
 
     text = reg.to_json(indent=1) + "\n"
     if args.output:

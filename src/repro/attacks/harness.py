@@ -26,7 +26,8 @@ from repro.defenses import PerspectivePolicy
 from repro.defenses.registry import build_policy as registry_build_policy
 from repro.kernel.image import KernelImage, shared_image
 from repro.kernel.kernel import KernelConfig, MiniKernel
-from repro.obs.events import EventJournal, journaling
+from repro.obs.events import EventJournal
+from repro.obs.instruments import instrumented
 
 #: PoC classes by the name used in the CVE registry (Table 4.1).
 ATTACKS = {
@@ -129,7 +130,7 @@ def run_attack(attack_name: str, scheme: str = "unsafe",
     setup = make_setup(kernel, secret=secret)
     build_policy(scheme, kernel)
     attack = attack_cls(setup)
-    with journaling(journal):
+    with instrumented(journal=journal):
         return attack.run(scheme_name=scheme)
 
 
@@ -160,7 +161,7 @@ def attack_on(kernel: MiniKernel, attacker, victim, attack_name: str,
     attack = attack_cls(setup)
     if journal is None:
         return attack.run(scheme_name=scheme)
-    with journaling(journal):
+    with instrumented(journal=journal):
         return attack.run(scheme_name=scheme)
 
 

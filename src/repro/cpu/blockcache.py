@@ -15,22 +15,18 @@ Python frame.  Control returns to the interpreter only at ops the region
 does not compile (CALL/ICALL/IJMP/RET/FENCE/KRET) or when a per-block
 replay guard fails.
 
-Two code-generation tiers exist:
-
-* **deep** (the default against the stock subsystem models): TLB lookup,
-  L1/L2 cache probes and fills, main-memory reads/writes, the conditional
-  predictor, the in-flight-prediction prune and the kernel direct-map
-  translation fast path are all inlined into the generated source, so a
-  replayed op performs no Python calls at all on its common path.  Within
-  a block, register values and scoreboard ready-times are forwarded
-  through locals and dead intermediate dictionary writes are elided
-  (the architectural dictionaries always hold the final state at every
-  point an outside observer -- the interpreter, the transient executor,
-  a fault path -- can look).
-* **call-based** (fallback): when a pipeline is built from subclassed or
-  non-standard subsystem models, blocks call the same bound methods the
-  interpreter does.  Deep eligibility is decided per pipeline by exact
-  subsystem type (see :meth:`BlockCache._deep_eligible`).
+TLB lookup, L1/L2 cache probes and fills, main-memory reads/writes, the
+conditional predictor, the in-flight-prediction prune and the kernel
+direct-map translation fast path are all inlined into the generated
+source, so a replayed op performs no Python calls at all on its common
+path.  Within a block, register values and scoreboard ready-times are
+forwarded through locals and dead intermediate dictionary writes are
+elided (the architectural dictionaries always hold the final state at
+every point an outside observer -- the interpreter, the transient
+executor, a fault path -- can look).  The inlined semantics are
+transcribed from the stock subsystem models, so a pipeline built from
+subclassed models, or with the next-line prefetcher on, never arms the
+cache and simply interprets (:func:`jit_eligible`).
 
 Exactness contract
 ------------------
@@ -65,16 +61,17 @@ Compiled code is keyed on body content: the decode-table staleness key
 :class:`repro.cpu.isa.BodyList`) invalidates region indexes whenever a
 body is mutated, re-placed, or ``invalidate_decode()`` is called.
 Memoized *blocks* are additionally armed per-block on a
-speculation-environment epoch -- (policy generation, ISV/DSV view epoch,
-fault-plane arming generation, journal presence).  A freshly compiled
-region's token slots hold the :data:`COLD` sentinel, so each block's
-first execution re-interprets once (a *cold* miss, tiered-JIT style)
-before its slot is armed with the live token.  When any epoch component
-changes (``install_isv``/``shrink_isv`` bump the view epoch,
-``faultplane.inject`` bumps the arming generation, ``set_policy`` bumps
-the policy generation), the next execution of *each* armed block
-re-interprets once (an *epoch-invalidation* miss, also counted in
-``invalidations``) before that block's token slot is re-armed.
+speculation-environment epoch (:func:`run_epoch`) -- (policy generation,
+ISV/DSV view epoch, fault-plane arming generation, journal presence).  A
+freshly compiled region's token slots hold the :data:`COLD` sentinel, so
+each block's first execution re-interprets once (a *cold* miss,
+tiered-JIT style) before its slot is armed with the live token.  When
+any epoch component changes (``install_isv``/``shrink_isv`` bump the
+view epoch, entering or leaving ``instrumented(faults=...)`` bumps the
+arming generation, ``set_policy`` bumps the policy generation), the next
+execution of *each* armed block re-interprets once (an
+*epoch-invalidation* miss, also counted in ``invalidations``) before
+that block's token slot is re-armed.
 
 Counter conservation: ``hits + misses == block executions +
 uncompilable-function entries`` -- every time control reaches a leader
@@ -95,8 +92,7 @@ from repro.cpu.branch import ConditionalPredictor
 from repro.cpu.cache import CacheHierarchy, SetAssociativeCache
 from repro.cpu.isa import AluOp, DecodedBody, Function, MicroOp, Op
 from repro.cpu.memsys import MainMemory, PageFault, TLB
-from repro.obs import events as ev
-from repro.reliability import faultplane
+from repro.obs.instruments import INSTRUMENTS
 
 #: Ops a block may contain in its straight-line body.
 _STRAIGHT = frozenset((Op.ALU, Op.LOAD, Op.STORE, Op.FLUSH, Op.NOP))
@@ -134,13 +130,33 @@ MISS_REASONS = ("cold", "spec-guard", "op-budget", "epoch-invalidation",
                 "uncompilable")
 
 
+def jit_eligible(pipeline) -> bool:
+    """Whether ``pipeline`` may arm the block cache at all.
+
+    Generated blocks inline semantics transcribed from exactly the stock
+    subsystem classes, so any subclass -- or an enabled prefetcher, whose
+    fills the inlined data path does not replicate -- leaves the
+    pipeline interpreting.
+    """
+    h = pipeline.hierarchy
+    return (type(h) is CacheHierarchy
+            and type(h.l1i) is SetAssociativeCache
+            and type(h.l1d) is SetAssociativeCache
+            and type(h.l2) is SetAssociativeCache
+            and type(pipeline.tlb) is TLB
+            and type(pipeline.memory) is MainMemory
+            and type(pipeline.branch_unit.conditional)
+            is ConditionalPredictor
+            and not h.prefetcher)
+
+
 def run_epoch(pipeline) -> tuple:
     """The speculation-environment epoch a run's block arming keys on."""
     policy = pipeline.policy
     framework = getattr(policy, "framework", None)
     view_epoch = getattr(framework, "view_epoch", 0)
-    return (pipeline._policy_gen, view_epoch, faultplane.generation(),
-            ev.active_journal() is not None)
+    return (pipeline._policy_gen, view_epoch, INSTRUMENTS.generation,
+            INSTRUMENTS.journal is not None)
 
 
 def block_leaders(body: list[MicroOp]) -> set[int]:
@@ -286,21 +302,14 @@ def _emit_fetch(w: _SegmentWriter, consts: dict, va: int, line: int,
     """Instruction fetch at a cache-line boundary.
 
     ``entry`` guards on the runtime incoming line; interior boundaries
-    are static and always fetch.  The deep tier inlines the L1I/L2 probe
-    and fill; stats/LRU/fill side effects match ``access_inst`` exactly.
+    are static and always fetch.  The L1I/L2 probe and fill are inlined;
+    stats/LRU/fill side effects match ``access_inst`` exactly.
     """
     depth = 0
     if entry:
         w.emit(f"if {line} != last_fetch_line:")
         depth = 1
     w.emit("facc[0] += 1", depth)
-    if not consts["deep"]:
-        w.emit(f"_f = _ai({va})", depth)
-        w.emit("if not _f.l1_hit:", depth)
-        w.emit(f"_s = _f.latency - {consts['l1_latency']}", depth + 1)
-        w.emit("clock += _s", depth + 1)
-        w.emit("facc[1] += _s", depth + 1)
-        return
     ln_i = va // consts["l1i_line"]
     ln_2 = va // consts["l2_line"]
     stall_l2 = consts["stall_l2"]
@@ -400,14 +409,6 @@ def _emit_spec_prune(w: _SegmentWriter, depth: int = 0) -> None:
     w.emit("su = 0.0", depth + 1)
 
 
-def _emit_spec_prune_call(w: _SegmentWriter, depth: int = 0) -> None:
-    """Call-based fallback for the unresolved-prediction prune."""
-    w.emit("if unresolved:", depth)
-    w.emit("su = _spec(unresolved, t)", depth + 1)
-    w.emit("else:", depth)
-    w.emit("su = 0.0", depth + 1)
-
-
 def _emit_l1d_fill(w: _SegmentWriter, consts: dict, known_absent: bool,
                    depth: int = 0) -> None:
     """Inline ``l1d.fill(pa)`` over the precomputed ``_ln``/``_w``."""
@@ -429,7 +430,6 @@ def _emit_segment(body: list[MicroOp], dec: DecodedBody, start: int,
                   end: int, term: Op | None, consts: dict, slot: int,
                   first: bool) -> list[str]:
     """Emit one ``if idx == <leader>:`` arm of the region dispatcher."""
-    deep = consts["deep"]
     cpi = repr(float(consts["base_cpi"]))
     rob_entries = int(consts["rob_entries"])
     br_latency = repr(float(consts["branch_resolve_latency"]))
@@ -526,50 +526,43 @@ def _emit_segment(body: list[MicroOp], dec: DecodedBody, start: int,
             emit(f"{vloc} = 0", 1)
             emit(f"{yloc} = t + 50.0", 1)
             emit("else:")
-            if deep:
-                _emit_tlb(w, consts, charge=True, depth=1)
-                _emit_spec_prune(w, depth=1)
-                emit(f"_ln = pa // {consts['l1d_line']}", 1)
-                emit(f"_w = _d1w[_ln % {consts['l1d_sets']}]", 1)
-                emit("if _ln in _w:", 1)
-                emit("_d1s.hits += 1", 2)
-                emit("if _w[0] != _ln:", 2)
-                emit("_w.remove(_ln)", 3)
-                emit("_w.insert(0, _ln)", 3)
-                emit(f"{yloc} = t + {consts['lat_l1']}", 2)
-                emit("else:", 1)
-                emit("_d1s.misses += 1", 2)
-                if consts["l2_line"] == consts["l1d_line"]:
-                    emit(f"_w2 = _l2w[_ln % {consts['l2_sets']}]", 2)
-                    l2tag = "_ln"
-                else:  # pragma: no cover - stock geometry shares the line
-                    emit(f"_l2 = pa // {consts['l2_line']}", 2)
-                    emit(f"_w2 = _l2w[_l2 % {consts['l2_sets']}]", 2)
-                    l2tag = "_l2"
-                emit(f"if {l2tag} in _w2:", 2)
-                emit("_l2s.hits += 1", 3)
-                emit(f"if _w2[0] != {l2tag}:", 3)
-                emit(f"_w2.remove({l2tag})", 4)
-                emit(f"_w2.insert(0, {l2tag})", 4)
-                emit(f"{yloc} = t + {consts['lat_l2']}", 3)
-                emit("else:", 2)
-                emit("_l2s.misses += 1", 3)
-                emit(f"if len(_w2) >= {consts['l2_ways']}:", 3)
-                emit("_w2.pop()", 4)
-                emit("_l2s.evictions += 1", 4)
-                emit(f"_w2.insert(0, {l2tag})", 3)
-                emit("_l2s.fills += 1", 3)
-                emit(f"{yloc} = t + {consts['lat_dram']}", 3)
-                _emit_l1d_fill(w, consts, known_absent=True, depth=2)
-                emit("_x = _md.get(pa)", 1)
-                emit(f"{vloc} = _x if _x is not None"
-                     f" else (pa * 2654435761) & 255", 1)
-            else:
-                emit("t += _tlb(va)", 1)
-                _emit_spec_prune_call(w, depth=1)
-                emit("_acc = _ad(pa)", 1)
-                emit(f"{vloc} = _ml(pa)", 1)
-                emit(f"{yloc} = t + _acc.latency", 1)
+            _emit_tlb(w, consts, charge=True, depth=1)
+            _emit_spec_prune(w, depth=1)
+            emit(f"_ln = pa // {consts['l1d_line']}", 1)
+            emit(f"_w = _d1w[_ln % {consts['l1d_sets']}]", 1)
+            emit("if _ln in _w:", 1)
+            emit("_d1s.hits += 1", 2)
+            emit("if _w[0] != _ln:", 2)
+            emit("_w.remove(_ln)", 3)
+            emit("_w.insert(0, _ln)", 3)
+            emit(f"{yloc} = t + {consts['lat_l1']}", 2)
+            emit("else:", 1)
+            emit("_d1s.misses += 1", 2)
+            if consts["l2_line"] == consts["l1d_line"]:
+                emit(f"_w2 = _l2w[_ln % {consts['l2_sets']}]", 2)
+                l2tag = "_ln"
+            else:  # pragma: no cover - stock geometry shares the line
+                emit(f"_l2 = pa // {consts['l2_line']}", 2)
+                emit(f"_w2 = _l2w[_l2 % {consts['l2_sets']}]", 2)
+                l2tag = "_l2"
+            emit(f"if {l2tag} in _w2:", 2)
+            emit("_l2s.hits += 1", 3)
+            emit(f"if _w2[0] != {l2tag}:", 3)
+            emit(f"_w2.remove({l2tag})", 4)
+            emit(f"_w2.insert(0, {l2tag})", 4)
+            emit(f"{yloc} = t + {consts['lat_l2']}", 3)
+            emit("else:", 2)
+            emit("_l2s.misses += 1", 3)
+            emit(f"if len(_w2) >= {consts['l2_ways']}:", 3)
+            emit("_w2.pop()", 4)
+            emit("_l2s.evictions += 1", 4)
+            emit(f"_w2.insert(0, {l2tag})", 3)
+            emit("_l2s.fills += 1", 3)
+            emit(f"{yloc} = t + {consts['lat_dram']}", 3)
+            _emit_l1d_fill(w, consts, known_absent=True, depth=2)
+            emit("_x = _md.get(pa)", 1)
+            emit(f"{vloc} = _x if _x is not None"
+                 f" else (pa * 2654435761) & 255", 1)
             emit("if su > 0.0:", 1)
             # Speculative: replay only reaches here under a passive
             # policy (whose fast path this reproduces exactly) -- under
@@ -588,17 +581,12 @@ def _emit_segment(body: list[MicroOp], dec: DecodedBody, start: int,
                 w.emit_readiness(src)
             _emit_translate(w, w.read(op.src1, True), op.imm)
             emit("if pa >= 0:")
-            if deep:
-                # The zero-weight TLB access still updates TLB LRU/stats.
-                _emit_tlb(w, consts, charge=False, depth=1)
-                emit(f"_md[pa] = {w.read(op.src2, True)} & {_U64}", 1)
-                emit(f"_ln = pa // {consts['l1d_line']}", 1)
-                emit(f"_w = _d1w[_ln % {consts['l1d_sets']}]", 1)
-                _emit_l1d_fill(w, consts, known_absent=False, depth=1)
-            else:
-                emit("clock += _tlb(va) * 0.0", 1)
-                emit(f"_ms(pa, {w.read(op.src2, True)})", 1)
-                emit("_fill(pa)", 1)
+            # The zero-weight TLB access still updates TLB LRU/stats.
+            _emit_tlb(w, consts, charge=False, depth=1)
+            emit(f"_md[pa] = {w.read(op.src2, True)} & {_U64}", 1)
+            emit(f"_ln = pa // {consts['l1d_line']}", 1)
+            emit(f"_w = _d1w[_ln % {consts['l1d_sets']}]", 1)
+            _emit_l1d_fill(w, consts, known_absent=False, depth=1)
             emit("rob_append(t + 1.0)")
 
         elif kind is Op.FLUSH:
@@ -616,14 +604,9 @@ def _emit_segment(body: list[MicroOp], dec: DecodedBody, start: int,
         elif kind is Op.BR:
             pc = dec.vas[j]
             cond = w.read(op.src1, True)
-            if deep:
-                bi = (pc >> 2) % consts["bp_table"]
-                emit(f"_c = _bc.get({bi}, {consts['bp_weak']})")
-                emit(f"_actual = {cond} != 0")
-            else:
-                emit("_cond = _bu.conditional")
-                emit(f"_pred = _cond.predict({pc})")
-                emit(f"_actual = {cond} != 0")
+            bi = (pc >> 2) % consts["bp_table"]
+            emit(f"_c = _bc.get({bi}, {consts['bp_weak']})")
+            emit(f"_actual = {cond} != 0")
             emit("t = clock")
             w.emit_readiness(op.src1)
             emit(f"resolve = t + {br_latency}")
@@ -642,31 +625,20 @@ def _emit_segment(body: list[MicroOp], dec: DecodedBody, start: int,
                      " taint_until=taint_until)", depth)
                 emit(f"clock = resolve + {penalty}", depth)
 
-            if deep:
-                # predict = counter >= 2; the update's saturating write
-                # happens before the outcome comparison, as interpreted.
-                emit("if _actual:")
-                emit(f"_bc[{bi}] = _c + 1 if _c < 3 else 3", 1)
-                emit(f"if _c >= {consts['bp_weak']}:", 1)
-                emit("unresolved.append(resolve)", 2)
-                emit("else:", 1)
-                mispredict(pred_taken=False, depth=2)
-                emit("else:")
-                emit(f"_bc[{bi}] = _c - 1 if _c > 0 else 0", 1)
-                emit(f"if _c >= {consts['bp_weak']}:", 1)
-                mispredict(pred_taken=True, depth=2)
-                emit("else:", 1)
-                emit("unresolved.append(resolve)", 2)
-            else:
-                emit(f"_cond.update({pc}, _actual)")
-                emit("if _pred == _actual:")
-                emit("unresolved.append(resolve)", 1)
-                emit("else:")
-                emit("result.mispredictions += 1", 1)
-                emit(f"_rt(func, {op.target} if _pred else {j + 1}, regs,"
-                     " unresolved, clock, resolve, context, translate,"
-                     " result, taint_until=taint_until)", 1)
-                emit(f"clock = resolve + {penalty}", 1)
+            # predict = counter >= 2; the update's saturating write
+            # happens before the outcome comparison, as interpreted.
+            emit("if _actual:")
+            emit(f"_bc[{bi}] = _c + 1 if _c < 3 else 3", 1)
+            emit(f"if _c >= {consts['bp_weak']}:", 1)
+            emit("unresolved.append(resolve)", 2)
+            emit("else:", 1)
+            mispredict(pred_taken=False, depth=2)
+            emit("else:")
+            emit(f"_bc[{bi}] = _c - 1 if _c > 0 else 0", 1)
+            emit(f"if _c >= {consts['bp_weak']}:", 1)
+            mispredict(pred_taken=True, depth=2)
+            emit("else:", 1)
+            emit("unresolved.append(resolve)", 2)
             emit("rob_append(resolve)")
 
         else:  # pragma: no cover - spans never include other kinds
@@ -703,10 +675,8 @@ def generate_source(body: list[MicroOp], dec: DecodedBody,
     pipelines with identical configuration.
     """
     out = [
-        "def make_region(_ai, _ad, _tlb, _ml, _ms, _fill, _fd, _spec,"
-        " _rt, _bu, _PF,",
-        "                _i1w, _i1s, _d1w, _d1s, _l2w, _l2s, _tl, _ts,"
-        " _md, _bc):",
+        "def make_region(_fd, _rt, _PF, _i1w, _i1s, _d1w, _d1s, _l2w, _l2s,"
+        " _tl, _ts, _md, _bc):",
         "    def region(regs, reg_ready, taint_until, unresolved, rob,"
         " clock, last_fetch_line, result, translate, facc, func,"
         " context, _stt, _dml, _dmh, idx, _fr, _mc, _tks, _tk):",
@@ -781,29 +751,25 @@ class BlockCache:
     """Per-pipeline block JIT: compiled regions + hit/miss stats.
 
     Compiled code objects are shared process-wide (content-hashed);
-    the per-pipeline state is the binding of subsystem methods (cache
-    hierarchy, TLB, memory, predictor, transient executor) plus the
-    per-function region indexes and the epoch token that arms blocks.
+    the per-pipeline state is the binding of subsystem state (cache sets
+    and stats, TLB, memory, predictor counters, the flush and transient
+    executor methods) plus the per-function region indexes and the epoch
+    token that arms blocks.  Build one only for a pipeline that
+    :func:`jit_eligible` accepts.
     """
 
     def __init__(self, pipeline) -> None:
         self.pipeline = pipeline
         hierarchy = pipeline.hierarchy
-        deep = self._deep_eligible()
         self._bindings = (
-            hierarchy.access_inst, hierarchy.access_data,
-            pipeline.tlb.access, pipeline.memory.load,
-            pipeline.memory.store, hierarchy.l1d.fill,
-            hierarchy.flush_data, pipeline._spec_until,
-            pipeline._run_transient, pipeline.branch_unit, PageFault,
-        ) + ((
+            hierarchy.flush_data, pipeline._run_transient, PageFault,
             hierarchy.l1i._sets, hierarchy.l1i.stats,
             hierarchy.l1d._sets, hierarchy.l1d.stats,
             hierarchy.l2._sets, hierarchy.l2.stats,
             pipeline.tlb._lru, pipeline.tlb.stats,
             pipeline.memory._data,
             pipeline.branch_unit.conditional._counters,
-        ) if deep else (None,) * 10)
+        )
         self._bound: dict[str, object] = {}
         self._indexes: dict[str, tuple] = {}
         self._epoch: tuple | None = None
@@ -821,53 +787,32 @@ class BlockCache:
 
     # -- epoch / config validity ---------------------------------------
 
-    def _deep_eligible(self) -> bool:
-        """Deep inlining requires the stock subsystem models: inlined
-        semantics are transcribed from exactly these classes, so any
-        subclass (or an enabled prefetcher, whose fills the deep data
-        path does not replicate) falls back to call-based blocks."""
-        p = self.pipeline
-        h = p.hierarchy
-        return (type(h) is CacheHierarchy
-                and type(h.l1i) is SetAssociativeCache
-                and type(h.l1d) is SetAssociativeCache
-                and type(h.l2) is SetAssociativeCache
-                and type(p.tlb) is TLB
-                and type(p.memory) is MainMemory
-                and type(p.branch_unit.conditional) is ConditionalPredictor)
-
     def _consts(self) -> dict:
         cfg = self.pipeline.config
         h = self.pipeline.hierarchy
-        consts = {
+        tlb = self.pipeline.tlb
+        predictor = self.pipeline.branch_unit.conditional
+        return {
             "base_cpi": cfg.base_cpi,
             "rob_entries": cfg.rob_entries,
-            "l1_latency": h.L1_LATENCY,
             "branch_resolve_latency": cfg.branch_resolve_latency,
             "stt_resolution_lag": cfg.stt_resolution_lag,
             "mispredict_penalty": cfg.mispredict_penalty,
-            "deep": self._deep_eligible() and not h.prefetcher,
+            "l1i_line": h.l1i.line_bytes, "l1i_sets": h.l1i.num_sets,
+            "l1i_ways": h.l1i.ways,
+            "l1d_line": h.l1d.line_bytes, "l1d_sets": h.l1d.num_sets,
+            "l1d_ways": h.l1d.ways,
+            "l2_line": h.l2.line_bytes, "l2_sets": h.l2.num_sets,
+            "l2_ways": h.l2.ways,
+            "lat_l1": h.L1_LATENCY,
+            "lat_l2": h.L1_LATENCY + h.L2_LATENCY,
+            "lat_dram": h.L1_LATENCY + h.L2_LATENCY + h.DRAM_LATENCY,
+            "stall_l2": h.L2_LATENCY,
+            "stall_dram": h.L2_LATENCY + h.DRAM_LATENCY,
+            "tlb_entries": tlb.entries, "tlb_penalty": tlb.miss_penalty,
+            "bp_table": type(predictor).TABLE_SIZE,
+            "bp_weak": type(predictor).WEAKLY_TAKEN,
         }
-        if consts["deep"]:
-            tlb = self.pipeline.tlb
-            predictor = self.pipeline.branch_unit.conditional
-            consts.update(
-                l1i_line=h.l1i.line_bytes, l1i_sets=h.l1i.num_sets,
-                l1i_ways=h.l1i.ways,
-                l1d_line=h.l1d.line_bytes, l1d_sets=h.l1d.num_sets,
-                l1d_ways=h.l1d.ways,
-                l2_line=h.l2.line_bytes, l2_sets=h.l2.num_sets,
-                l2_ways=h.l2.ways,
-                lat_l1=h.L1_LATENCY,
-                lat_l2=h.L1_LATENCY + h.L2_LATENCY,
-                lat_dram=h.L1_LATENCY + h.L2_LATENCY + h.DRAM_LATENCY,
-                stall_l2=h.L2_LATENCY,
-                stall_dram=h.L2_LATENCY + h.DRAM_LATENCY,
-                tlb_entries=tlb.entries, tlb_penalty=tlb.miss_penalty,
-                bp_table=type(predictor).TABLE_SIZE,
-                bp_weak=type(predictor).WEAKLY_TAKEN,
-            )
-        return consts
 
     def refresh(self, epoch: tuple) -> object:
         """Arm the cache for one run; returns the current epoch token.

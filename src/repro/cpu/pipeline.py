@@ -31,14 +31,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.cpu.blockcache import COLD, BlockCache, run_epoch
+from repro.cpu.blockcache import COLD, BlockCache, jit_eligible, run_epoch
 from repro.cpu.branch import BranchUnit
 from repro.cpu.cache import CacheHierarchy
 from repro.cpu.isa import AluOp, CodeLayout, Function, MicroOp, Op, OP_SIZE
 from repro.cpu.memsys import AddressSpace, MainMemory, PageFault, TLB
 from repro.obs import events as ev
-from repro.obs import registry as obs
 from repro.obs import reqtrace as rt
+from repro.obs.instruments import INSTRUMENTS
 
 
 @dataclass
@@ -73,7 +73,9 @@ class PipelineConfig:
     #: functions and dispatched whenever speculation cannot interfere.
     #: Byte-exact against the interpreter (cycles included); off by
     #: default so existing snapshots and configs are unchanged.  Ignored
-    #: when ``enforce_lsq`` is set (blocks skip LQ/SQ bookkeeping).
+    #: when ``enforce_lsq`` is set (blocks skip LQ/SQ bookkeeping) and
+    #: when :func:`repro.cpu.blockcache.jit_eligible` refuses the
+    #: pipeline's subsystem models (subclasses, the prefetcher).
     enable_block_cache: bool = False
 
 
@@ -351,7 +353,8 @@ class Pipeline:
         _as_dict = type(context.address_space).__dict__
         dml = _as_dict.get("DIRECT_MAP_LO", 1)
         dmh = _as_dict.get("DIRECT_MAP_HI", 0)
-        if cfg.enable_block_cache and not cfg.enforce_lsq:
+        if cfg.enable_block_cache and not cfg.enforce_lsq \
+                and jit_eligible(self):
             bc = self._blockcache
             if bc is None:
                 bc = self._blockcache = BlockCache(self)
@@ -360,8 +363,7 @@ class Pipeline:
             # in-flight predictions: the generated load path reproduces
             # the interpreter's fast path exactly.  Anything else replays
             # only when every prediction has resolved.
-            fast_replay = self._passive_allow \
-                and ev.active_journal() is None
+            fast_replay = self._passive_allow and INSTRUMENTS.journal is None
             stt_delays = self.policy.delays_tainted_branch_resolution()
             blocks = bc.index_for(func)
             if not blocks:
@@ -614,13 +616,13 @@ class Pipeline:
                 reasons = bc.miss_reasons
                 for (reason, _fn), count in bc_attr.items():
                     reasons[reason] = reasons.get(reason, 0) + count
-        registry = obs.active_registry()
+        registry = INSTRUMENTS.registry
         if registry is not None:
             self._publish_run(registry, entry_name, result,
                               fetch_lines + facc[0], fetch_stall + facc[1],
                               bc, bc_hits, bc_misses, bc_invalidations,
                               bc_attr, context)
-        if rt._ACTIVE is not None:
+        if INSTRUMENTS.recorder is not None:
             bc_miss: dict[str, int] = {}
             if bc_attr is not None:
                 for (reason, _fn), count in bc_attr.items():
@@ -772,7 +774,7 @@ class Pipeline:
         tainted = src_taint > t
         if speculative:
             result.speculative_loads += 1
-            if self._passive_allow and ev.active_journal() is None:
+            if self._passive_allow and INSTRUMENTS.journal is None:
                 # UNSAFE fast path: the decision is statically ALLOW with
                 # no latency, no LRU freeze, and no event emission, so the
                 # query (and the stats-free L1 probe feeding it) can be
@@ -785,7 +787,7 @@ class Pipeline:
                 rob.append(done)
                 return clock
             l1_hit = self.hierarchy.is_l1d_hit(pa)
-            journal = ev.active_journal()
+            journal = INSTRUMENTS.journal
             if journal is not None:
                 ev.set_site(t, context.context_id, func.va_of(idx),
                             func.name, self.policy.name)
@@ -1041,7 +1043,7 @@ class Pipeline:
                     shadow[op.dst] = UNAVAILABLE
                     idx += 1
                     continue
-                journal = ev.active_journal()
+                journal = INSTRUMENTS.journal
                 if self._passive_allow and journal is None:
                     # Same UNSAFE fast path as the committed-side load.
                     self.hierarchy.access_data(pa)

@@ -290,7 +290,8 @@ def breakdown_cell(workload: str, scheme: str, requests: int = 30,
     Returns the raw fence-breakdown fields and view-cache hit rates; when
     ``registry`` is given, also collects the per-env gauges into it under
     the cell's prefix (exactly what the serial loop does).  Run inside an
-    ``observing(...)`` scope to capture the hot-path counters too.
+    ``instrumented(registry=...)`` scope to capture the hot-path counters
+    too.
     """
     env = make_env(workload, scheme, image=image)
     if workload == "lebench":
@@ -342,25 +343,22 @@ def run_breakdown_experiment(
     The measured numbers are identical either way -- the observability
     plane only reads simulated state.
     """
-    from contextlib import nullcontext
-
-    from repro.obs import MetricsRegistry, observing
-    from repro.obs.events import journaling
+    from repro.obs import MetricsRegistry, instrumented
     experiment = BreakdownExperiment()
     merged: MetricsRegistry | None = None
     image = shared_image()
     # observe=False must not disturb any registry an outer caller (e.g.
-    # a campaign) already activated, hence nullcontext over observing(None);
-    # same for the journal.
-    with journaling(journal) if journal is not None else nullcontext():
+    # a campaign) already activated: a plane left out is inherited, where
+    # None would deactivate it.  Same for the journal.
+    with instrumented(**({} if journal is None else {"journal": journal})):
         for workload in workloads:
             experiment.breakdowns[workload] = {}
             experiment.isv_cache_hit_rate[workload] = {}
             experiment.dsv_cache_hit_rate[workload] = {}
             for scheme in schemes:
                 registry = MetricsRegistry() if observe else None
-                with observing(registry) if registry is not None \
-                        else nullcontext():
+                planes = {"registry": registry} if observe else {}
+                with instrumented(**planes):
                     cell = breakdown_cell(workload, scheme,
                                           requests=requests,
                                           image=image, registry=registry)

@@ -21,9 +21,10 @@ Determinism contract, enforced by the parity tests:
 Consequently ``engine.run("lebench")`` is byte-identical to
 ``run_lebench_experiment()`` at any worker count, cold or warm cache.
 
-The engine is not meant to run inside an outer ``observing(...)`` scope:
-pool workers are separate processes, so an outer registry would capture
-only the scatter/gather bookkeeping, not the cells' hot paths.  Grids
+The engine is not meant to run inside an outer
+``instrumented(registry=...)`` scope: pool workers are separate
+processes, so an outer registry would capture only the scatter/gather
+bookkeeping, not the cells' hot paths.  Grids
 that need metrics capture them per cell (see the breakdown grid's
 ``observe`` parameter).  The subprocess transport that the campaign
 runner (:mod:`repro.reliability.campaign`) uses for crash/timeout

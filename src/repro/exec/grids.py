@@ -179,13 +179,13 @@ def _breakdown_run(key: Key, cp: dict[str, Any]) -> Any:
         return breakdown_cell(cp["workload"], cp["scheme"],
                               requests=cp["requests"])
     from repro.kernel.image import shared_image
-    from repro.obs import MetricsRegistry, observing
-    # The serial runner builds the image before entering its observing()
+    from repro.obs import MetricsRegistry, instrumented
+    # The serial runner builds the image before entering its registry
     # scope but runs every cell (make_env and profiling included) inside
     # it; the cell registry must cover exactly the same region.
     image = shared_image()
     registry = MetricsRegistry()
-    with observing(registry):
+    with instrumented(registry=registry):
         out = breakdown_cell(cp["workload"], cp["scheme"],
                              requests=cp["requests"], image=image,
                              registry=registry)

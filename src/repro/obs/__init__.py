@@ -5,20 +5,21 @@ fixed-bucket histograms, plus lightweight span tracing, all keyed by
 *simulated* cycles (never wall clock) so snapshots are byte-reproducible
 under a fixed seed.  Instrumented modules publish through the module-
 level hooks (:func:`add`, :func:`observe`, :func:`span`, :func:`tick`),
-which cost one global read when no registry is active; :func:`observing`
-scopes a registry to a ``with`` block.
+which cost one global read, one attribute read and an ``is None`` test
+when no registry is active; :func:`instrumented` is the one scope that
+activates the registry, every plane below and the fault plane.
 
 On top of the metrics plane sits the forensics/attribution layer:
 
 * :mod:`repro.obs.events` -- the cycle-stamped security-event journal
-  (:class:`EventJournal`, scoped with :func:`journaling`);
+  (:class:`EventJournal`, ``instrumented(journal=...)``);
 * :mod:`repro.obs.reqtrace` -- request-scoped tracing for the serve
-  plane (:class:`TraceRecorder`, scoped with :func:`tracing`), with
+  plane (:class:`TraceRecorder`, ``instrumented(recorder=...)``), with
   histogram-bucket exemplar links and per-request Chrome-trace/folded
   exports;
 * :mod:`repro.obs.slo` -- windowed SLO rollups and deterministic
-  multi-window burn-rate alerts (:class:`SloRollup`, scoped with
-  :func:`collecting`);
+  multi-window burn-rate alerts (:class:`SloRollup`,
+  ``instrumented(rollup=...)``);
 * :mod:`repro.obs.profile` -- the differential fence-overhead profiler
   and the folded-stack / Chrome-trace exporters;
 * :mod:`repro.obs.dashboard` -- the serve-plane SLO / block-JIT
@@ -39,26 +40,19 @@ from repro.obs.collect import (
     collect_memsys,
 )
 from repro.obs.diffgate import DiffReport, ToleranceRule, diff_snapshots
-from repro.obs.events import EventJournal, SecurityEvent, journaling
+from repro.obs.events import EventJournal, SecurityEvent
+from repro.obs.instruments import INSTRUMENTS, instrumented
 from repro.obs.profile import DiffProfile, ProfileRun, SpanTree
-from repro.obs.reqtrace import RequestTrace, TraceRecorder, trace_id, tracing
-from repro.obs.slo import (
-    SloAlert,
-    SloObjective,
-    SloRollup,
-    SloWindow,
-    collecting,
-)
+from repro.obs.reqtrace import RequestTrace, TraceRecorder, trace_id
+from repro.obs.slo import SloAlert, SloObjective, SloRollup, SloWindow
 from repro.obs.registry import (
     DEFAULT_CYCLE_BUCKETS,
     Histogram,
     MetricsRegistry,
     SpanStats,
-    active_registry,
     add,
     gauge,
     observe,
-    observing,
     span,
     tick,
 )
@@ -69,6 +63,7 @@ __all__ = [
     "DiffReport",
     "EventJournal",
     "Histogram",
+    "INSTRUMENTS",
     "MetricsRegistry",
     "ProfileRun",
     "RequestTrace",
@@ -81,9 +76,7 @@ __all__ = [
     "SpanTree",
     "ToleranceRule",
     "TraceRecorder",
-    "active_registry",
     "add",
-    "collecting",
     "collect_branch_unit",
     "collect_cache_hierarchy",
     "collect_env",
@@ -92,11 +85,9 @@ __all__ = [
     "collect_memsys",
     "diff_snapshots",
     "gauge",
-    "journaling",
+    "instrumented",
     "observe",
-    "observing",
     "span",
     "tick",
     "trace_id",
-    "tracing",
 ]

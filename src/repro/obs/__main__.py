@@ -38,7 +38,8 @@ import pathlib
 import sys
 
 from repro.obs.collect import collect_env
-from repro.obs.registry import MetricsRegistry, observing
+from repro.obs.instruments import instrumented
+from repro.obs.registry import MetricsRegistry
 
 #: The default workload x scheme matrix (kept small: this is a
 #: profiling smoke, not the paper evaluation).
@@ -70,7 +71,7 @@ def run_workload_matrix(workloads: tuple[str, ...] = DEFAULT_WORKLOADS,
         "workloads": list(workloads), "schemes": list(schemes),
         "requests": requests,
     })
-    with observing(registry):
+    with instrumented(registry=registry):
         for workload in workloads:
             for scheme in schemes:
                 with registry.span(f"env/{workload}.{scheme}"):

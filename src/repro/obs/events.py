@@ -40,25 +40,27 @@ Event kinds emitted by the instrumented modules:
                     the breaching window)
 ==================  =======================================================
 
-Activation mirrors :mod:`repro.obs.registry`: instrumented modules call
-the module-level hooks (:func:`emit`, :func:`emit_here`, :func:`advance`,
-:func:`set_site`), which cost one global read when no journal is active;
-:func:`journaling` scopes a journal to a ``with`` block.  Cycle stamps
-are *simulated* cycles: each event records the journal's running base
-(advanced at the end of every pipeline run / syscall) plus the in-run
-clock of the emitting site, so two journaled runs of the same seeded
-workload produce byte-identical JSONL.
+Instrumented modules call the module-level hooks (:func:`emit`,
+:func:`emit_here`, :func:`advance`, :func:`set_site`), which cost one
+global read, one attribute read and an ``is None`` test when no journal
+is active; ``instrumented(journal=...)`` scopes a journal to a ``with``
+block.  Cycle stamps are *simulated* cycles: each event records the
+journal's running base (advanced at the end of every pipeline run /
+syscall) plus the in-run clock of the emitting site, so two journaled
+runs of the same seeded workload produce byte-identical JSONL.
 
-This module deliberately imports nothing from the rest of ``repro`` --
-cpu/core/defenses modules import it for the hooks without cycles.
+From ``repro`` this module imports only the leaf
+:mod:`repro.obs.instruments`, so cpu/core/defenses modules import it
+for the hooks without cycles.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
+
+from repro.obs.instruments import INSTRUMENTS
 
 #: The event kinds the instrumented modules emit (extensible: the journal
 #: accepts any kind string; this tuple documents the built-in emitters).
@@ -277,29 +279,14 @@ class EventJournal:
 
 
 # ---------------------------------------------------------------------------
-# Module-level activation (mirrors repro.obs.registry)
+# Module-level hooks (no-ops while no journal is active)
 # ---------------------------------------------------------------------------
-
-#: The journal instrumented modules emit to; ``None`` disables all
-#: event recording at near-zero cost.
-_ACTIVE: EventJournal | None = None
-
-#: The current emission site -- (cycle, context, pc, kernel_fn, scheme) --
-#: set by the pipeline around each policy check so that modules deeper in
-#: the check (view caches, DSVMT) can stamp events without threading the
-#: pipeline clock through every call signature.  Only maintained while a
-#: journal is active.
-_SITE: tuple[float, int, int, str, str] = (0.0, -1, 0, "", "")
-
-
-def active_journal() -> EventJournal | None:
-    return _ACTIVE
 
 
 def emit(kind: str, *, cycle: float = 0.0, context: int = -1, pc: int = 0,
          kernel_fn: str = "", reason: str = "", scheme: str = "") -> None:
     """Event hook for instrumented modules (no-op when inactive)."""
-    journal = _ACTIVE
+    journal = INSTRUMENTS.journal
     if journal is not None:
         journal.emit(kind, cycle=cycle, context=context, pc=pc,
                      kernel_fn=kernel_fn, reason=reason, scheme=scheme)
@@ -309,40 +296,23 @@ def set_site(cycle: float, context: int, pc: int, kernel_fn: str,
              scheme: str) -> None:
     """Record the current emission site (called by the pipeline before a
     policy check, only when a journal is active)."""
-    global _SITE
-    if _ACTIVE is not None:
-        _SITE = (cycle, context, pc, kernel_fn, scheme)
+    ins = INSTRUMENTS
+    if ins.journal is not None:
+        ins.site = (cycle, context, pc, kernel_fn, scheme)
 
 
 def emit_here(kind: str, reason: str = "") -> None:
     """Emit an event stamped at the current site (no-op when inactive)."""
-    journal = _ACTIVE
+    ins = INSTRUMENTS
+    journal = ins.journal
     if journal is not None:
-        cycle, context, pc, kernel_fn, scheme = _SITE
+        cycle, context, pc, kernel_fn, scheme = ins.site
         journal.emit(kind, cycle=cycle, context=context, pc=pc,
                      kernel_fn=kernel_fn, reason=reason, scheme=scheme)
 
 
 def advance(cycles: float) -> None:
     """Advance the active journal's cycle base (no-op when inactive)."""
-    journal = _ACTIVE
+    journal = INSTRUMENTS.journal
     if journal is not None:
         journal.advance(cycles)
-
-
-@contextmanager
-def journaling(journal: EventJournal | None,
-               ) -> Iterator[EventJournal | None]:
-    """Activate ``journal`` for the dynamic extent of the block.
-
-    Passing ``None`` explicitly *deactivates* journaling inside the
-    block, so callers can write ``with journaling(journal_or_none):``
-    unconditionally.
-    """
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = journal
-    try:
-        yield journal
-    finally:
-        _ACTIVE = previous

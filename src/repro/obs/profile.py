@@ -31,7 +31,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from repro.obs.registry import MetricsRegistry, observing
+from repro.obs.instruments import instrumented
+from repro.obs.registry import MetricsRegistry
 
 #: Requests served per app-workload profile run.
 PROFILE_REQUESTS = 12
@@ -289,7 +290,7 @@ def profile_workload(workload: str, scheme: str,
         "plane": "repro.obs.profile", "workload": workload,
         "scheme": scheme, "seed": seed, "requests": requests,
     })
-    with observing(registry):
+    with instrumented(registry=registry):
         if workload == "lebench":
             driver = Driver(env.kernel, env.proc, rare_every=RARE_EVERY)
             exercise_all(driver)

@@ -27,14 +27,15 @@ totals -- so the syscall layer, the kernel-function layer, and the
 pipeline phases can each attribute their own share without double
 counting.
 
-Activation mirrors :mod:`repro.reliability.faultplane`: instrumented
-modules call the module-level hooks (:func:`add`, :func:`observe`,
-:func:`span`, :func:`tick`), which are near-free (one global read and an
-``is None`` test) when no registry is active; :func:`observing` scopes a
-registry to a ``with`` block so metrics never leak across experiments.
+Instrumented modules call the module-level hooks (:func:`add`,
+:func:`observe`, :func:`span`, :func:`tick`), which are near-free (one
+global read, one attribute read and an ``is None`` test) when no
+registry is active; ``instrumented(registry=...)`` scopes a registry to
+a ``with`` block so metrics never leak across experiments.
 
-This module deliberately imports nothing from the rest of ``repro`` --
-cpu/kernel/eval modules import it for the hooks without cycles.
+From ``repro`` this module imports only the leaf
+:mod:`repro.obs.instruments`, so cpu/kernel/eval modules import it for
+the hooks without cycles.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator
+
+from repro.obs.instruments import INSTRUMENTS
 
 #: Default histogram buckets, in simulated cycles.  Chosen to bracket the
 #: model's latencies: an L1 hit (2) through a catastrophic fence-stalled
@@ -353,34 +356,26 @@ def _num(value: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Module-level activation (mirrors repro.reliability.faultplane)
+# Module-level hooks (no-ops while no registry is active)
 # ---------------------------------------------------------------------------
-
-#: The registry instrumented modules publish to; ``None`` disables all
-#: metrics recording at near-zero cost.
-_ACTIVE: MetricsRegistry | None = None
-
-
-def active_registry() -> MetricsRegistry | None:
-    return _ACTIVE
 
 
 def add(name: str, value: float = 1) -> None:
     """Counter hook for instrumented modules (no-op when inactive)."""
-    reg = _ACTIVE
+    reg = INSTRUMENTS.registry
     if reg is not None:
         reg.add(name, value)
 
 
 def gauge(name: str, value: float) -> None:
-    reg = _ACTIVE
+    reg = INSTRUMENTS.registry
     if reg is not None:
         reg.gauge(name, value)
 
 
 def observe(name: str, value: float,
             buckets: tuple[float, ...] | None = None) -> None:
-    reg = _ACTIVE
+    reg = INSTRUMENTS.registry
     if reg is not None:
         reg.observe(name, value, buckets=buckets)
 
@@ -388,7 +383,7 @@ def observe(name: str, value: float,
 @contextmanager
 def span(name: str) -> Iterator[None]:
     """Span hook: a real span when a registry is active, else a no-op."""
-    reg = _ACTIVE
+    reg = INSTRUMENTS.registry
     if reg is None:
         yield
         return
@@ -397,24 +392,6 @@ def span(name: str) -> Iterator[None]:
 
 
 def tick(cycles: float) -> None:
-    reg = _ACTIVE
+    reg = INSTRUMENTS.registry
     if reg is not None:
         reg.tick(cycles)
-
-
-@contextmanager
-def observing(registry: MetricsRegistry | None,
-              ) -> Iterator[MetricsRegistry | None]:
-    """Activate ``registry`` for the dynamic extent of the block.
-
-    Passing ``None`` explicitly *deactivates* observation inside the
-    block, which lets callers write ``with observing(reg_or_none):``
-    unconditionally.
-    """
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = registry
-    try:
-        yield registry
-    finally:
-        _ACTIVE = previous

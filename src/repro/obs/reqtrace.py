@@ -14,11 +14,11 @@ Design contract (matches the rest of ``repro.obs``):
   ``(seed, cell, tenant, arrival index)`` -- a SHA-256 prefix, no wall
   clock, no ``id()``, no PYTHONHASHSEED exposure.  Re-running the same
   serve cell yields byte-identical traces in any process.
-* **Near-free when inactive.**  Faultplane-style activation: hooks read
-  one module global and compare against ``None``.  No recorder installed
-  means no allocation, no branch into recording code, and -- critically
-  -- zero effect on simulated cycle counts either way (tracing is an
-  observer, never a participant).
+* **Near-free when inactive.**  ``instrumented(recorder=...)`` installs
+  a recorder; hooks read it off the shared record and test ``None``.  No
+  recorder installed means no allocation, no branch into recording code,
+  and -- critically -- zero effect on simulated cycle counts either way
+  (tracing is an observer, never a participant).
 * **Exemplars.**  Each latency-histogram observation can be linked to
   the trace that produced it, keyed by the same bucket the histogram
   puts it in (first bound with ``value <= bound``, else ``inf``), so any
@@ -37,16 +37,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from contextlib import contextmanager
+
+from repro.obs.instruments import INSTRUMENTS
 
 __all__ = [
     "RequestTrace",
     "TraceRecorder",
-    "active_recorder",
     "bucket_label",
     "step",
     "trace_id",
-    "tracing",
 ]
 
 
@@ -315,27 +314,8 @@ class TraceRecorder:
 
 
 # ---------------------------------------------------------------------------
-# Activation (faultplane-style: one global read when inactive)
+# Hook (no-op while no recorder is installed)
 # ---------------------------------------------------------------------------
-
-_ACTIVE: TraceRecorder | None = None
-
-
-def active_recorder() -> TraceRecorder | None:
-    """The currently-installed recorder, or ``None``."""
-    return _ACTIVE
-
-
-@contextmanager
-def tracing(recorder: TraceRecorder):
-    """Install ``recorder`` as the ambient trace recorder."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = recorder
-    try:
-        yield recorder
-    finally:
-        _ACTIVE = previous
 
 
 def step(layer: str, name: str, cycles: float = 0.0, **detail) -> None:
@@ -343,8 +323,9 @@ def step(layer: str, name: str, cycles: float = 0.0, **detail) -> None:
 
     The instrumented layers (driver, kernel, pipeline) call this
     unconditionally; with no recorder installed -- or no request open,
-    e.g. during boot -- it is a global read plus a ``None`` test.
+    e.g. during boot -- it is a global read, an attribute read and a
+    ``None`` test.
     """
-    recorder = _ACTIVE
+    recorder = INSTRUMENTS.recorder
     if recorder is not None and recorder._open is not None:
         recorder.record(layer, name, cycles, detail)

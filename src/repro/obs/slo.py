@@ -31,17 +31,18 @@ straight from bucket counts, exact and merge-stable (no interpolation).
 journal events (``observe(events, alerts=...)``); blocked-leak alerts
 carry the victim context so escalation stays per-tenant.
 
-Activation mirrors ``faultplane``/``observing()``/``journaling()``:
-``collecting(rollup)`` installs a module-global rollup, and the serve
-engine's hooks are one global read + ``None`` test when inactive.
+``instrumented(rollup=...)`` installs a rollup, and the serve engine's
+hooks are one global read, one attribute read and a ``None`` test when
+inactive.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
+
+from repro.obs.instruments import INSTRUMENTS
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
@@ -50,8 +51,6 @@ __all__ = [
     "SloObjective",
     "SloRollup",
     "SloWindow",
-    "active_rollup",
-    "collecting",
     "record_request",
     "record_shed",
 ]
@@ -372,35 +371,17 @@ class SloRollup:
 
 
 # ---------------------------------------------------------------------------
-# Activation (faultplane-style: one global read when inactive)
+# Hooks (no-ops while no rollup is installed)
 # ---------------------------------------------------------------------------
-
-_ACTIVE: SloRollup | None = None
-
-
-def active_rollup() -> SloRollup | None:
-    return _ACTIVE
-
-
-@contextmanager
-def collecting(rollup: SloRollup):
-    """Install ``rollup`` as the ambient SLO rollup."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = rollup
-    try:
-        yield rollup
-    finally:
-        _ACTIVE = previous
 
 
 def record_request(cycle: float, latency_cycles: float) -> None:
-    rollup = _ACTIVE
+    rollup = INSTRUMENTS.rollup
     if rollup is not None:
         rollup.record_request(cycle, latency_cycles)
 
 
 def record_shed(cycle: float) -> None:
-    rollup = _ACTIVE
+    rollup = INSTRUMENTS.rollup
     if rollup is not None:
         rollup.record_shed(cycle)

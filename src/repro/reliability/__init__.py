@@ -4,8 +4,10 @@ Two halves (see docs/architecture.md, "Reliability & fault injection"):
 
 * the **fault-injection plane** (:mod:`repro.reliability.faultplane`):
   deterministic, seeded fault points that core/kernel/scanner modules opt
-  into, plus the :class:`~repro.reliability.invariants.InvariantChecker`
-  that proves the fail-closed invariants hold under injected faults;
+  into, armed with ``repro.obs.instrumented(faults=plane)`` (the one
+  activation scope every plane shares), plus the
+  :class:`~repro.reliability.invariants.InvariantChecker` that proves
+  the fail-closed invariants hold under injected faults;
 * the **resilient campaign runner**
   (:mod:`repro.reliability.campaign`): subprocess-isolated, retrying,
   journaled execution of the evaluation experiments with
@@ -23,9 +25,7 @@ from repro.reliability.faultplane import (
     FAULT_POINTS,
     FaultPlane,
     FaultSpec,
-    active_plane,
     fire,
-    inject,
 )
 
 #: Lazily-resolved exports from the heavier submodules (cycle avoidance).
@@ -57,8 +57,6 @@ __all__ = [
     "FAULT_POINTS",
     "FaultPlane",
     "FaultSpec",
-    "active_plane",
     "fire",
-    "inject",
     *sorted(_LAZY),
 ]

@@ -43,8 +43,9 @@ from repro.eval.runner import (
 )
 from repro.exec.engine import run_in_subprocess
 from repro.obs import registry as obs
+from repro.obs.instruments import INSTRUMENTS, instrumented
 from repro.reliability import serde
-from repro.reliability.faultplane import FaultPlane, FaultSpec, inject
+from repro.reliability.faultplane import FaultPlane, FaultSpec
 
 JOURNAL_NAME = "campaign-journal.jsonl"
 METRICS_NAME = "campaign-metrics.json"
@@ -224,17 +225,12 @@ def _run_spec(name: str, params: dict[str, Any],
     spec = EXPERIMENTS[_spec_name(name)]
     registry = obs.MetricsRegistry(meta={"experiment": name}) \
         if collect_metrics else None
-    from contextlib import nullcontext
-    observe_ctx = obs.observing(registry) if registry is not None \
-        else nullcontext()
-    fires: dict[str, int] = {}
-    with observe_ctx:
-        if fault is not None:
-            with inject(FaultPlane.from_dict(fault)) as plane:
-                result = spec.run(**params)
-            fires = dict(plane.fires)
-        else:
-            result = spec.run(**params)
+    plane = FaultPlane.from_dict(fault) if fault is not None else None
+    planes = {key: value for key, value in (
+        ("registry", registry), ("faults", plane)) if value is not None}
+    with instrumented(**planes):
+        result = spec.run(**params)
+    fires = dict(plane.fires) if plane is not None else {}
     snapshot = registry.snapshot() if registry is not None else None
     return spec.to_payload(result), fires, snapshot
 
@@ -409,7 +405,7 @@ class CampaignRunner:
                 # the *caller* has active: without this, counters and
                 # spans recorded inside the subprocess were silently
                 # dropped unless ``collect_metrics`` was set up front.
-                ambient = obs.active_registry()
+                ambient = INSTRUMENTS.registry
                 if ambient is not None and ambient is not self.metrics:
                     ambient.merge(part)
             obs.add(f"campaign.{name}.attempts")
@@ -447,7 +443,7 @@ class CampaignRunner:
         # ambient registry means someone wants these metrics, and a
         # subprocess worker's registrations cannot reach it otherwise.
         collect = self.config.collect_metrics \
-            or obs.active_registry() is not None
+            or INSTRUMENTS.registry is not None
         if not self.config.isolate:
             try:
                 payload, fires, snapshot = _run_spec(name, params, fault,

@@ -12,23 +12,26 @@ and OS states on demand:
 * a :class:`FaultPlane` arms a set of :class:`FaultSpec` triggers, each
   with its own seeded RNG stream (derived from ``(seed, point)``) so the
   firing pattern of one point never perturbs another's;
-* activation is scoped with :func:`inject`, a context manager, so no
-  fault ever leaks across experiments.
+* activation is scoped with ``instrumented(faults=plane)``
+  (:mod:`repro.obs.instruments`), a context manager, so no fault ever
+  leaks across experiments.
 
 Everything is deterministic: same seed + same specs + same workload ==
 the same faults fire at the same draws, which is what makes the
 invariant sweep and the campaign journal byte-reproducible.
 
-This module deliberately imports nothing from the rest of ``repro`` --
-core/kernel/scanner modules import it for the hook without cycles.
+From ``repro`` this module imports only the leaf
+:mod:`repro.obs.instruments`, so core/kernel/scanner modules import it
+for the hook without cycles.
 """
 
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
+
+from repro.obs.instruments import INSTRUMENTS
 
 #: Registry of every fault point modules expose, with the degraded
 #: condition each one models.  ``fire()`` rejects unknown points so a
@@ -164,45 +167,14 @@ class FaultPlane:
                                for s in data.get("specs", ())))
 
 
-#: The plane instrumented modules consult; ``None`` disables all faults.
-_ACTIVE: FaultPlane | None = None
-
-#: Bumped every time the active plane changes (arming *and* disarming).
-#: Memoization layers (the block JIT's epoch key) use this to notice that
-#: fault points were (re)armed between two executions of the same code.
-_GENERATION: int = 0
-
-
-def active_plane() -> FaultPlane | None:
-    return _ACTIVE
-
-
-def generation() -> int:
-    """Monotonic arming generation of the fault plane."""
-    return _GENERATION
-
-
 def fire(point: str) -> bool:
     """Hook called by instrumented modules on their degraded-path branch.
 
-    Near-free when no plane is active (one global read and an ``is
-    None`` test), so the fault points cost nothing in normal runs.
+    Near-free when no plane is active (one global read, one attribute
+    read and an ``is None`` test), so the fault points cost nothing in
+    normal runs.
     """
-    plane = _ACTIVE
+    plane = INSTRUMENTS.faults
     if plane is None:
         return False
     return plane.should_fire(point)
-
-
-@contextmanager
-def inject(plane: FaultPlane) -> Iterator[FaultPlane]:
-    """Activate ``plane`` for the dynamic extent of the block."""
-    global _ACTIVE, _GENERATION
-    previous = _ACTIVE
-    _ACTIVE = plane
-    _GENERATION += 1
-    try:
-        yield plane
-    finally:
-        _ACTIVE = previous
-        _GENERATION += 1

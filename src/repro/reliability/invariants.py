@@ -28,7 +28,8 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field
 
-from repro.reliability.faultplane import FaultPlane, FaultSpec, inject
+from repro.obs.instruments import instrumented
+from repro.reliability.faultplane import FaultPlane, FaultSpec
 
 #: Column order of the invariant matrix.
 CHECKS = ("attacks-blocked", "no-stale-owner", "isv-monotone",
@@ -231,7 +232,7 @@ class InvariantChecker:
         for attack in self.attacks:
             for scheme in self.schemes:
                 plane = scenario.plane(self.seed)
-                with inject(plane):
+                with instrumented(faults=plane):
                     try:
                         result = run_attack(attack, scheme)
                         if result.success:
@@ -263,7 +264,7 @@ class InvariantChecker:
         from repro.workloads.lebench import exercise_all
         plane = scenario.plane(self.seed)
         note = "workload completed"
-        with inject(plane):
+        with instrumented(faults=plane):
             # Framework attaches *before* the process exists so ownership
             # hooks (and the dsv-assign-drop fault point) see every
             # allocation the workload makes.
@@ -305,7 +306,7 @@ class InvariantChecker:
                                   "dynamic").functions)
             if plane is None:
                 return build()
-            with inject(plane):
+            with instrumented(faults=plane):
                 return build()
 
         baseline = dynamic_isv_functions(None)
@@ -333,7 +334,7 @@ class InvariantChecker:
         image = shared_image()
         clean = run_campaign(image, hours=5.0, seed=self.seed + 7)
         plane = scenario.plane(self.seed)
-        with inject(plane):
+        with instrumented(faults=plane):
             faulted = run_campaign(image, hours=5.0, seed=self.seed + 7)
         ok = faulted.gadgets_found <= clean.gadgets_found
         detail = (f"clean {clean.gadgets_found} gadgets, stalled "
@@ -360,7 +361,7 @@ class InvariantChecker:
         for scheme in self.schemes:
             baseline = run_trace_under(scheme, trace, tenants=2)
             plane = scenario.plane(self.seed)
-            with inject(plane):
+            with instrumented(faults=plane):
                 faulted = run_trace_under(scheme, trace, tenants=2)
             fires += plane.total_fires()
             if not faulted["secret_intact"]:
@@ -388,7 +389,7 @@ class InvariantChecker:
         plane = scenario.plane(self.seed)
         config = ServeConfig(scheme="perspective", tenants=2, seed=self.seed,
                              requests_per_tenant=6)
-        with inject(plane):
+        with instrumented(faults=plane):
             report = run_serve(config)
         fires = plane.total_fires()
         arrivals = sum(t.arrivals for t in report.tenants)

@@ -76,9 +76,9 @@ def _run_sweep(args: argparse.Namespace) -> int:
     # forcing it on changes only the snapshot's blockcache counters --
     # never the report -- and the smoke gates the miss-reason split.
     params["block_cache"] = True
-    from repro.obs import observing
+    from repro.obs import instrumented
     outer = MetricsRegistry()
-    with observing(outer):
+    with instrumented(registry=outer):
         result, report = run_experiment(
             "serve", params, workers=args.workers,
             use_cache=not args.no_cache)

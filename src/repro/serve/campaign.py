@@ -47,8 +47,9 @@ from repro.kernel.process import Process
 from repro.obs import events as ev
 from repro.obs import registry as obs
 from repro.obs import slo
-from repro.obs.events import EventJournal, SecurityEvent, journaling
-from repro.reliability.faultplane import FaultPlane, FaultSpec, inject
+from repro.obs.events import EventJournal, SecurityEvent
+from repro.obs.instruments import instrumented
+from repro.reliability.faultplane import FaultPlane, FaultSpec
 from repro.scanner.kasper import scan
 from repro.serve.arrival import Arrival, arrival_stream, percentile
 from repro.serve.engine import (
@@ -319,7 +320,7 @@ def run_campaign(spec: CampaignSpec, image=None) -> dict[str, Any]:
     seq_mark = 0
     storm_onset: float | None = None
 
-    with journaling(journal), slo.collecting(rollup):
+    with instrumented(journal=journal, rollup=rollup):
         for epoch in range(spec.epochs):
             # Request traces (when a recorder is ambient) are labeled per
             # epoch, so (tenant, seq) reuse across epochs stays unique.
@@ -329,7 +330,7 @@ def run_campaign(spec: CampaignSpec, image=None) -> dict[str, Any]:
                 storm_onset = sched.free_at
             latency_marks = [len(r.latencies) for r in reports]
             offset = sched.free_at
-            guard = inject(plane) if storm else nullcontext()
+            guard = instrumented(faults=plane) if storm else nullcontext()
             attacks_row: list[dict[str, Any]] = []
             with guard:
                 schedule = [
@@ -602,9 +603,9 @@ def campaign_cell(params: dict[str, Any],
     spec = spec_from_params(params)
     if not observe:
         return run_campaign(spec)
-    from repro.obs import MetricsRegistry, observing
+    from repro.obs import MetricsRegistry
     registry = MetricsRegistry()
-    with observing(registry):
+    with instrumented(registry=registry):
         out = run_campaign(spec)
         cell = f"campaign.cell.s{spec.seed}.{spec.scenario}"
         obs.gauge(f"{cell}.completed", float(out["completed"]))

@@ -82,6 +82,7 @@ from repro.obs import events as ev
 from repro.obs import registry as obs
 from repro.obs import reqtrace as rt
 from repro.obs import slo
+from repro.obs.instruments import INSTRUMENTS, instrumented
 from repro.reliability.faultplane import fire
 from repro.scanner.kasper import scan
 from repro.serve.arrival import Arrival, arrival_stream, percentile
@@ -804,7 +805,7 @@ class ShardScheduler:
         phase = tenant.counter % self._periods[idx]
         start = max(self.free_at, arr.cycle)
         switched = self.current != idx
-        rec = rt.active_recorder()
+        rec = INSTRUMENTS.recorder
         trace = None
         if rec is not None:
             trace = self._trace_for(rec, arr)
@@ -877,7 +878,7 @@ class ShardScheduler:
         self.drain_until(arr.cycle)
         report = self.reports[arr.tenant]
         report.arrivals += 1
-        rec = rt.active_recorder()
+        rec = INSTRUMENTS.recorder
         if fire("admission-queue-corrupt"):
             # The queue slot failed its integrity check: the request is
             # shed -- fail closed, a request with corrupt tenant metadata
@@ -1093,21 +1094,17 @@ def serve_cell(params: dict[str, Any],
     slo_window = params.get("slo_window")
     if not (observe or trace or slo_window):
         return run()
-    from contextlib import ExitStack
-
-    from repro.obs import MetricsRegistry, observing
+    from repro.obs import MetricsRegistry
     registry = MetricsRegistry() if observe else None
     recorder = rt.TraceRecorder() if trace else None
     rollup = slo.SloRollup(float(slo_window),
                            latency_buckets=LATENCY_BUCKETS) \
         if slo_window else None
-    with ExitStack() as stack:
-        if registry is not None:
-            stack.enter_context(observing(registry))
-        if recorder is not None:
-            stack.enter_context(rt.tracing(recorder))
-        if rollup is not None:
-            stack.enter_context(slo.collecting(rollup))
+    # Planes the cell does not ask for are inherited, not deactivated.
+    planes = {name: plane for name, plane in (
+        ("registry", registry), ("recorder", recorder), ("rollup", rollup))
+        if plane is not None}
+    with instrumented(**planes):
         out = run()
         if registry is not None:
             # Summary gauges under a per-cell prefix, so merged cell

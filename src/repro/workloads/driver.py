@@ -20,8 +20,8 @@ from repro.kernel.image import RARE_PATH_MAGIC
 from repro.kernel.kernel import MiniKernel, SyscallResult
 from repro.kernel.process import Process
 from repro.obs import events as ev
-from repro.obs import registry as obs
 from repro.obs import reqtrace as rt
+from repro.obs.instruments import INSTRUMENTS
 
 #: Syscalls whose second argument carries no semantic meaning in the
 #: kernel model, so the driver may use it for rare-path injection.
@@ -70,7 +70,7 @@ class Driver:
                 and self._counter % self.rare_every == 0):
             padded = list(args) + [0] * (2 - len(args))
             args = (padded[0], RARE_PATH_MAGIC, *padded[2:])
-        registry = obs.active_registry()
+        registry = INSTRUMENTS.registry
         if registry is None:
             result = self.kernel.syscall(self.proc, name, args=args,
                                          spin=spin)

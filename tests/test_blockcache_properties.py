@@ -26,7 +26,8 @@ from repro.cpu.isa import AluOp, CodeLayout, Function, alu, br, kret, li, ret
 from repro.cpu.memsys import MainMemory
 from repro.cpu.pipeline import ExecutionContext, Pipeline, SpeculationPolicy
 from repro.defenses import PerspectivePolicy
-from repro.reliability.faultplane import FaultPlane, FaultSpec, inject
+from repro.obs import instrumented
+from repro.reliability.faultplane import FaultPlane, FaultSpec
 
 
 def _straightline() -> tuple[Pipeline, Function]:
@@ -95,10 +96,10 @@ class TestEpochInvalidation:
                 pipeline.set_policy(SpeculationPolicy())
                 bumped = True
             elif event == "fault":
-                # Arming (entering and leaving an injection scope) bumps
-                # the plane's generation; memoized state from before the
-                # arming must not replay after it.
-                with inject(FaultPlane(seed=1, specs=(
+                # Arming (entering and leaving a scope that sets
+                # ``faults``) bumps the fault generation; memoized state
+                # from before the arming must not replay after it.
+                with instrumented(faults=FaultPlane(seed=1, specs=(
                         FaultSpec("trace-drop", probability=0.0),))):
                     pass
                 bumped = True
@@ -148,7 +149,7 @@ class TestEpochInvalidation:
             if event == "policy":
                 pipeline.set_policy(SpeculationPolicy())
             elif event == "fault":
-                with inject(FaultPlane(seed=1, specs=(
+                with instrumented(faults=FaultPlane(seed=1, specs=(
                         FaultSpec("trace-drop", probability=0.0),))):
                     pass
             else:

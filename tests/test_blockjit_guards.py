@@ -83,3 +83,28 @@ class TestGuardAccounting:
         # come from the registry, and the scheme under test must show up.
         assert seen <= known, seen - known
         assert label in seen, (label, seen)
+
+
+class TestEligibility:
+    def test_prefetcher_pipeline_interprets(self, image):
+        """Generated blocks do not replicate prefetch fills, so a
+        prefetcher kernel never arms the cache: with it requested the run
+        matches the cache-off run exactly and no BlockCache is built."""
+        from repro.kernel.kernel import KernelConfig, MiniKernel
+        from repro.workloads.driver import Driver
+        from repro.workloads.lebench import exercise_all
+
+        def run(block_cache):
+            kernel = MiniKernel(image=image,
+                                config=KernelConfig(prefetcher=True))
+            kernel.pipeline.config.enable_block_cache = block_cache
+            driver = Driver(kernel, kernel.create_process("t"),
+                            rare_every=5)
+            exercise_all(driver)
+            return kernel, driver.stats, kernel.hierarchy.l1d.stats
+
+        on_kernel, *on = run(True)
+        _, *off = run(False)
+        assert on == off
+        assert on[0].kernel_cycles > 0
+        assert on_kernel.pipeline._blockcache is None

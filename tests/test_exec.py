@@ -28,7 +28,7 @@ from repro.exec import (
 )
 from repro.exec import fingerprint as fp_mod
 from repro.exec.__main__ import main as exec_main
-from repro.obs import MetricsRegistry, observing
+from repro.obs import MetricsRegistry, instrumented
 from repro.reliability import serde
 
 
@@ -245,7 +245,7 @@ class TestResultCache:
     def test_counters_exported_through_obs(self, tmp_path):
         cache = ResultCache(root=tmp_path)
         reg = MetricsRegistry()
-        with observing(reg):
+        with instrumented(registry=reg):
             cache.get("ef" + "3" * 62)
             cache.put("ef" + "3" * 62, {"payload": 1})
             cache.get("ef" + "3" * 62)
@@ -346,7 +346,7 @@ class TestEngineParity:
 
     def test_engine_exports_cell_counters(self, tmp_path):
         reg = MetricsRegistry()
-        with observing(reg):
+        with instrumented(registry=reg):
             engine(tmp_path).run("surface", {"apps": ["lebench"]})
         counters = reg.snapshot()["counters"]
         assert counters["exec.cells.total"] == 1

@@ -8,11 +8,11 @@ import pytest
 
 from repro.obs import (
     DEFAULT_CYCLE_BUCKETS,
+    INSTRUMENTS,
     Histogram,
     MetricsRegistry,
-    active_registry,
     collect_env,
-    observing,
+    instrumented,
 )
 from repro.obs import registry as obs_hooks
 
@@ -119,7 +119,7 @@ class TestSpans:
 
 class TestModuleHooks:
     def test_inactive_hooks_are_noops(self):
-        assert active_registry() is None
+        assert INSTRUMENTS.registry is None
         obs_hooks.add("x")
         obs_hooks.gauge("g", 1.0)
         obs_hooks.observe("h", 1.0)
@@ -129,29 +129,20 @@ class TestModuleHooks:
 
     def test_observing_scopes_and_restores(self):
         reg = MetricsRegistry()
-        with observing(reg):
-            assert active_registry() is reg
+        with instrumented(registry=reg):
+            assert INSTRUMENTS.registry is reg
             obs_hooks.add("hits")
-        assert active_registry() is None
+        assert INSTRUMENTS.registry is None
         assert reg.counter("hits") == 1
 
     def test_observing_nests(self):
         outer, inner = MetricsRegistry(), MetricsRegistry()
-        with observing(outer):
-            with observing(inner):
+        with instrumented(registry=outer):
+            with instrumented(registry=inner):
                 obs_hooks.add("x")
             obs_hooks.add("x")
         assert inner.counter("x") == 1
         assert outer.counter("x") == 1
-
-    def test_observing_none_deactivates(self):
-        reg = MetricsRegistry()
-        with observing(reg):
-            with observing(None):
-                obs_hooks.add("x")
-                assert active_registry() is None
-            assert active_registry() is reg
-        assert reg.counter("x") == 0
 
 
 class TestExporters:
@@ -426,7 +417,7 @@ class TestCampaignCounters:
         reg = MetricsRegistry()
         config = CampaignConfig(fast=True, isolate=False,
                                 experiments=("surface",))
-        with observing(reg):
+        with instrumented(registry=reg):
             state = CampaignRunner(tmp_path, config).run()
         assert state.done == {"surface"}
         assert reg.counter("campaign.surface.attempts") == 1
@@ -440,7 +431,7 @@ class TestCampaignCounters:
         config = CampaignConfig(fast=True, isolate=False,
                                 experiments=("surface",))
         CampaignRunner(tmp_path / "plain", config).run()
-        with observing(MetricsRegistry()):
+        with instrumented(registry=MetricsRegistry()):
             CampaignRunner(tmp_path / "observed", config).run()
         plain = (tmp_path / "plain" / JOURNAL_NAME).read_text()
         observed = (tmp_path / "observed" / JOURNAL_NAME).read_text()

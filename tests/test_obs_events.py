@@ -7,7 +7,8 @@ import json
 import pytest
 
 from repro.obs import events as ev
-from repro.obs.events import EVENT_KINDS, EventJournal, journaling
+from repro.obs import INSTRUMENTS, instrumented
+from repro.obs.events import EVENT_KINDS, EventJournal
 
 
 class TestJournalBasics:
@@ -114,7 +115,7 @@ class TestJournalQueries:
 
 class TestModuleHooks:
     def test_inactive_hooks_are_noops(self):
-        assert ev.active_journal() is None
+        assert INSTRUMENTS.journal is None
         ev.emit("fence")
         ev.emit_here("fence")
         ev.set_site(1.0, 1, 0, "f", "s")
@@ -122,24 +123,15 @@ class TestModuleHooks:
 
     def test_journaling_scopes_and_restores(self):
         journal = EventJournal()
-        with journaling(journal):
-            assert ev.active_journal() is journal
+        with instrumented(journal=journal):
+            assert INSTRUMENTS.journal is journal
             ev.emit("fence", reason="x")
-        assert ev.active_journal() is None
+        assert INSTRUMENTS.journal is None
         assert len(journal) == 1
-
-    def test_journaling_none_deactivates(self):
-        journal = EventJournal()
-        with journaling(journal):
-            with journaling(None):
-                ev.emit("fence")
-                assert ev.active_journal() is None
-            assert ev.active_journal() is journal
-        assert len(journal) == 0
 
     def test_emit_here_stamps_current_site(self):
         journal = EventJournal()
-        with journaling(journal):
+        with instrumented(journal=journal):
             ev.set_site(42.0, 7, 0x1234, "sys_read", "perspective")
             ev.emit_here("isv-miss", reason="untrusted")
         (event,) = journal.events()

@@ -15,6 +15,7 @@ from repro.eval.tables import MISSING
 from repro.kernel.buddy import BuddyAllocator, OutOfMemory
 from repro.kernel.slab import SlabAllocator
 from repro.kernel.tracing import KernelTracer
+from repro.obs import INSTRUMENTS, instrumented
 from repro.reliability import (
     FAULT_SWEEP,
     CampaignConfig,
@@ -23,10 +24,8 @@ from repro.reliability import (
     FaultPlane,
     FaultSpec,
     InvariantChecker,
-    active_plane,
     audit_dsv_fail_closed,
     fire,
-    inject,
     smoke_campaign,
 )
 
@@ -41,7 +40,7 @@ class TestFaultPlane:
             FaultSpec("no-such-point")
 
     def test_unknown_point_rejected_at_fire_time(self):
-        with inject(plane_for(FaultSpec("trace-drop"))):
+        with instrumented(faults=plane_for(FaultSpec("trace-drop"))):
             with pytest.raises(ValueError, match="unknown fault point"):
                 fire("no-such-point")
 
@@ -54,31 +53,31 @@ class TestFaultPlane:
             FaultSpec("trace-drop", probability=1.5)
 
     def test_no_plane_means_no_faults(self):
-        assert active_plane() is None
+        assert INSTRUMENTS.faults is None
         assert fire("trace-drop") is False
 
     def test_inject_scopes_and_restores(self):
         plane = plane_for(FaultSpec("trace-drop"))
-        with inject(plane):
-            assert active_plane() is plane
+        with instrumented(faults=plane):
+            assert INSTRUMENTS.faults is plane
             assert fire("trace-drop") is True
-        assert active_plane() is None
+        assert INSTRUMENTS.faults is None
         with pytest.raises(RuntimeError):
-            with inject(plane):
+            with instrumented(faults=plane):
                 raise RuntimeError("boom")
-        assert active_plane() is None
+        assert INSTRUMENTS.faults is None
 
     def test_nested_inject_restores_outer(self):
         outer = plane_for(FaultSpec("trace-drop"))
         inner = plane_for(FaultSpec("fuzzer-stall"))
-        with inject(outer):
-            with inject(inner):
-                assert active_plane() is inner
-            assert active_plane() is outer
+        with instrumented(faults=outer):
+            with instrumented(faults=inner):
+                assert INSTRUMENTS.faults is inner
+            assert INSTRUMENTS.faults is outer
 
     def test_unarmed_point_never_fires(self):
         plane = plane_for(FaultSpec("trace-drop", probability=1.0))
-        with inject(plane):
+        with instrumented(faults=plane):
             assert not any(fire("fuzzer-stall") for _ in range(50))
             assert plane.fires.get("fuzzer-stall", 0) == 0
 
@@ -87,7 +86,7 @@ class TestFaultPlane:
             plane = plane_for(FaultSpec("trace-drop", probability=0.3),
                               FaultSpec("fuzzer-stall", probability=0.7),
                               seed=seed)
-            with inject(plane):
+            with instrumented(faults=plane):
                 return [(fire("trace-drop"), fire("fuzzer-stall"))
                         for _ in range(200)]
 
@@ -99,7 +98,7 @@ class TestFaultPlane:
         def trace_sequence(*extra):
             plane = plane_for(FaultSpec("trace-drop", probability=0.3),
                               *extra, seed=11)
-            with inject(plane):
+            with instrumented(faults=plane):
                 out = []
                 for _ in range(200):
                     out.append(fire("trace-drop"))
@@ -112,7 +111,7 @@ class TestFaultPlane:
 
     def test_max_fires_bounds_firings(self):
         plane = plane_for(FaultSpec("trace-drop", max_fires=3))
-        with inject(plane):
+        with instrumented(faults=plane):
             fired = sum(fire("trace-drop") for _ in range(10))
         assert fired == 3
         assert plane.fires["trace-drop"] == 3
@@ -120,7 +119,7 @@ class TestFaultPlane:
 
     def test_start_after_skips_early_draws(self):
         plane = plane_for(FaultSpec("trace-drop", start_after=5))
-        with inject(plane):
+        with instrumented(faults=plane):
             outcomes = [fire("trace-drop") for _ in range(8)]
         assert outcomes == [False] * 5 + [True] * 3
 
@@ -139,7 +138,8 @@ class TestFailClosedHooks:
         cache = ViewCache("isv", entries=8, ways=2)
         cache.fill(1, 5, True)
         assert cache.lookup(1, 5) is True
-        with inject(plane_for(FaultSpec("isv-cache-forced-miss"))):
+        with instrumented(faults=plane_for(
+                FaultSpec("isv-cache-forced-miss"))):
             assert cache.lookup(1, 5) is None
         assert cache.stats.injected_misses == 1
         # Fault cleared: the entry itself was untouched.
@@ -148,7 +148,8 @@ class TestFailClosedHooks:
     def test_view_cache_stale_entry_discarded(self):
         cache = ViewCache("dsv", entries=8, ways=2)
         cache.fill(1, 5, True)
-        with inject(plane_for(FaultSpec("dsv-cache-stale", max_fires=1))):
+        with instrumented(faults=plane_for(
+                FaultSpec("dsv-cache-stale", max_fires=1))):
             assert cache.lookup(1, 5) is None  # parity fault: dropped
             assert cache.lookup(1, 5) is None  # genuinely gone now
         assert cache.stats.stale_drops == 1
@@ -157,13 +158,15 @@ class TestFailClosedHooks:
     def test_unregistered_cache_names_have_no_fault_points(self):
         cache = ViewCache("scratch", entries=8, ways=2)
         cache.fill(1, 5, True)
-        with inject(plane_for(FaultSpec("isv-cache-forced-miss"))):
+        with instrumented(faults=plane_for(
+                FaultSpec("isv-cache-forced-miss"))):
             assert cache.lookup(1, 5) is True
 
     def test_dsvmt_walk_fault_raises(self):
         dsvmt = DSVMT(context_id=1)
         dsvmt.set_page(42, True)
-        with inject(plane_for(FaultSpec("dsvmt-walk-fail", max_fires=1))):
+        with instrumented(faults=plane_for(
+                FaultSpec("dsvmt-walk-fail", max_fires=1))):
             with pytest.raises(DSVMTWalkFault):
                 dsvmt.lookup(42)
             assert dsvmt.lookup(42) is True
@@ -171,7 +174,8 @@ class TestFailClosedHooks:
 
     def test_buddy_alloc_fault_changes_no_state(self):
         buddy = BuddyAllocator(total_frames=64)
-        with inject(plane_for(FaultSpec("buddy-alloc-fail", max_fires=1))):
+        with instrumented(faults=plane_for(
+                FaultSpec("buddy-alloc-fail", max_fires=1))):
             with pytest.raises(OutOfMemory, match="injected"):
                 buddy.alloc_pages(0, owner=7)
             assert buddy.allocations() == []
@@ -184,7 +188,8 @@ class TestFailClosedHooks:
     def test_slab_retries_absorb_transient_failures(self):
         buddy = BuddyAllocator(total_frames=64)
         slab = SlabAllocator(buddy)
-        with inject(plane_for(FaultSpec("buddy-alloc-fail", max_fires=2))):
+        with instrumented(faults=plane_for(
+                FaultSpec("buddy-alloc-fail", max_fires=2))):
             pa = slab.kmalloc(64, owner=1)
         assert pa >= 0
         assert slab.stats.alloc_retries == 2
@@ -193,7 +198,8 @@ class TestFailClosedHooks:
 
     def test_dropped_assign_leaves_frames_unknown(self):
         registry = DSVRegistry()
-        with inject(plane_for(FaultSpec("dsv-assign-drop", max_fires=1))):
+        with instrumented(faults=plane_for(
+                FaultSpec("dsv-assign-drop", max_fires=1))):
             registry.on_alloc(10, 2, owner=5)   # dropped
             registry.on_alloc(20, 1, owner=5)   # delivered
         assert registry.dropped_assign_events == 1
@@ -209,7 +215,8 @@ class TestFailClosedHooks:
         """Freeing frames whose assign was dropped must not corrupt the
         registry (the release path is never droppable)."""
         registry = DSVRegistry()
-        with inject(plane_for(FaultSpec("dsv-assign-drop", max_fires=1))):
+        with instrumented(faults=plane_for(
+                FaultSpec("dsv-assign-drop", max_fires=1))):
             registry.on_alloc(10, 2, owner=5)
         registry.on_free(10, 2, owner=5)
         assert registry.owner_of(10) is None
@@ -219,7 +226,7 @@ class TestFailClosedHooks:
         def traced(specs):
             tracer = KernelTracer()
             tracer.start()
-            with inject(plane_for(*specs, seed=2)):
+            with instrumented(faults=plane_for(*specs, seed=2)):
                 for name in ("sys_read", "sys_write", "vfs_read",
                              "vfs_write", "do_filp_open"):
                     tracer.on_function_entry(

@@ -31,13 +31,14 @@ from repro.core.hardware import ViewCache
 from repro.core.views import InstructionSpeculationView
 from repro.exec.engine import run_experiment
 from repro.kernel.image import shared_image
-from repro.obs.events import EventJournal, SecurityEvent, journaling
+from repro.obs import instrumented
+from repro.obs.events import EventJournal, SecurityEvent
 from repro.reliability.campaign import (
     JOURNAL_NAME,
     CampaignConfig,
     CampaignRunner,
 )
-from repro.reliability.faultplane import FaultPlane, FaultSpec, inject
+from repro.reliability.faultplane import FaultPlane, FaultSpec
 from repro.reliability.invariants import FAULT_SWEEP, InvariantChecker
 from repro.serve.campaign import CampaignSpec, run_campaign
 from repro.serve.engine import ServeConfig, boot_tenants
@@ -389,7 +390,7 @@ class TestServePlaneFaultPoints:
         # Large enough that the ring never wraps: every fallback event
         # emitted during the run stays observable.
         journal = EventJournal(capacity=1 << 18)
-        with journaling(journal), inject(plane):
+        with instrumented(journal=journal, faults=plane):
             kernel, tenants = boot_tenants(config)
             for i in range(3):
                 for tenant in tenants:
@@ -408,7 +409,7 @@ class TestServePlaneFaultPoints:
         plane = FaultPlane(seed=0, specs=(
             FaultSpec("view-refill-fault", probability=1.0),))
         journal = EventJournal(capacity=64)
-        with journaling(journal), inject(plane):
+        with instrumented(journal=journal, faults=plane):
             assert cache.lookup(1, 0x40) is None
             cache.fill(1, 0x40, True)
             assert cache.stats.refill_faults == 1
@@ -424,7 +425,7 @@ class TestServePlaneFaultPoints:
         cache = ViewCache("scratch")
         plane = FaultPlane(seed=0, specs=(
             FaultSpec("view-refill-fault", probability=1.0),))
-        with inject(plane):
+        with instrumented(faults=plane):
             cache.fill(1, 0x40, True)
             assert cache.lookup(1, 0x40) is True
         assert plane.fires.get("view-refill-fault", 0) == 0

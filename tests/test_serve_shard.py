@@ -17,6 +17,7 @@ import pytest
 
 from repro.exec import EngineConfig, ExperimentEngine
 from repro.obs import events as ev
+from repro.obs import instrumented
 from repro.serve.engine import (
     PLACEMENT_POLICIES,
     Placer,
@@ -220,7 +221,7 @@ class TestMigrations:
         # Fence emits one event per fenced load (~18k in this config);
         # size the ring so migration events survive to the end.
         journal = ev.EventJournal(capacity=100_000)
-        with ev.journaling(journal):
+        with instrumented(journal=journal):
             report = run_serve(ServeConfig(**self.CONFIG))
         out = report.as_dict()
         assert out["migrations"] == len(report.migrations) > 0
