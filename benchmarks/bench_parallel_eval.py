@@ -1,10 +1,13 @@
-"""Benchmark the parallel experiment engine against the serial runners.
+"""Benchmark the parallel experiment engine against its one-worker path.
 
 Runs the full table/figure suite (LEBench, applications, breakdown,
-attack surface) three ways -- serial ``run_*`` functions, engine with a
+attack surface) three ways -- the ``run_*`` functions, engine with a
 cold cache at ``--workers`` processes, engine again with a warm cache --
 asserting byte parity between all three, and writes a diffgate-
-compatible snapshot (``repro.obs.MetricsRegistry`` shape):
+compatible snapshot (``repro.obs.MetricsRegistry`` shape).  The
+"serial" leg (``wall_serial_s``, ``speedup_*``) is the engine at one
+worker with the cache off, which is what every ``run_*`` function is;
+the name stays so the committed snapshot's keys do not move:
 
 * **counters/gauges** -- cell counts, cache traffic, parity flags, and
   headline simulated results.  Fully deterministic (the simulation is

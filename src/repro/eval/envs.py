@@ -135,10 +135,9 @@ def make_env(workload_name: str, scheme: str, *,
     needs it to build views; the others discard it), so all measurement
     environments start from identical microarchitectural history.
 
-    ``image`` lets grid runners thread one prebuilt :func:`shared_image`
-    through every cell instead of re-resolving it per environment; the
-    default is the process-wide shared image either way, so results are
-    identical.
+    ``image`` lets a caller supply a prebuilt image; the default is the
+    process-wide :func:`shared_image`, so results are identical either
+    way.
     """
     kernel = MiniKernel(image=shared_image() if image is None else image)
     proc = kernel.create_process(workload_name)

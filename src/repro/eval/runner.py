@@ -2,7 +2,11 @@
 
 Each runner assembles fresh environments, measures, and returns a plain
 data object that the formatting layer (:mod:`repro.eval.tables`,
-:mod:`repro.eval.figures`) renders in the paper's shape.
+:mod:`repro.eval.figures`) renders in the paper's shape.  The
+grid-shaped runners (LEBench, applications, attack surface, breakdown)
+are one :func:`repro.exec.engine.run_experiment` call each: their cells
+are the ``*_cell`` functions below, and :mod:`repro.exec.grids` is the
+only place that lays out and assembles the grid.
 """
 
 from __future__ import annotations
@@ -59,15 +63,11 @@ class LEBenchExperiment:
         return worst_test, 100.0 * worst
 
 
-def lebench_cell(scheme: str, rare_every: int = RARE_EVERY,
-                 image=None) -> dict[str, float]:
-    """One (scheme) cell of the LEBench grid: per-test average cycles.
-
-    Shared by the serial runner and the parallel engine
-    (:mod:`repro.exec`), which is what makes the two paths byte-identical
-    by construction.
-    """
-    env = make_env("lebench", scheme, image=image)
+def lebench_cell(scheme: str,
+                 rare_every: int = RARE_EVERY) -> dict[str, float]:
+    """One (scheme) cell of the ``lebench`` grid: per-test average
+    cycles."""
+    env = make_env("lebench", scheme)
     return run_lebench(env.kernel, env.proc, rare_every=rare_every)
 
 
@@ -75,14 +75,10 @@ def run_lebench_experiment(schemes: tuple[str, ...] = PERF_SCHEMES,
                            rare_every: int = RARE_EVERY,
                            ) -> LEBenchExperiment:
     """Run the LEBench suite under every scheme (Figure 9.2)."""
-    if "unsafe" not in schemes:
-        schemes = ("unsafe",) + tuple(schemes)
-    experiment = LEBenchExperiment(schemes=tuple(schemes))
-    image = shared_image()
-    for scheme in schemes:
-        experiment.cycles[scheme] = lebench_cell(
-            scheme, rare_every=rare_every, image=image)
-    return experiment
+    from repro.exec.engine import run_experiment
+    return run_experiment("lebench", {"schemes": list(schemes),
+                                      "rare_every": rare_every},
+                          use_cache=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +112,10 @@ class AppsExperiment:
 
 
 def apps_cell(app: str, scheme: str, requests: int | None = None,
-              rare_every: int = RARE_EVERY, image=None) -> float:
-    """One (app, scheme) cell of the apps grid: kernel cycles/request."""
-    env = make_env(app, scheme, image=image)
+              rare_every: int = RARE_EVERY) -> float:
+    """One (app, scheme) cell of the ``apps`` grid: kernel
+    cycles/request."""
+    env = make_env(app, scheme)
     workload = AppWorkload(env.kernel, env.proc, APP_SPECS[app],
                            rare_every=rare_every)
     batch = requests if requests is not None \
@@ -133,26 +130,11 @@ def run_apps_experiment(schemes: tuple[str, ...] = PERF_SCHEMES,
                         requests: int | None = None,
                         rare_every: int = RARE_EVERY) -> AppsExperiment:
     """Serve client batches per app x scheme (Figure 9.3)."""
-    if "unsafe" not in schemes:
-        schemes = ("unsafe",) + tuple(schemes)
-    experiment = AppsExperiment(schemes=tuple(schemes))
-    image = shared_image()
-    for app in apps:
-        per_scheme_kernel: dict[str, float] = {}
-        for scheme in schemes:
-            per_scheme_kernel[scheme] = apps_cell(
-                app, scheme, requests=requests, rare_every=rare_every,
-                image=image)
-        # Userspace budget from the paper's kernel-time fraction at the
-        # UNSAFE baseline; identical across schemes (user code is not
-        # gated by kernel speculation control).
-        f = APP_SPECS[app].kernel_time_fraction
-        user = per_scheme_kernel["unsafe"] * (1.0 - f) / f
-        experiment.kernel_cycles_per_request[app] = per_scheme_kernel
-        experiment.total_cycles_per_request[app] = {
-            scheme: kernel + user
-            for scheme, kernel in per_scheme_kernel.items()}
-    return experiment
+    from repro.exec.engine import run_experiment
+    return run_experiment("apps", {"schemes": list(schemes),
+                                   "apps": list(apps), "requests": requests,
+                                   "rare_every": rare_every},
+                          use_cache=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +154,10 @@ class SurfaceExperiment:
         return 1.0 - size / self.total_functions
 
 
-def surface_cell(app: str, image=None) -> dict[str, int]:
-    """One (app) cell of the surface grid: static/dynamic ISV sizes."""
-    if image is None:
-        image = shared_image()
+def surface_cell(app: str) -> dict[str, int]:
+    """One (app) cell of the ``surface`` grid: static/dynamic ISV
+    sizes."""
+    image = shared_image()
     static_size = len(static_isv_functions(image, APPLICATIONS[app]))
     kernel = MiniKernel(image=image)
     proc = kernel.create_process(app)
@@ -187,13 +169,9 @@ def surface_cell(app: str, image=None) -> dict[str, int]:
 def run_surface_experiment(apps: tuple[str, ...] = ("lebench",) + APP_NAMES,
                            ) -> SurfaceExperiment:
     """Compute per-app static and dynamic ISV sizes (Table 8.1)."""
-    image = shared_image()
-    experiment = SurfaceExperiment(total_functions=image.total_functions)
-    for app in apps:
-        cell = surface_cell(app, image=image)
-        experiment.static_isv_size[app] = cell["static"]
-        experiment.dynamic_isv_size[app] = cell["dynamic"]
-    return experiment
+    from repro.exec.engine import run_experiment
+    return run_experiment("surface", {"apps": list(apps)},
+                          use_cache=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +262,15 @@ class BreakdownExperiment:
 
 
 def breakdown_cell(workload: str, scheme: str, requests: int = 30,
-                   image=None, registry=None) -> dict:
-    """One (workload, scheme) cell of the breakdown grid.
+                   registry=None) -> dict:
+    """One (workload, scheme) cell of the ``breakdown`` grid.
 
     Returns the raw fence-breakdown fields and view-cache hit rates; when
     ``registry`` is given, also collects the per-env gauges into it under
-    the cell's prefix (exactly what the serial loop does).  Run inside an
-    ``instrumented(registry=...)`` scope to capture the hot-path counters
-    too.
+    the cell's prefix.  Run inside an ``instrumented(registry=...)`` scope
+    to capture the hot-path counters too.
     """
-    env = make_env(workload, scheme, image=image)
+    env = make_env(workload, scheme)
     if workload == "lebench":
         from repro.workloads.driver import Driver
         from repro.workloads.lebench import exercise_all
@@ -335,44 +312,18 @@ def run_breakdown_experiment(
     With ``observe=True`` every cell runs inside its own fresh
     :class:`repro.obs.MetricsRegistry`; the per-cell snapshots (hot-path
     counters, span timings, and per-env collector gauges) merge in
-    declared cell order into ``experiment.metrics``.  The per-cell
-    structure is deliberate: it is exactly what the parallel engine
-    (:mod:`repro.exec`) does, so serial and parallel metrics stay
-    byte-identical down to float-addition order.  A ``journal``
-    additionally records every enforcement decision as a security event.
-    The measured numbers are identical either way -- the observability
-    plane only reads simulated state.
+    declared cell order into ``experiment.metrics``, identically at any
+    worker count.  A ``journal`` additionally records every enforcement
+    decision as a security event.  The measured numbers are identical
+    either way -- the observability plane only reads simulated state.
     """
-    from repro.obs import MetricsRegistry, instrumented
-    experiment = BreakdownExperiment()
-    merged: MetricsRegistry | None = None
-    image = shared_image()
-    # observe=False must not disturb any registry an outer caller (e.g.
-    # a campaign) already activated: a plane left out is inherited, where
-    # None would deactivate it.  Same for the journal.
+    from repro.exec.engine import run_experiment
+    from repro.obs import instrumented
+    # A plane left out is inherited from the caller (e.g. a campaign's
+    # registry), where None would deactivate it.
     with instrumented(**({} if journal is None else {"journal": journal})):
-        for workload in workloads:
-            experiment.breakdowns[workload] = {}
-            experiment.isv_cache_hit_rate[workload] = {}
-            experiment.dsv_cache_hit_rate[workload] = {}
-            for scheme in schemes:
-                registry = MetricsRegistry() if observe else None
-                planes = {"registry": registry} if observe else {}
-                with instrumented(**planes):
-                    cell = breakdown_cell(workload, scheme,
-                                          requests=requests,
-                                          image=image, registry=registry)
-                if registry is not None:
-                    if merged is None:
-                        merged = registry
-                    else:
-                        merged.merge(registry)
-                experiment.breakdowns[workload][scheme] = \
-                    FenceBreakdown(**cell["breakdown"])
-                experiment.isv_cache_hit_rate[workload][scheme] = \
-                    cell["isv_cache_hit_rate"]
-                experiment.dsv_cache_hit_rate[workload][scheme] = \
-                    cell["dsv_cache_hit_rate"]
-    if merged is not None:
-        experiment.metrics = merged.snapshot()
-    return experiment
+        return run_experiment("breakdown", {"workloads": list(workloads),
+                                            "schemes": list(schemes),
+                                            "requests": requests,
+                                            "observe": observe},
+                              use_cache=False)[0]

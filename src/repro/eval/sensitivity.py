@@ -10,6 +10,10 @@
 * **Domain reassignment**: how often slab frees empty a page and return it
   to the buddy allocator (paper: redis 0.23% of frees / 96 per second;
   httpd, nginx, memcached at 0.01% / 0.003% and single digits per second).
+
+Both runners are one ``unknown-allocations``/``slab-sensitivity`` grid of
+:mod:`repro.exec.grids` run on the engine; the ``*_cell`` functions below
+are their cells.
 """
 
 from __future__ import annotations
@@ -43,11 +47,8 @@ class UnknownAllocationsResult:
 def unknown_allocations_cell(scheme: str, rare_every: int = RARE_EVERY,
                              treat_unknown: bool = False,
                              ) -> dict[str, float]:
-    """One cell of the unknown-allocations grid: LEBench cycles under
-    ``scheme``, optionally with unknown memory allowed to speculate.
-
-    Shared by the serial runner and :mod:`repro.exec`.
-    """
+    """One cell of the ``unknown-allocations`` grid: LEBench cycles under
+    ``scheme``, optionally with unknown memory allowed to speculate."""
     env = make_env("lebench", scheme)
     if treat_unknown:
         policy = env.policy
@@ -66,17 +67,9 @@ def unknown_overhead_pct(cycles: dict[str, float],
 def run_unknown_allocations(rare_every: int = RARE_EVERY,
                             ) -> UnknownAllocationsResult:
     """Quantify the unknown-allocation share of Perspective's overhead."""
-    baseline = unknown_allocations_cell("unsafe", rare_every=rare_every)
-
-    def overhead(treat_unknown: bool) -> float:
-        cycles = unknown_allocations_cell("perspective",
-                                          rare_every=rare_every,
-                                          treat_unknown=treat_unknown)
-        return unknown_overhead_pct(cycles, baseline)
-
-    return UnknownAllocationsResult(
-        overhead_full_pct=overhead(False),
-        overhead_unknown_allowed_pct=overhead(True))
+    from repro.exec.engine import run_experiment
+    return run_experiment("unknown-allocations", {"rare_every": rare_every},
+                          use_cache=False)[0]
 
 
 @dataclass
@@ -117,29 +110,17 @@ def run_slab_sensitivity(apps: tuple[str, ...] = APP_NAMES,
     other cgroups, since the secure allocator's fragmentation cost only
     appears when multiple contexts would otherwise pack together.
     """
-    result = SlabSensitivityResult()
-    image = shared_image()
-    for app in apps:
-        cell = slab_sensitivity_cell(app, requests=requests,
-                                     background_tenants=background_tenants,
-                                     image=image)
-        result.secure_utilization[app] = cell["secure_utilization"]
-        result.baseline_utilization[app] = cell["baseline_utilization"]
-        result.page_return_ratio[app] = cell["page_return_ratio"]
-        result.reassignments_per_second[app] = \
-            cell["reassignments_per_second"]
-        result.baseline_collocations[app] = cell["baseline_collocations"]
-    return result
+    from repro.exec.engine import run_experiment
+    return run_experiment("slab-sensitivity", {
+        "apps": list(apps), "requests": requests,
+        "background_tenants": background_tenants}, use_cache=False)[0]
 
 
 def slab_sensitivity_cell(app: str, requests: int = 60,
-                          background_tenants: int = 3,
-                          image=None) -> dict[str, float]:
-    """One (app) cell of the slab-sensitivity grid: both allocator
-    configurations measured back to back, exactly as the serial loop
-    body does.  Shared by the serial runner and :mod:`repro.exec`."""
-    if image is None:
-        image = shared_image()
+                          background_tenants: int = 3) -> dict[str, float]:
+    """One (app) cell of the ``slab-sensitivity`` grid: both allocator
+    configurations measured back to back."""
+    image = shared_image()
     per_config: dict[bool, tuple[float, float, float, int]] = {}
     for secure in (True, False):
         kernel = MiniKernel(image=image, config=KernelConfig(

@@ -11,6 +11,9 @@ sensible direction) and the ablation data a reviewer would ask for:
   misses more than they help FENCE (whose chains are data-limited), so
   the *relative* overhead grows slightly and saturates;
 * **view-cache entries** -- Perspective's conservative-miss rate.
+
+Each sweep is one ``sweep-branch``/``sweep-rob`` grid of
+:mod:`repro.exec.grids` run on the engine; :func:`_measure` is its cell.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.core.framework import Perspective
 from repro.core.views import InstructionSpeculationView
-from repro.defenses import FencePolicy, PerspectivePolicy, UnsafePolicy
+from repro.defenses.registry import build_policy, get_scheme
 from repro.eval.metrics import geomean
 from repro.kernel.image import shared_image
 from repro.kernel.kernel import KernelConfig, MiniKernel
@@ -49,7 +52,13 @@ class SweepResult:
 
 def _measure(scheme: str, pipeline_overrides: dict) -> float:
     """Geomean LEBench-subset overhead of ``scheme`` vs unsafe, with the
-    same pipeline configuration applied to both."""
+    same pipeline configuration applied to both.
+
+    Policies come from the scheme registry, so every registered scheme
+    is measured as itself and an unknown name raises ``ValueError``.
+    Perspective flavors all get the sweep's own view: one ISV holding
+    every non-driver function.
+    """
     tests = [t for t in build_tests() if t.name in SWEEP_TESTS]
     cycles = {}
     for name in ("unsafe", scheme):
@@ -58,7 +67,8 @@ def _measure(scheme: str, pipeline_overrides: dict) -> float:
             setattr(config.pipeline, attr, value)
         kernel = MiniKernel(image=shared_image(), config=config)
         proc = kernel.create_process("sweep")
-        if name == "perspective":
+        framework = None
+        if get_scheme(name).capabilities.needs_framework:
             framework = Perspective(kernel)
             functions = frozenset(
                 n for n, i in kernel.image.info.items()
@@ -66,11 +76,8 @@ def _measure(scheme: str, pipeline_overrides: dict) -> float:
             framework.install_isv(InstructionSpeculationView(
                 proc.cgroup.cg_id, functions, kernel.image.layout,
                 source="sweep"))
-            kernel.pipeline.set_policy(PerspectivePolicy(framework))
-        elif name == "fence":
-            kernel.pipeline.set_policy(FencePolicy())
-        else:
-            kernel.pipeline.set_policy(UnsafePolicy())
+        kernel.pipeline.set_policy(
+            build_policy(name, framework=framework, kernel=kernel))
         cycles[name] = run_lebench(kernel, proc, tests=tests)
     ratios = [cycles[scheme][t] / cycles["unsafe"][t] for t in cycles[scheme]]
     return 100.0 * (geomean(ratios) - 1.0)
@@ -80,18 +87,16 @@ def sweep_branch_resolve_latency(
         values=(4.0, 7.0, 12.0, 20.0),
         scheme: str = "fence") -> SweepResult:
     """Overhead vs speculation-window length."""
-    result = SweepResult("branch_resolve_latency", scheme)
-    for value in values:
-        result.overhead_pct[value] = _measure(
-            scheme, {"branch_resolve_latency": value})
-    return result
+    from repro.exec.engine import run_experiment
+    return run_experiment("sweep-branch", {"values": list(values),
+                                           "scheme": scheme},
+                          use_cache=False)[0]
 
 
 def sweep_rob_entries(values=(48, 96, 192, 384),
                       scheme: str = "fence") -> SweepResult:
     """Overhead vs reorder-buffer depth."""
-    result = SweepResult("rob_entries", scheme)
-    for value in values:
-        result.overhead_pct[value] = _measure(scheme,
-                                              {"rob_entries": value})
-    return result
+    from repro.exec.engine import run_experiment
+    return run_experiment("sweep-rob", {"values": list(values),
+                                        "scheme": scheme},
+                          use_cache=False)[0]

@@ -1,13 +1,14 @@
-"""repro.exec -- the deterministic parallel experiment engine.
+"""repro.exec -- the deterministic experiment engine.
 
 Every grid-shaped runner in the evaluation (LEBench, applications,
 breakdown, attack surface, sweeps, sensitivity analyses) decomposes into
-independent (workload, scheme, params) **cells**.  This package runs
-those cells through:
+independent (workload, scheme, params) **cells**, and each ``run_*``
+function is one engine run of its grid.  This package runs those cells
+through:
 
-* :mod:`repro.exec.engine` -- process-pool scatter/gather with seeded,
-  order-independent merging, byte-identical to the serial ``run_*``
-  functions at any worker count;
+* :mod:`repro.exec.engine` -- in-process or process-pool scatter/gather
+  with seeded, order-independent merging, byte-identical at any worker
+  count;
 * :mod:`repro.exec.cache` -- a content-addressed on-disk result cache,
   so re-runs (and unrelated code edits) replay instantly;
 * :mod:`repro.exec.fingerprint` -- cell addresses derived from the cell

@@ -8,8 +8,9 @@ Examples::
     python -m repro.exec breakdown --no-cache --json
     python -m repro.exec --wipe-cache
 
-Results are byte-identical to the serial ``run_*`` functions at any
-worker count; see docs/performance.md.
+The ``run_*`` functions of :mod:`repro.eval` are these same grids at one
+worker with the cache off, so results are byte-identical to them at any
+worker count, cold or warm cache; see docs/performance.md.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="experiment names (see --list), or 'suite' "
                              f"for {'+'.join(SUITE)}")
     parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="process-pool width (default: 1, serial)")
+                        help="process-pool width (default: 1, in-process)")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the result cache entirely")
     parser.add_argument("--cache-dir", metavar="DIR", default=None,

@@ -1,35 +1,40 @@
-"""The parallel experiment engine: scatter cells, gather payloads.
+"""The experiment engine: scatter cells, gather payloads.
 
 :class:`ExperimentEngine` runs any registered grid
 (:mod:`repro.exec.grids`) by decomposing it into independent cells,
 resolving each cell against the content-addressed result cache
 (:mod:`repro.exec.cache`), executing the remaining cells -- inline, or
 scattered over a process pool when ``workers > 1`` -- and assembling the
-experiment object in declared cell order.
+experiment object in declared cell order.  It is the only execution path
+of every grid-shaped experiment: the ``run_*`` functions of
+:mod:`repro.eval` are single :func:`run_experiment` calls with the cache
+off.
 
-Determinism contract, enforced by the parity tests:
+Determinism contract, enforced by the pinned-digest and worker-parity
+tests:
 
-* every cell runs the *same per-cell function* the serial runner calls,
-  in a fresh environment, so cell outputs do not depend on which process
-  (or how many siblings) computed them;
+* every cell runs in a fresh environment, so cell outputs do not depend
+  on which process (or how many siblings) computed them;
 * gathered payloads are keyed by cell key and assembled in declared grid
   order, never in pool completion order;
 * every payload is round-tripped through JSON (preserving dict insertion
   order) before assembly, so a cache replay and a fresh execution are
   indistinguishable down to float-arithmetic iteration order.
 
-Consequently ``engine.run("lebench")`` is byte-identical to
-``run_lebench_experiment()`` at any worker count, cold or warm cache.
+Consequently ``engine.run("lebench")`` is byte-identical at any worker
+count, cold or warm cache.
 
-The engine is not meant to run inside an outer
-``instrumented(registry=...)`` scope: pool workers are separate
-processes, so an outer registry would capture only the scatter/gather
-bookkeeping, not the cells' hot paths.  Grids
-that need metrics capture them per cell (see the breakdown grid's
-``observe`` parameter).  The subprocess transport that the campaign
-runner (:mod:`repro.reliability.campaign`) uses for crash/timeout
-isolation lives here too (:func:`run_in_subprocess`), so both layers
-share one fork-with-spawn-fallback implementation.
+At one worker the cells run in the calling process, so ambient
+``instrumented(...)`` scopes (registry, journal, fault plane) reach
+every cell; the engine itself adds only ``exec.cells.total`` and
+``exec.cells.executed`` (plus ``exec.cache.*`` with the cache on).  Pool
+workers are separate processes, so at ``workers > 1`` an outer registry
+captures only that bookkeeping; grids that need metrics capture them per
+cell (see the breakdown grid's ``observe`` parameter).  With the cache
+off no fingerprint is computed.  The subprocess transport that the
+campaign runner (:mod:`repro.reliability.campaign`) uses for
+crash/timeout isolation lives here too (:func:`run_in_subprocess`), so
+both layers share one fork-with-spawn-fallback implementation.
 """
 
 from __future__ import annotations
@@ -64,8 +69,8 @@ def _mp_context():
 
 def _roundtrip(payload: Any) -> Any:
     # No sort_keys: dict insertion order must survive so assemble-time
-    # float reductions (geomeans etc.) iterate exactly as the serial
-    # runner does, whether the payload is fresh or replayed from cache.
+    # float reductions (geomeans etc.) iterate in declared order, whether
+    # the payload is fresh or replayed from cache.
     return json.loads(json.dumps(payload))
 
 
@@ -124,8 +129,9 @@ class ExperimentEngine:
             **overrides: Any) -> tuple[Any, RunReport]:
         """Run one experiment; returns ``(result, report)``.
 
-        ``result`` is the same object the serial ``run_*`` function
-        returns; ``params``/``overrides`` override the grid defaults.
+        ``result`` is the object the matching ``run_*`` function of
+        :mod:`repro.eval` returns; ``params``/``overrides`` override the
+        grid defaults.
         """
         grid = get_grid(experiment)
         merged = grid.normalize(
@@ -135,22 +141,22 @@ class ExperimentEngine:
                            workers=self.config.workers,
                            cache_enabled=self.config.use_cache,
                            cells_total=len(cells))
-        code_fp = code_fingerprint(import_closure(grid.entry_modules))
-
         payloads: dict[Key, Any] = {}
         fingerprints: dict[Key, str] = {}
-        pending: list[tuple[Key, dict[str, Any]]] = []
-        for key, cell_params in cells:
-            fp = cell_fingerprint(experiment, key, cell_params, code_fp)
-            fingerprints[key] = fp
-            if self.config.use_cache:
+        pending = cells
+        if self.config.use_cache:
+            code_fp = code_fingerprint(import_closure(grid.entry_modules))
+            pending = []
+            for key, cell_params in cells:
+                fp = cell_fingerprint(experiment, key, cell_params, code_fp)
+                fingerprints[key] = fp
                 record = self.cache.get(fp)
                 if record is not None:
                     payloads[key] = record["payload"]
                     report.cache_hits += 1
                     continue
                 report.cache_misses += 1
-            pending.append((key, cell_params))
+                pending.append((key, cell_params))
 
         obs.add("exec.cells.total", len(cells))
         obs.add("exec.cells.executed", len(pending))

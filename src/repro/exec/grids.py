@@ -1,16 +1,19 @@
-"""Grid definitions: every grid-shaped runner decomposed into cells.
+"""Grid definitions: the one definition of every grid-shaped experiment.
 
-A :class:`Grid` describes one experiment as
+The ``run_*`` functions of :mod:`repro.eval` (LEBench, applications,
+attack surface, breakdown, sweeps, sensitivity analyses) and the serving
+sweeps are each a single :func:`repro.exec.engine.run_experiment` call
+on one of these grids; nothing else loops over their cells or assembles
+their results.  A :class:`Grid` describes one experiment as
 
 * ``cells(params)`` -- the independent (workload, scheme, params) cells,
-  in the exact order the serial runner visits them;
+  in declared order;
 * ``run_cell(key, cell_params)`` -- one cell's computation, delegating
-  to the *same* per-cell function the serial runner calls
-  (``repro.eval.runner.lebench_cell`` etc.), which is what makes the
-  parallel path byte-identical to the serial one by construction;
+  to a per-cell function (``repro.eval.runner.lebench_cell`` etc.);
 * ``assemble(params, payloads)`` -- rebuild the experiment object from
   the per-cell payloads, iterating in declared cell order (never in
-  pool completion order);
+  pool completion order); per-cell snapshots (metrics, traces, SLO
+  rollups) merge through :func:`_fold`;
 * ``entry_modules`` -- the modules whose transitive ``repro.*`` import
   closure fingerprints the cell's code version for the result cache.
 
@@ -67,6 +70,20 @@ class Grid:
 
 def _identity(params: dict[str, Any]) -> dict[str, Any]:
     return params
+
+
+def _fold(cls: Any, snapshots: list[Any]) -> Any:
+    """Rebuild each per-cell snapshot with ``cls.from_snapshot`` and merge
+    them in the given (declared cell) order; ``None`` when there are
+    none.  The merged snapshot is therefore worker-count invariant."""
+    merged = None
+    for snapshot in snapshots:
+        part = cls.from_snapshot(snapshot)
+        if merged is None:
+            merged = part
+        else:
+            merged.merge(part)
+    return None if merged is None else merged.snapshot()
 
 
 def _with_unsafe(params: dict[str, Any]) -> dict[str, Any]:
@@ -126,8 +143,9 @@ def _apps_assemble(params: dict[str, Any],
         per_scheme_kernel = {
             scheme: payloads[(app, scheme)]["kernel_cycles_per_request"]
             for scheme in params["schemes"]}
-        # Same userspace-budget arithmetic, in the same order, as
-        # run_apps_experiment.
+        # Userspace budget from the paper's kernel-time fraction at the
+        # UNSAFE baseline; identical across schemes (user code is not
+        # gated by kernel speculation control).
         f = APP_SPECS[app].kernel_time_fraction
         user = per_scheme_kernel["unsafe"] * (1.0 - f) / f
         exp.kernel_cycles_per_request[app] = per_scheme_kernel
@@ -180,15 +198,14 @@ def _breakdown_run(key: Key, cp: dict[str, Any]) -> Any:
                               requests=cp["requests"])
     from repro.kernel.image import shared_image
     from repro.obs import MetricsRegistry, instrumented
-    # The serial runner builds the image before entering its registry
-    # scope but runs every cell (make_env and profiling included) inside
-    # it; the cell registry must cover exactly the same region.
-    image = shared_image()
+    # The cell registry covers the whole cell (make_env and profiling
+    # included) but not the one-off image build, whichever cell of the
+    # process happens to pay it.
+    shared_image()
     registry = MetricsRegistry()
     with instrumented(registry=registry):
         out = breakdown_cell(cp["workload"], cp["scheme"],
-                             requests=cp["requests"], image=image,
-                             registry=registry)
+                             requests=cp["requests"], registry=registry)
     out["metrics"] = registry.snapshot()
     return out
 
@@ -196,7 +213,6 @@ def _breakdown_run(key: Key, cp: dict[str, Any]) -> Any:
 def _breakdown_assemble(params: dict[str, Any],
                         payloads: dict[Key, Any]) -> BreakdownExperiment:
     exp = BreakdownExperiment()
-    merged = None
     for workload in params["workloads"]:
         exp.breakdowns[workload] = {}
         exp.isv_cache_hit_rate[workload] = {}
@@ -209,15 +225,12 @@ def _breakdown_assemble(params: dict[str, Any],
                 cell["isv_cache_hit_rate"]
             exp.dsv_cache_hit_rate[workload][scheme] = \
                 cell["dsv_cache_hit_rate"]
-            if params["observe"]:
-                from repro.obs import MetricsRegistry
-                part = MetricsRegistry.from_snapshot(cell["metrics"])
-                if merged is None:
-                    merged = part
-                else:
-                    merged.merge(part)
-    if merged is not None:
-        exp.metrics = merged.snapshot()
+    if params["observe"]:
+        from repro.obs import MetricsRegistry
+        exp.metrics = _fold(MetricsRegistry, [
+            payloads[(workload, scheme)]["metrics"]
+            for workload in params["workloads"]
+            for scheme in params["schemes"]])
     return exp
 
 
@@ -341,44 +354,23 @@ def _serve_run(key: Key, cp: dict[str, Any]) -> Any:
 
 def _serve_assemble(params: dict[str, Any],
                     payloads: dict[Key, Any]) -> dict[str, Any]:
-    """JSON-able sweep summary; per-cell registries merge in declared
-    cell order, so the merged snapshot is worker-count invariant."""
-    cells = []
-    merged = None
-    traces = None
-    rollup = None
-    for seed in params["seeds"]:
-        for tenants in params["tenants"]:
-            cell = dict(payloads[(str(seed), str(tenants))])
-            if params["observe"]:
-                from repro.obs import MetricsRegistry
-                part = MetricsRegistry.from_snapshot(cell.pop("metrics"))
-                if merged is None:
-                    merged = part
-                else:
-                    merged.merge(part)
-            if params.get("trace"):
-                from repro.obs.reqtrace import TraceRecorder
-                part_tr = TraceRecorder.from_snapshot(cell.pop("traces"))
-                if traces is None:
-                    traces = part_tr
-                else:
-                    traces.merge(part_tr)
-            if params.get("slo_window"):
-                from repro.obs.slo import SloRollup
-                part_slo = SloRollup.from_snapshot(cell.pop("slo"))
-                if rollup is None:
-                    rollup = part_slo
-                else:
-                    rollup.merge(part_slo)
-            cells.append(cell)
+    """JSON-able sweep summary; per-cell registries, request traces and
+    SLO rollups fold in declared cell order."""
+    from repro.obs import MetricsRegistry
+    from repro.obs.reqtrace import TraceRecorder
+    from repro.obs.slo import SloRollup
+    cells = [dict(payloads[(str(seed), str(tenants))])
+             for seed in params["seeds"]
+             for tenants in params["tenants"]]
     out: dict[str, Any] = {"cells": cells}
-    if merged is not None:
-        out["metrics"] = merged.snapshot()
-    if traces is not None:
-        out["traces"] = traces.snapshot()
-    if rollup is not None:
-        out["slo"] = rollup.snapshot()
+    for field, cls, enabled in (
+            ("metrics", MetricsRegistry, params["observe"]),
+            ("traces", TraceRecorder, params.get("trace")),
+            ("slo", SloRollup, params.get("slo_window"))):
+        if enabled:
+            folded = _fold(cls, [cell.pop(field) for cell in cells])
+            if folded is not None:
+                out[field] = folded
     return out
 
 
@@ -456,24 +448,16 @@ def _campaign_run(key: Key, cp: dict[str, Any]) -> Any:
 
 def _campaign_assemble(params: dict[str, Any],
                        payloads: dict[Key, Any]) -> dict[str, Any]:
-    """JSON-able campaign summary; per-cell registries merge in declared
-    cell order, so the merged snapshot is worker-count invariant."""
-    cells = []
-    merged = None
-    for seed in params["seeds"]:
-        for scenario in params["scenarios"]:
-            cell = dict(payloads[(str(seed), scenario)])
-            if params["observe"]:
-                from repro.obs import MetricsRegistry
-                part = MetricsRegistry.from_snapshot(cell.pop("metrics"))
-                if merged is None:
-                    merged = part
-                else:
-                    merged.merge(part)
-            cells.append(cell)
+    """JSON-able campaign summary; per-cell registries fold in declared
+    cell order."""
+    cells = [dict(payloads[(str(seed), scenario)])
+             for seed in params["seeds"]
+             for scenario in params["scenarios"]]
     out: dict[str, Any] = {"cells": cells}
-    if merged is not None:
-        out["metrics"] = merged.snapshot()
+    if params["observe"] and cells:
+        from repro.obs import MetricsRegistry
+        out["metrics"] = _fold(MetricsRegistry,
+                               [cell.pop("metrics") for cell in cells])
     return out
 
 

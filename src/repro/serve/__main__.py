@@ -250,33 +250,31 @@ def _scale_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def _campaign_cells_in_order(params: dict) -> list[tuple[int, str]]:
-    return [(seed, scenario) for seed in params["seeds"]
-            for scenario in params["scenarios"]]
-
-
 def _campaign_via_journal(args: argparse.Namespace,
                           params: dict) -> dict | None:
-    """Run the sweep's cells through the reliability CampaignRunner.
+    """Run the ``campaign`` grid's cells through the reliability
+    CampaignRunner.
 
     Each (seed, scenario) cell becomes one ``serve-campaign@...``
     instance: subprocess-isolated, retried, and journaled -- kill the
     process between cells and the next invocation resumes where it
-    stopped, assembling the same bytes as an uninterrupted run.
+    stopped.  The grid's own ``assemble`` folds the journaled payloads,
+    so the bytes equal an uninterrupted engine run.
     """
     import os
     import signal
 
-    from repro.obs import MetricsRegistry
+    from repro.exec.grids import get_grid
     from repro.reliability.campaign import CampaignConfig, CampaignRunner
 
-    instances = []
+    grid = get_grid("campaign")
+    params = grid.normalize({**grid.defaults(), **params})
+    instances: dict[str, tuple] = {}
     cell_params: dict[str, dict] = {}
-    for seed, scenario in _campaign_cells_in_order(params):
-        name = f"serve-campaign@s{seed}.{scenario}"
-        instances.append(name)
-        cell_params[name] = {"seed": seed, "scenario": scenario,
-                             "observe": True}
+    for key, cp in grid.cells(params):
+        name = f"serve-campaign@s{cp['seed']}.{cp['scenario']}"
+        instances[name] = key
+        cell_params[name] = cp
     config = CampaignConfig(
         seed=0, experiments=tuple(instances), params=cell_params,
         max_attempts=2, timeout_s=600.0, backoff_base_s=0.05)
@@ -294,24 +292,14 @@ def _campaign_via_journal(args: argparse.Namespace,
     runner = CampaignRunner(args.journal, config,
                             on_experiment_start=on_start)
     state = runner.run()
-    cells = []
-    merged = None
-    for name in instances:
-        payload = state.payloads.get(name)
-        if payload is None:
-            print(f"{name} failed: "
-                  f"{state.failures.get(name, 'missing')}",
-                  file=sys.stderr)
-            return None
-        cell = dict(payload)
-        part = MetricsRegistry.from_snapshot(cell.pop("metrics"))
-        if merged is None:
-            merged = part
-        else:
-            merged.merge(part)
-        cells.append(cell)
-    assert merged is not None
-    return {"cells": cells, "metrics": merged.snapshot()}
+    missing = [name for name in instances if name not in state.payloads]
+    for name in missing:
+        print(f"{name} failed: {state.failures.get(name, 'missing')}",
+              file=sys.stderr)
+    if missing:
+        return None
+    return grid.assemble(params, {key: state.payloads[name]
+                                  for name, key in instances.items()})
 
 
 def _campaign_command(args: argparse.Namespace) -> int:

@@ -1,4 +1,5 @@
-"""Shared fixtures: the expensive kernel image is built once per session."""
+"""Shared fixtures: the expensive kernel image and the conformance
+corpus are built once per session."""
 
 from __future__ import annotations
 
@@ -6,6 +7,12 @@ import pytest
 
 from repro.kernel.image import shared_image
 from repro.kernel.kernel import KernelConfig, MiniKernel
+from repro.serve.conformance import (
+    _ARCH_KEYS,
+    generate_trace,
+    run_corpus,
+    run_trace_under,
+)
 
 
 @pytest.fixture(scope="session")
@@ -30,3 +37,31 @@ def kernel_eibrs(image):
 @pytest.fixture()
 def proc(kernel):
     return kernel.create_process("test")
+
+
+@pytest.fixture(scope="session")
+def conformance_corpus(image):
+    """The 20-seed conformance corpus over the conformance set of schemes,
+    computed once per session."""
+    return run_corpus(range(20))
+
+
+@pytest.fixture(scope="session")
+def arch_digest(image, conformance_corpus):
+    """Memoized ``(scheme, seed) -> architectural digest`` oracle, seeded
+    from :func:`conformance_corpus`; schemes outside the conformance set
+    run on first use."""
+    cache: dict[tuple[str, int], dict] = {
+        (scheme, result.seed): {k: digest[k] for k in _ARCH_KEYS}
+        for result in conformance_corpus
+        for scheme, digest in result.digests.items()}
+
+    def get(scheme: str, seed: int) -> dict:
+        key = (scheme, seed)
+        if key not in cache:
+            trace = generate_trace(seed)
+            digest = run_trace_under(scheme, trace, image=image)
+            cache[key] = {k: digest[k] for k in _ARCH_KEYS}
+        return cache[key]
+
+    return get

@@ -17,7 +17,6 @@ from repro.serve.conformance import (
     check_seed,
     generate_trace,
     minimize_divergence,
-    run_corpus,
     run_trace_under,
     steps_from_dicts,
 )
@@ -154,8 +153,8 @@ class TestMinimizer:
 class TestCorpus:
     #: The acceptance bar: every scheme agrees architecturally on every
     #: seeded trace.  Divergence here means a defense changed semantics.
-    def test_twenty_seed_corpus_conformant(self):
-        results = run_corpus(range(20))
+    def test_twenty_seed_corpus_conformant(self, conformance_corpus):
+        results = conformance_corpus
         divergent = [r for r in results if not r.ok]
         assert not divergent, "\n\n".join(r.repro() for r in divergent)
         assert len(results) == 20

@@ -24,11 +24,7 @@ import pytest
 
 from repro.attacks.harness import ATTACKS, run_attack
 from repro.defenses.registry import registered_schemes, scheme_capabilities
-from repro.serve.conformance import (
-    _ARCH_KEYS,
-    generate_trace,
-    run_trace_under,
-)
+from repro.serve.conformance import _ARCH_KEYS
 
 CORPUS_SEEDS = range(20)
 
@@ -74,22 +70,6 @@ if _uncovered or _stale:
         f"EXPECTED_BLOCKED row (uncovered: {sorted(_uncovered)}, "
         f"stale: {sorted(_stale)}) -- declare the new scheme's expected "
         "attack outcomes in tests/test_defense_matrix.py")
-
-
-@pytest.fixture(scope="module")
-def arch_digest(image):
-    """Memoized ``(scheme, seed) -> architectural digest`` oracle."""
-    cache: dict[tuple[str, int], dict] = {}
-
-    def get(scheme: str, seed: int) -> dict:
-        key = (scheme, seed)
-        if key not in cache:
-            trace = generate_trace(seed)
-            digest = run_trace_under(scheme, trace, image=image)
-            cache[key] = {k: digest[k] for k in _ARCH_KEYS}
-        return cache[key]
-
-    return get
 
 
 class TestConformanceCorpus:

@@ -1,13 +1,17 @@
-"""The parallel experiment engine (:mod:`repro.exec`): serial/parallel
-parity, content-addressed caching, fingerprint invalidation, merge
-determinism, decode-cache invalidation, and the CLI."""
+"""The experiment engine (:mod:`repro.exec`): the runners' pinned
+payload digests, worker-count parity, content-addressed caching,
+fingerprint invalidation, merge determinism, decode-cache invalidation,
+and the CLI."""
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -268,33 +272,96 @@ SMALL = {
 }
 
 
+def digest(payload) -> str:
+    return hashlib.sha256(canon(payload).encode()).hexdigest()
+
+
+class TestPinnedRunnerDigests:
+    """The grid-shaped ``run_*`` functions are one-worker engine runs.
+
+    The digests were measured with the serial loops those functions ran
+    before (identical under PYTHONHASHSEED 0 and 7): the engine must
+    reproduce them byte for byte, insertion order included.
+    """
+
+    def test_lebench(self):
+        exp = runner.run_lebench_experiment(schemes=("fence", "perspective"))
+        assert digest(serde.lebench_to_payload(exp)) == \
+            "24521d59d8aa5deeb2a308c9a180fe0e914534c128ca8b38652118cc0961e873"
+
+    def test_apps(self):
+        exp = runner.run_apps_experiment(schemes=("unsafe", "fence"),
+                                         apps=("httpd", "redis"),
+                                         requests=12)
+        assert digest(serde.apps_to_payload(exp)) == \
+            "445635acc6a43e9ddf6e6be4ced8ea0efae29cfd0ba28e03a31d9662a380bf0f"
+
+    def test_surface(self):
+        exp = runner.run_surface_experiment(apps=("lebench", "httpd"))
+        assert digest(serde.surface_to_payload(exp)) == \
+            "04a51a5d6ae848d6ff7fb0dc0f17cd2d9db5df2e7cb683d0be6f14765dd60842"
+
+    def test_breakdown_with_metrics(self):
+        exp = runner.run_breakdown_experiment(
+            workloads=("lebench", "httpd"), schemes=("perspective",),
+            requests=12, observe=True)
+        assert digest(serde.breakdown_to_payload(exp)) == \
+            "3539f34bf5381b56658216e4d8f07dca19781d07fd754c2ff820b27ecd614e1a"
+        assert digest(exp.metrics) == \
+            "b8b06a4056e8ffa2b987c7dfbe21607708cb00a1c91f295cd5cf9c9351193d5f"
+
+    def test_sweeps(self):
+        branch = [dataclasses.asdict(sweeps.sweep_branch_resolve_latency(
+            values=(4.0, 20.0), scheme=scheme))
+            for scheme in ("fence", "perspective")]
+        assert digest(branch) == \
+            "9e48a2bb3697512becd88de052d8332c5f5871b105545f7feb02843e2cb6c3b0"
+        rob = sweeps.sweep_rob_entries(values=(48, 192))
+        assert digest(dataclasses.asdict(rob)) == \
+            "d63f582a55451456cd26aa609831d9627b92dcbfe30f75770dbff887c29b3c0d"
+
+    def test_unknown_allocations(self):
+        result = sensitivity.run_unknown_allocations()
+        assert digest(dataclasses.asdict(result)) == \
+            "07e08c0f589738dbd4c32abd3dccc4756a53702289adf3e2ac2055a3b35ff683"
+
+    def test_slab_sensitivity(self):
+        result = sensitivity.run_slab_sensitivity(apps=("httpd", "redis"),
+                                                  requests=24)
+        assert digest(dataclasses.asdict(result)) == \
+            "ab6884b6634215b2701220dfb782d5dd7b0767f2b245daaff432fe615450b625"
+
+
 class TestEngineParity:
-    def test_lebench_parallel_matches_serial(self, tmp_path):
+    """Two workers against the one-worker path the ``run_*`` functions
+    take, plus caching and bookkeeping."""
+
+    def test_lebench_two_workers_match_one(self, tmp_path):
         par, report = engine(tmp_path, workers=2).run(
             "lebench", SMALL["lebench"][0])
-        ser = runner.run_lebench_experiment(**SMALL["lebench"][1])
+        one = runner.run_lebench_experiment(**SMALL["lebench"][1])
         assert canon(serde.lebench_to_payload(par)) == \
-            canon(serde.lebench_to_payload(ser))
+            canon(serde.lebench_to_payload(one))
         assert (report.cells_total, report.executed) == (2, 2)
         assert report.cache_misses == 2 and report.cache_hits == 0
 
-    def test_surface_parallel_matches_serial(self, tmp_path):
+    def test_surface_two_workers_match_one(self, tmp_path):
         par, _ = engine(tmp_path, workers=2).run(
             "surface", SMALL["surface"][0])
-        ser = runner.run_surface_experiment(**SMALL["surface"][1])
+        one = runner.run_surface_experiment(**SMALL["surface"][1])
         assert canon(serde.surface_to_payload(par)) == \
-            canon(serde.surface_to_payload(ser))
+            canon(serde.surface_to_payload(one))
 
-    def test_breakdown_with_metrics_matches_serial(self, tmp_path):
+    def test_breakdown_metrics_two_workers_match_one(self, tmp_path):
         params = {"workloads": ["lebench"], "schemes": ["perspective"],
                   "requests": 12, "observe": True}
         par, _ = engine(tmp_path, workers=2).run("breakdown", params)
-        ser = runner.run_breakdown_experiment(
+        one = runner.run_breakdown_experiment(
             workloads=("lebench",), schemes=("perspective",),
             requests=12, observe=True)
         assert canon(serde.breakdown_to_payload(par)) == \
-            canon(serde.breakdown_to_payload(ser))
-        assert canon(par.metrics) == canon(ser.metrics)
+            canon(serde.breakdown_to_payload(one))
+        assert canon(par.metrics) == canon(one.metrics)
 
     def test_normalize_prepends_unsafe(self, tmp_path):
         result, report = engine(tmp_path).run(
@@ -316,6 +383,23 @@ class TestEngineParity:
         _, report = eng.run("surface", {"apps": ["lebench"]})
         assert report.executed == 1 and report.stored == 0
         assert eng.cache.entries() == []
+
+    def test_no_cache_mode_computes_no_fingerprint(self, tmp_path,
+                                                   monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("fingerprinted with the cache off")
+
+        for name in ("code_fingerprint", "import_closure",
+                     "cell_fingerprint"):
+            monkeypatch.setattr(f"repro.exec.engine.{name}", refuse)
+        reg = MetricsRegistry()
+        with instrumented(registry=reg):
+            _, report = engine(tmp_path, use_cache=False).run(
+                "surface", {"apps": ["lebench"]})
+        assert report.executed == 1
+        counters = reg.snapshot()["counters"]
+        assert counters["exec.cells.total"] == 1
+        assert not [k for k in counters if k.startswith("exec.cache.")]
 
     def test_code_edit_invalidates_cache(self, tmp_path, monkeypatch):
         eng = engine(tmp_path)
@@ -357,10 +441,19 @@ class TestEngineParity:
         with pytest.raises(KeyError, match="unknown experiment"):
             engine(tmp_path).run("nonesuch")
 
+    def test_importing_eval_leaves_engine_unloaded(self):
+        """The runners import the engine on first call, so ``import
+        repro.eval`` (the end-to-end benchmark's set-up) stays cheap."""
+        code = ("import sys, repro.eval.envs; "
+                "assert 'repro.exec.engine' not in sys.modules")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       timeout=120)
+
 
 @pytest.mark.slow
-class TestFullGridParity:
-    """Full-scale serial-vs-parallel byte parity for every ported grid.
+class TestFullGridWorkerParity:
+    """Full-scale byte parity of every eval grid at four workers against
+    the one-worker path its ``run_*`` function takes.
 
     Expensive; excluded from the default run (see pyproject addopts) and
     exercised by the parallel-eval CI job via ``-m slow``.
@@ -368,48 +461,48 @@ class TestFullGridParity:
 
     def test_lebench_full(self, tmp_path):
         par, _ = engine(tmp_path, workers=4).run("lebench")
-        ser = runner.run_lebench_experiment()
+        one = runner.run_lebench_experiment()
         assert canon(serde.lebench_to_payload(par)) == \
-            canon(serde.lebench_to_payload(ser))
+            canon(serde.lebench_to_payload(one))
 
     def test_apps_full(self, tmp_path):
         par, _ = engine(tmp_path, workers=4).run("apps", {"requests": 16})
-        ser = runner.run_apps_experiment(requests=16)
+        one = runner.run_apps_experiment(requests=16)
         assert canon(serde.apps_to_payload(par)) == \
-            canon(serde.apps_to_payload(ser))
+            canon(serde.apps_to_payload(one))
 
     def test_breakdown_full(self, tmp_path):
         par, _ = engine(tmp_path, workers=4).run(
             "breakdown", {"requests": 16, "observe": True})
-        ser = runner.run_breakdown_experiment(requests=16, observe=True)
+        one = runner.run_breakdown_experiment(requests=16, observe=True)
         assert canon(serde.breakdown_to_payload(par)) == \
-            canon(serde.breakdown_to_payload(ser))
-        assert canon(par.metrics) == canon(ser.metrics)
+            canon(serde.breakdown_to_payload(one))
+        assert canon(par.metrics) == canon(one.metrics)
 
     def test_surface_full(self, tmp_path):
         par, _ = engine(tmp_path, workers=4).run("surface")
-        ser = runner.run_surface_experiment()
+        one = runner.run_surface_experiment()
         assert canon(serde.surface_to_payload(par)) == \
-            canon(serde.surface_to_payload(ser))
+            canon(serde.surface_to_payload(one))
 
     def test_sweeps_full(self, tmp_path):
         eng = engine(tmp_path, workers=4)
         par_b, _ = eng.run("sweep-branch")
-        ser_b = sweeps.sweep_branch_resolve_latency()
-        assert par_b.overhead_pct == ser_b.overhead_pct
+        one_b = sweeps.sweep_branch_resolve_latency()
+        assert par_b.overhead_pct == one_b.overhead_pct
         par_r, _ = eng.run("sweep-rob")
-        ser_r = sweeps.sweep_rob_entries()
-        assert par_r.overhead_pct == ser_r.overhead_pct
+        one_r = sweeps.sweep_rob_entries()
+        assert par_r.overhead_pct == one_r.overhead_pct
 
     def test_sensitivity_full(self, tmp_path):
         eng = engine(tmp_path, workers=4)
         par_u, _ = eng.run("unknown-allocations")
-        ser_u = sensitivity.run_unknown_allocations()
-        assert dataclasses.asdict(par_u) == dataclasses.asdict(ser_u)
+        one_u = sensitivity.run_unknown_allocations()
+        assert dataclasses.asdict(par_u) == dataclasses.asdict(one_u)
         par_s, _ = eng.run("slab-sensitivity")
-        ser_s = sensitivity.run_slab_sensitivity()
+        one_s = sensitivity.run_slab_sensitivity()
         assert canon(dataclasses.asdict(par_s)) == \
-            canon(dataclasses.asdict(ser_s))
+            canon(dataclasses.asdict(one_s))
 
 
 # ---------------------------------------------------------------------------

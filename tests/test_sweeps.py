@@ -37,6 +37,19 @@ class TestResolveLatencySweep:
         text = fence.render()
         assert "branch_resolve_latency" in text and "fence" in text
 
+    def test_every_registered_scheme_is_measured_as_itself(self):
+        """Delay-on-Miss holds back speculative L1 misses, so it must cost
+        something (it once fell through to the unsafe policy and read
+        0.0%)."""
+        dom = sweep_branch_resolve_latency(values=(7.0,), scheme="dom")
+        assert dom.overhead_pct[7.0] > 0.0
+
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(ValueError, match="unknown scheme"):
+            sweep_branch_resolve_latency(values=(7.0,), scheme="nonesuch")
+        with pytest.raises(ValueError, match="unknown scheme"):
+            sweep_rob_entries(values=(48,), scheme="nonesuch")
+
 
 class TestROBSweep:
     def test_relative_overhead_saturates_with_depth(self):
