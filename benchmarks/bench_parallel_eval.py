@@ -27,6 +27,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -37,7 +38,6 @@ from typing import Any, Callable
 from repro.eval import runner
 from repro.exec import EngineConfig, ExperimentEngine
 from repro.obs import MetricsRegistry
-from repro.reliability import serde
 
 SUITE = ("lebench", "apps", "breakdown", "surface")
 
@@ -48,16 +48,13 @@ SERIAL: dict[str, Callable[[], Any]] = {
     "surface": runner.run_surface_experiment,
 }
 
-PAYLOAD: dict[str, Callable[[Any], dict[str, Any]]] = {
-    "lebench": serde.lebench_to_payload,
-    "apps": serde.apps_to_payload,
-    "breakdown": serde.breakdown_to_payload,
-    "surface": serde.surface_to_payload,
-}
 
-
-def _canon(result: Any, name: str) -> str:
-    return json.dumps(PAYLOAD[name](result), sort_keys=False)
+def _canon(result: Any) -> str:
+    """Parity key: the result's fields as JSON, insertion order kept,
+    without the breakdown's observability snapshot."""
+    fields = dataclasses.asdict(result)
+    fields.pop("metrics", None)
+    return json.dumps(fields, sort_keys=False)
 
 
 def _timed(fn: Callable[[], Any]) -> tuple[Any, float]:
@@ -79,7 +76,7 @@ def main(argv: list[str] | None = None) -> int:
     wall_serial = 0.0
     for name in SUITE:
         result, dt = _timed(SERIAL[name])
-        serial[name] = _canon(result, name)
+        serial[name] = _canon(result)
         wall_serial += dt
         print(f"serial   {name}: {dt:.2f}s", file=sys.stderr)
 
@@ -94,7 +91,7 @@ def main(argv: list[str] | None = None) -> int:
             wall += dt
             print(f"{phase:<8} {name}: {dt:.2f}s ({report.summary()})",
                   file=sys.stderr)
-            parity = serial[name] == _canon(result, name)
+            parity = serial[name] == _canon(result)
             assert parity, f"{phase} {name} diverged from serial"
             reg.add(f"parallel_eval.parity.{phase}.{name}")
             reg.add(f"parallel_eval.{phase}.executed", report.executed)

@@ -168,11 +168,11 @@ def attack_on(kernel: MiniKernel, attacker, victim, attack_name: str,
 def run_matrix(attacks: tuple[str, ...] = tuple(ATTACKS),
                schemes: tuple[str, ...] = SCHEMES,
                secret: bytes = b"K3Y!") -> list[MatrixCell]:
-    """The full Chapter 8 security matrix."""
-    cells = []
-    for attack_name in attacks:
-        for scheme in schemes:
-            cells.append(MatrixCell(
-                attack_name, scheme,
-                run_attack(attack_name, scheme, secret=secret)))
-    return cells
+    """The full Chapter 8 security matrix: one :func:`run_attack` cell
+    per (attack, scheme) of the ``security`` grid
+    (:mod:`repro.exec.grids`), in declared order."""
+    from repro.exec.engine import run_experiment
+    return run_experiment("security", {"attacks": list(attacks),
+                                       "schemes": list(schemes),
+                                       "secret_hex": secret.hex()},
+                          use_cache=False)[0]

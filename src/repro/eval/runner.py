@@ -2,11 +2,11 @@
 
 Each runner assembles fresh environments, measures, and returns a plain
 data object that the formatting layer (:mod:`repro.eval.tables`,
-:mod:`repro.eval.figures`) renders in the paper's shape.  The
-grid-shaped runners (LEBench, applications, attack surface, breakdown)
-are one :func:`repro.exec.engine.run_experiment` call each: their cells
-are the ``*_cell`` functions below, and :mod:`repro.exec.grids` is the
-only place that lays out and assembles the grid.
+:mod:`repro.eval.figures`) renders in the paper's shape.  Every runner
+(LEBench, applications, attack surface, gadgets, Kasper, breakdown) is
+one :func:`repro.exec.engine.run_experiment` call: its cells are the
+``*_cell`` functions below, and :mod:`repro.exec.grids` is the only
+place that lays out and assembles the grid.
 """
 
 from __future__ import annotations
@@ -188,29 +188,36 @@ class GadgetExperiment:
     search_space_functions: dict[str, int] = field(default_factory=dict)
 
 
+def gadget_cell(app: str) -> dict:
+    """One (app) cell of the ``gadgets`` grid: the fraction of each
+    gadget class blocked per ISV flavor, the dynamic ISV's size, and the
+    whole-image gadget counts per class."""
+    image = shared_image()
+    report = scan(image)
+    static_fns = static_isv_functions(image, APPLICATIONS[app])
+    kernel = MiniKernel(image=image)
+    proc = kernel.create_process(app)
+    dynamic_isv = build_isv_for(kernel, proc, app, "dynamic")
+    flagged = scan(image, scope=dynamic_isv.functions).functions()
+    hardened = harden_isv(dynamic_isv, flagged).hardened
+    return {
+        "blocked": {
+            flavor: {cls: report.blocked_fraction(functions, cls)
+                     for cls in ("mds", "port", "cache")}
+            for flavor, functions in (("ISV-S", static_fns),
+                                      ("ISV", dynamic_isv.functions),
+                                      ("ISV++", hardened.functions))},
+        "search_space_functions": len(dynamic_isv),
+        "total_by_class": report.by_class(),
+    }
+
+
 def run_gadget_experiment(apps: tuple[str, ...] = ("lebench",) + APP_NAMES,
                           ) -> GadgetExperiment:
     """Per-app gadget blocking for ISV-S / ISV / ISV++ (Table 8.2)."""
-    image = shared_image()
-    report = scan(image)
-    experiment = GadgetExperiment(total_by_class=report.by_class())
-    for app in apps:
-        static_fns = static_isv_functions(image, APPLICATIONS[app])
-        kernel = MiniKernel(image=image)
-        proc = kernel.create_process(app)
-        dynamic_isv = build_isv_for(kernel, proc, app, "dynamic")
-        flagged = scan(image, scope=dynamic_isv.functions).functions()
-        hardened = harden_isv(dynamic_isv, flagged).hardened
-        experiment.search_space_functions[app] = len(dynamic_isv)
-        experiment.blocked[app] = {
-            "ISV-S": {cls: report.blocked_fraction(static_fns, cls)
-                      for cls in ("mds", "port", "cache")},
-            "ISV": {cls: report.blocked_fraction(dynamic_isv.functions, cls)
-                    for cls in ("mds", "port", "cache")},
-            "ISV++": {cls: report.blocked_fraction(hardened.functions, cls)
-                      for cls in ("mds", "port", "cache")},
-        }
-    return experiment
+    from repro.exec.engine import run_experiment
+    return run_experiment("gadgets", {"apps": list(apps)},
+                          use_cache=False)[0]
 
 
 @dataclass
@@ -223,22 +230,26 @@ class KasperExperiment:
         return geomean(list(self.speedups.values()))
 
 
+def kasper_cell(app: str, hours: float, seed: int, n_seeds: int) -> float:
+    """One (app) cell of the ``kasper`` grid: the discovery-rate speedup
+    of fuzzing bounded to the app's dynamic ISV."""
+    image = shared_image()
+    kernel = MiniKernel(image=image)
+    proc = kernel.create_process(app)
+    isv = build_isv_for(kernel, proc, app, "dynamic")
+    return discovery_speedup(image, app, isv.functions, hours=hours,
+                             seed=seed, n_seeds=n_seeds).speedup
+
+
 def run_kasper_experiment(apps: tuple[str, ...] = ("lebench",) + APP_NAMES,
                           hours: float = 35.0,
                           n_seeds: int = 16) -> KasperExperiment:
     """ISV-bounded fuzzing speedups per app (Figure 9.1), averaged over
     ``n_seeds`` fuzzing seeds per paired campaign."""
-    image = shared_image()
-    experiment = KasperExperiment()
-    for i, app in enumerate(apps):
-        kernel = MiniKernel(image=image)
-        proc = kernel.create_process(app)
-        isv = build_isv_for(kernel, proc, app, "dynamic")
-        result = discovery_speedup(image, app, isv.functions,
-                                   hours=hours, seed=11 + i,
-                                   n_seeds=n_seeds)
-        experiment.speedups[app] = result.speedup
-    return experiment
+    from repro.exec.engine import run_experiment
+    return run_experiment("kasper", {"apps": list(apps), "hours": hours,
+                                     "n_seeds": n_seeds},
+                          use_cache=False)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """repro.exec -- the deterministic experiment engine.
 
-Every grid-shaped runner in the evaluation (LEBench, applications,
-breakdown, attack surface, sweeps, sensitivity analyses) decomposes into
-independent (workload, scheme, params) **cells**, and each ``run_*``
-function is one engine run of its grid.  This package runs those cells
-through:
+Every runner in the evaluation (LEBench, applications, breakdown,
+attack surface, gadgets, Kasper, the attack matrix, sweeps, sensitivity
+analyses) decomposes into independent (workload, scheme, params)
+**cells**, and each ``run_*`` function is one engine run of its grid;
+the resilient campaign runner (:mod:`repro.reliability`) schedules the
+same grids and journals their cell payloads.  This package runs those
+cells through:
 
 * :mod:`repro.exec.engine` -- in-process or process-pool scatter/gather
   with seeded, order-independent merging, byte-identical at any worker
@@ -14,8 +16,8 @@ through:
 * :mod:`repro.exec.fingerprint` -- cell addresses derived from the cell
   configuration plus the source of every ``repro`` module the cell's
   entry points transitively import;
-* :mod:`repro.exec.grids` -- the registry describing each experiment's
-  cells and how to reassemble them.
+* :mod:`repro.exec.grids` -- the one experiment registry: each
+  experiment's parameters, cells, and how to reassemble them.
 
 See ``python -m repro.exec --help`` for the CLI and
 ``docs/performance.md`` for the full story.

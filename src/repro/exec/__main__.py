@@ -30,10 +30,14 @@ from repro.exec.grids import grid_names
 SUITE = ("lebench", "apps", "breakdown", "surface")
 
 
-def _jsonable(result: Any) -> Any:
-    if dataclasses.is_dataclass(result) and not isinstance(result, type):
-        return dataclasses.asdict(result)
-    return result
+def _jsonable(obj: Any) -> Any:
+    """``json.dumps`` fallback: dataclasses as their fields, bytes as
+    hex."""
+    if isinstance(obj, bytes):
+        return obj.hex()
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return dataclasses.asdict(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _describe(name: str, result: Any) -> list[str]:
@@ -143,7 +147,8 @@ def main(argv: list[str] | None = None) -> int:
         elapsed = time.perf_counter() - start
         print(f"{report.summary()}, {elapsed:.2f}s")
         if args.json:
-            print(json.dumps(_jsonable(result), indent=2, sort_keys=True))
+            print(json.dumps(result, indent=2, sort_keys=True,
+                             default=_jsonable))
         else:
             for line in _describe(name, result):
                 print(line)

@@ -6,9 +6,11 @@ resolving each cell against the content-addressed result cache
 (:mod:`repro.exec.cache`), executing the remaining cells -- inline, or
 scattered over a process pool when ``workers > 1`` -- and assembling the
 experiment object in declared cell order.  It is the only execution path
-of every grid-shaped experiment: the ``run_*`` functions of
-:mod:`repro.eval` are single :func:`run_experiment` calls with the cache
-off.
+of every experiment: the ``run_*`` functions of :mod:`repro.eval` and
+``run_matrix`` are single :func:`run_experiment` calls with the cache
+off, and the campaign runner (:mod:`repro.reliability.campaign`)
+journals what :meth:`ExperimentEngine.run_cells` returns -- the resolved
+parameters and cell payloads -- and assembles them on resume.
 
 Determinism contract, enforced by the pinned-digest and worker-parity
 tests:
@@ -133,15 +135,30 @@ class ExperimentEngine:
         :mod:`repro.eval` returns; ``params``/``overrides`` override the
         grid defaults.
         """
+        merged, payloads, report = self.run_cells(experiment, params,
+                                                  **overrides)
+        return get_grid(experiment).assemble(merged, payloads), report
+
+    def run_cells(self, experiment: str,
+                  params: dict[str, Any] | None = None,
+                  **overrides: Any,
+                  ) -> tuple[dict[str, Any], dict[Key, Any], RunReport]:
+        """Compute every cell of one experiment, without assembling.
+
+        Returns ``(merged_params, payloads, report)``: the grid's
+        resolved parameters and each cell's JSON payload keyed by cell
+        key, in declared cell order -- exactly what the grid's
+        ``assemble`` takes, and what a campaign journal stores.  Raises
+        ``TypeError`` for a parameter the grid does not read.
+        """
         grid = get_grid(experiment)
-        merged = grid.normalize(
-            {**grid.defaults(), **(params or {}), **overrides})
+        merged = grid.resolve({**(params or {}), **overrides})
         cells = grid.cells(merged)
         report = RunReport(experiment=experiment,
                            workers=self.config.workers,
                            cache_enabled=self.config.use_cache,
                            cells_total=len(cells))
-        payloads: dict[Key, Any] = {}
+        found: dict[Key, Any] = {}
         fingerprints: dict[Key, str] = {}
         pending = cells
         if self.config.use_cache:
@@ -152,7 +169,7 @@ class ExperimentEngine:
                 fingerprints[key] = fp
                 record = self.cache.get(fp)
                 if record is not None:
-                    payloads[key] = record["payload"]
+                    found[key] = record["payload"]
                     report.cache_hits += 1
                     continue
                 report.cache_misses += 1
@@ -162,16 +179,15 @@ class ExperimentEngine:
         obs.add("exec.cells.executed", len(pending))
         for (key, cell_params), payload in zip(
                 pending, self._execute(experiment, pending)):
-            payloads[key] = payload
+            found[key] = payload
             if self.config.use_cache:
                 self.cache.put(fingerprints[key], {
                     "experiment": experiment, "key": list(key),
                     "params": cell_params, "payload": payload})
                 report.stored += 1
             report.executed += 1
-
-        result = grid.assemble(merged, payloads)
-        return result, report
+        payloads = {key: found[key] for key, _ in cells}
+        return merged, payloads, report
 
     def _execute(self, experiment: str,
                  pending: list[tuple[Key, dict[str, Any]]]) -> list[Any]:
@@ -226,7 +242,7 @@ def run_in_subprocess(worker: Callable[..., None],
     expected to ``conn.send(...)`` exactly once.  A worker that blows the
     timeout is terminated (``timed_out=True``); one that dies without
     sending yields ``message=None`` with its exit code.  This is the
-    isolation transport behind both the engine's campaign port and
+    isolation transport behind
     :class:`repro.reliability.campaign.CampaignRunner`.
     """
     ctx = _mp_context()

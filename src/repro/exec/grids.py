@@ -1,11 +1,15 @@
-"""Grid definitions: the one definition of every grid-shaped experiment.
+"""Grid definitions: the one registry of every experiment.
 
 The ``run_*`` functions of :mod:`repro.eval` (LEBench, applications,
-attack surface, breakdown, sweeps, sensitivity analyses) and the serving
-sweeps are each a single :func:`repro.exec.engine.run_experiment` call
-on one of these grids; nothing else loops over their cells or assembles
-their results.  A :class:`Grid` describes one experiment as
+attack surface, gadgets, Kasper, breakdown, sweeps, sensitivity
+analyses), the Chapter 8 attack matrix and the serving sweeps are each a
+single :func:`repro.exec.engine.run_experiment` call on one of these
+grids, and the resilient campaign runner (:mod:`repro.reliability`)
+schedules the same grids; nothing else loops over their cells or
+assembles their results.  A :class:`Grid` describes one experiment as
 
+* ``defaults()`` and ``optional`` -- the parameters it accepts (any
+  other name raises ``TypeError``, see :meth:`Grid.resolve`);
 * ``cells(params)`` -- the independent (workload, scheme, params) cells,
   in declared order;
 * ``run_cell(key, cell_params)`` -- one cell's computation, delegating
@@ -18,25 +22,32 @@ their results.  A :class:`Grid` describes one experiment as
   closure fingerprints the cell's code version for the result cache.
 
 Cell payloads are JSON values (the engine round-trips them through
-``json`` either way), so a cell replayed from the on-disk cache is
-indistinguishable from a freshly executed one.
+``json`` either way), so a cell replayed from the on-disk cache -- or
+from a campaign journal -- is indistinguishable from a freshly executed
+one.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
+from repro.attacks.base import AttackResult
+from repro.attacks.harness import ATTACKS, SCHEMES, MatrixCell, run_attack
 from repro.eval.envs import PERF_SCHEMES, RARE_EVERY
 from repro.eval.metrics import FenceBreakdown
 from repro.eval.runner import (
     AppsExperiment,
     BreakdownExperiment,
+    GadgetExperiment,
+    KasperExperiment,
     LEBenchExperiment,
     SurfaceExperiment,
     apps_cell,
     breakdown_cell,
+    gadget_cell,
+    kasper_cell,
     lebench_cell,
     surface_cell,
 )
@@ -54,6 +65,10 @@ Key = tuple[str, ...]
 CellList = list[tuple[Key, dict[str, Any]]]
 
 
+def _identity(params: dict[str, Any]) -> dict[str, Any]:
+    return params
+
+
 @dataclass(frozen=True)
 class Grid:
     """One grid-shaped experiment, decomposed for the engine."""
@@ -62,14 +77,27 @@ class Grid:
     #: Roots of the static import closure that fingerprints cell code.
     entry_modules: tuple[str, ...]
     defaults: Callable[[], dict[str, Any]]
-    normalize: Callable[[dict[str, Any]], dict[str, Any]]
     cells: Callable[[dict[str, Any]], CellList]
     run_cell: Callable[[Key, dict[str, Any]], Any]
     assemble: Callable[[dict[str, Any], dict[Key, Any]], Any]
+    #: Rewrites the merged parameters before the cells are laid out.
+    normalize: Callable[[dict[str, Any]], dict[str, Any]] = _identity
+    #: Parameters the cells read besides the ``defaults()`` keys.
+    optional: tuple[str, ...] = ()
 
+    def resolve(self, params: dict[str, Any]) -> dict[str, Any]:
+        """The defaults overridden by ``params``, normalized.
 
-def _identity(params: dict[str, Any]) -> dict[str, Any]:
-    return params
+        Raises ``TypeError`` naming every parameter that is neither a
+        ``defaults()`` key nor in ``optional``: a misspelled name would
+        otherwise be silently ignored.
+        """
+        defaults = self.defaults()
+        unknown = sorted(set(params) - set(defaults) - set(self.optional))
+        if unknown:
+            raise TypeError(f"grid {self.name!r} got unknown parameter(s): "
+                            f"{', '.join(unknown)}")
+        return self.normalize({**defaults, **params})
 
 
 def _fold(cls: Any, snapshots: list[Any]) -> Any:
@@ -160,7 +188,7 @@ def _apps_assemble(params: dict[str, Any],
 # ---------------------------------------------------------------------------
 
 
-def _surface_cells(params: dict[str, Any]) -> CellList:
+def _per_app_cells(params: dict[str, Any]) -> CellList:
     return [((app,), {"app": app}) for app in params["apps"]]
 
 
@@ -177,6 +205,75 @@ def _surface_assemble(params: dict[str, Any],
         exp.static_isv_size[app] = cell["static"]
         exp.dynamic_isv_size[app] = cell["dynamic"]
     return exp
+
+
+# ---------------------------------------------------------------------------
+# Gadget reduction (Table 8.2) and Kasper speedup (Figure 9.1)
+# ---------------------------------------------------------------------------
+
+
+def _gadgets_run(key: Key, cp: dict[str, Any]) -> Any:
+    return gadget_cell(cp["app"])
+
+
+def _gadgets_assemble(params: dict[str, Any],
+                      payloads: dict[Key, Any]) -> GadgetExperiment:
+    first = payloads[(params["apps"][0],)]
+    exp = GadgetExperiment(total_by_class=first["total_by_class"])
+    for app in params["apps"]:
+        cell = payloads[(app,)]
+        exp.search_space_functions[app] = cell["search_space_functions"]
+        exp.blocked[app] = cell["blocked"]
+    return exp
+
+
+def _kasper_cells(params: dict[str, Any]) -> CellList:
+    return [((app,), {"app": app, "hours": params["hours"],
+                      "seed": 11 + i, "n_seeds": params["n_seeds"]})
+            for i, app in enumerate(params["apps"])]
+
+
+def _kasper_run(key: Key, cp: dict[str, Any]) -> Any:
+    return {"speedup": kasper_cell(cp["app"], hours=cp["hours"],
+                                   seed=cp["seed"],
+                                   n_seeds=cp["n_seeds"])}
+
+
+def _kasper_assemble(params: dict[str, Any],
+                     payloads: dict[Key, Any]) -> KasperExperiment:
+    return KasperExperiment(speedups={
+        app: payloads[(app,)]["speedup"] for app in params["apps"]})
+
+
+# ---------------------------------------------------------------------------
+# Security PoC matrix (Chapter 8)
+# ---------------------------------------------------------------------------
+
+
+def _security_cells(params: dict[str, Any]) -> CellList:
+    return [((attack, scheme), {"attack": attack, "scheme": scheme,
+                                "secret_hex": params["secret_hex"]})
+            for attack in params["attacks"]
+            for scheme in params["schemes"]]
+
+
+def _security_run(key: Key, cp: dict[str, Any]) -> Any:
+    result = run_attack(cp["attack"], cp["scheme"],
+                        secret=bytes.fromhex(cp["secret_hex"]))
+    return {**asdict(result), "secret": result.secret.hex(),
+            "leaked": result.leaked.hex()}
+
+
+def _security_assemble(params: dict[str, Any],
+                       payloads: dict[Key, Any]) -> list[MatrixCell]:
+    cells = []
+    for attack in params["attacks"]:
+        for scheme in params["schemes"]:
+            cell = payloads[(attack, scheme)]
+            cells.append(MatrixCell(attack, scheme, AttackResult(**{
+                **cell, "secret": bytes.fromhex(cell["secret"]),
+                "leaked": bytes.fromhex(cell["leaked"])})))
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -329,17 +426,18 @@ def _slab_assemble(params: dict[str, Any], payloads: dict[Key, Any],
 # ---------------------------------------------------------------------------
 
 
+#: The ``ServeConfig`` fields a serve cell reads.
+_SERVE_KEYS = ("scheme", "requests_per_tenant", "mean_interarrival",
+               "queue_bound", "profiles", "rare_every", "profile_requests",
+               "shards", "placement", "migrate_every", "service_model",
+               "memo_warmup", "memo_period",
+               # Observation-only extras (repro.serve.engine serve_cell):
+               # the report bytes are identical with or without them.
+               "block_cache", "trace", "slo_window")
+
+
 def _serve_cells(params: dict[str, Any]) -> CellList:
-    config_keys = ("scheme", "requests_per_tenant", "mean_interarrival",
-                   "queue_bound", "profiles", "rare_every",
-                   "profile_requests", "shards", "placement",
-                   "migrate_every", "service_model", "memo_warmup",
-                   "memo_period",
-                   # Observation-only extras (repro.serve.engine
-                   # serve_cell): the report bytes are identical with or
-                   # without them.
-                   "block_cache", "trace", "slo_window")
-    base = {k: params[k] for k in config_keys if k in params}
+    base = {k: params[k] for k in _SERVE_KEYS if k in params}
     return [((str(seed), str(tenants)),
              {**base, "seed": seed, "tenants": tenants,
               "observe": params["observe"]})
@@ -379,17 +477,19 @@ def _serve_assemble(params: dict[str, Any],
 # ---------------------------------------------------------------------------
 
 
+#: The ``ServeConfig`` fields a scale-shard cell reads.
+_SCALE_KEYS = ("seed", "requests_per_tenant", "mean_interarrival",
+               "queue_bound", "profiles", "rare_every", "profile_requests",
+               "placement", "migrate_every", "service_model", "memo_warmup",
+               "memo_period", "block_cache")
+
+
 def _scale_cells(params: dict[str, Any]) -> CellList:
     """One cell per (scheme, tenants, shards, shard-index): each shard
     of each experiment runs as its own worker-schedulable cell, since
     shards share no kernel state and the placement plan is a pure
     function of the config."""
-    config_keys = ("seed", "requests_per_tenant", "mean_interarrival",
-                   "queue_bound", "profiles", "rare_every",
-                   "profile_requests", "placement", "migrate_every",
-                   "service_model", "memo_warmup", "memo_period",
-                   "block_cache")
-    base = {k: params[k] for k in config_keys if k in params}
+    base = {k: params[k] for k in _SCALE_KEYS if k in params}
     return [((scheme, str(tenants), str(shards), str(shard)),
              {**base, "scheme": scheme, "tenants": tenants,
               "shards": shards, "shard": shard})
@@ -427,13 +527,16 @@ def _scale_assemble(params: dict[str, Any],
 # ---------------------------------------------------------------------------
 
 
+#: The ``CampaignSpec`` fields a campaign cell reads.
+_CAMPAIGN_KEYS = ("start_flavor", "victims", "attackers", "epochs",
+                  "requests_per_epoch", "mean_interarrival", "queue_bound",
+                  "profiles", "rare_every", "profile_requests",
+                  "secret_hex", "min_events", "probe_after_clean",
+                  "slo_factor", "slo_window_cycles", "slo_alert_evidence")
+
+
 def _campaign_cells(params: dict[str, Any]) -> CellList:
-    spec_keys = ("start_flavor", "victims", "attackers", "epochs",
-                 "requests_per_epoch", "mean_interarrival", "queue_bound",
-                 "profiles", "rare_every", "profile_requests",
-                 "secret_hex", "min_events", "probe_after_clean",
-                 "slo_factor", "slo_window_cycles", "slo_alert_evidence")
-    base = {k: params[k] for k in spec_keys if k in params}
+    base = {k: params[k] for k in _CAMPAIGN_KEYS if k in params}
     return [((str(seed), scenario),
              {**base, "seed": seed, "scenario": scenario,
               "observe": params["observe"]})
@@ -542,10 +645,38 @@ _register(Grid(
     name="surface",
     entry_modules=("repro.eval.runner",),
     defaults=lambda: {"apps": ["lebench"] + list(APP_NAMES)},
-    normalize=_identity,
-    cells=_surface_cells,
+    cells=_per_app_cells,
     run_cell=_surface_run,
     assemble=_surface_assemble,
+))
+
+_register(Grid(
+    name="gadgets",
+    entry_modules=("repro.eval.runner",),
+    defaults=lambda: {"apps": ["lebench"] + list(APP_NAMES)},
+    cells=_per_app_cells,
+    run_cell=_gadgets_run,
+    assemble=_gadgets_assemble,
+))
+
+_register(Grid(
+    name="kasper",
+    entry_modules=("repro.eval.runner",),
+    defaults=lambda: {"apps": ["lebench"] + list(APP_NAMES),
+                      "hours": 35.0, "n_seeds": 16},
+    cells=_kasper_cells,
+    run_cell=_kasper_run,
+    assemble=_kasper_assemble,
+))
+
+_register(Grid(
+    name="security",
+    entry_modules=("repro.attacks.harness",),
+    defaults=lambda: {"attacks": list(ATTACKS), "schemes": list(SCHEMES),
+                      "secret_hex": b"K3Y!".hex()},
+    cells=_security_cells,
+    run_cell=_security_run,
+    assemble=_security_assemble,
 ))
 
 _register(Grid(
@@ -555,7 +686,6 @@ _register(Grid(
                       "schemes": ["perspective-static", "perspective",
                                   "perspective++"],
                       "requests": 30, "observe": False},
-    normalize=_identity,
     cells=_breakdown_cells,
     run_cell=_breakdown_run,
     assemble=_breakdown_assemble,
@@ -566,7 +696,6 @@ _register(Grid(
     entry_modules=("repro.eval.sweeps",),
     defaults=lambda: {"values": [4.0, 7.0, 12.0, 20.0],
                       "scheme": "fence"},
-    normalize=_identity,
     cells=_sweep_cells("branch_resolve_latency"),
     run_cell=_sweep_run,
     assemble=_sweep_assemble("branch_resolve_latency"),
@@ -576,7 +705,6 @@ _register(Grid(
     name="sweep-rob",
     entry_modules=("repro.eval.sweeps",),
     defaults=lambda: {"values": [48, 96, 192, 384], "scheme": "fence"},
-    normalize=_identity,
     cells=_sweep_cells("rob_entries"),
     run_cell=_sweep_run,
     assemble=_sweep_assemble("rob_entries"),
@@ -586,7 +714,6 @@ _register(Grid(
     name="unknown-allocations",
     entry_modules=("repro.eval.sensitivity",),
     defaults=lambda: {"rare_every": RARE_EVERY},
-    normalize=_identity,
     cells=_unknown_cells,
     run_cell=_unknown_run,
     assemble=_unknown_assemble,
@@ -599,10 +726,10 @@ _register(Grid(
                       "scheme": "perspective", "requests_per_tenant": 6,
                       "mean_interarrival": 12_000.0, "queue_bound": 0,
                       "rare_every": RARE_EVERY, "observe": True},
-    normalize=_identity,
     cells=_serve_cells,
     run_cell=_serve_run,
     assemble=_serve_assemble,
+    optional=_SERVE_KEYS,
 ))
 
 _register(Grid(
@@ -616,10 +743,10 @@ _register(Grid(
                       "placement": "least-loaded", "migrate_every": 100,
                       "service_model": "memo", "memo_warmup": 1,
                       "memo_period": 24, "block_cache": True},
-    normalize=_identity,
     cells=_scale_cells,
     run_cell=_scale_run,
     assemble=_scale_assemble,
+    optional=_SCALE_KEYS,
 ))
 
 _register(Grid(
@@ -629,10 +756,10 @@ _register(Grid(
                       "scenarios": ["none", "ibpb-storm", "refill-storm",
                                     "admission-storm"],
                       "observe": True},
-    normalize=_identity,
     cells=_campaign_cells,
     run_cell=_campaign_run,
     assemble=_campaign_assemble,
+    optional=_CAMPAIGN_KEYS,
 ))
 
 _register(Grid(
@@ -650,7 +777,6 @@ _register(Grid(
     entry_modules=("repro.eval.sensitivity",),
     defaults=lambda: {"apps": list(APP_NAMES), "requests": 60,
                       "background_tenants": 3},
-    normalize=_identity,
     cells=_slab_cells,
     run_cell=_slab_run,
     assemble=_slab_assemble,

@@ -10,8 +10,9 @@ Two halves (see docs/architecture.md, "Reliability & fault injection"):
   the fail-closed invariants hold under injected faults;
 * the **resilient campaign runner**
   (:mod:`repro.reliability.campaign`): subprocess-isolated, retrying,
-  journaled execution of the evaluation experiments with
-  checkpoint/resume.
+  journaled execution of the experiment grids of
+  :mod:`repro.exec.grids` with checkpoint/resume; the journal stores
+  each grid's cell payloads.
 
 Only the fault plane is imported eagerly here: ``core`` and ``kernel``
 modules import :func:`fire` from this package, while the campaign and
@@ -33,7 +34,6 @@ _LAZY = {
     "CampaignConfig": "repro.reliability.campaign",
     "CampaignRunner": "repro.reliability.campaign",
     "CampaignState": "repro.reliability.campaign",
-    "EXPERIMENTS": "repro.reliability.campaign",
     "smoke_campaign": "repro.reliability.campaign",
     "FAULT_SWEEP": "repro.reliability.invariants",
     "FaultScenario": "repro.reliability.invariants",

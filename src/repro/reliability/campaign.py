@@ -1,8 +1,9 @@
 """Resilient evaluation-campaign runner with checkpoint/resume.
 
 The straight-line evaluation driver (:mod:`repro.eval.report`) loses the
-whole run when one experiment crashes.  ``CampaignRunner`` wraps the
-``run_*_experiment`` functions with:
+whole run when one experiment crashes.  ``CampaignRunner`` runs the
+experiment grids of :mod:`repro.exec.grids` -- the one experiment
+registry -- with:
 
 * **subprocess isolation** -- each experiment runs in its own forked
   process, so a crash (or an injected allocation-failure storm) cannot
@@ -11,12 +12,23 @@ whole run when one experiment crashes.  ``CampaignRunner`` wraps the
   jitter; delays are derived from the campaign seed, never from the
   wall clock, so the journal is byte-reproducible;
 * a **JSONL journal** -- one record per finished experiment, written
-  atomically after completion.  Re-running a campaign with the same
-  journal skips every recorded experiment: kill -9 the process after N
-  of M experiments and the next invocation resumes at N+1;
+  atomically after completion.  A record's payload is the grid's
+  resolved parameters and its cell payloads, the same JSON values the
+  engine's cache and pool carry; :meth:`CampaignState.result` rebuilds
+  the experiment object with the grid's ``assemble``.  Re-running a
+  campaign with the same journal skips every recorded experiment: kill
+  -9 the process after N of M experiments and the next invocation
+  resumes at N+1;
 * **fault transport** -- an optional :class:`FaultPlane` spec is shipped
   to each worker, so whole campaigns can run under injected faults (the
   CI smoke campaign does exactly this).
+
+An experiment name is a grid name, optionally followed by
+``@instance`` (``campaign@s0.none``), so one grid can be scheduled many
+times with different parameters; the full name keys the journal, params
+and results.  Each experiment runs its grid on the engine at one worker
+with the cache off, so its cells execute in declared order under the
+campaign's fault plane and registry.
 
 Failures after retry exhaustion are recorded as terminal; the reporting
 layer (:func:`repro.eval.report.render_campaign_report`) renders those
@@ -32,109 +44,45 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.attacks.harness import run_matrix
-from repro.eval.runner import (
-    run_apps_experiment,
-    run_breakdown_experiment,
-    run_gadget_experiment,
-    run_kasper_experiment,
-    run_lebench_experiment,
-    run_surface_experiment,
+from repro.exec.engine import (
+    EngineConfig,
+    ExperimentEngine,
+    run_in_subprocess,
 )
-from repro.exec.engine import run_in_subprocess
+from repro.exec.grids import GRIDS, Grid, Key, get_grid
 from repro.obs import registry as obs
 from repro.obs.instruments import INSTRUMENTS, instrumented
-from repro.reliability import serde
 from repro.reliability.faultplane import FaultPlane, FaultSpec
 
 JOURNAL_NAME = "campaign-journal.jsonl"
 METRICS_NAME = "campaign-metrics.json"
 
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One runnable, serializable experiment."""
-
-    name: str
-    run: Callable[..., Any]
-    to_payload: Callable[[Any], dict[str, Any]]
-    from_payload: Callable[[dict[str, Any]], Any]
-    #: Full-scale keyword arguments (the paper's configuration).
-    default_params: dict[str, Any] = field(default_factory=dict)
-    #: Trimmed keyword arguments for smoke/CI runs.
-    fast_params: dict[str, Any] = field(default_factory=dict)
-
-
-def _serve_campaign_cell(**params: Any) -> dict[str, Any]:
-    """The adversarial-serving campaign as a schedulable experiment.
-
-    Imported lazily so the reliability layer does not pull the whole
-    serving stack at module import (and so the subprocess worker
-    resolves it fresh in the child).
-    """
-    from repro.serve.campaign import campaign_cell
-    observe = params.pop("observe", True)
-    return campaign_cell(params, observe=observe)
-
-
-def _spec_name(name: str) -> str:
-    """``"serve-campaign@s0.none"`` -> ``"serve-campaign"``.
-
-    Everything before ``@`` resolves the :class:`ExperimentSpec`; the
-    full instance name keys the journal, params, and results -- so one
-    spec can be scheduled many times with different parameters in a
-    single campaign (the serving campaign runs one instance per
-    (seed, scenario) cell).
-    """
-    return name.split("@", 1)[0]
-
-
-#: The evaluation experiments the campaign runner can schedule.  Params
-#: must stay JSON-serializable -- they ride in the journal header and
-#: across the subprocess boundary.
-EXPERIMENTS: dict[str, ExperimentSpec] = {
-    spec.name: spec for spec in (
-        ExperimentSpec(
-            "surface", run_surface_experiment,
-            serde.surface_to_payload, serde.surface_from_payload,
-            fast_params={"apps": ["lebench", "httpd"]}),
-        ExperimentSpec(
-            "gadgets", run_gadget_experiment,
-            serde.gadgets_to_payload, serde.gadgets_from_payload,
-            fast_params={"apps": ["lebench", "redis"]}),
-        ExperimentSpec(
-            "security", run_matrix,
-            serde.security_to_payload, serde.security_from_payload,
-            fast_params={"attacks": ["spectre-v1-active",
-                                     "spectre-v2-passive"],
-                         "schemes": ["unsafe", "perspective"]}),
-        ExperimentSpec(
-            "kasper", run_kasper_experiment,
-            serde.kasper_to_payload, serde.kasper_from_payload,
-            fast_params={"apps": ["httpd"], "n_seeds": 4}),
-        ExperimentSpec(
-            "lebench", run_lebench_experiment,
-            serde.lebench_to_payload, serde.lebench_from_payload,
-            fast_params={"schemes": ["unsafe", "fence", "perspective"]}),
-        ExperimentSpec(
-            "apps", run_apps_experiment,
-            serde.apps_to_payload, serde.apps_from_payload,
-            fast_params={"schemes": ["unsafe", "fence", "perspective"],
-                         "apps": ["httpd"], "requests": 16}),
-        ExperimentSpec(
-            "breakdown", run_breakdown_experiment,
-            serde.breakdown_to_payload, serde.breakdown_from_payload,
-            fast_params={"workloads": ["lebench"],
-                         "schemes": ["perspective"], "requests": 12}),
-        ExperimentSpec(
-            "serve-campaign", _serve_campaign_cell,
-            serde.campaign_to_payload, serde.campaign_from_payload,
-            default_params={"seed": 0, "scenario": "none",
-                            "observe": True},
-            fast_params={"seed": 0, "scenario": "none", "epochs": 3,
-                         "observe": True}),
-    )
+#: The grids a campaign schedules by default, each with its base
+#: parameters as ``(full, fast)``: ``full`` overrides the grid defaults
+#: (empty: the paper's configuration), ``fast`` is the trimmed set for
+#: smoke/CI runs (:attr:`CampaignConfig.fast`).  A grid not listed runs
+#: at its defaults.  Params must stay JSON-serializable -- they ride in
+#: the journal header and across the subprocess boundary.
+CAMPAIGN_PARAMS: dict[str, tuple[dict[str, Any], dict[str, Any]]] = {
+    "surface": ({}, {"apps": ["lebench", "httpd"]}),
+    "gadgets": ({}, {"apps": ["lebench", "redis"]}),
+    "security": ({}, {"attacks": ["spectre-v1-active",
+                                  "spectre-v2-passive"],
+                      "schemes": ["unsafe", "perspective"]}),
+    "kasper": ({}, {"apps": ["httpd"], "n_seeds": 4}),
+    "lebench": ({}, {"schemes": ["unsafe", "fence", "perspective"]}),
+    "apps": ({}, {"schemes": ["unsafe", "fence", "perspective"],
+                  "apps": ["httpd"], "requests": 16}),
+    "breakdown": ({}, {"workloads": ["lebench"],
+                       "schemes": ["perspective"], "requests": 12}),
+    "campaign": ({"seeds": [0], "scenarios": ["none"]},
+                 {"seeds": [0], "scenarios": ["none"], "epochs": 3}),
 }
+
+
+def _grid(name: str) -> Grid:
+    """The grid behind an experiment name (the part before ``@``)."""
+    return get_grid(name.split("@", 1)[0])
 
 
 @dataclass
@@ -142,10 +90,11 @@ class CampaignConfig:
     """Knobs for one campaign run."""
 
     seed: int = 0
-    experiments: tuple[str, ...] = tuple(EXPERIMENTS)
-    #: Per-experiment keyword-argument overrides (JSON-serializable).
+    experiments: tuple[str, ...] = tuple(CAMPAIGN_PARAMS)
+    #: Per-experiment grid-parameter overrides (JSON-serializable).
     params: dict[str, dict[str, Any]] = field(default_factory=dict)
-    #: Use each spec's trimmed ``fast_params`` as the base configuration.
+    #: Use each grid's trimmed ``fast`` parameters as the base
+    #: configuration (:data:`CAMPAIGN_PARAMS`).
     fast: bool = False
     max_attempts: int = 3
     #: Per-attempt wall-clock limit; ``None`` disables the timeout.
@@ -164,9 +113,9 @@ class CampaignConfig:
     collect_metrics: bool = False
 
     def resolved_params(self, name: str) -> dict[str, Any]:
-        spec = EXPERIMENTS[_spec_name(name)]
-        base = spec.fast_params if self.fast else spec.default_params
-        return {**base, **self.params.get(name, {})}
+        full, fast = CAMPAIGN_PARAMS.get(_grid(name).name, ({}, {}))
+        return {**(fast if self.fast else full),
+                **self.params.get(name, {})}
 
     def header(self) -> dict[str, Any]:
         return {
@@ -185,6 +134,9 @@ class CampaignConfig:
 class CampaignState:
     """Checkpointed view of a campaign (journal contents, materialized)."""
 
+    #: Journaled payload per finished experiment: the grid's resolved
+    #: parameters and its cell payloads in declared order,
+    #: ``{"params": {...}, "cells": [[key, payload], ...]}``.
     payloads: dict[str, dict[str, Any]] = field(default_factory=dict)
     failures: dict[str, str] = field(default_factory=dict)
     attempts: dict[str, int] = field(default_factory=dict)
@@ -199,40 +151,45 @@ class CampaignState:
         """Experiments with a terminal record (done or failed-for-good)."""
         return self.done | set(self.failures)
 
+    def cells(self, name: str) -> dict[Key, Any]:
+        """The journaled cell payloads of one experiment, by cell key."""
+        return {tuple(key): payload
+                for key, payload in self.payloads[name]["cells"]}
+
     def result(self, name: str) -> Any | None:
-        """Reconstructed experiment object, or None if unavailable."""
-        payload = self.payloads.get(name)
-        if payload is None:
+        """The experiment object its grid assembles, or None if
+        unavailable."""
+        if name not in self.payloads:
             return None
-        return EXPERIMENTS[_spec_name(name)].from_payload(payload)
-
-    def results(self) -> dict[str, Any]:
-        return {name: EXPERIMENTS[_spec_name(name)].from_payload(payload)
-                for name, payload in self.payloads.items()}
+        return _grid(name).assemble(self.payloads[name]["params"],
+                                    self.cells(name))
 
 
-def _run_spec(name: str, params: dict[str, Any],
+def _run_grid(name: str, params: dict[str, Any],
               fault: dict[str, Any] | None, collect_metrics: bool,
               ) -> tuple[dict[str, Any], dict[str, int],
                          dict[str, Any] | None]:
-    """Run one experiment spec: (payload, fault_fires, metrics_snapshot).
+    """Run one experiment's grid: (payload, fault_fires, metrics_snapshot).
 
-    With ``collect_metrics`` the experiment runs under a fresh registry
-    whose snapshot ships back for whole-campaign aggregation
+    The grid runs at one worker with the cache off, so every cell
+    executes here, in declared order, under the fault plane.  With
+    ``collect_metrics`` it runs under a fresh registry whose snapshot
+    ships back for whole-campaign aggregation
     (:meth:`MetricsRegistry.merge`); hot-path counters and spans from
     every shard combine into one picture of the campaign.
     """
-    spec = EXPERIMENTS[_spec_name(name)]
     registry = obs.MetricsRegistry(meta={"experiment": name}) \
         if collect_metrics else None
     plane = FaultPlane.from_dict(fault) if fault is not None else None
     planes = {key: value for key, value in (
         ("registry", registry), ("faults", plane)) if value is not None}
+    engine = ExperimentEngine(EngineConfig(workers=1, use_cache=False))
     with instrumented(**planes):
-        result = spec.run(**params)
+        merged, payloads, _ = engine.run_cells(_grid(name).name, params)
     fires = dict(plane.fires) if plane is not None else {}
     snapshot = registry.snapshot() if registry is not None else None
-    return spec.to_payload(result), fires, snapshot
+    cells = [[list(key), cell] for key, cell in payloads.items()]
+    return {"params": merged, "cells": cells}, fires, snapshot
 
 
 def _campaign_worker(name: str, params: dict[str, Any],
@@ -240,7 +197,7 @@ def _campaign_worker(name: str, params: dict[str, Any],
                      conn) -> None:
     """Subprocess entry point: run one experiment, ship its payload."""
     try:
-        payload, fires, snapshot = _run_spec(name, params, fault,
+        payload, fires, snapshot = _run_grid(name, params, fault,
                                              collect_metrics)
         conn.send({"ok": True, "payload": payload, "fault_fires": fires,
                    "metrics": snapshot})
@@ -251,7 +208,43 @@ def _campaign_worker(name: str, params: dict[str, Any],
 
 
 def _json_line(record: dict[str, Any]) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    # No sort_keys, like the engine's payload round trip: dict insertion
+    # order is the declared order results are assembled and rendered in.
+    return json.dumps(record, separators=(",", ":")) + "\n"
+
+
+#: Defaults for per-experiment journal records: keys newer runners write
+#: but journals from before an upgrade may lack.  ``default_record``
+#: fills these on load, so a pre-upgrade journal resumes cleanly.
+RECORD_DEFAULTS: dict[str, Any] = {
+    "attempts": 1,
+    "retry_delays": [],
+    "error": None,
+    "payload": None,
+}
+
+
+def default_record(record: dict[str, Any]) -> dict[str, Any]:
+    """Fill missing per-experiment record keys with their defaults."""
+    out = dict(RECORD_DEFAULTS)
+    out.update(record)
+    return out
+
+
+def header_compatible(stored: dict[str, Any],
+                      current: dict[str, Any]) -> bool:
+    """Whether a stored journal header can resume under ``current``.
+
+    Every field the stored header carries must match the current
+    configuration exactly; fields only the *current* header has are new
+    configuration knobs added since the journal was written, and a
+    pre-upgrade journal is still resumable (the knob's value at write
+    time was, by definition, the default).  A field only the stored
+    header has means the configuration schema moved away from it --
+    refuse, the journal's meaning can no longer be checked.
+    """
+    return all(key in current and current[key] == value
+               for key, value in stored.items())
 
 
 class CampaignRunner:
@@ -281,7 +274,7 @@ class CampaignRunner:
         self._sleep = sleep
         self._on_start = on_experiment_start
         unknown = [n for n in self.config.experiments
-                   if _spec_name(n) not in EXPERIMENTS]
+                   if n.split("@", 1)[0] not in GRIDS]
         if unknown:
             raise ValueError(f"unknown experiments: {unknown}")
         dupes = [n for n in self.config.experiments
@@ -309,21 +302,28 @@ class CampaignRunner:
                     # Forward-compatible match: a journal written before
                     # a runner upgrade lacks newly added header fields;
                     # every field it *does* carry must agree.
-                    if not serde.header_compatible(record, header):
-                        raise ValueError(
-                            "journal was written by a different campaign "
-                            "configuration; refusing to resume from "
-                            f"{self.journal_path} (delete it to restart)")
+                    if not header_compatible(record, header):
+                        raise self._refusal("journal was written by a "
+                                            "different campaign "
+                                            "configuration")
                     continue
-                record = serde.default_record(record)
+                record = default_record(record)
                 name = record["name"]
                 state.attempts[name] = record["attempts"]
                 if record["status"] == "done":
+                    if set(record["payload"]) != {"params", "cells"}:
+                        raise self._refusal(
+                            f"journal record {name!r} is not a grid-cell "
+                            "payload (written before the runner ran grids)")
                     state.payloads[name] = record["payload"]
                 else:
                     state.failures[name] = record["error"] \
                         or "unknown failure"
         return state
+
+    def _refusal(self, why: str) -> ValueError:
+        return ValueError(f"{why}; refusing to resume from "
+                          f"{self.journal_path} (delete it to restart)")
 
     def _append(self, record: dict[str, Any]) -> None:
         with self.journal_path.open("a") as handle:
@@ -354,9 +354,9 @@ class CampaignRunner:
                 self._on_start(name)
             record = self._run_with_retries(name)
             self._append(record)
-            # Normalize through the journal encoding (sorted keys) so the
-            # in-memory state is indistinguishable from a reload -- a
-            # resumed campaign renders byte-identical reports.
+            # Normalize through the journal encoding so the in-memory
+            # state is indistinguishable from a reload -- a resumed
+            # campaign renders byte-identical reports.
             record = json.loads(_json_line(record))
             executed += 1
             state.attempts[name] = record["attempts"]
@@ -446,7 +446,7 @@ class CampaignRunner:
             or INSTRUMENTS.registry is not None
         if not self.config.isolate:
             try:
-                payload, fires, snapshot = _run_spec(name, params, fault,
+                payload, fires, snapshot = _run_grid(name, params, fault,
                                                      collect)
                 return True, payload, fires, snapshot
             except Exception as exc:  # noqa: BLE001

@@ -255,11 +255,12 @@ def _campaign_via_journal(args: argparse.Namespace,
     """Run the ``campaign`` grid's cells through the reliability
     CampaignRunner.
 
-    Each (seed, scenario) cell becomes one ``serve-campaign@...``
-    instance: subprocess-isolated, retried, and journaled -- kill the
-    process between cells and the next invocation resumes where it
-    stopped.  The grid's own ``assemble`` folds the journaled payloads,
-    so the bytes equal an uninterrupted engine run.
+    Each (seed, scenario) cell becomes one ``campaign@s{seed}.{scenario}``
+    instance, a one-cell run of the same grid: subprocess-isolated,
+    retried, and journaled -- kill the process between cells and the
+    next invocation resumes where it stopped.  The grid's own
+    ``assemble`` folds the journaled cell payloads, so the bytes equal
+    an uninterrupted engine run.
     """
     import os
     import signal
@@ -268,15 +269,13 @@ def _campaign_via_journal(args: argparse.Namespace,
     from repro.reliability.campaign import CampaignConfig, CampaignRunner
 
     grid = get_grid("campaign")
-    params = grid.normalize({**grid.defaults(), **params})
-    instances: dict[str, tuple] = {}
-    cell_params: dict[str, dict] = {}
-    for key, cp in grid.cells(params):
-        name = f"serve-campaign@s{cp['seed']}.{cp['scenario']}"
-        instances[name] = key
-        cell_params[name] = cp
+    params = grid.resolve(params)
+    instances = {
+        f"campaign@s{cp['seed']}.{cp['scenario']}":
+            {**params, "seeds": [cp["seed"]], "scenarios": [cp["scenario"]]}
+        for _, cp in grid.cells(params)}
     config = CampaignConfig(
-        seed=0, experiments=tuple(instances), params=cell_params,
+        seed=0, experiments=tuple(instances), params=instances,
         max_attempts=2, timeout_s=600.0, backoff_base_s=0.05)
 
     started = {"count": 0}
@@ -298,8 +297,10 @@ def _campaign_via_journal(args: argparse.Namespace,
               file=sys.stderr)
     if missing:
         return None
-    return grid.assemble(params, {key: state.payloads[name]
-                                  for name, key in instances.items()})
+    payloads: dict = {}
+    for name in instances:
+        payloads.update(state.cells(name))
+    return grid.assemble(params, payloads)
 
 
 def _campaign_command(args: argparse.Namespace) -> int:

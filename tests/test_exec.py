@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro.attacks.harness import run_matrix
 from repro.cpu.isa import Function, OP_SIZE, load, nop
 from repro.cpu.pipeline import ExecResult
 from repro.eval import runner, sensitivity, sweeps
@@ -33,12 +34,20 @@ from repro.exec import (
 from repro.exec import fingerprint as fp_mod
 from repro.exec.__main__ import main as exec_main
 from repro.obs import MetricsRegistry, instrumented
-from repro.reliability import serde
 
 
 def canon(payload) -> str:
-    """Byte-level comparison key (insertion order preserved)."""
-    return json.dumps(payload, sort_keys=False)
+    """Byte-level comparison key (insertion order preserved; bytes as
+    hex)."""
+    return json.dumps(payload, sort_keys=False, default=bytes.hex)
+
+
+def fields(exp) -> dict:
+    """An experiment's fields as JSON values, without the breakdown's
+    observability snapshot (its digest is pinned on its own)."""
+    out = dataclasses.asdict(exp)
+    out.pop("metrics", None)
+    return out
 
 
 def engine(tmp_path, workers: int = 1, use_cache: bool = True,
@@ -277,35 +286,37 @@ def digest(payload) -> str:
 
 
 class TestPinnedRunnerDigests:
-    """The grid-shaped ``run_*`` functions are one-worker engine runs.
+    """The ``run_*`` functions and ``run_matrix`` are one-worker engine
+    runs.
 
-    The digests were measured with the serial loops those functions ran
-    before (identical under PYTHONHASHSEED 0 and 7): the engine must
-    reproduce them byte for byte, insertion order included.
+    Each digest hashes the result's ``dataclasses.asdict`` JSON and was
+    measured with the serial loop that function ran before it became a
+    grid (identical under PYTHONHASHSEED 0 and 7): the engine must
+    reproduce it byte for byte, insertion order included.
     """
 
     def test_lebench(self):
         exp = runner.run_lebench_experiment(schemes=("fence", "perspective"))
-        assert digest(serde.lebench_to_payload(exp)) == \
+        assert digest(fields(exp)) == \
             "24521d59d8aa5deeb2a308c9a180fe0e914534c128ca8b38652118cc0961e873"
 
     def test_apps(self):
         exp = runner.run_apps_experiment(schemes=("unsafe", "fence"),
                                          apps=("httpd", "redis"),
                                          requests=12)
-        assert digest(serde.apps_to_payload(exp)) == \
+        assert digest(fields(exp)) == \
             "445635acc6a43e9ddf6e6be4ced8ea0efae29cfd0ba28e03a31d9662a380bf0f"
 
     def test_surface(self):
         exp = runner.run_surface_experiment(apps=("lebench", "httpd"))
-        assert digest(serde.surface_to_payload(exp)) == \
+        assert digest(fields(exp)) == \
             "04a51a5d6ae848d6ff7fb0dc0f17cd2d9db5df2e7cb683d0be6f14765dd60842"
 
     def test_breakdown_with_metrics(self):
         exp = runner.run_breakdown_experiment(
             workloads=("lebench", "httpd"), schemes=("perspective",),
             requests=12, observe=True)
-        assert digest(serde.breakdown_to_payload(exp)) == \
+        assert digest(fields(exp)) == \
             "3539f34bf5381b56658216e4d8f07dca19781d07fd754c2ff820b27ecd614e1a"
         assert digest(exp.metrics) == \
             "b8b06a4056e8ffa2b987c7dfbe21607708cb00a1c91f295cd5cf9c9351193d5f"
@@ -331,6 +342,24 @@ class TestPinnedRunnerDigests:
         assert digest(dataclasses.asdict(result)) == \
             "ab6884b6634215b2701220dfb782d5dd7b0767f2b245daaff432fe615450b625"
 
+    def test_gadgets(self):
+        exp = runner.run_gadget_experiment(apps=("httpd", "redis"))
+        assert digest(fields(exp)) == \
+            "caae10bba33e24c579826a69e6578bb3bdaa46d3761ee4a1d0a62c20570a9383"
+
+    def test_kasper(self):
+        exp = runner.run_kasper_experiment(apps=("lebench", "httpd"),
+                                           n_seeds=2)
+        assert digest(fields(exp)) == \
+            "6b23fab45dde4045879bcebab7829cdd3e2df22db72ab346d0116e9d643c0b8d"
+
+    def test_security(self):
+        cells = run_matrix(attacks=("spectre-v1-active",
+                                    "spectre-v2-passive"),
+                           schemes=("unsafe", "perspective"))
+        assert digest([dataclasses.asdict(cell) for cell in cells]) == \
+            "067a8b814694e3daa86727a1e764fef547d4382dafce2dbe4d6e39c4f3b72131"
+
 
 class TestEngineParity:
     """Two workers against the one-worker path the ``run_*`` functions
@@ -340,8 +369,7 @@ class TestEngineParity:
         par, report = engine(tmp_path, workers=2).run(
             "lebench", SMALL["lebench"][0])
         one = runner.run_lebench_experiment(**SMALL["lebench"][1])
-        assert canon(serde.lebench_to_payload(par)) == \
-            canon(serde.lebench_to_payload(one))
+        assert canon(fields(par)) == canon(fields(one))
         assert (report.cells_total, report.executed) == (2, 2)
         assert report.cache_misses == 2 and report.cache_hits == 0
 
@@ -349,8 +377,7 @@ class TestEngineParity:
         par, _ = engine(tmp_path, workers=2).run(
             "surface", SMALL["surface"][0])
         one = runner.run_surface_experiment(**SMALL["surface"][1])
-        assert canon(serde.surface_to_payload(par)) == \
-            canon(serde.surface_to_payload(one))
+        assert canon(fields(par)) == canon(fields(one))
 
     def test_breakdown_metrics_two_workers_match_one(self, tmp_path):
         params = {"workloads": ["lebench"], "schemes": ["perspective"],
@@ -359,8 +386,7 @@ class TestEngineParity:
         one = runner.run_breakdown_experiment(
             workloads=("lebench",), schemes=("perspective",),
             requests=12, observe=True)
-        assert canon(serde.breakdown_to_payload(par)) == \
-            canon(serde.breakdown_to_payload(one))
+        assert canon(fields(par)) == canon(fields(one))
         assert canon(par.metrics) == canon(one.metrics)
 
     def test_normalize_prepends_unsafe(self, tmp_path):
@@ -373,8 +399,7 @@ class TestEngineParity:
         eng = engine(tmp_path, workers=2)
         cold, report_cold = eng.run("lebench", SMALL["lebench"][0])
         warm, report_warm = eng.run("lebench", SMALL["lebench"][0])
-        assert canon(serde.lebench_to_payload(cold)) == \
-            canon(serde.lebench_to_payload(warm))
+        assert canon(fields(cold)) == canon(fields(warm))
         assert report_cold.cache_hits == 0 and report_cold.executed == 2
         assert report_warm.cache_hits == 2 and report_warm.executed == 0
 
@@ -441,10 +466,37 @@ class TestEngineParity:
         with pytest.raises(KeyError, match="unknown experiment"):
             engine(tmp_path).run("nonesuch")
 
+    def test_unknown_parameter_rejected(self, tmp_path):
+        """A misspelled parameter raises instead of running the
+        defaults."""
+        with pytest.raises(TypeError, match="'surface'.*appz"):
+            engine(tmp_path).run("surface", {"appz": ["httpd"]})
+        with pytest.raises(TypeError, match="'serve'.*tenant, trac"):
+            engine(tmp_path).run_cells("serve", {"trace": True},
+                                       trac=True, tenant=[2])
+
+    def test_run_cells_returns_declared_order(self, tmp_path):
+        eng = engine(tmp_path, workers=2)
+        eng.run("surface", {"apps": ["httpd"]})  # warm one cell
+        merged, payloads, report = eng.run_cells(
+            "surface", {"apps": ["lebench", "httpd"]})
+        assert report.cache_hits == 1 and report.executed == 1
+        assert merged == {"apps": ["lebench", "httpd"]}
+        assert list(payloads) == [("lebench",), ("httpd",)]
+
     def test_importing_eval_leaves_engine_unloaded(self):
         """The runners import the engine on first call, so ``import
         repro.eval`` (the end-to-end benchmark's set-up) stays cheap."""
         code = ("import sys, repro.eval.envs; "
+                "assert 'repro.exec.engine' not in sys.modules")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       timeout=120)
+
+    def test_importing_attacks_leaves_engine_unloaded(self):
+        """``run_matrix`` imports the engine on first call, so the
+        end-to-end benchmark's ``import repro.attacks.harness`` stays
+        cheap."""
+        code = ("import sys, repro.attacks; "
                 "assert 'repro.exec.engine' not in sys.modules")
         subprocess.run([sys.executable, "-c", code], check=True,
                        timeout=120)
@@ -462,28 +514,24 @@ class TestFullGridWorkerParity:
     def test_lebench_full(self, tmp_path):
         par, _ = engine(tmp_path, workers=4).run("lebench")
         one = runner.run_lebench_experiment()
-        assert canon(serde.lebench_to_payload(par)) == \
-            canon(serde.lebench_to_payload(one))
+        assert canon(fields(par)) == canon(fields(one))
 
     def test_apps_full(self, tmp_path):
         par, _ = engine(tmp_path, workers=4).run("apps", {"requests": 16})
         one = runner.run_apps_experiment(requests=16)
-        assert canon(serde.apps_to_payload(par)) == \
-            canon(serde.apps_to_payload(one))
+        assert canon(fields(par)) == canon(fields(one))
 
     def test_breakdown_full(self, tmp_path):
         par, _ = engine(tmp_path, workers=4).run(
             "breakdown", {"requests": 16, "observe": True})
         one = runner.run_breakdown_experiment(requests=16, observe=True)
-        assert canon(serde.breakdown_to_payload(par)) == \
-            canon(serde.breakdown_to_payload(one))
+        assert canon(fields(par)) == canon(fields(one))
         assert canon(par.metrics) == canon(one.metrics)
 
     def test_surface_full(self, tmp_path):
         par, _ = engine(tmp_path, workers=4).run("surface")
         one = runner.run_surface_experiment()
-        assert canon(serde.surface_to_payload(par)) == \
-            canon(serde.surface_to_payload(one))
+        assert canon(fields(par)) == canon(fields(one))
 
     def test_sweeps_full(self, tmp_path):
         eng = engine(tmp_path, workers=4)

@@ -239,15 +239,19 @@ class TestObservabilityIsNeutral:
         assert "lebench.perspective.dsvmt.walks" in gauges
 
     def test_breakdown_payload_unchanged_by_observe(self):
-        from repro.eval.runner import run_breakdown_experiment
-        from repro.reliability import serde
-        exp = run_breakdown_experiment(workloads=("lebench",),
-                                       schemes=("perspective",),
-                                       requests=6, observe=True)
-        payload = serde.breakdown_to_payload(exp)
-        assert "metrics" not in payload  # journal schema is stable
-        rebuilt = serde.breakdown_from_payload(payload)
-        assert rebuilt.breakdowns == exp.breakdowns
+        """Observing adds a ``metrics`` entry to each cell payload (what
+        the engine caches and a campaign journals) and changes nothing
+        else in it."""
+        from repro.exec.engine import EngineConfig, ExperimentEngine
+        engine = ExperimentEngine(EngineConfig(use_cache=False))
+        params = {"workloads": ["lebench"], "schemes": ["perspective"],
+                  "requests": 6}
+        _, plain, _ = engine.run_cells("breakdown", params)
+        _, observed, _ = engine.run_cells("breakdown",
+                                          dict(params, observe=True))
+        for key, cell in observed.items():
+            assert cell.pop("metrics")["counters"]
+        assert observed == plain
 
 
 class TestMerge:

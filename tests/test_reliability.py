@@ -3,14 +3,18 @@ checker, and the resilient campaign runner."""
 
 from __future__ import annotations
 
+import dataclasses
+import json
 from types import SimpleNamespace
 
 import pytest
 
+from repro.attacks.harness import run_matrix
 from repro.core.dsv import DSVRegistry
 from repro.core.dsvmt import DSVMT
 from repro.core.hardware import ViewCache
-from repro.eval.report import render_campaign_report
+from repro.eval import runner
+from repro.eval.report import _CAMPAIGN_SECTIONS, render_campaign_report
 from repro.eval.tables import MISSING
 from repro.kernel.buddy import BuddyAllocator, OutOfMemory
 from repro.kernel.slab import SlabAllocator
@@ -28,6 +32,7 @@ from repro.reliability import (
     fire,
     smoke_campaign,
 )
+from repro.reliability.campaign import JOURNAL_NAME
 
 
 def plane_for(*specs: FaultSpec, seed: int = 0) -> FaultPlane:
@@ -358,6 +363,24 @@ class TestCampaignRunner:
         assert "failed after 2 attempt(s)" in rendered
         assert "Campaign failure summary" in rendered
 
+    def test_pre_grid_journal_refused(self, tmp_path):
+        """A journal from before the runner journaled grid cells holds
+        whole-experiment payloads that no grid can assemble: refuse it
+        rather than resume into a broken report."""
+        config = _fast_config()
+        record = {"attempts": 1, "error": None, "event": "experiment",
+                  "name": "surface", "retry_delays": [], "status": "done",
+                  "payload": {"dynamic_isv_size": {"httpd": 112},
+                              "static_isv_size": {"httpd": 280},
+                              "total_functions": 2800}}
+        journal_dir = tmp_path / "old"
+        journal_dir.mkdir()
+        (journal_dir / JOURNAL_NAME).write_text("".join(
+            json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+            for rec in (config.header(), record)))
+        with pytest.raises(ValueError, match="refusing to resume"):
+            CampaignRunner(journal_dir, config).load_state()
+
     def test_unknown_experiment_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown experiments"):
             CampaignRunner(tmp_path,
@@ -373,6 +396,64 @@ class TestCampaignRunner:
                                sleep=lambda _s: None).run()
         assert "security" in state.failures
         assert state.done == {"surface"}
+
+
+#: The seven paper grids a campaign renders, at small parameters: the
+#: campaign's params and the direct call that must give the same result.
+#: Orders are deliberately not alphabetical.
+PAPER_GRIDS = {
+    "surface": ({"apps": ["lebench", "httpd"]},
+                lambda: runner.run_surface_experiment(
+                    apps=("lebench", "httpd"))),
+    "gadgets": ({"apps": ["lebench", "httpd"]},
+                lambda: runner.run_gadget_experiment(
+                    apps=("lebench", "httpd"))),
+    "security": ({"attacks": ["spectre-v1-active"],
+                  "schemes": ["unsafe", "perspective"]},
+                 lambda: run_matrix(attacks=("spectre-v1-active",),
+                                    schemes=("unsafe", "perspective"))),
+    "kasper": ({"apps": ["httpd"], "n_seeds": 2},
+               lambda: runner.run_kasper_experiment(apps=("httpd",),
+                                                    n_seeds=2)),
+    "lebench": ({"schemes": ["unsafe", "fence"]},
+                lambda: runner.run_lebench_experiment(
+                    schemes=("unsafe", "fence"))),
+    "apps": ({"schemes": ["unsafe", "fence"], "apps": ["httpd"],
+              "requests": 6},
+             lambda: runner.run_apps_experiment(
+                 schemes=("unsafe", "fence"), apps=("httpd",),
+                 requests=6)),
+    "breakdown": ({"workloads": ["lebench"], "schemes": ["perspective"],
+                   "requests": 6},
+                  lambda: runner.run_breakdown_experiment(
+                      workloads=("lebench",), schemes=("perspective",),
+                      requests=6)),
+}
+
+
+def _asdict_json(result) -> str:
+    if isinstance(result, list):  # the security matrix's cells
+        result = [dataclasses.asdict(cell) for cell in result]
+    else:
+        result = dataclasses.asdict(result)
+    return json.dumps(result, default=bytes.hex)
+
+
+def test_campaign_results_match_direct_runs(tmp_path):
+    """Every paper grid's result, assembled from the journal, renders and
+    serializes exactly like the direct ``run_*`` call -- declared order
+    included (a sort_keys journal printed Table 8.1's apps
+    alphabetically)."""
+    config = CampaignConfig(
+        experiments=tuple(PAPER_GRIDS), isolate=False, max_attempts=1,
+        params={name: params for name, (params, _) in PAPER_GRIDS.items()})
+    assert not CampaignRunner(tmp_path, config).run().failures
+    state = CampaignRunner(tmp_path, config).load_state()  # from disk
+    for name, (_, direct) in PAPER_GRIDS.items():
+        _, render = _CAMPAIGN_SECTIONS[name]
+        expected, journaled = direct(), state.result(name)
+        assert render(journaled) == render(expected), name
+        assert _asdict_json(journaled) == _asdict_json(expected), name
 
 
 @pytest.mark.faulty

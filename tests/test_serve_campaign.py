@@ -2,7 +2,7 @@
 
 Covers the campaign report (determinism, fail-closed leak accounting,
 SLO/recovery columns), the ``campaign`` experiment grid (worker parity,
-cached replay, merged metrics sidecar), the ``serve-campaign@instance``
+cached replay, merged metrics sidecar), the ``campaign@instance``
 runner integration (interrupted-resume byte identity, pre-upgrade
 journal forward compatibility), the adaptive-controller escalation
 properties (hypothesis), and the three serve-plane fault points.
@@ -161,7 +161,7 @@ class TestCampaignGrid:
 
 
 # ---------------------------------------------------------------------------
-# serve-campaign@instance integration with the reliability runner
+# campaign@instance integration with the reliability runner
 # ---------------------------------------------------------------------------
 
 
@@ -170,12 +170,12 @@ TRIM = {"epochs": 3, "requests_per_epoch": 2, "profile_requests": 2,
 
 
 def _serve_campaign_config(**overrides) -> CampaignConfig:
-    instances = ("serve-campaign@s0.none", "serve-campaign@s0.ibpb-storm")
+    instances = ("campaign@s0.none", "campaign@s0.ibpb-storm")
     defaults = dict(
         seed=0, experiments=instances,
         params={
-            instances[0]: dict(TRIM, seed=0, scenario="none"),
-            instances[1]: dict(TRIM, seed=0, scenario="ibpb-storm"),
+            instances[0]: dict(TRIM, seeds=[0], scenarios=["none"]),
+            instances[1]: dict(TRIM, seeds=[0], scenarios=["ibpb-storm"]),
         },
         max_attempts=2, timeout_s=300.0, backoff_base_s=0.01)
     defaults.update(overrides)
@@ -203,8 +203,10 @@ class TestServeCampaignRunner:
         header = {k: v for k, v in config.header().items()
                   if k not in ("fault", "max_attempts")}
         done = config.experiments[0]
+        payload = {"params": config.params[done],
+                   "cells": [[["0", "none"], {"completed": 1}]]}
         record = {"event": "experiment", "name": done, "status": "done",
-                  "payload": {"completed": 1}}  # no attempts/retry_delays/error
+                  "payload": payload}  # no attempts/retry_delays/error
         journal_dir = tmp_path / "old"
         journal_dir.mkdir()
         lines = [json.dumps(rec, sort_keys=True, separators=(",", ":"))
@@ -218,7 +220,7 @@ class TestServeCampaignRunner:
         final = runner.run()
         assert final.done == set(config.experiments)
         # The checkpointed record was honoured, never re-run.
-        assert final.payloads[done] == {"completed": 1}
+        assert final.payloads[done] == payload
 
     def test_stored_only_header_key_refuses_resume(self, tmp_path):
         config = _serve_campaign_config()
@@ -234,7 +236,7 @@ class TestServeCampaignRunner:
     def test_duplicate_instances_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="duplicate"):
             CampaignRunner(tmp_path / "dup", _serve_campaign_config(
-                experiments=("serve-campaign@x", "serve-campaign@x")))
+                experiments=("campaign@x", "campaign@x")))
 
     def test_unknown_instance_spec_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown"):
