@@ -2,12 +2,13 @@
 
 Usage::
 
-    python -m repro              # full evaluation (~3-4 minutes)
-    python -m repro --fast       # trimmed pass (~1 minute)
+    python -m repro              # full evaluation (~90 s on 2 cores)
+    python -m repro --fast       # smoke params (~15 s)
     python -m repro -o report.txt
 
-Writes the rendered tables, figures, and security matrix to stdout and,
-with ``-o``, to a file.
+Writes every section of :data:`repro.eval.report.SECTIONS` (tables,
+figures, the security matrix and the sensitivity analyses) to stdout
+and, with ``-o``, to a file.
 """
 
 from __future__ import annotations

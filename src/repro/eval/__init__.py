@@ -20,8 +20,6 @@ from repro.eval.report import (
     EvaluationArtifacts,
     render_campaign_report,
     run_full_evaluation,
-    security_matrix_text,
-    security_matrix_text_from_cells,
 )
 from repro.eval.runner import (
     AppsExperiment,
@@ -44,6 +42,7 @@ from repro.eval.sensitivity import (
     run_unknown_allocations,
 )
 from repro.eval.export import export_all
+from repro.eval.tables import security_matrix_text_from_cells
 from repro.eval.sweeps import (
     SweepResult,
     sweep_branch_resolve_latency,
@@ -97,6 +96,5 @@ __all__ = [
     "run_slab_sensitivity",
     "run_surface_experiment",
     "run_unknown_allocations",
-    "security_matrix_text",
     "security_matrix_text_from_cells",
 ]

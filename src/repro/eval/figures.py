@@ -13,6 +13,12 @@ from repro.eval.runner import (
 )
 
 
+#: Labels that fit a 10-character column for the schemes whose names
+#: would all truncate to ``perspectiv``.
+_LABELS = {"perspective-static": "persp-S", "perspective": "persp",
+           "perspective++": "persp++"}
+
+
 def _bar(value: float, scale: float = 20.0, cap: float = 4.0) -> str:
     clipped = min(value, cap)
     return "#" * max(1, int(round(clipped * scale / cap)))
@@ -34,7 +40,8 @@ def figure_9_2(exp: LEBenchExperiment) -> str:
     schemes = [s for s in exp.schemes if s != "unsafe"]
     lines = ["Figure 9.2: LEBench latency normalized to UNSAFE",
              "-" * 70,
-             f"{'test':<16} " + " ".join(f"{s[:10]:>10}" for s in schemes)]
+             f"{'test':<16} "
+             + " ".join(f"{_LABELS.get(s, s)[:10]:>10}" for s in schemes)]
     for test in exp.cycles["unsafe"]:
         cells = " ".join(f"{exp.normalized_latency(test, s):>10.2f}"
                          for s in schemes)
@@ -55,7 +62,7 @@ def figure_9_3(exp: AppsExperiment) -> str:
     lines = ["Figure 9.3: Requests/second normalized to UNSAFE",
              "-" * 70,
              f"{'app':<12} {'UNSAFE rps':>12} "
-             + " ".join(f"{s[:10]:>10}" for s in schemes)]
+             + " ".join(f"{_LABELS.get(s, s)[:10]:>10}" for s in schemes)]
     for app in apps:
         cells = " ".join(f"{exp.normalized_rps(app, s):>10.3f}"
                          for s in schemes)

@@ -1,27 +1,19 @@
-"""Full-evaluation driver: regenerate every table and figure in one pass.
+"""The paper's evaluation as one table of report sections.
 
-``run_full_evaluation`` executes each experiment of Chapters 8-9 and
-returns the rendered artifacts; ``write_experiments_report`` additionally
-records paper-vs-measured values (the source of EXPERIMENTS.md).
+``run_full_evaluation`` (``python -m repro``) runs and renders every
+section of :data:`SECTIONS`, ``render_campaign_report`` renders them from
+a campaign's journal, and :class:`repro.reliability.campaign.CampaignConfig`
+takes its default schedule and base parameters from the same table.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
-from repro.attacks.harness import SCHEMES, run_matrix
 from repro.eval import figures, tables
 from repro.eval.envs import ALL_SCHEMES
-from repro.eval.runner import (
-    run_apps_experiment,
-    run_breakdown_experiment,
-    run_gadget_experiment,
-    run_kasper_experiment,
-    run_lebench_experiment,
-    run_surface_experiment,
-)
-from repro.eval.sensitivity import run_slab_sensitivity, run_unknown_allocations
 
 
 @dataclass
@@ -37,168 +29,100 @@ class EvaluationArtifacts:
         return out.getvalue()
 
 
-def security_matrix_text_from_cells(cells,
-                                    schemes: tuple[str, ...] | None = None,
-                                    ) -> str:
-    """Render the Chapter 8 matrix from already-run PoC cells."""
-    if schemes is None:
-        seen: list[str] = []
-        for cell in cells:
-            if cell.scheme not in seen:
-                seen.append(cell.scheme)
-        schemes = tuple(seen)
-    lines = ["Security matrix (Chapter 8): leak/blocked per attack x scheme",
-             "-" * 70]
-    by_attack: dict[str, dict[str, str]] = {}
-    for cell in cells:
-        outcome = "LEAKED" if cell.result.success else "blocked"
-        by_attack.setdefault(cell.attack, {})[cell.scheme] = outcome
-    header = f"{'attack':<22} " + " ".join(f"{s:>12}" for s in schemes)
-    lines.append(header)
-    for attack, per_scheme in by_attack.items():
-        lines.append(f"{attack:<22} "
-                     + " ".join(f"{per_scheme.get(s, '-'):>12}"
-                                for s in schemes))
-    lines.append("(expected: every attack leaks under unsafe -- except the "
-                 "eIBRS control -- Retbleed/RSB leak under spot, and "
-                 "Perspective blocks everything)")
-    return "\n".join(lines)
+@dataclass(frozen=True)
+class Section:
+    """One report section: ``render()`` for a static table, else
+    ``render(result)`` over its grid's result at ``full`` params (the
+    paper's configuration) or ``fast`` ones (the smoke configuration).
+    Params override the grid defaults and are JSON values, since a
+    campaign journals them in its header."""
+
+    title: str
+    render: Callable[..., str]
+    grid: str | None = None
+    full: dict[str, Any] = field(default_factory=dict)
+    fast: dict[str, Any] = field(default_factory=dict)
+
+    def params(self, fast: bool) -> dict[str, Any]:
+        return self.fast if fast else self.full
 
 
-def security_matrix_text(schemes=("unsafe", "spot", "perspective")) -> str:
-    """Chapter 8 PoC matrix: every attack under every scheme."""
-    return security_matrix_text_from_cells(run_matrix(schemes=schemes),
-                                           tuple(schemes))
+#: Every section of the evaluation, in report order.
+SECTIONS: tuple[Section, ...] = (
+    Section("Table 4.1 (CVE taxonomy)", tables.table_4_1),
+    Section("Table 7.1 (simulation parameters)", tables.table_7_1),
+    Section("Table 8.1 (attack surface)", tables.table_8_1, "surface",
+            fast={"apps": ["lebench", "httpd"]}),
+    Section("Table 8.2 (gadget reduction)", tables.table_8_2, "gadgets",
+            fast={"apps": ["lebench", "redis"]}),
+    Section("Security PoC matrix (Sections 8.1-8.2)",
+            tables.security_matrix_text_from_cells, "security",
+            full={"schemes": ["unsafe", "spot", "perspective"]},
+            fast={"attacks": ["spectre-v1-active", "spectre-v2-passive"],
+                  "schemes": ["unsafe", "perspective"]}),
+    Section("Figure 9.1 (Kasper speedup)", figures.figure_9_1, "kasper",
+            fast={"apps": ["httpd"], "n_seeds": 4}),
+    Section("Figure 9.2 (LEBench)", figures.figure_9_2, "lebench",
+            full={"schemes": list(ALL_SCHEMES)},
+            fast={"schemes": ["unsafe", "fence", "perspective"]}),
+    Section("Figure 9.3 (datacenter apps)", figures.figure_9_3, "apps",
+            full={"schemes": list(ALL_SCHEMES)},
+            fast={"schemes": ["unsafe", "fence", "perspective"],
+                  "apps": ["httpd"], "requests": 16}),
+    Section("Table 9.1 (hardware characterization)", tables.table_9_1),
+    Section("Table 10.1 (fence breakdown)", tables.table_10_1, "breakdown",
+            fast={"workloads": ["lebench"], "schemes": ["perspective"],
+                  "requests": 12}),
+    Section("Sensitivity: unknown allocations", tables.unknown_allocations,
+            "unknown-allocations"),
+    Section("Sensitivity: secure slab allocator", tables.slab_sensitivity,
+            "slab-sensitivity", fast={"requests": 24}),
+)
 
 
 def run_full_evaluation(fast: bool = False) -> EvaluationArtifacts:
-    """Regenerate every table and figure.
+    """Regenerate every section of :data:`SECTIONS`.
 
-    ``fast`` trims scheme lists so the pass finishes quickly (used by the
-    quickstart example); the benchmarks run the full configuration.
+    Each grid runs on the engine at one worker with the cache off, at its
+    section's ``full`` params, or its ``fast`` params when ``fast`` is
+    set.
     """
+    from repro.exec.engine import EngineConfig, ExperimentEngine
+    engine = ExperimentEngine(EngineConfig(workers=1, use_cache=False))
     artifacts = EvaluationArtifacts()
-    artifacts.sections["Table 4.1 (CVE taxonomy)"] = tables.table_4_1()
-    artifacts.sections["Table 7.1 (simulation parameters)"] = \
-        tables.table_7_1()
-
-    surface = run_surface_experiment()
-    artifacts.sections["Table 8.1 (attack surface)"] = \
-        tables.table_8_1(surface)
-
-    gadgets = run_gadget_experiment()
-    artifacts.sections["Table 8.2 (gadget reduction)"] = \
-        tables.table_8_2(gadgets)
-
-    artifacts.sections["Security PoC matrix (Sections 8.1-8.2)"] = \
-        security_matrix_text(
-            schemes=("unsafe", "perspective") if fast
-            else ("unsafe", "spot", "perspective"))
-
-    kasper = run_kasper_experiment(n_seeds=6 if fast else 16)
-    artifacts.sections["Figure 9.1 (Kasper speedup)"] = \
-        figures.figure_9_1(kasper)
-
-    schemes = ("unsafe", "fence", "perspective") if fast else ALL_SCHEMES
-    lebench = run_lebench_experiment(schemes=schemes)
-    artifacts.sections["Figure 9.2 (LEBench)"] = figures.figure_9_2(lebench)
-
-    apps = run_apps_experiment(schemes=schemes,
-                               requests=20 if fast else None)
-    artifacts.sections["Figure 9.3 (datacenter apps)"] = \
-        figures.figure_9_3(apps)
-
-    artifacts.sections["Table 9.1 (hardware characterization)"] = \
-        tables.table_9_1()
-
-    breakdown = run_breakdown_experiment(
-        workloads=("lebench", "httpd") if fast
-        else ("lebench",) + tuple(a for a in apps.total_cycles_per_request))
-    artifacts.sections["Table 10.1 (fence breakdown)"] = \
-        tables.table_10_1(breakdown)
-
-    unknown = run_unknown_allocations()
-    artifacts.sections["Sensitivity: unknown allocations"] = (
-        f"LEBench overhead full: {unknown.overhead_full_pct:+.1f}%  "
-        f"with unknown allowed: "
-        f"{unknown.overhead_unknown_allowed_pct:+.1f}%  "
-        f"unknown contribution: "
-        f"{unknown.unknown_contribution_pct:+.1f} points\n"
-        "(paper: unknown allocations cause 1.5% of the LEBench overhead)")
-
-    slab = run_slab_sensitivity(requests=24 if fast else 60)
-    slab_lines = []
-    for app in slab.secure_utilization:
-        slab_lines.append(
-            f"{app:<10} util secure {slab.secure_utilization[app]:.3f} "
-            f"baseline {slab.baseline_utilization[app]:.3f} "
-            f"(overhead {slab.memory_overhead_pct(app):+.2f}%)  "
-            f"page-return ratio {100 * slab.page_return_ratio[app]:.2f}%  "
-            f"reassign/s {slab.reassignments_per_second[app]:.0f}")
-    slab_lines.append(f"average memory overhead "
-                      f"{slab.average_memory_overhead_pct():+.2f}% "
-                      "(paper: 0.91%)")
-    slab_lines.append("(paper reassignment: redis 0.23%/96 per s; httpd, "
-                      "nginx, memcached 0.01%/0.01%/0.003% and 4/3/2 per s)")
-    artifacts.sections["Sensitivity: secure slab allocator"] = \
-        "\n".join(slab_lines)
+    for section in SECTIONS:
+        if section.grid is None:
+            body = section.render()
+        else:
+            result, _ = engine.run(section.grid, section.params(fast))
+            body = section.render(result)
+        artifacts.sections[section.title] = body
     return artifacts
 
 
-# ---------------------------------------------------------------------------
-# Resilient-campaign rendering (repro.reliability.campaign)
-# ---------------------------------------------------------------------------
-
-#: Campaign experiment name -> (section title, renderer taking the
-#: reconstructed experiment object).
-_CAMPAIGN_SECTIONS = {
-    "surface": ("Table 8.1 (attack surface)", tables.table_8_1),
-    "gadgets": ("Table 8.2 (gadget reduction)", tables.table_8_2),
-    "security": ("Security PoC matrix (Sections 8.1-8.2)",
-                 security_matrix_text_from_cells),
-    "kasper": ("Figure 9.1 (Kasper speedup)", figures.figure_9_1),
-    "lebench": ("Figure 9.2 (LEBench)", figures.figure_9_2),
-    "apps": ("Figure 9.3 (datacenter apps)", figures.figure_9_3),
-    "breakdown": ("Table 10.1 (fence breakdown)", tables.table_10_1),
-}
-
-
-def render_campaign_report(state,
-                           experiments: tuple[str, ...] | None = None,
-                           ) -> EvaluationArtifacts:
-    """Render whatever a (possibly partial) campaign produced.
+def render_campaign_report(state) -> EvaluationArtifacts:
+    """Render the sections a (possibly partial) campaign produced.
 
     ``state`` is a :class:`repro.reliability.campaign.CampaignState`.
-    Experiments that failed after retry exhaustion -- or that a supplied
-    ``experiments`` schedule lists but the journal has no record for --
-    render as ``—`` placeholders, and a failure summary section reports
-    what went wrong instead of the whole report aborting.
+    Static tables always render, and a grid's section renders when the
+    campaign ran that grid.  Experiments that failed after retry
+    exhaustion render as ``—`` placeholders, and a failure summary
+    section reports what went wrong instead of the whole report aborting.
     """
     artifacts = EvaluationArtifacts()
-    artifacts.sections["Table 4.1 (CVE taxonomy)"] = tables.table_4_1()
-    artifacts.sections["Table 7.1 (simulation parameters)"] = \
-        tables.table_7_1()
-    if experiments is None:
-        experiments = tuple(name for name in _CAMPAIGN_SECTIONS
-                            if name in state.payloads
-                            or name in state.failures)
-    for name in experiments:
-        if name not in _CAMPAIGN_SECTIONS:
-            continue
-        title, renderer = _CAMPAIGN_SECTIONS[name]
-        result = state.result(name)
-        if result is not None:
-            artifacts.sections[title] = renderer(result)
+    for section in SECTIONS:
+        name = section.grid
+        if name is None:
+            body = section.render()
+        elif name in state.payloads:
+            body = section.render(state.result(name))
         elif name in state.failures:
-            artifacts.sections[title] = tables.unavailable(
-                title, f"experiment {name!r} failed after "
+            body = tables.unavailable(
+                section.title, f"experiment {name!r} failed after "
                 f"{state.attempts.get(name, '?')} attempt(s)")
         else:
-            artifacts.sections[title] = tables.unavailable(
-                title, f"experiment {name!r} not yet run "
-                "(campaign interrupted; resume from the journal)")
-    artifacts.sections["Table 9.1 (hardware characterization)"] = \
-        tables.table_9_1()
+            continue
+        artifacts.sections[section.title] = body
     if state.failures:
         lines = ["Failed experiments (rendered above as "
                  f"{tables.MISSING}):"]

@@ -1,8 +1,8 @@
 """Resilient evaluation-campaign runner with checkpoint/resume.
 
-The straight-line evaluation driver (:mod:`repro.eval.report`) loses the
-whole run when one experiment crashes.  ``CampaignRunner`` runs the
-experiment grids of :mod:`repro.exec.grids` -- the one experiment
+An in-process evaluation (:func:`repro.eval.report.run_full_evaluation`)
+loses the whole run when one experiment crashes.  ``CampaignRunner`` runs
+the experiment grids of :mod:`repro.exec.grids` -- the one experiment
 registry -- with:
 
 * **subprocess isolation** -- each experiment runs in its own forked
@@ -44,6 +44,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.eval.report import SECTIONS, render_campaign_report
 from repro.exec.engine import (
     EngineConfig,
     ExperimentEngine,
@@ -57,28 +58,6 @@ from repro.reliability.faultplane import FaultPlane, FaultSpec
 JOURNAL_NAME = "campaign-journal.jsonl"
 METRICS_NAME = "campaign-metrics.json"
 
-#: The grids a campaign schedules by default, each with its base
-#: parameters as ``(full, fast)``: ``full`` overrides the grid defaults
-#: (empty: the paper's configuration), ``fast`` is the trimmed set for
-#: smoke/CI runs (:attr:`CampaignConfig.fast`).  A grid not listed runs
-#: at its defaults.  Params must stay JSON-serializable -- they ride in
-#: the journal header and across the subprocess boundary.
-CAMPAIGN_PARAMS: dict[str, tuple[dict[str, Any], dict[str, Any]]] = {
-    "surface": ({}, {"apps": ["lebench", "httpd"]}),
-    "gadgets": ({}, {"apps": ["lebench", "redis"]}),
-    "security": ({}, {"attacks": ["spectre-v1-active",
-                                  "spectre-v2-passive"],
-                      "schemes": ["unsafe", "perspective"]}),
-    "kasper": ({}, {"apps": ["httpd"], "n_seeds": 4}),
-    "lebench": ({}, {"schemes": ["unsafe", "fence", "perspective"]}),
-    "apps": ({}, {"schemes": ["unsafe", "fence", "perspective"],
-                  "apps": ["httpd"], "requests": 16}),
-    "breakdown": ({}, {"workloads": ["lebench"],
-                       "schemes": ["perspective"], "requests": 12}),
-    "campaign": ({"seeds": [0], "scenarios": ["none"]},
-                 {"seeds": [0], "scenarios": ["none"], "epochs": 3}),
-}
-
 
 def _grid(name: str) -> Grid:
     """The grid behind an experiment name (the part before ``@``)."""
@@ -90,11 +69,15 @@ class CampaignConfig:
     """Knobs for one campaign run."""
 
     seed: int = 0
-    experiments: tuple[str, ...] = tuple(CAMPAIGN_PARAMS)
+    #: By default, every grid of the evaluation's section table
+    #: (:data:`repro.eval.report.SECTIONS`), in report order.
+    experiments: tuple[str, ...] = tuple(
+        section.grid for section in SECTIONS if section.grid)
     #: Per-experiment grid-parameter overrides (JSON-serializable).
     params: dict[str, dict[str, Any]] = field(default_factory=dict)
-    #: Use each grid's trimmed ``fast`` parameters as the base
-    #: configuration (:data:`CAMPAIGN_PARAMS`).
+    #: Use the section table's trimmed ``fast`` parameters as each grid's
+    #: base configuration instead of its ``full`` ones; a grid without a
+    #: section runs at its defaults.
     fast: bool = False
     max_attempts: int = 3
     #: Per-attempt wall-clock limit; ``None`` disables the timeout.
@@ -113,9 +96,10 @@ class CampaignConfig:
     collect_metrics: bool = False
 
     def resolved_params(self, name: str) -> dict[str, Any]:
-        full, fast = CAMPAIGN_PARAMS.get(_grid(name).name, ({}, {}))
-        return {**(fast if self.fast else full),
-                **self.params.get(name, {})}
+        grid = _grid(name).name
+        base = next((section.params(self.fast) for section in SECTIONS
+                     if section.grid == grid), {})
+        return {**base, **self.params.get(name, {})}
 
     def header(self) -> dict[str, Any]:
         return {
@@ -476,7 +460,6 @@ def smoke_campaign(journal_dir: str | pathlib.Path,
 
     Returns the final state and the rendered report text.
     """
-    from repro.eval.report import render_campaign_report
     fault = FaultPlane(seed=seed, specs=(
         FaultSpec("isv-cache-forced-miss", probability=0.05),
         FaultSpec("dsv-cache-forced-miss", probability=0.05),

@@ -13,8 +13,8 @@ from repro.attacks.harness import run_matrix
 from repro.core.dsv import DSVRegistry
 from repro.core.dsvmt import DSVMT
 from repro.core.hardware import ViewCache
-from repro.eval import runner
-from repro.eval.report import _CAMPAIGN_SECTIONS, render_campaign_report
+from repro.eval import runner, sensitivity
+from repro.eval.report import SECTIONS, render_campaign_report
 from repro.eval.tables import MISSING
 from repro.kernel.buddy import BuddyAllocator, OutOfMemory
 from repro.kernel.slab import SlabAllocator
@@ -398,7 +398,7 @@ class TestCampaignRunner:
         assert state.done == {"surface"}
 
 
-#: The seven paper grids a campaign renders, at small parameters: the
+#: Every grid of the report's section table, at small parameters: the
 #: campaign's params and the direct call that must give the same result.
 #: Orders are deliberately not alphabetical.
 PAPER_GRIDS = {
@@ -428,6 +428,10 @@ PAPER_GRIDS = {
                   lambda: runner.run_breakdown_experiment(
                       workloads=("lebench",), schemes=("perspective",),
                       requests=6)),
+    "unknown-allocations": ({}, sensitivity.run_unknown_allocations),
+    "slab-sensitivity": ({"apps": ["redis"], "requests": 6},
+                         lambda: sensitivity.run_slab_sensitivity(
+                             apps=("redis",), requests=6)),
 }
 
 
@@ -450,7 +454,7 @@ def test_campaign_results_match_direct_runs(tmp_path):
     assert not CampaignRunner(tmp_path, config).run().failures
     state = CampaignRunner(tmp_path, config).load_state()  # from disk
     for name, (_, direct) in PAPER_GRIDS.items():
-        _, render = _CAMPAIGN_SECTIONS[name]
+        render = next(s.render for s in SECTIONS if s.grid == name)
         expected, journaled = direct(), state.result(name)
         assert render(journaled) == render(expected), name
         assert _asdict_json(journaled) == _asdict_json(expected), name
