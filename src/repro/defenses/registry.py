@@ -233,7 +233,8 @@ def build_policy(scheme: str, framework: Any = None,
                  kernel: Any = None) -> Any:
     """Construct the enforcement policy for a registered scheme.
 
-    The single constructor behind ``repro.eval.envs.build_policy`` and
+    The single constructor behind :func:`repro.eval.envs.make_env`, the
+    serving engine, the conformance oracle and
     ``repro.attacks.harness.build_policy``, so the scheme vocabulary
     cannot drift between the measurement, conformance, serving, and
     attack planes.  ``framework``/``kernel`` are passed through to the

@@ -3,17 +3,18 @@
 One table no single paper has: every registered defense scheme held to
 
 * the **conformance oracle** -- architectural digests equal to the
-  unsafe baseline across the seeded trace corpus (cycles exempt);
+  unsafe baseline across the seeded trace corpus (cycles exempt), and
+  equal DSV views among the Perspective flavors;
 * the **attack matrix** -- the full active/passive PoC suite from
   Chapter 8;
 * the **overhead columns** -- LEBench geomean overhead and fences per
   kilo-instruction, measured in the same environments as Figure 9.2.
 
 The grid (``defense-matrix`` in :mod:`repro.exec.grids`) decomposes the
-table into independent cells -- one per (scheme, seed) conformance run,
-one attack row per scheme, one perf row per scheme -- so the parallel
-engine runs it with byte-exact worker parity, and CI diff-gates the
-assembled ``benchmarks/out/defense_matrix.json`` snapshot.
+table into independent cells -- the ``conformance`` grid's cells, one
+per seed, then one attack row and one perf row per scheme -- so the
+parallel engine runs it with byte-exact worker parity, and CI diff-gates
+the assembled ``benchmarks/out/defense_matrix.json`` snapshot.
 
 CLI::
 
@@ -24,7 +25,6 @@ CLI::
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from typing import Any
@@ -32,12 +32,7 @@ from typing import Any
 from repro.attacks.harness import ATTACKS, run_attack
 from repro.eval.envs import RARE_EVERY, make_env
 from repro.eval.metrics import geomean
-from repro.serve.conformance import (
-    _ARCH_KEYS,
-    CONFORMANCE_SCHEMES,
-    generate_trace,
-    run_trace_under,
-)
+from repro.serve.conformance import CONFORMANCE_SCHEMES
 from repro.workloads.lebench import run_lebench
 
 #: The eight columns of the cross-paper table: both fencing extremes,
@@ -60,19 +55,6 @@ BASELINE_CHECKS = ("spectre-v2-vs-eibrs",)
 # ---------------------------------------------------------------------------
 
 
-def conformance_cell(scheme: str, seed: int, steps: int = 14,
-                     tenants: int = 2) -> dict[str, Any]:
-    """One (scheme, seed) conformance run, reduced to a comparable hash
-    of the architectural keys (cycles recorded, never compared)."""
-    trace = generate_trace(seed, steps=steps, tenants=tenants)
-    digest = run_trace_under(scheme, trace, tenants=tenants)
-    arch = {key: digest[key] for key in _ARCH_KEYS}
-    blob = json.dumps(arch, sort_keys=True).encode()
-    return {"arch_sha": hashlib.sha256(blob).hexdigest(),
-            "cycles": digest["cycles"],
-            "fenced_loads": digest["fenced_loads"]}
-
-
 def attacks_cell(scheme: str) -> dict[str, str]:
     """Every PoC against one scheme: ``attack -> blocked|leaked``."""
     return {attack: "blocked" if run_attack(attack, scheme).blocked
@@ -92,11 +74,9 @@ def perf_cell(scheme: str, rare_every: int = RARE_EVERY) -> dict[str, Any]:
 
 
 def defense_matrix_cell(cp: dict[str, Any]) -> Any:
-    """Grid dispatch: one cell of the defense-matrix experiment."""
+    """Grid dispatch: one attack or perf cell of the defense-matrix
+    experiment (its conformance cells are the ``conformance`` grid's)."""
     kind = cp["kind"]
-    if kind == "conformance":
-        return conformance_cell(cp["scheme"], cp["seed"],
-                                steps=cp["steps"], tenants=cp["tenants"])
     if kind == "attacks":
         return attacks_cell(cp["scheme"])
     if kind == "perf":
@@ -128,19 +108,17 @@ def assemble_matrix(params: dict[str, Any],
         "performance": {},
     }
 
-    base_scheme = schemes[0]
+    from repro.exec.grids import get_grid
+    corpus = get_grid("conformance").assemble(params, {
+        key[1:]: payload for key, payload in payloads.items()
+        if key[0] == "conformance"})
     for scheme in schemes:
-        diverging = [
-            seed for seed in seeds
-            if payloads[("conformance", scheme, str(seed))]["arch_sha"]
-            != payloads[("conformance", base_scheme, str(seed))]["arch_sha"]
-        ]
+        diverging = [r.seed for r in corpus if scheme in r.divergences]
         table["conformance"][scheme] = {
             "ok": not diverging,
             "diverging_seeds": diverging,
-            "corpus_fenced_loads": sum(
-                payloads[("conformance", scheme, str(seed))]["fenced_loads"]
-                for seed in seeds),
+            "corpus_fenced_loads": sum(r.digests[scheme]["fenced_loads"]
+                                       for r in corpus),
         }
 
     unsafe_row = payloads[("attacks", "unsafe")] \

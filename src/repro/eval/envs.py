@@ -25,7 +25,7 @@ from repro.core.audit import harden_isv
 from repro.core.framework import Perspective
 from repro.core.views import InstructionSpeculationView
 from repro.cpu.pipeline import SpeculationPolicy
-from repro.defenses.registry import build_policy as registry_build_policy
+from repro.defenses.registry import build_policy
 from repro.kernel.image import shared_image
 from repro.kernel.kernel import MiniKernel
 from repro.kernel.process import Process
@@ -105,26 +105,6 @@ _PERSPECTIVE_FLAVORS = {
 def perspective_flavor(scheme: str) -> str | None:
     """ISV flavor for a Perspective scheme name, else ``None``."""
     return _PERSPECTIVE_FLAVORS.get(scheme)
-
-
-def build_policy(scheme: str, framework: Perspective | None = None,
-                 kernel: MiniKernel | None = None) -> SpeculationPolicy:
-    """Construct the enforcement policy for a scheme name.
-
-    Thin forwarder to the scheme registry
-    (:func:`repro.defenses.registry.build_policy`), kept so every
-    measurement consumer -- :func:`make_env`, the multi-tenant engine
-    (:mod:`repro.serve.engine`), and the conformance oracle -- shares one
-    scheme vocabulary.  Perspective flavors require the ``framework`` the
-    views live in; kernel-coupled schemes (ConTExT's non-transient tags)
-    require the ``kernel``; every other scheme ignores both.
-    """
-    if scheme in _PERSPECTIVE_FLAVORS and framework is None \
-            and kernel is None:
-        raise ValueError(f"scheme {scheme!r} needs a Perspective "
-                         f"framework")
-    return registry_build_policy(scheme, framework=framework,
-                                 kernel=kernel)
 
 
 def make_env(workload_name: str, scheme: str, *,

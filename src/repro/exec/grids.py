@@ -565,6 +565,46 @@ def _campaign_assemble(params: dict[str, Any],
 
 
 # ---------------------------------------------------------------------------
+# Conformance oracle (repro.serve.conformance)
+# ---------------------------------------------------------------------------
+
+
+def _conformance_defaults() -> dict[str, Any]:
+    from repro.serve.conformance import CONFORMANCE_SCHEMES
+    return {"schemes": list(CONFORMANCE_SCHEMES),
+            "seeds": list(range(20)), "steps": 14, "tenants": 2,
+            "cache_parity": False}
+
+
+def _conformance_cells(params: dict[str, Any]) -> CellList:
+    """One cell per seed, so each trace is profiled once for every
+    scheme."""
+    return [((str(seed),), {"seed": seed, "schemes": params["schemes"],
+                            "steps": params["steps"],
+                            "tenants": params["tenants"],
+                            "cache_parity": params["cache_parity"]})
+            for seed in params["seeds"]]
+
+
+def _conformance_run(key: Key, cp: dict[str, Any]) -> Any:
+    from repro.serve.conformance import check_seed
+    return asdict(check_seed(cp["seed"], schemes=tuple(cp["schemes"]),
+                             steps=cp["steps"], tenants=cp["tenants"],
+                             cache_parity=cp["cache_parity"]))
+
+
+def _conformance_assemble(params: dict[str, Any],
+                          payloads: dict[Key, Any]) -> list[Any]:
+    from repro.serve.conformance import ConformanceResult
+    results = []
+    for seed in params["seeds"]:
+        cell = payloads[(str(seed),)]
+        results.append(ConformanceResult(
+            **{**cell, "schemes": tuple(cell["schemes"])}))
+    return results
+
+
+# ---------------------------------------------------------------------------
 # Cross-paper defense matrix (conformance + attacks + overhead)
 # ---------------------------------------------------------------------------
 
@@ -577,13 +617,11 @@ def _defense_defaults() -> dict[str, Any]:
 
 
 def _defense_cells(params: dict[str, Any]) -> CellList:
-    cells: CellList = []
-    for scheme in params["schemes"]:
-        for seed in params["seeds"]:
-            cells.append((("conformance", scheme, str(seed)),
-                          {"kind": "conformance", "scheme": scheme,
-                           "seed": seed, "steps": params["steps"],
-                           "tenants": params["tenants"]}))
+    """The ``conformance`` grid's cells (key prefixed ``conformance``),
+    then one attack row and one perf row per scheme."""
+    cells: CellList = [
+        (("conformance",) + key, cp) for key, cp in
+        _conformance_cells({**params, "cache_parity": False})]
     for scheme in params["schemes"]:
         cells.append((("attacks", scheme),
                       {"kind": "attacks", "scheme": scheme}))
@@ -595,6 +633,8 @@ def _defense_cells(params: dict[str, Any]) -> CellList:
 
 
 def _defense_run(key: Key, cp: dict[str, Any]) -> Any:
+    if key[0] == "conformance":
+        return _conformance_run(key[1:], cp)
     from repro.eval.defense_matrix import defense_matrix_cell
     return defense_matrix_cell(cp)
 
@@ -760,6 +800,15 @@ _register(Grid(
     run_cell=_campaign_run,
     assemble=_campaign_assemble,
     optional=_CAMPAIGN_KEYS,
+))
+
+_register(Grid(
+    name="conformance",
+    entry_modules=("repro.serve.conformance",),
+    defaults=_conformance_defaults,
+    cells=_conformance_cells,
+    run_cell=_conformance_run,
+    assemble=_conformance_assemble,
 ))
 
 _register(Grid(

@@ -278,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.obs",
         description="run a small workload matrix under the deterministic "
                     "observability plane and emit the metrics snapshot "
-                    "(subcommands: events, profile, diff)")
+                    "(subcommands: events, profile, diff, top, report)")
     parser.add_argument("--smoke", action="store_true",
                         help="trimmed CI matrix (lebench x unsafe/"
                              "perspective)")

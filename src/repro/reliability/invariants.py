@@ -351,7 +351,7 @@ class InvariantChecker:
         state, and above all the planted secret -- must match the
         fault-free run byte for byte, and the secret must never move."""
         from repro.serve.conformance import (
-            _ARCH_KEYS,
+            arch_divergence,
             generate_trace,
             run_trace_under,
         )
@@ -367,8 +367,7 @@ class InvariantChecker:
             if not faulted["secret_intact"]:
                 problems.append(f"{scheme}: planted secret corrupted "
                                 "under faults")
-            diverged = [key for key in _ARCH_KEYS
-                        if faulted[key] != baseline[key]]
+            diverged = arch_divergence(baseline, faulted)
             if diverged:
                 problems.append(f"{scheme}: architectural divergence "
                                 f"under faults: {diverged}")

@@ -19,8 +19,9 @@ Conformance subcommand (the architectural oracle)::
 
     python -m repro.serve conformance --seeds 20     # seeds 0..19
     python -m repro.serve conformance --seeds 7,9    # exactly these
-    python -m repro.serve conformance --cache-parity # block JIT replay
-                                    # must match interpretation exactly
+    python -m repro.serve conformance --cache-parity # both checks: also
+                                    # block JIT replay must match
+                                    # interpretation exactly
 
 Adversarial campaign subcommand (attacker tenants + fault storms +
 adaptive hardening; same byte-determinism contract)::
@@ -134,41 +135,15 @@ def _parse_seeds(spec: str) -> list[int]:
     return list(range(int(spec)))
 
 
-def _cache_parity_command(args: argparse.Namespace,
-                          seeds: list[int],
-                          schemes: tuple[str, ...]) -> int:
-    from repro.serve.conformance import run_cache_parity_corpus
-
-    results = run_cache_parity_corpus(seeds, schemes=schemes,
-                                      steps=args.steps)
-    divergent = [r for r in results if not r.ok]
-    for r in results:
-        cycles = {s: round(d["cycles"]) for s, d in r.digests.items()}
-        status = "ok" if r.ok else "DIVERGENT"
-        print(f"seed {r.seed}: {status}  cycles={json.dumps(cycles)}")
-    if divergent:
-        for r in divergent:
-            print()
-            print(r.repro())
-        print(f"\n{len(divergent)}/{len(results)} seeds diverged "
-              "between block-cache replay and interpretation",
-              file=sys.stderr)
-        return 1
-    print(f"all {len(results)} seeds byte-identical (cycles included) "
-          f"with the block cache on vs off across {len(schemes)} schemes")
-    return 0
-
-
 def _conformance_command(args: argparse.Namespace) -> int:
     from repro.serve.conformance import CONFORMANCE_SCHEMES, run_corpus
 
     seeds = _parse_seeds(args.seeds)
     schemes = tuple(args.schemes.split(",")) if args.schemes \
         else CONFORMANCE_SCHEMES
-    if args.cache_parity:
-        return _cache_parity_command(args, seeds, schemes)
     results = run_corpus(seeds, schemes=schemes, steps=args.steps,
-                         minimize=not args.no_minimize)
+                         minimize=not args.no_minimize,
+                         cache_parity=args.cache_parity)
     divergent = [r for r in results if not r.ok]
     for r in results:
         cycles = {s: round(d["cycles"]) for s, d in r.digests.items()}
@@ -181,8 +156,13 @@ def _conformance_command(args: argparse.Namespace) -> int:
         print(f"\n{len(divergent)}/{len(results)} seeds diverged",
               file=sys.stderr)
         return 1
-    print(f"all {len(results)} seeds architecturally conformant across "
-          f"{len(schemes)} schemes")
+    if args.cache_parity:
+        print(f"all {len(results)} seeds byte-identical (cycles included) "
+              f"with the block cache on vs off across {len(schemes)} "
+              "schemes")
+    else:
+        print(f"all {len(results)} seeds architecturally conformant "
+              f"across {len(schemes)} schemes")
     return 0
 
 
@@ -396,9 +376,10 @@ def _subcommand_parser() -> argparse.ArgumentParser:
     conf.add_argument("--no-minimize", action="store_true",
                       help="skip trace minimization on divergence")
     conf.add_argument("--cache-parity", action="store_true",
-                      help="instead of cross-scheme comparison, run each "
-                           "trace with the block cache off and on and "
-                           "require identical digests AND cycles")
+                      help="both checks: besides the cross-scheme "
+                           "comparison, run each trace with the block "
+                           "cache off and on and require identical "
+                           "digests AND cycles")
 
     camp = sub.add_parser(
         "campaign",
@@ -463,7 +444,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve",
         description="run the multi-tenant serving sweep and emit the "
-                    "metrics snapshot (subcommands: conformance)")
+                    "metrics snapshot (subcommands: conformance, "
+                    "campaign, scale)")
     parser.add_argument("--smoke", action="store_true",
                         help="trimmed CI sweep (2 seeds x 2 tenant counts)")
     parser.add_argument("--scheme", default="perspective",

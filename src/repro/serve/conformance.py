@@ -17,6 +17,13 @@ resolution under every scheme, because resolution depends only on
 syscall semantics.  On divergence, :func:`minimize_divergence` greedily
 shrinks the trace to a minimal still-diverging repro and the result
 renders a copy-pasteable reproduction command.
+
+The same oracle holds the block JIT to exact replay: with
+``cache_parity``, every scheme also runs the trace with the block JIT
+on, and that run must equal the JIT-off run in every key, cycles
+included.  One seed is one cell of the ``conformance`` grid
+(:mod:`repro.exec.grids`): :func:`run_corpus` runs those cells for the
+CLI and the test corpus, and the defense matrix runs them too.
 """
 
 from __future__ import annotations
@@ -27,9 +34,12 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Any
 
+from repro.analysis.binary import ApplicationBinary
+from repro.analysis.static_isv import generate_static_isv
 from repro.core.framework import Perspective
 from repro.core.views import InstructionSpeculationView
-from repro.eval.envs import build_policy, perspective_flavor
+from repro.defenses.registry import build_policy
+from repro.eval.envs import perspective_flavor
 from repro.kernel.image import shared_image
 from repro.kernel.kernel import MiniKernel
 from repro.workloads.driver import Driver
@@ -214,13 +224,16 @@ def run_trace_under(scheme: str, trace: list[TraceStep], tenants: int = 2,
                     ) -> dict[str, Any]:
     """Run the trace on a fresh kernel under ``scheme``; returns the
     architectural digest (plus cycle counts, which the cross-scheme
-    oracle ignores but the block-cache parity oracle compares exactly).
+    check ignores but the block-JIT check compares exactly).  The
+    digest is JSON-native: it equals its own JSON round trip.
 
     ``block_cache`` forces the pipeline's basic-block trace memoization
-    on or off (``None`` keeps the pipeline default)."""
+    on or off (``None`` keeps the pipeline default).  Each tenant of
+    ``perspective-static`` gets the static ISV of a binary issuing the
+    tenant's syscalls; the traced flavors use ``profiles``."""
     image = shared_image() if image is None else image
     flavor = perspective_flavor(scheme)
-    if flavor is not None and profiles is None:
+    if flavor not in (None, "static") and profiles is None:
         profiles = _profile_trace(trace, tenants, image)
 
     kernel = MiniKernel(image=image)
@@ -231,11 +244,16 @@ def run_trace_under(scheme: str, trace: list[TraceStep], tenants: int = 2,
     framework = None
     if flavor is not None:
         framework = Perspective(kernel)
-        for proc, functions in zip(procs, profiles):
+        for t, proc in enumerate(procs):
             ctx = proc.cgroup.cg_id
-            isv = InstructionSpeculationView(ctx, functions,
-                                             kernel.image.layout,
-                                             source="dynamic")
+            if flavor == "static":
+                binary = ApplicationBinary(f"conf{t}", frozenset(
+                    step.syscall for step in trace if step.tenant == t))
+                isv = generate_static_isv(image, binary, ctx)
+            else:
+                isv = InstructionSpeculationView(ctx, profiles[t],
+                                                 kernel.image.layout,
+                                                 source="dynamic")
             if flavor == "++":
                 from repro.core.audit import harden_isv
                 from repro.scanner.kasper import scan
@@ -263,14 +281,14 @@ def run_trace_under(scheme: str, trace: list[TraceStep], tenants: int = 2,
                 json.dumps(allocations).encode()).hexdigest(),
         },
         "tenants": [{
-            "fds": sorted((fd, f.fops_kind)
+            "fds": sorted([fd, f.fops_kind]
                           for fd, f in proc.files.items()),
-            "vmas": sorted((vma.va, vma.length)
+            "vmas": sorted([vma.va, vma.length]
                            for vma in proc.vmas.values()),
         } for proc in procs],
         # --- per-flavor (compared among Perspective flavors only) ---
         "views": _view_digest(framework),
-        # --- microarchitectural (recorded, never compared) ---
+        # --- timing (compared only between block-JIT-off and -on) ---
         "cycles": sum(d.stats.kernel_cycles for d in drivers),
         "fenced_loads": sum(d.stats.exec.total_fenced for d in drivers),
     }
@@ -282,6 +300,19 @@ def run_trace_under(scheme: str, trace: list[TraceStep], tenants: int = 2,
 
 _ARCH_KEYS = ("outcomes", "memory", "secret_intact", "buddy", "tenants")
 
+#: Keys the block-JIT check compares between a scheme's JIT-off and
+#: JIT-on runs.  Unlike the cross-scheme check, the timing keys are
+#: **included**: memoized replay promises the same cycles and fence
+#: counts as interpretation, not just the same architecture.
+_PARITY_KEYS = _ARCH_KEYS + ("views", "cycles", "fenced_loads")
+
+
+def arch_divergence(base: dict[str, Any],
+                    other: dict[str, Any]) -> list[str]:
+    """The architectural keys on which digest ``other`` differs from
+    ``base``; empty when the two runs agree."""
+    return [key for key in _ARCH_KEYS if other[key] != base[key]]
+
 
 @dataclass
 class ConformanceResult:
@@ -290,17 +321,23 @@ class ConformanceResult:
     seed: int
     schemes: tuple[str, ...]
     ok: bool
-    #: Architectural keys that diverged, per scheme, vs the first scheme.
+    #: Keys that diverged, per scheme: architectural keys vs the first
+    #: scheme, ``views`` among the Perspective flavors, and ``jit:<key>``
+    #: between the scheme's block-JIT-off and -on runs.
     divergences: dict[str, list[str]] = field(default_factory=dict)
+    #: Block-JIT-off digests, per scheme.
     digests: dict[str, dict[str, Any]] = field(default_factory=dict)
     minimized: list[TraceStep] | None = None
+    #: Whether the block-JIT check ran too (``--cache-parity``).
+    cache_parity: bool = False
 
     def repro(self) -> str:
         """A copy-pasteable reproduction recipe for a divergence."""
         trace = self.minimized
+        flag = " --cache-parity" if self.cache_parity else ""
         lines = [f"# conformance divergence at seed {self.seed}: "
                  f"{self.divergences}",
-                 f"PYTHONPATH=src python -m repro.serve conformance "
+                 f"PYTHONPATH=src python -m repro.serve conformance{flag} "
                  f"--seeds {self.seed}"]
         if trace is not None:
             lines.append("# minimized trace "
@@ -311,21 +348,28 @@ class ConformanceResult:
 
 
 def _compare(digests: dict[str, dict[str, Any]],
-             schemes: tuple[str, ...]) -> dict[str, list[str]]:
-    """Architectural keys diverging from the first scheme, per scheme.
-    ``views`` is compared only among schemes that have views."""
-    base_scheme = schemes[0]
-    base = digests[base_scheme]
+             schemes: tuple[str, ...],
+             jit: dict[str, dict[str, Any]] | None = None,
+             ) -> dict[str, list[str]]:
+    """Keys diverging, per scheme.  Architectural keys are compared with
+    the first scheme's and ``views`` among the schemes that have views.
+    When block-JIT-on digests are passed as ``jit``, every
+    ``_PARITY_KEYS`` key must also equal the scheme's JIT-off digest; a
+    difference is reported as ``jit:<key>``."""
+    base = digests[schemes[0]]
     divergences: dict[str, list[str]] = {}
     view_base: str | None = None
     for scheme in schemes:
         d = digests[scheme]
-        bad = [key for key in _ARCH_KEYS if d[key] != base[key]]
+        bad = arch_divergence(base, d)
         if d["views"] is not None:
             if view_base is None:
                 view_base = d["views"]
             elif d["views"] != view_base:
                 bad.append("views")
+        if jit is not None:
+            bad += [f"jit:{key}" for key in _PARITY_KEYS
+                    if jit[scheme][key] != d[key]]
         if bad:
             divergences[scheme] = bad
     return divergences
@@ -333,113 +377,50 @@ def _compare(digests: dict[str, dict[str, Any]],
 
 def check_seed(seed: int, schemes: tuple[str, ...] = CONFORMANCE_SCHEMES,
                steps: int = 14, tenants: int = 2, image=None,
-               minimize: bool = True) -> ConformanceResult:
-    """Run one seeded trace under every scheme and compare architecture."""
-    image = shared_image() if image is None else image
+               cache_parity: bool = False) -> ConformanceResult:
+    """Run one seeded trace under every scheme and compare architecture.
+
+    With ``cache_parity``, every scheme also runs with the block JIT on,
+    and that run must equal the JIT-off run in every key, cycles
+    included: memoized replay must not diverge from interpretation."""
     trace = generate_trace(seed, steps=steps, tenants=tenants)
-    result = _check_trace(trace, seed, schemes, tenants, image)
-    if not result.ok and minimize:
-        result.minimized = minimize_divergence(
-            trace, schemes=schemes, tenants=tenants, image=image)
-    return result
+    return _check_trace(trace, seed, schemes, tenants, image, cache_parity)
 
 
 def _check_trace(trace: list[TraceStep], seed: int,
                  schemes: tuple[str, ...], tenants: int,
-                 image) -> ConformanceResult:
-    profiles = None
-    if any(perspective_flavor(s) for s in schemes):
-        profiles = _profile_trace(trace, tenants, image)
-    digests = {scheme: run_trace_under(scheme, trace, tenants=tenants,
-                                       image=image, profiles=profiles)
-               for scheme in schemes}
-    divergences = _compare(digests, schemes)
-    return ConformanceResult(seed=seed, schemes=schemes,
-                             ok=not divergences,
-                             divergences=divergences, digests=digests)
-
-
-# ---------------------------------------------------------------------------
-# Block-cache parity: the *exact replay* oracle
-# ---------------------------------------------------------------------------
-
-#: Keys the block-cache oracle compares.  Unlike the cross-scheme oracle,
-#: the timing keys are **included**: memoized replay promises the same
-#: cycles and fence counts as interpretation, not just the same
-#: architecture.
-_PARITY_KEYS = _ARCH_KEYS + ("views", "cycles", "fenced_loads")
-
-
-@dataclass
-class CacheParityResult:
-    """Outcome of checking one seed's traces cache-on vs cache-off."""
-
-    seed: int
-    schemes: tuple[str, ...]
-    ok: bool
-    #: Keys diverging between cache-off and cache-on, per scheme.
-    divergences: dict[str, list[str]] = field(default_factory=dict)
-    #: Cache-off digests (the reference run), per scheme.
-    digests: dict[str, dict[str, Any]] = field(default_factory=dict)
-
-    def repro(self) -> str:
-        return (f"# block-cache parity divergence at seed {self.seed}: "
-                f"{self.divergences}\n"
-                f"PYTHONPATH=src python -m repro.serve conformance "
-                f"--cache-parity --seeds {self.seed}")
-
-
-def check_cache_parity(seed: int,
-                       schemes: tuple[str, ...] = CONFORMANCE_SCHEMES,
-                       steps: int = 14, tenants: int = 2,
-                       image=None) -> CacheParityResult:
-    """Run one seeded trace under every scheme twice -- block cache off,
-    then on -- and require the two digests to be **identical in every
-    key**, cycles included.  Any difference means memoized replay
-    diverged from interpretation."""
+                 image, cache_parity: bool) -> ConformanceResult:
     image = shared_image() if image is None else image
-    trace = generate_trace(seed, steps=steps, tenants=tenants)
     profiles = None
     if any(perspective_flavor(s) for s in schemes):
         profiles = _profile_trace(trace, tenants, image)
-    divergences: dict[str, list[str]] = {}
-    digests: dict[str, dict[str, Any]] = {}
-    for scheme in schemes:
-        off = run_trace_under(scheme, trace, tenants=tenants, image=image,
-                              profiles=profiles, block_cache=False)
-        on = run_trace_under(scheme, trace, tenants=tenants, image=image,
-                             profiles=profiles, block_cache=True)
-        digests[scheme] = off
-        bad = [key for key in _PARITY_KEYS if off[key] != on[key]]
-        if bad:
-            divergences[scheme] = bad
-    return CacheParityResult(seed=seed, schemes=schemes,
+
+    def run(scheme: str, block_cache: bool) -> dict[str, Any]:
+        return run_trace_under(scheme, trace, tenants=tenants, image=image,
+                               profiles=profiles, block_cache=block_cache)
+
+    digests = {scheme: run(scheme, False) for scheme in schemes}
+    jit = ({scheme: run(scheme, True) for scheme in schemes}
+           if cache_parity else None)
+    divergences = _compare(digests, schemes, jit)
+    return ConformanceResult(seed=seed, schemes=schemes,
                              ok=not divergences, divergences=divergences,
-                             digests=digests)
-
-
-def run_cache_parity_corpus(seeds: range | list[int],
-                            schemes: tuple[str, ...] = CONFORMANCE_SCHEMES,
-                            steps: int = 14,
-                            tenants: int = 2) -> list[CacheParityResult]:
-    """Check cache-on/cache-off parity for every seed."""
-    image = shared_image()
-    return [check_cache_parity(seed, schemes=schemes, steps=steps,
-                               tenants=tenants, image=image)
-            for seed in seeds]
+                             digests=digests, cache_parity=cache_parity)
 
 
 def minimize_divergence(trace: list[TraceStep],
                         schemes: tuple[str, ...] = CONFORMANCE_SCHEMES,
-                        tenants: int = 2, image=None) -> list[TraceStep]:
+                        tenants: int = 2, image=None,
+                        cache_parity: bool = False) -> list[TraceStep]:
     """Greedy delta-debugging: drop any step whose removal keeps the
     divergence alive, until no single removal does.  Symbolic tokens stay
     valid on any subset (resolution falls back to harmless constants), so
-    every candidate subset is executable."""
-    image = shared_image() if image is None else image
+    every candidate subset is executable.  ``cache_parity`` selects the
+    same checks as :func:`check_seed`."""
 
     def diverges(candidate: list[TraceStep]) -> bool:
-        return not _check_trace(candidate, -1, schemes, tenants, image).ok
+        return not _check_trace(candidate, -1, schemes, tenants, image,
+                                cache_parity).ok
 
     current = list(trace)
     shrunk = True
@@ -456,10 +437,24 @@ def minimize_divergence(trace: list[TraceStep],
 
 def run_corpus(seeds: range | list[int],
                schemes: tuple[str, ...] = CONFORMANCE_SCHEMES,
-               steps: int = 14, tenants: int = 2,
-               minimize: bool = True) -> list[ConformanceResult]:
-    """Check every seed; divergent results carry a minimized repro."""
-    image = shared_image()
-    return [check_seed(seed, schemes=schemes, steps=steps, tenants=tenants,
-                       image=image, minimize=minimize)
-            for seed in seeds]
+               steps: int = 14, tenants: int = 2, minimize: bool = True,
+               cache_parity: bool = False) -> list[ConformanceResult]:
+    """Check every seed, one ``conformance`` grid cell each (see
+    :func:`check_seed`); with ``minimize``, divergent results carry a
+    minimized repro."""
+    # Imported on first call: ``import repro.serve`` stays engine-free.
+    from repro.exec.engine import run_experiment
+    results, _report = run_experiment(
+        "conformance", {"seeds": list(seeds), "schemes": list(schemes),
+                        "steps": steps, "tenants": tenants,
+                        "cache_parity": cache_parity},
+        use_cache=False)
+    if minimize:
+        for result in results:
+            if not result.ok:
+                result.minimized = minimize_divergence(
+                    generate_trace(result.seed, steps=steps,
+                                   tenants=tenants),
+                    schemes=schemes, tenants=tenants,
+                    cache_parity=cache_parity)
+    return results

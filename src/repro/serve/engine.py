@@ -74,7 +74,8 @@ from repro.analysis.static_isv import generate_static_isv
 from repro.core.audit import harden_isv
 from repro.core.framework import Perspective
 from repro.core.views import InstructionSpeculationView
-from repro.eval.envs import RARE_EVERY, build_policy, perspective_flavor
+from repro.defenses.registry import build_policy
+from repro.eval.envs import RARE_EVERY, perspective_flavor
 from repro.kernel.image import shared_image
 from repro.kernel.kernel import MiniKernel
 from repro.kernel.process import Process

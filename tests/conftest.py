@@ -8,7 +8,6 @@ import pytest
 from repro.kernel.image import shared_image
 from repro.kernel.kernel import KernelConfig, MiniKernel
 from repro.serve.conformance import (
-    _ARCH_KEYS,
     generate_trace,
     run_corpus,
     run_trace_under,
@@ -48,11 +47,11 @@ def conformance_corpus(image):
 
 @pytest.fixture(scope="session")
 def arch_digest(image, conformance_corpus):
-    """Memoized ``(scheme, seed) -> architectural digest`` oracle, seeded
-    from :func:`conformance_corpus`; schemes outside the conformance set
-    run on first use."""
+    """Memoized ``(scheme, seed) -> digest`` oracle, seeded from
+    :func:`conformance_corpus`; schemes outside the conformance set run
+    on first use.  Compare two digests with ``arch_divergence``."""
     cache: dict[tuple[str, int], dict] = {
-        (scheme, result.seed): {k: digest[k] for k in _ARCH_KEYS}
+        (scheme, result.seed): digest
         for result in conformance_corpus
         for scheme, digest in result.digests.items()}
 
@@ -60,8 +59,7 @@ def arch_digest(image, conformance_corpus):
         key = (scheme, seed)
         if key not in cache:
             trace = generate_trace(seed)
-            digest = run_trace_under(scheme, trace, image=image)
-            cache[key] = {k: digest[k] for k in _ARCH_KEYS}
+            cache[key] = run_trace_under(scheme, trace, image=image)
         return cache[key]
 
     return get

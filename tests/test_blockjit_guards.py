@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.serve.conformance import check_cache_parity
+from repro.serve.conformance import check_seed
 
 NEW_SCHEMES = ("safespec", "context")
 
@@ -26,13 +26,14 @@ NEW_SCHEMES = ("safespec", "context")
 class TestCacheParity:
     @pytest.mark.parametrize("scheme", NEW_SCHEMES)
     def test_block_cache_run_identical_to_interpreted(self, scheme, image):
-        result = check_cache_parity(0, schemes=("unsafe", scheme),
-                                    image=image)
+        result = check_seed(0, schemes=("unsafe", scheme), image=image,
+                            cache_parity=True)
         assert result.ok, result.repro()
         assert set(result.digests) == {"unsafe", scheme}
 
     def test_parity_holds_for_both_new_schemes_together(self, image):
-        result = check_cache_parity(1, schemes=NEW_SCHEMES, image=image)
+        result = check_seed(1, schemes=NEW_SCHEMES, image=image,
+                            cache_parity=True)
         assert result.ok, result.repro()
 
 

@@ -13,7 +13,6 @@ from repro.serve.conformance import (
     CONFORMANCE_SCHEMES,
     ConformanceResult,
     TraceStep,
-    check_cache_parity,
     check_seed,
     generate_trace,
     minimize_divergence,
@@ -82,6 +81,35 @@ class TestArchitecturalDigest:
         assert digest["views"] is not None
         assert digest["fenced_loads"] > 0
 
+    def test_digest_equals_its_json_round_trip(self, image):
+        # Corpus digests reach callers through the engine's JSON round
+        # trip, and tests compare them with freshly computed ones.
+        digest = run_trace_under("perspective", generate_trace(0),
+                                 image=image)
+        assert json.loads(json.dumps(digest)) == digest
+
+    def test_static_flavor_installs_static_views(self, image, monkeypatch):
+        from repro.analysis.binary import ApplicationBinary
+        from repro.analysis.static_isv import static_isv_functions
+        from repro.core.framework import Perspective
+
+        installed = []
+        install = Perspective.install_isv
+
+        def record(framework, isv):
+            installed.append(isv)
+            install(framework, isv)
+
+        monkeypatch.setattr(Perspective, "install_isv", record)
+        trace = generate_trace(0)
+        run_trace_under("perspective-static", trace, image=image)
+        assert len(installed) == 2
+        for t, isv in enumerate(installed):
+            binary = ApplicationBinary(f"conf{t}", frozenset(
+                step.syscall for step in trace if step.tenant == t))
+            assert isv.source == "static"
+            assert isv.functions == static_isv_functions(image, binary)
+
     def test_memory_digest_reflects_stores(self, kernel):
         before = kernel.memory.digest()
         kernel.memory.store(0x1234, 0x99)
@@ -114,6 +142,21 @@ class TestComparator:
             digests, ("unsafe", "perspective", "perspective++"))
         assert out == {"perspective++": ["views"]}
 
+    def test_block_jit_digests_compared_key_by_key(self):
+        base = {"outcomes": [], "memory": "aa", "secret_intact": True,
+                "buddy": {}, "tenants": [], "views": None,
+                "cycles": 100.0, "fenced_loads": 3}
+        schemes = ("unsafe", "fence")
+        digests = {"unsafe": dict(base), "fence": dict(base)}
+        same = conformance._compare(
+            digests, schemes,
+            jit={"unsafe": dict(base), "fence": dict(base)})
+        assert same == {}
+        slower = conformance._compare(
+            digests, schemes,
+            jit={"unsafe": dict(base), "fence": {**base, "cycles": 101.0}})
+        assert slower == {"fence": ["jit:cycles"]}
+
     def test_repro_recipe_mentions_seed_and_steps(self):
         result = ConformanceResult(
             seed=17, schemes=("unsafe", "fence"), ok=False,
@@ -130,7 +173,7 @@ class TestMinimizer:
         # Divergence oracle stub: the trace diverges iff it still
         # contains an mmap step.  The minimizer must strip everything
         # else without ever producing an unexecutable subset.
-        def fake_check(trace, seed, schemes, tenants, image):
+        def fake_check(trace, seed, schemes, tenants, image, cache_parity):
             diverges = any(s.syscall == "mmap" for s in trace)
             return ConformanceResult(
                 seed=seed, schemes=schemes, ok=not diverges,
@@ -143,7 +186,7 @@ class TestMinimizer:
         assert minimized == [TraceStep(0, "mmap", (0, 4096))]
 
     def test_nondivergent_trace_survives_whole(self, monkeypatch):
-        def fake_check(trace, seed, schemes, tenants, image):
+        def fake_check(trace, seed, schemes, tenants, image, cache_parity):
             return ConformanceResult(seed=seed, schemes=schemes, ok=True)
         monkeypatch.setattr(conformance, "_check_trace", fake_check)
         trace = generate_trace(0, steps=5)
@@ -172,19 +215,20 @@ class TestCorpus:
 
 
 class TestCacheParity:
-    """The block-JIT oracle: memoized replay must match interpretation
+    """The block-JIT check: memoized replay must match interpretation
     in **every** digest key, cycles included (the CI job runs the full
-    20-seed x 6-scheme corpus; tier-1 spot-checks one seed)."""
+    24-seed x 8-scheme corpus; tier-1 spot-checks one seed)."""
 
     def test_replay_matches_interpretation_exactly(self, image):
-        result = check_cache_parity(
-            0, schemes=("unsafe", "perspective"), image=image)
+        result = check_seed(
+            0, schemes=("unsafe", "perspective"), image=image,
+            cache_parity=True)
         assert result.ok, result.repro()
         assert set(result.digests) == {"unsafe", "perspective"}
 
     def test_repro_recipe_names_the_flag(self):
-        from repro.serve.conformance import CacheParityResult
-        bad = CacheParityResult(seed=4, schemes=("unsafe",), ok=False,
-                                divergences={"unsafe": ["cycles"]})
+        bad = ConformanceResult(seed=4, schemes=("unsafe",), ok=False,
+                                divergences={"unsafe": ["cycles"]},
+                                cache_parity=True)
         assert "--cache-parity" in bad.repro()
         assert "--seeds 4" in bad.repro()

@@ -484,19 +484,13 @@ class TestEngineParity:
         assert merged == {"apps": ["lebench", "httpd"]}
         assert list(payloads) == [("lebench",), ("httpd",)]
 
-    def test_importing_eval_leaves_engine_unloaded(self):
-        """The runners import the engine on first call, so ``import
-        repro.eval`` (the end-to-end benchmark's set-up) stays cheap."""
-        code = ("import sys, repro.eval.envs; "
-                "assert 'repro.exec.engine' not in sys.modules")
-        subprocess.run([sys.executable, "-c", code], check=True,
-                       timeout=120)
-
-    def test_importing_attacks_leaves_engine_unloaded(self):
-        """``run_matrix`` imports the engine on first call, so the
-        end-to-end benchmark's ``import repro.attacks.harness`` stays
-        cheap."""
-        code = ("import sys, repro.attacks; "
+    @pytest.mark.parametrize("module", ["repro.eval.envs", "repro.attacks",
+                                        "repro.serve.shard"])
+    def test_importing_leaves_engine_unloaded(self, module):
+        """The runners, ``run_matrix`` and ``run_corpus`` import the
+        engine on first call, so the modules the end-to-end benchmark
+        imports at set-up stay cheap."""
+        code = (f"import sys, {module}; "
                 "assert 'repro.exec.engine' not in sys.modules")
         subprocess.run([sys.executable, "-c", code], check=True,
                        timeout=120)

@@ -193,12 +193,18 @@ class TestSchemeOrderInvariance:
         """Deterministic fake cell payloads, a pure function of the
         scheme name (so rows are comparable across orderings)."""
         payloads = {}
+        for seed in seeds:
+            digests = {}
+            for scheme in schemes:
+                h = sum(scheme.encode())
+                digests[scheme] = {"cycles": 1000.0 + h,
+                                   "fenced_loads": h % 7}
+            payloads[("conformance", str(seed))] = {
+                "seed": seed, "schemes": list(schemes), "ok": True,
+                "divergences": {},  # all conformant
+                "digests": digests}
         for scheme in schemes:
             h = sum(scheme.encode())
-            for seed in seeds:
-                payloads[("conformance", scheme, str(seed))] = {
-                    "arch_sha": f"sha-{seed}",  # all conformant
-                    "cycles": 1000.0 + h, "fenced_loads": h % 7}
             payloads[("attacks", scheme)] = {
                 "spectre-v1-active": "blocked" if h % 2 else "leaked",
                 "spectre-v2-active": "blocked",

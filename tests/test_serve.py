@@ -256,3 +256,11 @@ class TestServeCLI:
         assert rc == 0
         assert "seed 0: ok" in out
         assert "architecturally conformant" in out
+
+    def test_cache_parity_subcommand_ok(self, capsys):
+        rc = serve_main(["conformance", "--cache-parity", "--seeds", "1",
+                         "--steps", "8", "--schemes", "unsafe,perspective"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "seed 0: ok" in out
+        assert "byte-identical (cycles included)" in out
