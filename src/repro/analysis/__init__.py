@@ -17,7 +17,6 @@ from repro.analysis.profiles import (
     image_fingerprint,
 )
 from repro.analysis.dynamic_isv import (
-    dynamic_isv_from_profile,
     generate_dynamic_isv,
     profile_workload,
     seccomp_filter_from_trace,
@@ -30,7 +29,6 @@ __all__ = [
     "ISVProfile",
     "ProfileError",
     "image_fingerprint",
-    "dynamic_isv_from_profile",
     "extract_syscalls",
     "generate_dynamic_isv",
     "generate_static_isv",

@@ -41,15 +41,6 @@ def generate_dynamic_isv(kernel: MiniKernel, proc: Process,
         proc.cgroup.cg_id, functions, kernel.image.layout, source="dynamic")
 
 
-def dynamic_isv_from_profile(functions: frozenset[str], context_id: int,
-                             kernel: MiniKernel,
-                             ) -> InstructionSpeculationView:
-    """Build a dynamic ISV from an existing trace profile (e.g. collected
-    on a profiling deployment and shipped with the application)."""
-    return InstructionSpeculationView(
-        context_id, functions, kernel.image.layout, source="dynamic")
-
-
 def seccomp_filter_from_trace(kernel: MiniKernel, context_id: int):
     """Derive a seccomp allow-list from the same trace a dynamic ISV uses.
 

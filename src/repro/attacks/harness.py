@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.analysis.flavors import FLAVORS, non_driver_isv_functions
 from repro.attacks.base import AttackResult, AttackSetup, make_setup
 from repro.attacks.bhi import BHIPassiveAttack, EIBRSBaselineCheck
 from repro.attacks.ebpf import EBPFInjectionOnVulnerableConfig
@@ -23,11 +24,12 @@ from repro.core.framework import Perspective
 from repro.core.views import InstructionSpeculationView
 from repro.cpu.pipeline import SpeculationPolicy
 from repro.defenses import PerspectivePolicy
-from repro.defenses.registry import build_policy as registry_build_policy
-from repro.kernel.image import KernelImage, shared_image
+from repro.defenses.registry import arm
+from repro.kernel.image import shared_image
 from repro.kernel.kernel import KernelConfig, MiniKernel
 from repro.obs.events import EventJournal
 from repro.obs.instruments import instrumented
+from repro.scanner.kasper import scan
 
 #: PoC classes by the name used in the CVE registry (Table 4.1).
 ATTACKS = {
@@ -51,16 +53,25 @@ _NEEDS_EIBRS = {"bhi-passive", "spectre-v2-vs-eibrs"}
 SCHEMES = ("unsafe", "fence", "dom", "stt", "spot", "perspective")
 
 
-def non_driver_isv_functions(image: KernelImage) -> frozenset[str]:
-    """A permissive syscall-surface ISV: everything except the driver tail.
-
-    Close to what static analysis produces union'd over all applications;
-    used when a PoC run needs *some* installed view without running the
-    full analysis pipeline.  Driver-tail gadgets (including the hijack
-    targets) are outside it.
-    """
-    return frozenset(name for name, info in image.info.items()
-                     if info.role != "driver")
+def _harness_views(kernel: MiniKernel,
+                   isv_functions: frozenset[str] | None = None,
+                   context_ids: list[int] | None = None,
+                   harden: bool = False,
+                   ) -> list[InstructionSpeculationView]:
+    """One ``harness`` ISV per context (default: all processes) over
+    ``isv_functions`` (default: the permissive syscall-surface view),
+    minus the scanner's findings inside it when ``harden``."""
+    if isv_functions is None:
+        isv_functions = non_driver_isv_functions(kernel.image)
+    if harden:
+        flagged = scan(kernel.image, scope=isv_functions).functions()
+        isv_functions = isv_functions - flagged
+    if context_ids is None:
+        context_ids = sorted({proc.cgroup.cg_id
+                              for proc in kernel.processes.values()})
+    return [InstructionSpeculationView(ctx, isv_functions, kernel.layout,
+                                       source="harness")
+            for ctx in context_ids]
 
 
 def build_perspective(kernel: MiniKernel,
@@ -74,37 +85,24 @@ def build_perspective(kernel: MiniKernel,
     ``harden`` applies the scanner pass (the ++ flavor): functions the
     taint scanner flags inside the view are excluded before install.
     """
-    framework = Perspective(kernel)
-    if isv_functions is None:
-        isv_functions = non_driver_isv_functions(kernel.image)
-    if harden:
-        from repro.scanner.kasper import scan
-        flagged = scan(kernel.image, scope=isv_functions).functions()
-        isv_functions = isv_functions - flagged
-    if context_ids is None:
-        context_ids = sorted({proc.cgroup.cg_id
-                              for proc in kernel.processes.values()})
-    for ctx in context_ids:
-        framework.install_isv(InstructionSpeculationView(
-            ctx, isv_functions, kernel.layout, source="harness"))
-    policy = PerspectivePolicy(framework)
-    kernel.pipeline.set_policy(policy)
-    return framework, policy
+    policy = arm(kernel, "perspective", _harness_views(
+        kernel, isv_functions, context_ids, harden))
+    return policy.framework, policy
 
 
 def build_policy(scheme: str, kernel: MiniKernel) -> SpeculationPolicy:
     """Instantiate (and install) the policy for a scheme name.
 
-    Delegates to the scheme registry, so any registered scheme --
-    including ones added after this module was written -- can be run
-    through the attack matrix.  Perspective flavors are wired through
-    :func:`build_perspective` (which installs the policy itself); every
-    other policy is installed here.
+    Delegates to :func:`repro.defenses.registry.arm`, so any registered
+    scheme -- including ones added after this module was written -- can
+    be run through the attack matrix.  Every Perspective flavor gets the
+    permissive syscall-surface view per context, hardened with the
+    scanner's findings for ``perspective++``.
     """
-    policy = registry_build_policy(scheme, kernel=kernel)
-    if kernel.pipeline.policy is not policy:
-        kernel.pipeline.set_policy(policy)
-    return policy
+    views = ()
+    if scheme in FLAVORS:
+        views = _harness_views(kernel, harden=FLAVORS[scheme] == "++")
+    return arm(kernel, scheme, views)
 
 
 @dataclass

@@ -10,6 +10,7 @@ from repro.defenses.registry import (
     SchemeCapabilities,
     SchemeRegistrationError,
     SchemeSpec,
+    arm,
     build_policy,
     derive_metric_label,
     get_scheme,
@@ -50,6 +51,7 @@ __all__ = [
     "SchemeSpec",
     "SpotMitigationPolicy",
     "UnsafePolicy",
+    "arm",
     "build_policy",
     "derive_metric_label",
     "get_scheme",

@@ -136,24 +136,15 @@ class PerspectivePolicy(CountingPolicy):
         return None
 
 
-def _make_perspective(harden: bool):
+def _make_perspective(framework=None, kernel=None):
     """Perspective flavors share one policy class; the flavor lives in
-    which ISVs the *caller* installs.  With a ``framework`` the caller
-    already built the views (eval environments, conformance, serving);
-    with only a ``kernel`` the attack-harness path wires a permissive
-    syscall-surface view (hardened for the ++ flavor) and installs the
-    policy itself."""
-    def make(framework=None, kernel=None):
-        if framework is not None:
-            return PerspectivePolicy(framework)
-        if kernel is not None:
-            from repro.attacks.harness import build_perspective
-            _, policy = build_perspective(kernel, harden=harden)
-            return policy
+    which ISVs :func:`repro.defenses.registry.arm` installs in the
+    framework before building the policy."""
+    if framework is None:
         raise ValueError(
-            "Perspective schemes need a framework (or a kernel to wire "
-            "one onto); pass framework= or kernel=")
-    return make
+            "Perspective schemes need the framework their views live in; "
+            "deploy them with repro.defenses.registry.arm")
+    return PerspectivePolicy(framework)
 
 
 _PERSPECTIVE_CAPS = SchemeCapabilities(
@@ -161,12 +152,11 @@ _PERSPECTIVE_CAPS = SchemeCapabilities(
     needs_framework=True)
 
 register_scheme(
-    "perspective-static", _make_perspective(harden=False),
-    _PERSPECTIVE_CAPS,
+    "perspective-static", _make_perspective, _PERSPECTIVE_CAPS,
     summary="Perspective with static-analysis ISVs")
 register_scheme(
-    "perspective", _make_perspective(harden=False), _PERSPECTIVE_CAPS,
+    "perspective", _make_perspective, _PERSPECTIVE_CAPS,
     summary="Perspective with dynamic (traced) ISVs")
 register_scheme(
-    "perspective++", _make_perspective(harden=True), _PERSPECTIVE_CAPS,
+    "perspective++", _make_perspective, _PERSPECTIVE_CAPS,
     summary="dynamic ISVs hardened with scanner findings")

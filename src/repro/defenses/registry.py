@@ -12,11 +12,14 @@ closed if/elif scheme enums that used to live in ``repro.eval.envs`` and
   hard error for conflicting ones, including *metric-label* collisions
   (two schemes whose names sanitize to the same string-keyed metric
   label would silently merge their observability counters).
-* :func:`build_policy` -- the single constructor every consumer calls
-  (eval environments, the conformance oracle, the attack harness, the
-  serve engine).  Perspective flavors need the ``framework`` the views
-  live in; kernel-coupled schemes (ConTExT's non-transient tags) need
-  the ``kernel``.
+* :func:`arm` -- the one deployment step every consumer calls: attach
+  the Perspective framework when the scheme ``needs_framework``,
+  install the caller's views, build the policy and set it on the
+  kernel's pipeline.
+* :func:`build_policy` -- the factory call behind :func:`arm`.
+  Perspective flavors need the ``framework`` the views live in;
+  kernel-coupled schemes (ConTExT's non-transient tags) need the
+  ``kernel``.
 * :class:`SchemeCapabilities` -- machine-checkable contract of what the
   scheme permits.  The hypothesis property suite derives its invariants
   from these flags (e.g. a scheme with ``transient_fill=False`` may
@@ -36,7 +39,7 @@ from __future__ import annotations
 import importlib
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 __all__ = [
     "SchemeCapabilities",
@@ -47,6 +50,7 @@ __all__ = [
     "get_scheme",
     "registered_schemes",
     "scheme_capabilities",
+    "arm",
     "build_policy",
     "derive_metric_label",
     "policy_metric_label",
@@ -233,9 +237,7 @@ def build_policy(scheme: str, framework: Any = None,
                  kernel: Any = None) -> Any:
     """Construct the enforcement policy for a registered scheme.
 
-    The single constructor behind :func:`repro.eval.envs.make_env`, the
-    serving engine, the conformance oracle and
-    ``repro.attacks.harness.build_policy``, so the scheme vocabulary
+    The factory call behind :func:`arm`, so the scheme vocabulary
     cannot drift between the measurement, conformance, serving, and
     attack planes.  ``framework``/``kernel`` are passed through to the
     factory; schemes that need one and did not get it raise a
@@ -245,4 +247,25 @@ def build_policy(scheme: str, framework: Any = None,
     spec = get_scheme(scheme)
     policy = spec.factory(framework=framework, kernel=kernel)
     policy.metric_label = spec.metric_label
+    return policy
+
+
+def arm(kernel: Any, scheme: str, views: Iterable[Any] = ()) -> Any:
+    """Deploy ``scheme`` on ``kernel``; returns the installed policy.
+
+    A scheme whose capabilities declare ``needs_framework`` gets a
+    fresh :class:`repro.core.framework.Perspective` on the kernel with
+    ``views`` installed in order (reachable afterwards as
+    ``policy.framework``); every other scheme ignores ``views``.  The
+    policy comes from :func:`build_policy` and is set on the kernel's
+    pipeline.
+    """
+    framework = None
+    if get_scheme(scheme).capabilities.needs_framework:
+        from repro.core.framework import Perspective
+        framework = Perspective(kernel)
+        for view in views:
+            framework.install_isv(view)
+    policy = build_policy(scheme, framework, kernel=kernel)
+    kernel.pipeline.set_policy(policy)
     return policy

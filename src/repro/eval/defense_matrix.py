@@ -197,6 +197,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--no-cache", action="store_true")
     parser.add_argument("--cache-dir", metavar="DIR", default=None)
     args = parser.parse_args(argv)
+    if args.seeds < 1:
+        parser.error(f"--seeds must be >= 1, got {args.seeds}: an empty "
+                     "conformance corpus checks nothing")
 
     table = run_defense_matrix(
         seeds=range(args.seeds), workers=max(1, args.workers),

@@ -20,16 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.binary import APPLICATIONS
-from repro.analysis.static_isv import generate_static_isv
-from repro.core.audit import harden_isv
+from repro.analysis.flavors import FLAVORS, flavor_isv
 from repro.core.framework import Perspective
 from repro.core.views import InstructionSpeculationView
 from repro.cpu.pipeline import SpeculationPolicy
-from repro.defenses.registry import build_policy
+from repro.defenses.registry import arm
 from repro.kernel.image import shared_image
 from repro.kernel.kernel import MiniKernel
 from repro.kernel.process import Process
-from repro.scanner.kasper import scan
 from repro.workloads.apps import APP_SPECS, AppWorkload
 from repro.workloads.driver import Driver
 from repro.workloads.lebench import exercise_all
@@ -79,32 +77,12 @@ def _profile_functions(kernel: MiniKernel, proc: Process,
 
 def build_isv_for(kernel: MiniKernel, proc: Process, workload_name: str,
                   flavor: str) -> InstructionSpeculationView:
-    """Generate the ISV for a scheme flavor: static, dynamic, or ++."""
-    ctx = proc.cgroup.cg_id
-    if flavor == "static":
-        binary = APPLICATIONS[workload_name]
-        return generate_static_isv(kernel.image, binary, ctx)
-    functions = _profile_functions(kernel, proc, workload_name)
-    isv = InstructionSpeculationView(ctx, functions, kernel.image.layout,
-                                     source="dynamic")
-    if flavor == "dynamic":
-        return isv
-    if flavor == "++":
-        report = scan(kernel.image, scope=isv.functions)
-        return harden_isv(isv, report.functions()).hardened
-    raise ValueError(f"unknown ISV flavor {flavor!r}")
-
-
-_PERSPECTIVE_FLAVORS = {
-    "perspective-static": "static",
-    "perspective": "dynamic",
-    "perspective++": "++",
-}
-
-
-def perspective_flavor(scheme: str) -> str | None:
-    """ISV flavor for a Perspective scheme name, else ``None``."""
-    return _PERSPECTIVE_FLAVORS.get(scheme)
+    """Generate the ISV for a scheme flavor: static, dynamic, or ++.
+    The traced flavors profile the workload first."""
+    traced = (None if flavor == "static"
+              else _profile_functions(kernel, proc, workload_name))
+    return flavor_isv(kernel.image, proc.cgroup.cg_id, flavor,
+                      binary=APPLICATIONS[workload_name], traced=traced)
 
 
 def make_env(workload_name: str, scheme: str, *,
@@ -121,20 +99,14 @@ def make_env(workload_name: str, scheme: str, *,
     """
     kernel = MiniKernel(image=shared_image() if image is None else image)
     proc = kernel.create_process(workload_name)
-    framework = None
+    traced = _profile_functions(kernel, proc, workload_name)
+    flavor = FLAVORS.get(scheme)
     isv = None
-    if scheme in _PERSPECTIVE_FLAVORS:
-        isv = build_isv_for(kernel, proc, workload_name,
-                            _PERSPECTIVE_FLAVORS[scheme])
-        if _PERSPECTIVE_FLAVORS[scheme] == "static":
-            _profile_functions(kernel, proc, workload_name)  # parity only
-        framework = Perspective(kernel)
-        framework.install_isv(isv)
-        policy: SpeculationPolicy = build_policy(scheme, framework)
-    else:
-        _profile_functions(kernel, proc, workload_name)  # history parity
-        policy = build_policy(scheme, kernel=kernel)
-    kernel.pipeline.set_policy(policy)
+    if flavor is not None:
+        isv = flavor_isv(kernel.image, proc.cgroup.cg_id, flavor,
+                         binary=APPLICATIONS[workload_name], traced=traced)
+    policy = arm(kernel, scheme, () if isv is None else (isv,))
     return PerfEnv(workload_name=workload_name, scheme=scheme,
                    kernel=kernel, proc=proc, policy=policy,
-                   framework=framework, isv=isv)
+                   framework=None if isv is None else policy.framework,
+                   isv=isv)

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.binary import APPLICATIONS
+from repro.analysis.flavors import flavor_isv
 from repro.analysis.static_isv import static_isv_functions
-from repro.core.audit import harden_isv
 from repro.eval.envs import PERF_SCHEMES, RARE_EVERY, build_isv_for, make_env
 from repro.eval.metrics import FenceBreakdown, geomean, normalized
 from repro.kernel.image import shared_image
@@ -194,20 +194,19 @@ def gadget_cell(app: str) -> dict:
     whole-image gadget counts per class."""
     image = shared_image()
     report = scan(image)
-    static_fns = static_isv_functions(image, APPLICATIONS[app])
     kernel = MiniKernel(image=image)
     proc = kernel.create_process(app)
-    dynamic_isv = build_isv_for(kernel, proc, app, "dynamic")
-    flagged = scan(image, scope=dynamic_isv.functions).functions()
-    hardened = harden_isv(dynamic_isv, flagged).hardened
+    traced = build_isv_for(kernel, proc, app, "dynamic").functions
+    views = {column: flavor_isv(image, proc.cgroup.cg_id, flavor,
+                                binary=APPLICATIONS[app], traced=traced)
+             for column, flavor in (("ISV-S", "static"), ("ISV", "dynamic"),
+                                    ("ISV++", "++"))}
     return {
         "blocked": {
-            flavor: {cls: report.blocked_fraction(functions, cls)
+            column: {cls: report.blocked_fraction(isv.functions, cls)
                      for cls in ("mds", "port", "cache")}
-            for flavor, functions in (("ISV-S", static_fns),
-                                      ("ISV", dynamic_isv.functions),
-                                      ("ISV++", hardened.functions))},
-        "search_space_functions": len(dynamic_isv),
+            for column, isv in views.items()},
+        "search_space_functions": len(traced),
         "total_by_class": report.by_class(),
     }
 

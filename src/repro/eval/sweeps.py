@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.framework import Perspective
+from repro.analysis.flavors import FLAVORS, non_driver_isv_functions
 from repro.core.views import InstructionSpeculationView
-from repro.defenses.registry import build_policy, get_scheme
+from repro.defenses.registry import arm
 from repro.eval.metrics import geomean
 from repro.kernel.image import shared_image
 from repro.kernel.kernel import KernelConfig, MiniKernel
@@ -67,17 +67,12 @@ def _measure(scheme: str, pipeline_overrides: dict) -> float:
             setattr(config.pipeline, attr, value)
         kernel = MiniKernel(image=shared_image(), config=config)
         proc = kernel.create_process("sweep")
-        framework = None
-        if get_scheme(name).capabilities.needs_framework:
-            framework = Perspective(kernel)
-            functions = frozenset(
-                n for n, i in kernel.image.info.items()
-                if i.role != "driver")
-            framework.install_isv(InstructionSpeculationView(
-                proc.cgroup.cg_id, functions, kernel.image.layout,
-                source="sweep"))
-        kernel.pipeline.set_policy(
-            build_policy(name, framework=framework, kernel=kernel))
+        views = ()
+        if name in FLAVORS:
+            views = (InstructionSpeculationView(
+                proc.cgroup.cg_id, non_driver_isv_functions(kernel.image),
+                kernel.image.layout, source="sweep"),)
+        arm(kernel, name, views)
         cycles[name] = run_lebench(kernel, proc, tests=tests)
     ratios = [cycles[scheme][t] / cycles["unsafe"][t] for t in cycles[scheme]]
     return 100.0 * (geomean(ratios) - 1.0)

@@ -129,19 +129,24 @@ def _positive_int(text: str) -> int:
 
 
 def _parse_seeds(spec: str) -> list[int]:
-    """``"20"`` -> seeds 0..19; ``"3,7,11"`` -> exactly those."""
+    """``"20"`` -> seeds 0..19; ``"3,7,11"`` -> exactly those.  An empty
+    corpus would pass vacuously, so it is rejected."""
     if "," in spec:
-        return [int(s) for s in spec.split(",") if s]
-    return list(range(int(spec)))
+        seeds = [int(s) for s in spec.split(",") if s]
+    else:
+        seeds = list(range(int(spec)))
+    if not seeds:
+        raise argparse.ArgumentTypeError(
+            f"no seeds in {spec!r}: an empty corpus checks nothing")
+    return seeds
 
 
 def _conformance_command(args: argparse.Namespace) -> int:
     from repro.serve.conformance import CONFORMANCE_SCHEMES, run_corpus
 
-    seeds = _parse_seeds(args.seeds)
     schemes = tuple(args.schemes.split(",")) if args.schemes \
         else CONFORMANCE_SCHEMES
-    results = run_corpus(seeds, schemes=schemes, steps=args.steps,
+    results = run_corpus(args.seeds, schemes=schemes, steps=args.steps,
                          minimize=not args.no_minimize,
                          cache_parity=args.cache_parity)
     divergent = [r for r in results if not r.ok]
@@ -366,10 +371,10 @@ def _subcommand_parser() -> argparse.ArgumentParser:
         "conformance",
         help="differential conformance: every scheme must agree on "
              "architectural results (exit 1 on divergence)")
-    conf.add_argument("--seeds", default="20",
+    conf.add_argument("--seeds", type=_parse_seeds, default="20",
                       help="N for seeds 0..N-1, or a comma list (default: "
                            "20)")
-    conf.add_argument("--steps", type=int, default=14,
+    conf.add_argument("--steps", type=_positive_int, default=14,
                       help="syscalls per generated trace")
     conf.add_argument("--schemes", default="",
                       help="comma list (default: the conformance set)")

@@ -38,8 +38,12 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.analysis.binary import APPLICATIONS
-from repro.analysis.static_isv import generate_static_isv
-from repro.attacks.harness import attack_on, non_driver_isv_functions
+from repro.analysis.flavors import (
+    SCHEME_OF_FLAVOR,
+    flavor_isv,
+    non_driver_isv_functions,
+)
+from repro.attacks.harness import attack_on
 from repro.core.audit import ESCALATION_LADDER, AdaptiveIsvController
 from repro.core.views import InstructionSpeculationView
 from repro.kernel.image import SECRET_OFF, shared_image
@@ -50,7 +54,6 @@ from repro.obs import slo
 from repro.obs.events import EventJournal, SecurityEvent
 from repro.obs.instruments import instrumented
 from repro.reliability.faultplane import FaultPlane, FaultSpec
-from repro.scanner.kasper import scan
 from repro.serve.arrival import Arrival, arrival_stream, percentile
 from repro.serve.engine import (
     LATENCY_BUCKETS,
@@ -60,14 +63,6 @@ from repro.serve.engine import (
 )
 from repro.workloads.apps import AppState
 from repro.workloads.driver import Driver
-
-#: Scheme name of each Perspective flavor rung (the eval registry's
-#: naming, so attack results and journal events carry familiar labels).
-SCHEME_OF_FLAVOR: dict[str, str] = {
-    "static": "perspective-static",
-    "dynamic": "perspective",
-    "++": "perspective++",
-}
 
 #: Named fault-storm scenarios.  ``specs`` arm the plane (see
 #: :data:`repro.reliability.faultplane.FAULT_POINTS`); ``epochs`` is the
@@ -246,32 +241,21 @@ def run_campaign(spec: CampaignSpec, image=None) -> dict[str, Any]:
     kernel.tracer.stop()
 
     # -- base view per (context, flavor): what each ladder rung installs
-    scan_cache: dict[frozenset, frozenset] = {}
-
-    def flagged_within(scope: frozenset) -> frozenset:
-        if scope not in scan_cache:
-            scan_cache[scope] = scan(image, scope=scope).functions()
-        return scan_cache[scope]
-
+    binaries = {t.proc.cgroup.cg_id: APPLICATIONS[t.profile.name]
+                for t in victims}
+    # No application binary to analyse for a tenant that lied about its
+    # workload: an attacker's static rung is the permissive
+    # syscall-surface view.
+    binaries.update({a.proc.cgroup.cg_id: None for a in attackers})
     base_views: dict[int, dict[str, frozenset]] = {}
-    for tenant in victims:
-        ctx = tenant.proc.cgroup.cg_id
-        static_fns = generate_static_isv(
-            image, APPLICATIONS[tenant.profile.name], ctx).functions
-        dynamic_fns = kernel.tracer.traced_functions(ctx)
+    for ctx, binary in binaries.items():
+        traced = kernel.tracer.traced_functions(ctx)
         base_views[ctx] = {
-            "static": static_fns, "dynamic": dynamic_fns,
-            "++": dynamic_fns - flagged_within(dynamic_fns)}
-    for attacker in attackers:
-        ctx = attacker.proc.cgroup.cg_id
-        dynamic_fns = kernel.tracer.traced_functions(ctx)
-        base_views[ctx] = {
-            # No application binary to analyse for a tenant that lied
-            # about its workload: the static rung falls back to the
-            # permissive syscall-surface view.
-            "static": non_driver_isv_functions(image),
-            "dynamic": dynamic_fns,
-            "++": dynamic_fns - flagged_within(dynamic_fns)}
+            "static": (non_driver_isv_functions(image) if binary is None
+                       else flavor_isv(image, ctx, "static",
+                                       binary=binary).functions),
+            "dynamic": traced,
+            "++": flavor_isv(image, ctx, "++", traced=traced).functions}
 
     controllers = {
         ctx: AdaptiveIsvController(

@@ -35,11 +35,9 @@ from random import Random
 from typing import Any
 
 from repro.analysis.binary import ApplicationBinary
-from repro.analysis.static_isv import generate_static_isv
+from repro.analysis.flavors import FLAVORS, flavor_isv
 from repro.core.framework import Perspective
-from repro.core.views import InstructionSpeculationView
-from repro.defenses.registry import build_policy
-from repro.eval.envs import perspective_flavor
+from repro.defenses.registry import arm
 from repro.kernel.image import shared_image
 from repro.kernel.kernel import MiniKernel
 from repro.workloads.driver import Driver
@@ -232,7 +230,7 @@ def run_trace_under(scheme: str, trace: list[TraceStep], tenants: int = 2,
     ``perspective-static`` gets the static ISV of a binary issuing the
     tenant's syscalls; the traced flavors use ``profiles``."""
     image = shared_image() if image is None else image
-    flavor = perspective_flavor(scheme)
+    flavor = FLAVORS.get(scheme)
     if flavor not in (None, "static") and profiles is None:
         profiles = _profile_trace(trace, tenants, image)
 
@@ -241,27 +239,13 @@ def run_trace_under(scheme: str, trace: list[TraceStep], tenants: int = 2,
         kernel.pipeline.config.enable_block_cache = block_cache
     procs = [kernel.create_process(f"conf{t}") for t in range(tenants)]
     secret_va = kernel.plant_secret(procs[0], SECRET)
-    framework = None
-    if flavor is not None:
-        framework = Perspective(kernel)
-        for t, proc in enumerate(procs):
-            ctx = proc.cgroup.cg_id
-            if flavor == "static":
-                binary = ApplicationBinary(f"conf{t}", frozenset(
-                    step.syscall for step in trace if step.tenant == t))
-                isv = generate_static_isv(image, binary, ctx)
-            else:
-                isv = InstructionSpeculationView(ctx, profiles[t],
-                                                 kernel.image.layout,
-                                                 source="dynamic")
-            if flavor == "++":
-                from repro.core.audit import harden_isv
-                from repro.scanner.kasper import scan
-                report = scan(kernel.image, scope=isv.functions)
-                isv = harden_isv(isv, report.functions()).hardened
-            framework.install_isv(isv)
-    kernel.pipeline.set_policy(build_policy(scheme, framework,
-                                            kernel=kernel))
+    policy = arm(kernel, scheme, () if flavor is None else [
+        flavor_isv(image, proc.cgroup.cg_id, flavor,
+                   binary=ApplicationBinary(f"conf{t}", frozenset(
+                       step.syscall for step in trace if step.tenant == t)),
+                   traced=None if profiles is None else profiles[t])
+        for t, proc in enumerate(procs)])
+    framework = None if flavor is None else policy.framework
 
     drivers = [Driver(kernel, p, rare_every=RARE_EVERY) for p in procs]
     outcomes = _run_trace(kernel, procs, drivers, trace)
@@ -392,7 +376,7 @@ def _check_trace(trace: list[TraceStep], seed: int,
                  image, cache_parity: bool) -> ConformanceResult:
     image = shared_image() if image is None else image
     profiles = None
-    if any(perspective_flavor(s) for s in schemes):
+    if any(s in FLAVORS for s in schemes):
         profiles = _profile_trace(trace, tenants, image)
 
     def run(scheme: str, block_cache: bool) -> dict[str, Any]:

@@ -70,12 +70,9 @@ from typing import Any, Callable, Iterator
 from zlib import crc32
 
 from repro.analysis.binary import APPLICATIONS
-from repro.analysis.static_isv import generate_static_isv
-from repro.core.audit import harden_isv
-from repro.core.framework import Perspective
-from repro.core.views import InstructionSpeculationView
-from repro.defenses.registry import build_policy
-from repro.eval.envs import RARE_EVERY, perspective_flavor
+from repro.analysis.flavors import FLAVORS, flavor_isv
+from repro.defenses.registry import arm
+from repro.eval.envs import RARE_EVERY
 from repro.kernel.image import shared_image
 from repro.kernel.kernel import MiniKernel
 from repro.kernel.process import Process
@@ -85,7 +82,6 @@ from repro.obs import reqtrace as rt
 from repro.obs import slo
 from repro.obs.instruments import INSTRUMENTS, instrumented
 from repro.reliability.faultplane import fire
-from repro.scanner.kasper import scan
 from repro.serve.arrival import Arrival, arrival_stream, percentile
 from repro.workloads.apps import APP_SPECS, AppState
 from repro.workloads.driver import Driver
@@ -397,7 +393,6 @@ def boot_tenants(config: ServeConfig, image=None, *,
     kernel = MiniKernel(image=shared_image() if image is None else image)
     if block_cache is not None:
         kernel.pipeline.config.enable_block_cache = block_cache
-    flavor = perspective_flavor(config.scheme)
     procs: list[tuple[int, Process, RequestProfile]] = []
     for index in (range(config.tenants) if indices is None else indices):
         profile = REQUEST_PROFILES[config.profile_of(index)]
@@ -415,24 +410,12 @@ def boot_tenants(config: ServeConfig, image=None, *,
             profile.request(driver, state, i)
     kernel.tracer.stop()
 
-    framework = None
-    if flavor is not None:
-        framework = Perspective(kernel)
-        for _, proc, profile in procs:
-            ctx = proc.cgroup.cg_id
-            if flavor == "static":
-                isv: InstructionSpeculationView = generate_static_isv(
-                    kernel.image, APPLICATIONS[profile.name], ctx)
-            else:
-                functions = kernel.tracer.traced_functions(ctx)
-                isv = InstructionSpeculationView(
-                    ctx, functions, kernel.image.layout, source="dynamic")
-                if flavor == "++":
-                    report = scan(kernel.image, scope=isv.functions)
-                    isv = harden_isv(isv, report.functions()).hardened
-            framework.install_isv(isv)
-    kernel.pipeline.set_policy(build_policy(config.scheme, framework,
-                                            kernel=kernel))
+    flavor = FLAVORS.get(config.scheme)
+    arm(kernel, config.scheme, () if flavor is None else [
+        flavor_isv(kernel.image, proc.cgroup.cg_id, flavor,
+                   binary=APPLICATIONS[profile.name],
+                   traced=kernel.tracer.traced_functions(proc.cgroup.cg_id))
+        for _, proc, profile in procs])
 
     tenants: list[Tenant] = []
     for index, proc, profile in procs:

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.flavors import non_driver_isv_functions
+from repro.attacks import harness
 from repro.attacks.harness import build_perspective
+from repro.core.views import InstructionSpeculationView
 from repro.cpu.pipeline import LoadQuery
 from repro.defenses import (
     DelayOnMissPolicy,
@@ -13,6 +16,8 @@ from repro.defenses import (
     STTPolicy,
     SpotMitigationPolicy,
     UnsafePolicy,
+    arm,
+    build_policy,
 )
 from repro.kernel.layout import PAGE_SHIFT
 
@@ -163,3 +168,42 @@ class TestPerspectivePolicy:
         policy.check_load(q)
         policy.check_load(q)
         assert policy.fence_stats.by_reason.get("isv", 0) >= 1
+
+
+class TestArm:
+    """``arm`` is the one deployment step: framework, views, policy."""
+
+    @staticmethod
+    def _view(kernel, proc):
+        return InstructionSpeculationView(
+            proc.cgroup.cg_id, non_driver_isv_functions(kernel.image),
+            kernel.layout, source="test")
+
+    def test_framework_free_scheme_ignores_views(self, kernel):
+        proc = kernel.create_process("victim")
+        policy = arm(kernel, "fence", [self._view(kernel, proc)])
+        assert kernel.pipeline.policy is policy
+        assert isinstance(policy, FencePolicy)
+        assert not hasattr(policy, "framework")
+        assert policy.metric_label == "fence"
+
+    def test_perspective_installs_views_in_order(self, kernel):
+        procs = [kernel.create_process(f"t{i}") for i in range(2)]
+        views = [self._view(kernel, proc) for proc in procs]
+        policy = arm(kernel, "perspective++", views)
+        assert kernel.pipeline.policy is policy
+        assert policy.framework.kernel is kernel
+        for proc, view in zip(procs, views):
+            assert policy.framework.isv_for(proc.cgroup.cg_id) is view
+        assert policy.framework.view_epoch == len(views)
+        assert policy.metric_label == "perspectivepp"
+
+    def test_harness_keeps_the_scheme_label(self, kernel):
+        kernel.create_process("victim")
+        policy = harness.build_policy("perspective-static", kernel)
+        assert kernel.pipeline.policy is policy
+        assert policy.metric_label == "perspective-static"
+
+    def test_perspective_factory_needs_a_framework(self, kernel):
+        with pytest.raises(ValueError, match="arm"):
+            build_policy("perspective", kernel=kernel)

@@ -20,6 +20,15 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.binary import APPLICATIONS
+from repro.analysis.flavors import (
+    FLAVORS,
+    SCHEME_OF_FLAVOR,
+    flavor_isv,
+    non_driver_isv_functions,
+)
+from repro.analysis.static_isv import static_isv_functions
+from repro.core.audit import ESCALATION_LADDER
 from repro.cpu.pipeline import LoadQuery
 from repro.defenses.registry import (
     SchemeCapabilities,
@@ -33,6 +42,7 @@ from repro.defenses.registry import (
     unregister_scheme,
 )
 from repro.kernel.kernel import MiniKernel
+from repro.scanner.kasper import scan
 
 #: Schemes whose policies are constructible without a Perspective
 #: framework (the capability property needs a live policy instance).
@@ -183,6 +193,36 @@ class TestRegistrationDiscipline:
 
         assert policy_metric_label(Anon()) == \
             derive_metric_label("my scheme+x")
+
+
+class TestFlavorTable:
+    """Every framework scheme has exactly one ISV flavor."""
+
+    def test_flavors_cover_the_framework_schemes(self):
+        assert set(FLAVORS) == {
+            s for s in registered_schemes()
+            if scheme_capabilities(s).needs_framework}
+        assert tuple(FLAVORS.values()) == ESCALATION_LADDER
+        assert {FLAVORS[s] for s in SCHEME_OF_FLAVOR.values()} == \
+            set(SCHEME_OF_FLAVOR)
+
+    def test_flavor_views(self, image):
+        binary = APPLICATIONS["httpd"]
+        traced = non_driver_isv_functions(image)
+        views = {flavor: flavor_isv(image, 7, flavor, binary=binary,
+                                    traced=traced)
+                 for flavor in ESCALATION_LADDER}
+        assert [views[f].source for f in ESCALATION_LADDER] == \
+            ["static", "dynamic", "dynamic++"]
+        assert all(v.context_id == 7 for v in views.values())
+        assert views["static"].functions == \
+            static_isv_functions(image, binary)
+        assert views["dynamic"].functions == traced
+        flagged = scan(image, scope=traced).functions()
+        assert flagged
+        assert views["++"].functions == traced - flagged
+        with pytest.raises(ValueError, match="unknown ISV flavor"):
+            flavor_isv(image, 7, "dynamic+", traced=traced)
 
 
 class TestSchemeOrderInvariance:

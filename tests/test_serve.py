@@ -250,6 +250,22 @@ class TestServeCLI:
         assert _parse_seeds("3") == [0, 1, 2]
         assert _parse_seeds("4,7") == [4, 7]
 
+    @pytest.mark.parametrize("cli, argv", [
+        ("serve", ["conformance", "--seeds", "0"]),
+        ("serve", ["conformance", "--seeds", ","]),
+        ("serve", ["conformance", "--steps", "0"]),
+        ("defense-matrix", ["--seeds", "0", "--no-cache"]),
+    ], ids=["seeds-0", "seeds-comma", "steps-0", "matrix-seeds-0"])
+    def test_empty_corpus_rejected(self, cli, argv, capsys):
+        """An empty corpus (no seeds, or empty traces) would pass
+        vacuously; both conformance CLIs refuse it as a usage error."""
+        from repro.eval.defense_matrix import main as matrix_main
+        main = serve_main if cli == "serve" else matrix_main
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_conformance_subcommand_ok(self, capsys):
         rc = serve_main(["conformance", "--seeds", "1", "--steps", "8"])
         out = capsys.readouterr().out
