@@ -61,8 +61,7 @@ class Perspective:
         the paper's no-downtime gadget patching (Section 5.4).
         """
         self._isvs[isv.context_id] = isv
-        self._isv_pages[isv.context_id] = ISVPageTable(
-            isv, self.kernel.image.layout)
+        self._isv_pages[isv.context_id] = ISVPageTable(isv)
         self.isv_cache.invalidate_asid(isv.context_id)
         self.view_epoch += 1
 

@@ -68,7 +68,11 @@ class InstructionSpeculationView:
         return len(self.functions)
 
     def contains_va(self, inst_va: int) -> bool:
-        """Whether the instruction at ``inst_va`` belongs to the view."""
+        """Whether the instruction at ``inst_va`` belongs to the view.
+
+        The reference answer the tests hold the range-filled ISV bitmap
+        pages (:mod:`repro.core.isv`) to; no library code calls it.
+        """
         resolved = self.layout.resolve_va(inst_va)
         if resolved is None:
             return False

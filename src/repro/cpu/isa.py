@@ -20,6 +20,7 @@ the pipeline translates them through the executing context's address space.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 
@@ -399,8 +400,10 @@ class CodeLayout:
         self.stride_ops = stride_ops
         self._functions: dict[str, Function] = {}
         self._next_va = text_base
-        # Sorted list of (base_va, function) for address lookup.
-        self._by_va: list[tuple[int, Function]] = []
+        # Slot base VAs and the function placed at each, in address order
+        # (VAs only grow, so ``_bases`` stays sorted for bisection).
+        self._bases: list[int] = []
+        self._placed: list[Function] = []
 
     def add(self, func: Function) -> Function:
         """Place ``func`` in the layout, assigning its base address."""
@@ -413,7 +416,8 @@ class CodeLayout:
         func.base_va = self._next_va
         self._next_va += self.stride_ops * OP_SIZE
         self._functions[func.name] = func
-        self._by_va.append((func.base_va, func))
+        self._bases.append(func.base_va)
+        self._placed.append(func)
         return func
 
     def __contains__(self, name: str) -> bool:
@@ -433,20 +437,25 @@ class CodeLayout:
 
     def resolve_va(self, va: int) -> tuple[Function, int] | None:
         """Map a code address to ``(function, op index)``, or ``None``."""
-        # Binary search over the sorted base addresses.
-        lo, hi = 0, len(self._by_va)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._by_va[mid][0] <= va:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == 0:
+        slot = bisect_right(self._bases, va) - 1
+        if slot < 0:
             return None
-        base, func = self._by_va[lo - 1]
+        func = self._placed[slot]
         if not func.contains_va(va):
             return None
-        return func, (va - base) // OP_SIZE
+        return func, (va - self._bases[slot]) // OP_SIZE
+
+    def functions_overlapping(self, lo: int, hi: int) -> list[Function]:
+        """The functions whose body ``[base_va, end_va)`` meets ``[lo, hi)``.
+
+        In address order.  Bodies stay inside their slots, so the scan
+        starts at the slot holding ``lo`` (the search of
+        :meth:`resolve_va`) and stops at the first slot at or past ``hi``.
+        """
+        start = max(bisect_right(self._bases, lo) - 1, 0)
+        stop = bisect_left(self._bases, hi)
+        return [func for func in self._placed[start:stop]
+                if max(func.base_va, lo) < min(func.end_va, hi)]
 
     @property
     def text_end(self) -> int:
@@ -523,3 +532,8 @@ class OverlayCodeLayout:
         if va >= self._local.text_base:
             return self._local.resolve_va(va)
         return self.base.resolve_va(va)
+
+    def functions_overlapping(self, lo: int, hi: int) -> list[Function]:
+        """Base functions, then local ones (the region above), in ``[lo, hi)``."""
+        return (self.base.functions_overlapping(lo, hi)
+                + self._local.functions_overlapping(lo, hi))

@@ -162,3 +162,53 @@ class TestCodeLayout:
         for func in funcs:
             resolved = layout.resolve_va(func.va_of(len(func) - 1))
             assert resolved == (func, len(func) - 1)
+
+    def _two_slots(self):
+        layout = CodeLayout(0x40000, stride_ops=32)
+        return layout, layout.add(make_func("a", 4)), layout.add(
+            make_func("b", 4))
+
+    def test_overlapping_empty_range(self):
+        layout, a, _ = self._two_slots()
+        assert layout.functions_overlapping(a.base_va, a.base_va) == []
+        assert layout.functions_overlapping(a.end_va, a.base_va) == []
+
+    def test_overlapping_before_text(self):
+        layout, a, _ = self._two_slots()
+        assert layout.functions_overlapping(0x100, a.base_va) == []
+
+    def test_overlapping_padding_gap(self):
+        layout, a, b = self._two_slots()
+        assert layout.functions_overlapping(a.end_va, b.base_va) == []
+        assert layout.functions_overlapping(a.end_va - 1, b.base_va) == [a]
+
+    def test_overlapping_straddles_two_slots(self):
+        layout, a, b = self._two_slots()
+        assert layout.functions_overlapping(
+            a.va_of(2), b.va_of(1)) == [a, b]
+        assert layout.functions_overlapping(0, 1 << 40) == [a, b]
+
+    def test_overlapping_overlay_region(self):
+        layout, a, b = self._two_slots()
+        overlay = layout.overlay()
+        jit = overlay.add(make_func("jit", 3))
+        assert overlay.functions_overlapping(a.base_va, jit.end_va) == [
+            a, b, jit]
+        assert overlay.functions_overlapping(jit.va_of(2), 1 << 62) == [jit]
+        assert overlay.functions_overlapping(b.end_va, jit.base_va) == []
+        assert layout.functions_overlapping(jit.base_va, jit.end_va) == []
+
+    @given(st.integers(min_value=2, max_value=64),
+           st.lists(st.integers(min_value=1, max_value=63),
+                    min_size=1, max_size=12),
+           st.integers(min_value=0, max_value=4095),
+           st.integers(min_value=0, max_value=4096),
+           st.integers(min_value=0, max_value=4096))
+    def test_overlapping_property(self, stride, sizes, skew, lo, span):
+        layout = CodeLayout(0x40000 + skew, stride_ops=stride)
+        funcs = [layout.add(make_func(f"f{i}", min(n, stride - 1)))
+                 for i, n in enumerate(sizes)]
+        lo += layout.text_base - 64
+        hi = lo + span
+        assert layout.functions_overlapping(lo, hi) == [
+            f for f in funcs if max(f.base_va, lo) < min(f.end_va, hi)]

@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.flavors import FLAVORS
 from repro.core.audit import harden_isv
 from repro.core.dsv import DSVRegistry
 from repro.core.dsvmt import DSVMT, L2_SPAN
@@ -13,6 +14,8 @@ from repro.core.framework import Perspective
 from repro.core.hardware import ViewCache, isv_block_of
 from repro.core.isv import ISVPageTable
 from repro.core.views import InstructionSpeculationView
+from repro.cpu.isa import CodeLayout, Function, OP_SIZE, nop
+from repro.eval.envs import make_env
 from repro.kernel.buddy import BuddyAllocator
 from repro.kernel.layout import ISV_PAGE_OFFSET, PAGE_SIZE
 
@@ -20,6 +23,18 @@ from repro.kernel.layout import ISV_PAGE_OFFSET, PAGE_SIZE
 def make_isv(image, names, ctx=1, source="static"):
     return InstructionSpeculationView(ctx, frozenset(names), image.layout,
                                       source=source)
+
+
+def page_bits(pages, page_va):
+    """The bits ``pages`` holds for the code page at ``page_va``."""
+    return [pages.bit_for(page_va + i * OP_SIZE)
+            for i in range(PAGE_SIZE // OP_SIZE)]
+
+
+def per_slot_bits(isv, page_va):
+    """The reference answer: ``contains_va`` of every slot of the page."""
+    return [isv.contains_va(page_va + i * OP_SIZE)
+            for i in range(PAGE_SIZE // OP_SIZE)]
 
 
 class TestInstructionSpeculationView:
@@ -58,7 +73,7 @@ class TestInstructionSpeculationView:
 class TestISVPageTable:
     def test_demand_population(self, image):
         isv = make_isv(image, {"sys_read"})
-        pages = ISVPageTable(isv, image.layout)
+        pages = ISVPageTable(isv)
         func = image.layout["sys_read"]
         assert not pages.is_populated(func.base_va)
         assert pages.bit_for(func.base_va) is True
@@ -67,7 +82,7 @@ class TestISVPageTable:
 
     def test_bits_match_view(self, image):
         isv = make_isv(image, {"sys_read"})
-        pages = ISVPageTable(isv, image.layout)
+        pages = ISVPageTable(isv)
         inside = image.layout["sys_read"]
         for idx in range(len(inside)):
             assert pages.bit_for(inside.va_of(idx))
@@ -81,10 +96,65 @@ class TestISVPageTable:
 
     def test_invalidate_drops_pages(self, image):
         isv = make_isv(image, {"sys_read"})
-        pages = ISVPageTable(isv, image.layout)
+        pages = ISVPageTable(isv)
         pages.bit_for(image.layout["sys_read"].base_va)
         pages.invalidate()
         assert pages.populated_pages() == 0
+
+    def test_population_resolves_no_address(self, image, monkeypatch):
+        calls = []
+        real = CodeLayout.resolve_va
+        monkeypatch.setattr(CodeLayout, "resolve_va",
+                            lambda self, va: calls.append(va) or real(self, va))
+        pages = ISVPageTable(make_isv(image, {"sys_read"}))
+        assert pages.bit_for(image.layout["sys_read"].base_va) is True
+        assert pages.populated_pages() == 1
+        assert calls == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_range_fill_matches_per_slot_answer(self, data):
+        stride = data.draw(st.integers(min_value=8, max_value=2048))
+        skew = data.draw(st.one_of(st.just(0),
+                                   st.integers(min_value=0, max_value=4095)))
+        sizes = st.lists(st.integers(min_value=1, max_value=stride - 1),
+                         min_size=1, max_size=8)
+        layout = CodeLayout(0x40000 + skew, stride_ops=stride)
+        for i, n in enumerate(data.draw(sizes)):
+            layout.add(Function(f"f{i}", [nop()] * n))
+        overlay = layout.overlay()
+        for i, n in enumerate(data.draw(sizes.map(lambda s: s[:3]))):
+            overlay.add(Function(f"jit{i}", [nop()] * n))
+        names = overlay.names()
+        keep = data.draw(st.lists(st.booleans(), min_size=len(names),
+                                  max_size=len(names)))
+        isv = InstructionSpeculationView(
+            1, frozenset(n for n, k in zip(names, keep) if k), overlay)
+        pages = ISVPageTable(isv)
+        slot_bytes = stride * OP_SIZE
+        # Every page a slot touches, plus one on either side: before,
+        # across, inside and after both text regions.
+        code_pages = sorted({page for f in overlay.functions()
+                             for page in range(
+                                 f.base_va // PAGE_SIZE - 1,
+                                 (f.base_va + slot_bytes) // PAGE_SIZE + 2)})
+        for page in code_pages:
+            assert page_bits(pages, page * PAGE_SIZE) == per_slot_bits(
+                isv, page * PAGE_SIZE)
+        assert pages.populated_pages() == len(code_pages)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("scheme", FLAVORS)
+    def test_whole_image_fill_matches_per_slot_answer(self, scheme):
+        isv = make_env("lebench", scheme).isv
+        pages = ISVPageTable(isv)
+        layout = isv.layout
+        first = layout.text_base // PAGE_SIZE - 1
+        last = (layout.text_end - 1) // PAGE_SIZE + 1
+        for page in range(first, last + 1):
+            assert page_bits(pages, page * PAGE_SIZE) == per_slot_bits(
+                isv, page * PAGE_SIZE), hex(page * PAGE_SIZE)
+        assert pages.populated_pages() == last - first + 1
 
 
 class TestDSVMT:
