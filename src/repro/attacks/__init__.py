@@ -1,8 +1,21 @@
 """Transient-execution attack PoCs: the covert channel, Spectre variants
 in active and passive form, the CVE registry, and the attack x defense
-matrix harness."""
+matrix harness.
 
-from repro.attacks.base import AttackResult, AttackSetup, make_setup
+Every PoC is one :class:`ActiveAttack` or :class:`PassiveAttack`
+subclass (:mod:`repro.attacks.base`) that implements only its own
+primitives; :meth:`Attack.run` is the one leak loop and
+:meth:`CovertChannel.observe` the one flush+reload round.
+"""
+
+from repro.attacks.base import (
+    ActiveAttack,
+    Attack,
+    AttackResult,
+    AttackSetup,
+    PassiveAttack,
+    make_setup,
+)
 from repro.attacks.bhi import BHIPassiveAttack, EIBRSBaselineCheck
 from repro.attacks.covert import CovertChannel, HIT_THRESHOLD, ProbeResult
 from repro.attacks.cves import (
@@ -44,6 +57,8 @@ from repro.attacks.spectre_v2 import (
 
 __all__ = [
     "ATTACKS",
+    "ActiveAttack",
+    "Attack",
     "AttackResult",
     "AttackSetup",
     "BHIPassiveAttack",
@@ -59,6 +74,7 @@ __all__ = [
     "MatrixCell",
     "MidFunctionHijackAttack",
     "MitigationGap",
+    "PassiveAttack",
     "Primitive",
     "ProbeResult",
     "RetbleedPassiveAttack",

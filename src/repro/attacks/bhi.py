@@ -13,7 +13,7 @@ a history-colliding poison is consumed (BHI bypasses it).
 
 from __future__ import annotations
 
-from repro.attacks.base import AttackResult, AttackSetup
+from repro.attacks.base import AttackSetup
 from repro.attacks.spectre_v2 import SpectreV2PassiveAttack
 
 
@@ -27,7 +27,15 @@ class BHIPassiveAttack(SpectreV2PassiveAttack):
             raise ValueError(
                 "the BHI PoC targets a kernel with eIBRS enabled; build the "
                 "kernel with KernelConfig(btb_hardware_isolation=True)")
-        super().__init__(setup, history_collision=True)
+        super().__init__(setup)
+
+    def poison(self) -> None:
+        # Mistrained from the attacker's thread (see the v2 parent) with a
+        # branch history that collides with the victim's.
+        self.kernel.syscall(self.setup.attacker, "getpid")
+        self.kernel.branch_unit.btb.poison(
+            self.hijack_pc, self.gadget_va, domain="user:attacker",
+            history_collision=True)
 
 
 class EIBRSBaselineCheck(SpectreV2PassiveAttack):
@@ -40,10 +48,7 @@ class EIBRSBaselineCheck(SpectreV2PassiveAttack):
 
     name = "spectre-v2-vs-eibrs"
 
-    def __init__(self, setup: AttackSetup) -> None:
-        super().__init__(setup, history_collision=False)
-
-    def _poison(self) -> None:
+    def poison(self) -> None:
         # Naive cross-domain injection from the attacker's user domain.
         self.kernel.branch_unit.btb.poison(
             self.hijack_pc, self.gadget_va, domain="user:attacker",

@@ -23,15 +23,12 @@ the attacker stitches the byte together.
 
 from __future__ import annotations
 
-from repro.attacks.base import AttackResult, AttackSetup
+from functools import partial
+
+from repro.attacks.base import ActiveAttack, AttackSetup
+from repro.attacks.covert import LINE_BYTES
 from repro.cpu.isa import AluOp, alu, br, load, ret
 from repro.kernel.ebpf import BPFManager, BPFProgram, BPFVerifier, MAP_SIZE
-from repro.kernel.process import Process
-
-#: Map offsets where the attacker plants known control bytes.  Two slots
-#: with different values in *both* bit groups disambiguate the case where
-#: the secret's transmitted bits equal one control's.
-CONTROL_SLOTS = ((0x300, 0x2A), (0x340, 0xD5))
 
 #: Architectural bound the guard enforces (the "array size").
 GUARD_BOUND = 64
@@ -84,72 +81,46 @@ def masked_program(name: str) -> BPFProgram:
     ])
 
 
-class EBPFInjectionAttack:
+class EBPFInjectionAttack(ActiveAttack):
     """End-to-end gadget injection against a chosen verifier/manager."""
 
     name = "ebpf-injection"
+    #: Map offsets of known control bytes.  Two slots with different
+    #: values in *both* bit groups disambiguate the case where the
+    #: secret's transmitted bits equal one control's.
+    CONTROL_SLOTS = ((0x300, 0x2A), (0x340, 0xD5))
+    #: The programs transmit through their own map area at the heap base.
+    PROBE_REGION = (0, MAP_SIZE // LINE_BYTES)
 
     def __init__(self, setup: AttackSetup, manager: BPFManager) -> None:
-        self.setup = setup
-        self.kernel = setup.kernel
+        # Load first: a refused load raises before any state changes.
         self.manager = manager
-        attacker = setup.attacker
-        self.low = manager.load(attacker, guarded_oob_program("low", 0),
+        self.low = manager.load(setup.attacker,
+                                guarded_oob_program("low", 0),
                                 privileged=False)
-        self.high = manager.load(attacker, guarded_oob_program("high", 6),
+        self.high = manager.load(setup.attacker,
+                                 guarded_oob_program("high", 6),
                                  privileged=False)
-        for offset, value in CONTROL_SLOTS:
-            pa = attacker.aspace.translate(attacker.heap_va + offset)
-            self.kernel.memory.store(pa, value)
-        self._line_pas = [attacker.aspace.translate(
-            attacker.heap_va + line * 64) for line in range(64)]
+        super().__init__(setup)
 
-    def _probe_round(self, handle: int, index: int) -> frozenset[int]:
+    def _probe(self, handle: int, va: int) -> frozenset[int]:
+        attacker = self.setup.attacker
         for _ in range(5):  # mistrain the guard toward in-bounds
-            self.manager.run(self.setup.attacker, handle, arg=1)
-        for pa in self._line_pas:
-            self.kernel.hierarchy.flush_data(pa)
-        self.manager.run(self.setup.attacker, handle, arg=index)
-        return frozenset(
-            line for line, pa in enumerate(self._line_pas)
-            if self.kernel.hierarchy.probe_latency(pa) <= 12)
+            self.manager.run(attacker, handle, arg=1)
+        return self.channel.observe(lambda: self.manager.run(
+            attacker, handle, arg=va - attacker.heap_va))
 
-    def _leak_bits(self, handle: int, index: int, shift: int) -> int | None:
-        measured = self._probe_round(handle, index)
-        for control_off, control_val in CONTROL_SLOTS:
-            control = self._probe_round(handle, control_off)
-            unique = measured - control
-            if len(unique) == 1:
-                return next(iter(unique))
-            # If the secret's transmitted bits equal this control's, the
-            # sets coincide; the other control (different in both bit
-            # groups) disambiguates.
-            control_line = (control_val >> shift) & 0x3F
-            if measured == control and control_line in measured:
-                return control_line
-        return None
-
-    def leak_byte(self, target_va: int, attempts: int = 3) -> int | None:
-        index = target_va - self.setup.attacker.heap_va
-        for _ in range(attempts):
-            low = self._leak_bits(self.low, index, 0)
-            high = self._leak_bits(self.high, index, 6)
-            if low is not None and high is not None:
-                return ((high & 0x3) << 6) | low
-        return None
-
-    def run(self, scheme_name: str = "unsafe") -> AttackResult:
-        leaked = bytearray()
-        unrecovered = 0
-        for i in range(len(self.setup.secret)):
-            byte = self.leak_byte(self.setup.secret_va + i)
-            if byte is None:
-                unrecovered += 1
-            else:
-                leaked.append(byte)
-        return AttackResult(name=self.name, scheme=scheme_name,
-                            secret=self.setup.secret, leaked=bytes(leaked),
-                            unrecovered=unrecovered)
+    def leak_byte(self, i: int) -> int | None:
+        """Stitch the byte together from the low six bits one program
+        transmits and the top two the other does."""
+        va = self.setup.secret_va + i
+        low = self.recover(va, partial(self._probe, self.low),
+                           lambda byte: byte & 0x3F)
+        high = self.recover(va, partial(self._probe, self.high),
+                            lambda byte: byte >> 6)
+        if low is None or high is None:
+            return None
+        return ((high & 0x3) << 6) | low
 
 
 def vulnerable_manager(kernel) -> BPFManager:

@@ -15,8 +15,12 @@ default CFI layer suppresses the hijack at the predictor.
 
 from __future__ import annotations
 
-from repro.attacks.base import AttackResult, AttackSetup, make_setup
-from repro.attacks.covert import CovertChannel
+from repro.attacks.base import (
+    AttackResult,
+    AttackSetup,
+    PassiveAttack,
+    make_setup,
+)
 from repro.attacks.harness import build_perspective
 from repro.attacks.spectre_v2 import find_op_va
 from repro.cpu.isa import Op
@@ -27,15 +31,13 @@ from repro.kernel.kernel import MiniKernel
 GADGET_ACCESS_INDEX = 4
 
 
-class MidFunctionHijackAttack:
+class MidFunctionHijackAttack(PassiveAttack):
     """Spectre v2 steering speculation past an in-view bounds check."""
 
     name = "spectre-v2-midfunction"
 
     def __init__(self, setup: AttackSetup) -> None:
-        self.setup = setup
-        self.kernel = setup.kernel
-        self.channel = CovertChannel(self.kernel, setup.victim)
+        super().__init__(setup)
         image = self.kernel.image
         entry = image.layout["sys_recvfrom"]
         self.hijack_pc = find_op_va(entry, Op.ICALL)
@@ -53,41 +55,18 @@ class MidFunctionHijackAttack:
             self.setup.victim.heap_va + self.leak_offset)
         self.kernel.memory.store(pa, value)
 
-    def _victim_call(self) -> None:
+    def poison(self) -> None:
+        self.kernel.branch_unit.btb.poison(self.hijack_pc, self.target_va,
+                                           domain="kernel")
+
+    def victim_path(self, i: int) -> None:
         self.kernel.syscall(self.setup.victim, "recvfrom",
                             args=(self.victim_fd, 0, 0))
 
-    def leak_byte(self) -> int | None:
-        self.channel.flush()
-        self._victim_call()
-        control = self.channel.reload().hit_lines()
-        self.kernel.branch_unit.btb.poison(self.hijack_pc, self.target_va,
-                                           domain="kernel")
-        self.channel.flush()
-        self._victim_call()
-        measured = self.channel.reload().hit_lines()
-        return self.channel.recover_differential(measured, control)
-
-    def run(self, scheme_name: str = "unsafe",
-            retries: int = 3) -> AttackResult:
-        leaked = bytearray()
-        unrecovered = 0
-        for byte in self.setup.secret:
-            self.plant_byte(byte)
-            got = None
-            for _ in range(retries):
-                # Early attempts can die to cold view-cache conservative
-                # blocks rather than real enforcement; attackers retry.
-                got = self.leak_byte()
-                if got is not None:
-                    break
-            if got is None:
-                unrecovered += 1
-            else:
-                leaked.append(got)
-        return AttackResult(name=self.name, scheme=scheme_name,
-                            secret=self.setup.secret, leaked=bytes(leaked),
-                            unrecovered=unrecovered)
+    def leak_byte(self, i: int) -> int | None:
+        # The hijacked access reads leak_offset, not secret_va + i.
+        self.plant_byte(self.setup.secret[i])
+        return super().leak_byte(i)
 
 
 def run_midfunction_attack(cfi: bool, image: KernelImage | None = None,

@@ -10,20 +10,17 @@ in the driver gadget with the secret reference still live in ``r5``.
 
 from __future__ import annotations
 
-from repro.attacks.base import AttackResult, AttackSetup
-from repro.attacks.covert import CovertChannel
+from repro.attacks.base import AttackSetup, PassiveAttack
 from repro.cpu.isa import Op
 
 
-class RetbleedPassiveAttack:
+class RetbleedPassiveAttack(PassiveAttack):
     """BTB-poisoned underflowing returns on the victim's syscall path."""
 
     name = "retbleed-passive"
 
     def __init__(self, setup: AttackSetup) -> None:
-        self.setup = setup
-        self.kernel = setup.kernel
-        self.channel = CovertChannel(self.kernel, setup.victim)
+        super().__init__(setup)
         image = self.kernel.image
         self.gadget_va = image.layout["xilinx_usb_poc_gadget"].base_va
         # The returns that underflow are the two outermost frames of the
@@ -37,52 +34,21 @@ class RetbleedPassiveAttack:
         self.victim_fd = self.kernel.syscall(
             setup.victim, "socket", args=(0,)).retval
 
-    def _poison(self) -> None:
+    def poison(self) -> None:
         # Mistraining runs in the attacker's context (see SpectreV2's
-        # _poison): IBPB deployments flush it at the victim's switch-in.
+        # poison): IBPB deployments flush it at the victim's switch-in.
         self.kernel.syscall(self.setup.attacker, "getpid")
         for pc in self.ret_pcs:
             self.kernel.branch_unit.btb.poison(pc, self.gadget_va,
                                                domain="kernel")
 
-    def _unpoison(self) -> None:
+    def unpoison(self) -> None:
         for pc in self.ret_pcs:
             self.kernel.branch_unit.btb.poison(pc, 0, domain="isolated")
 
-    def _victim_call(self, byte_index: int) -> None:
+    def victim_path(self, i: int) -> None:
         # Attacker primes the RSB empty first (its own ret-heavy code), so
         # the victim's deep chain underflows deterministically.
         self.kernel.branch_unit.rsb.clear()
         self.kernel.syscall(self.setup.victim, "recvfrom",
-                            args=(self.victim_fd, 0, byte_index))
-
-    def leak_byte(self, byte_index: int) -> int | None:
-        self._unpoison()
-        self.channel.flush()
-        self._victim_call(byte_index)
-        control = self.channel.reload().hit_lines()
-        self._poison()
-        self.channel.flush()
-        self._victim_call(byte_index)
-        measured = self.channel.reload().hit_lines()
-        return self.channel.recover_differential(measured, control)
-
-    def run(self, scheme_name: str = "unsafe",
-            retries: int = 3) -> AttackResult:
-        leaked = bytearray()
-        unrecovered = 0
-        for i in range(len(self.setup.secret)):
-            byte = None
-            for _ in range(retries):
-                # First touches can die to cold conservative blocks in the
-                # defense's view caches rather than enforcement; retry.
-                byte = self.leak_byte(i)
-                if byte is not None:
-                    break
-            if byte is None:
-                unrecovered += 1
-            else:
-                leaked.append(byte)
-        return AttackResult(name=self.name, scheme=scheme_name,
-                            secret=self.setup.secret, leaked=bytes(leaked),
-                            unrecovered=unrecovered)
+                            args=(self.victim_fd, 0, i))

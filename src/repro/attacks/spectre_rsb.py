@@ -11,8 +11,7 @@ secret reference in ``r5``) are live.
 
 from __future__ import annotations
 
-from repro.attacks.base import AttackResult, AttackSetup
-from repro.attacks.covert import CovertChannel
+from repro.attacks.base import AttackSetup, PassiveAttack
 from repro.cpu.pipeline import ExecutionContext
 from repro.kernel.image import (
     REG_GLOBAL,
@@ -25,21 +24,22 @@ from repro.kernel.image import (
 from repro.kernel.layout import USER_BASE
 
 
-class SpectreRSBPassiveAttack:
+class SpectreRSBPassiveAttack(PassiveAttack):
     """RSB poisoning consumed at the victim's context-switch resume."""
 
     name = "spectre-rsb-passive"
 
     def __init__(self, setup: AttackSetup) -> None:
-        self.setup = setup
-        self.kernel = setup.kernel
-        self.channel = CovertChannel(self.kernel, setup.victim)
+        super().__init__(setup)
         image = self.kernel.image
         self.gadget_va = image.layout["xilinx_usb_poc_gadget"].base_va
         self.resume_func = image.layout["finish_task_switch"]
         self.switched_from = image.layout["sys_nanosleep"]
 
-    def _poison_rsb(self) -> None:
+    def unpoison(self) -> None:
+        self.kernel.branch_unit.rsb.clear()
+
+    def poison(self) -> None:
         """The attacker's colliding call sites fill the RSB with the
         gadget address."""
         rsb = self.kernel.branch_unit.rsb
@@ -47,12 +47,12 @@ class SpectreRSBPassiveAttack:
         for _ in range(4):
             rsb.push(self.gadget_va)
 
-    def _victim_resume(self, byte_index: int) -> None:
+    def victim_path(self, i: int) -> None:
         """Run the victim's switch-in path: RET out of finish_task_switch
         back into its suspended nanosleep syscall."""
         victim = self.setup.victim
         regs = {
-            "r5": victim.heap_va + SECRET_OFF + byte_index,  # live secret ref
+            "r5": victim.heap_va + SECRET_OFF + i,  # live secret ref
             REG_HEAP: victim.heap_va,
             REG_TASK: victim.heap_va,
             REG_KSTACK: victim.kernel_stack_va,
@@ -69,34 +69,3 @@ class SpectreRSBPassiveAttack:
         self.kernel.pipeline.run(
             self.resume_func, context, start_index=1,
             initial_call_stack=[(self.switched_from, resume_at)])
-
-    def leak_byte(self, byte_index: int) -> int | None:
-        self.kernel.branch_unit.rsb.clear()
-        self.channel.flush()
-        self._victim_resume(byte_index)
-        control = self.channel.reload().hit_lines()
-        self._poison_rsb()
-        self.channel.flush()
-        self._victim_resume(byte_index)
-        measured = self.channel.reload().hit_lines()
-        return self.channel.recover_differential(measured, control)
-
-    def run(self, scheme_name: str = "unsafe",
-            retries: int = 3) -> AttackResult:
-        leaked = bytearray()
-        unrecovered = 0
-        for i in range(len(self.setup.secret)):
-            byte = None
-            for _ in range(retries):
-                # First touches can die to cold conservative blocks in the
-                # defense's view caches rather than enforcement; retry.
-                byte = self.leak_byte(i)
-                if byte is not None:
-                    break
-            if byte is None:
-                unrecovered += 1
-            else:
-                leaked.append(byte)
-        return AttackResult(name=self.name, scheme=scheme_name,
-                            secret=self.setup.secret, leaked=bytes(leaked),
-                            unrecovered=unrecovered)

@@ -14,79 +14,24 @@ the leak at the access step.
 
 from __future__ import annotations
 
-from repro.attacks.base import AttackResult, AttackSetup
-from repro.attacks.covert import CovertChannel
+from repro.attacks.base import ActiveAttack
 
-#: In-heap offsets where the attacker plants known control bytes for
-#: differential recovery (both beyond array1's 64-byte bound).
-CONTROL_SLOTS = ((0x300, 0x5C), (0x340, 0xA7))
+#: In-bounds ``sys_ioctl`` calls that bias the bounds check toward taken
+#: before each out-of-bounds one.
+MISTRAIN_ROUNDS = 6
 
 
-class SpectreV1ActiveAttack:
+class SpectreV1ActiveAttack(ActiveAttack):
     """End-to-end flush+reload Spectre v1 PoC."""
 
     name = "spectre-v1-active"
+    #: Both beyond array1's 64-byte bound.
+    CONTROL_SLOTS = ((0x300, 0x5C), (0x340, 0xA7))
 
-    def __init__(self, setup: AttackSetup, syscall: str = "ioctl",
-                 mistrain_rounds: int = 6) -> None:
-        self.setup = setup
-        self.kernel = setup.kernel
-        self.syscall = syscall
-        self.mistrain_rounds = mistrain_rounds
-        # Active attack: the gadget runs in the attacker's kernel thread,
-        # so the transmit lands in the attacker's own probe array.
-        self.channel = CovertChannel(self.kernel, setup.attacker)
-        self._plant_controls()
-
-    def _plant_controls(self) -> None:
-        heap = self.setup.attacker.heap_va
-        for offset, value in CONTROL_SLOTS:
-            pa = self.setup.attacker.aspace.translate(heap + offset)
-            self.kernel.memory.store(pa, value)
-
-    def _mistrain(self) -> None:
-        """Bias the bounds check toward taken with in-bounds indices."""
-        for _ in range(self.mistrain_rounds):
-            self.kernel.syscall(self.setup.attacker, self.syscall, args=(1,))
-
-    def _transient_probe(self, index: int) -> frozenset[int]:
-        """One mistrain + flush + out-of-bounds call + reload round."""
-        self._mistrain()
-        self.channel.flush()
-        self.kernel.syscall(self.setup.attacker, self.syscall, args=(index,))
-        return self.channel.reload().hit_lines()
-
-    def leak_byte(self, target_va: int, attempts: int = 3) -> int | None:
-        """Recover the byte at an arbitrary kernel virtual address.
-
-        Retries a few rounds: the first transient touch of a page can die
-        to a cold conservative block in the defense's view caches rather
-        than to enforcement proper, and attackers simply try again.
-        """
-        heap = self.setup.attacker.heap_va
-        for _ in range(attempts):
-            measured = self._transient_probe(target_va - heap)
-            for control_off, control_val in CONTROL_SLOTS:
-                control = self._transient_probe(control_off)
-                byte = self.channel.recover_differential(measured, control)
-                if byte is not None:
-                    return byte
-                # If the secret equals this control byte the sets coincide;
-                # a second control slot with a different value disambiguates.
-                if measured == control and control_val in measured:
-                    return control_val
-        return None
-
-    def run(self, scheme_name: str = "unsafe") -> AttackResult:
-        """Leak the whole planted secret byte by byte."""
-        leaked = bytearray()
-        unrecovered = 0
-        for i in range(len(self.setup.secret)):
-            byte = self.leak_byte(self.setup.secret_va + i)
-            if byte is None:
-                unrecovered += 1
-            else:
-                leaked.append(byte)
-        return AttackResult(name=self.name, scheme=scheme_name,
-                            secret=self.setup.secret, leaked=bytes(leaked),
-                            unrecovered=unrecovered)
+    def probe(self, va: int) -> frozenset[int]:
+        """Mistrain, then index array1 out of bounds at ``va``."""
+        attacker = self.setup.attacker
+        for _ in range(MISTRAIN_ROUNDS):
+            self.kernel.syscall(attacker, "ioctl", args=(1,))
+        return self.channel.observe(lambda: self.kernel.syscall(
+            attacker, "ioctl", args=(va - attacker.heap_va,)))

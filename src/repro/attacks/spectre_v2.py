@@ -18,8 +18,7 @@ no view) and the active form with DSVs (the access violates ownership).
 
 from __future__ import annotations
 
-from repro.attacks.base import AttackResult, AttackSetup
-from repro.attacks.covert import CovertChannel
+from repro.attacks.base import ActiveAttack, AttackSetup, PassiveAttack
 from repro.cpu.isa import Op
 
 
@@ -34,20 +33,13 @@ def find_op_va(func, op_kind: Op, occurrence: int = 0) -> int:
     raise ValueError(f"{func.name} has no {op_kind} #{occurrence}")
 
 
-class SpectreV2PassiveAttack:
+class SpectreV2PassiveAttack(PassiveAttack):
     """BTB poisoning against the victim's fops dispatch site."""
 
     name = "spectre-v2-passive"
 
-    def __init__(self, setup: AttackSetup,
-                 history_collision: bool = False) -> None:
-        self.setup = setup
-        self.kernel = setup.kernel
-        self.history_collision = history_collision
-        # The transmit runs in the *victim's* context, so it lands in the
-        # victim's probe array; the attacker observes it through the
-        # shared cache hierarchy.
-        self.channel = CovertChannel(self.kernel, setup.victim)
+    def __init__(self, setup: AttackSetup) -> None:
+        super().__init__(setup)
         image = self.kernel.image
         entry = image.layout["sys_recvfrom"]
         self.hijack_pc = find_op_va(entry, Op.ICALL)
@@ -56,65 +48,29 @@ class SpectreV2PassiveAttack:
         self.victim_fd = self.kernel.syscall(
             setup.victim, "socket", args=(0,)).retval
 
-    def _poison(self) -> None:
+    def poison(self) -> None:
         # The injection happens while the attacker's own thread runs
         # (mistraining via colliding branches), so the core's last context
         # is the attacker's -- an IBPB-on-switch deployment flushes the
         # entry when the victim comes back in.
         self.kernel.syscall(self.setup.attacker, "getpid")
         self.kernel.branch_unit.btb.poison(
-            self.hijack_pc, self.gadget_va,
-            domain="user:attacker" if self.history_collision else "kernel",
-            history_collision=self.history_collision)
+            self.hijack_pc, self.gadget_va, domain="kernel")
 
-    def _victim_call(self, byte_index: int) -> None:
+    def victim_path(self, i: int) -> None:
         self.kernel.syscall(self.setup.victim, "recvfrom",
-                            args=(self.victim_fd, 0, byte_index))
-
-    def leak_byte(self, byte_index: int) -> int | None:
-        # Control run (no poisoning): captures the victim's benign cache
-        # footprint on the probe lines.
-        self.channel.flush()
-        self._victim_call(byte_index)
-        control = self.channel.reload().hit_lines()
-        # Measurement run: poisoned BTB.
-        self._poison()
-        self.channel.flush()
-        self._victim_call(byte_index)
-        measured = self.channel.reload().hit_lines()
-        return self.channel.recover_differential(measured, control)
-
-    def run(self, scheme_name: str = "unsafe",
-            retries: int = 3) -> AttackResult:
-        leaked = bytearray()
-        unrecovered = 0
-        for i in range(len(self.setup.secret)):
-            byte = None
-            for _ in range(retries):
-                # First touches can die to cold conservative blocks in the
-                # defense's view caches rather than enforcement; retry.
-                byte = self.leak_byte(i)
-                if byte is not None:
-                    break
-            if byte is None:
-                unrecovered += 1
-            else:
-                leaked.append(byte)
-        return AttackResult(name=self.name, scheme=scheme_name,
-                            secret=self.setup.secret, leaked=bytes(leaked),
-                            unrecovered=unrecovered)
+                            args=(self.victim_fd, 0, i))
 
 
-class SpectreV2ActiveAttack:
+class SpectreV2ActiveAttack(ActiveAttack):
     """BTB poisoning of the attacker's own dispatch site: the hijacked
     gadget dereferences the attacker-chosen syscall argument."""
 
     name = "spectre-v2-active"
+    CONTROL_SLOTS = ((0x300, 0x5C),)
 
     def __init__(self, setup: AttackSetup) -> None:
-        self.setup = setup
-        self.kernel = setup.kernel
-        self.channel = CovertChannel(self.kernel, setup.attacker)
+        super().__init__(setup)
         image = self.kernel.image
         entry = image.layout["sys_read"]
         self.hijack_pc = find_op_va(entry, Op.ICALL)
@@ -122,36 +78,9 @@ class SpectreV2ActiveAttack:
         self.attacker_fd = self.kernel.syscall(
             setup.attacker, "open", args=(0,)).retval
 
-    def _probe_round(self, pointer: int) -> frozenset[int]:
+    def probe(self, va: int) -> frozenset[int]:
+        """Poison the dispatch, then hand the gadget ``va``."""
         self.kernel.branch_unit.btb.poison(
             self.hijack_pc, self.gadget_va, domain="kernel")
-        self.channel.flush()
-        self.kernel.syscall(self.setup.attacker, "read", args=(pointer,))
-        return self.channel.reload().hit_lines()
-
-    def leak_byte(self, target_va: int) -> int | None:
-        measured = self._probe_round(target_va)
-        # Control: point the gadget at an attacker-known byte.
-        control_va = self.setup.attacker.heap_va + 0x300
-        pa = self.setup.attacker.aspace.translate(control_va)
-        self.kernel.memory.store(pa, 0x5C)
-        control = self._probe_round(control_va)
-        return self.channel.recover_differential(measured, control)
-
-    def run(self, scheme_name: str = "unsafe",
-            retries: int = 3) -> AttackResult:
-        leaked = bytearray()
-        unrecovered = 0
-        for i in range(len(self.setup.secret)):
-            byte = None
-            for _ in range(retries):
-                byte = self.leak_byte(self.setup.secret_va + i)
-                if byte is not None:
-                    break
-            if byte is None:
-                unrecovered += 1
-            else:
-                leaked.append(byte)
-        return AttackResult(name=self.name, scheme=scheme_name,
-                            secret=self.setup.secret, leaked=bytes(leaked),
-                            unrecovered=unrecovered)
+        return self.channel.observe(lambda: self.kernel.syscall(
+            self.setup.attacker, "read", args=(va,)))

@@ -10,11 +10,12 @@ One table no single paper has: every registered defense scheme held to
 * the **overhead columns** -- LEBench geomean overhead and fences per
   kilo-instruction, measured in the same environments as Figure 9.2.
 
-The grid (``defense-matrix`` in :mod:`repro.exec.grids`) decomposes the
-table into independent cells -- the ``conformance`` grid's cells, one
-per seed, then one attack row and one perf row per scheme -- so the
-parallel engine runs it with byte-exact worker parity, and CI diff-gates
-the assembled ``benchmarks/out/defense_matrix.json`` snapshot.
+The grid (``defense-matrix`` in :mod:`repro.exec.grids`) owns no cells:
+it runs the ``conformance`` grid's cells (one per seed), the
+``security`` grid's (one per attack and scheme) and the ``lebench``
+grid's (one per scheme) for the matrix's schemes, so the parallel engine
+runs it with byte-exact worker parity, and CI diff-gates the assembled
+``benchmarks/out/defense_matrix.json`` snapshot.
 
 CLI::
 
@@ -29,11 +30,8 @@ import json
 import sys
 from typing import Any
 
-from repro.attacks.harness import ATTACKS, run_attack
-from repro.eval.envs import RARE_EVERY, make_env
 from repro.eval.metrics import geomean
 from repro.serve.conformance import CONFORMANCE_SCHEMES
-from repro.workloads.lebench import run_lebench
 
 #: The eight columns of the cross-paper table: both fencing extremes,
 #: taint tracking, the shadow-structure family, memory tagging, the
@@ -50,38 +48,19 @@ PASSIVE_ATTACKS = ("spectre-v2-passive", "retbleed-passive",
 BASELINE_CHECKS = ("spectre-v2-vs-eibrs",)
 
 
-# ---------------------------------------------------------------------------
-# Cells (each independently executable by a pool worker)
-# ---------------------------------------------------------------------------
+#: The grids whose cells make up the matrix, with the matrix parameters
+#: each one takes (the rest are the grid's defaults).
+PARTS = {"conformance": ("schemes", "seeds", "steps", "tenants"),
+         "security": ("schemes",),
+         "lebench": ("schemes", "rare_every")}
 
 
-def attacks_cell(scheme: str) -> dict[str, str]:
-    """Every PoC against one scheme: ``attack -> blocked|leaked``."""
-    return {attack: "blocked" if run_attack(attack, scheme).blocked
-            else "leaked"
-            for attack in sorted(ATTACKS)}
-
-
-def perf_cell(scheme: str, rare_every: int = RARE_EVERY) -> dict[str, Any]:
-    """LEBench cycles plus fence totals for one scheme, from one run."""
-    env = make_env("lebench", scheme)
-    stats: list = []
-    cycles = run_lebench(env.kernel, env.proc, rare_every=rare_every,
-                         collect_stats=stats)
-    return {"cycles": cycles,
-            "fenced_loads": sum(s.exec.total_fenced for s in stats),
-            "committed_ops": sum(s.exec.committed_ops for s in stats)}
-
-
-def defense_matrix_cell(cp: dict[str, Any]) -> Any:
-    """Grid dispatch: one attack or perf cell of the defense-matrix
-    experiment (its conformance cells are the ``conformance`` grid's)."""
-    kind = cp["kind"]
-    if kind == "attacks":
-        return attacks_cell(cp["scheme"])
-    if kind == "perf":
-        return perf_cell(cp["scheme"], rare_every=cp["rare_every"])
-    raise ValueError(f"unknown defense-matrix cell kind {cp['kind']!r}")
+def part_params(params: dict[str, Any]) -> dict[str, dict[str, Any]]:
+    """Each part grid's resolved parameters for the matrix's ``params``."""
+    from repro.exec.grids import get_grid
+    return {name: get_grid(name).resolve(
+                {key: params[key] for key in keys if key in params})
+            for name, keys in PARTS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +88,14 @@ def assemble_matrix(params: dict[str, Any],
     }
 
     from repro.exec.grids import get_grid
-    corpus = get_grid("conformance").assemble(params, {
-        key[1:]: payload for key, payload in payloads.items()
-        if key[0] == "conformance"})
+    parts = part_params(params)
+
+    def assembled(name: str) -> Any:
+        return get_grid(name).assemble(parts[name], {
+            key[1:]: payload for key, payload in payloads.items()
+            if key[0] == name})
+
+    corpus = assembled("conformance")
     for scheme in schemes:
         diverging = [r.seed for r in corpus if scheme in r.divergences]
         table["conformance"][scheme] = {
@@ -121,11 +105,14 @@ def assemble_matrix(params: dict[str, Any],
                                        for r in corpus),
         }
 
-    unsafe_row = payloads[("attacks", "unsafe")] \
-        if ("attacks", "unsafe") in payloads else None
+    rows: dict[str, dict[str, str]] = {}
+    for cell in assembled("security"):
+        rows.setdefault(cell.scheme, {})[cell.attack] = \
+            "blocked" if cell.result.blocked else "leaked"
+    unsafe_row = rows.get("unsafe")
     for scheme in schemes:
-        row = payloads[("attacks", scheme)]
-        table["attacks"][scheme] = dict(row)
+        row = rows[scheme]
+        table["attacks"][scheme] = row
         leaking = [a for a in ACTIVE_ATTACKS + PASSIVE_ATTACKS
                    if unsafe_row is None or unsafe_row[a] == "leaked"]
         blocked = [a for a in leaking if row[a] == "blocked"]
@@ -137,9 +124,9 @@ def assemble_matrix(params: dict[str, Any],
                                    if a in leaking and row[a] == "blocked"),
         }
 
-    unsafe_cycles = payloads[("perf", "unsafe")]["cycles"]
+    unsafe_cycles = payloads[("lebench", "unsafe")]["cycles"]
     for scheme in schemes:
-        cell = payloads[("perf", scheme)]
+        cell = payloads[("lebench", scheme)]
         ratios = [cell["cycles"][test] / unsafe_cycles[test]
                   for test in unsafe_cycles]
         fences_per_kinst = (1000.0 * cell["fenced_loads"]

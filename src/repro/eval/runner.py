@@ -12,6 +12,7 @@ place that lays out and assembles the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.analysis.binary import APPLICATIONS
 from repro.analysis.flavors import flavor_isv
@@ -64,11 +65,16 @@ class LEBenchExperiment:
 
 
 def lebench_cell(scheme: str,
-                 rare_every: int = RARE_EVERY) -> dict[str, float]:
+                 rare_every: int = RARE_EVERY) -> dict[str, Any]:
     """One (scheme) cell of the ``lebench`` grid: per-test average
-    cycles."""
+    ``cycles``, plus the run's ``fenced_loads`` and ``committed_ops``."""
     env = make_env("lebench", scheme)
-    return run_lebench(env.kernel, env.proc, rare_every=rare_every)
+    stats: list = []
+    cycles = run_lebench(env.kernel, env.proc, rare_every=rare_every,
+                         collect_stats=stats)
+    return {"cycles": cycles,
+            "fenced_loads": sum(s.exec.total_fenced for s in stats),
+            "committed_ops": sum(s.exec.committed_ops for s in stats)}
 
 
 def run_lebench_experiment(schemes: tuple[str, ...] = PERF_SCHEMES,

@@ -133,8 +133,7 @@ def _lebench_cells(params: dict[str, Any]) -> CellList:
 
 
 def _lebench_run(key: Key, cp: dict[str, Any]) -> Any:
-    return {"cycles": lebench_cell(cp["scheme"],
-                                   rare_every=cp["rare_every"])}
+    return lebench_cell(cp["scheme"], rare_every=cp["rare_every"])
 
 
 def _lebench_assemble(params: dict[str, Any],
@@ -605,7 +604,7 @@ def _conformance_assemble(params: dict[str, Any],
 
 
 # ---------------------------------------------------------------------------
-# Cross-paper defense matrix (conformance + attacks + overhead)
+# Cross-paper defense matrix (the conformance, security and lebench cells)
 # ---------------------------------------------------------------------------
 
 
@@ -617,26 +616,16 @@ def _defense_defaults() -> dict[str, Any]:
 
 
 def _defense_cells(params: dict[str, Any]) -> CellList:
-    """The ``conformance`` grid's cells (key prefixed ``conformance``),
-    then one attack row and one perf row per scheme."""
-    cells: CellList = [
-        (("conformance",) + key, cp) for key, cp in
-        _conformance_cells({**params, "cache_parity": False})]
-    for scheme in params["schemes"]:
-        cells.append((("attacks", scheme),
-                      {"kind": "attacks", "scheme": scheme}))
-    for scheme in params["schemes"]:
-        cells.append((("perf", scheme),
-                      {"kind": "perf", "scheme": scheme,
-                       "rare_every": params["rare_every"]}))
-    return cells
+    """The ``conformance``, ``security`` and ``lebench`` grids' cells
+    for the matrix's schemes, each key prefixed by its grid's name."""
+    from repro.eval.defense_matrix import part_params
+    return [((name,) + key, cp)
+            for name, part in part_params(params).items()
+            for key, cp in get_grid(name).cells(part)]
 
 
 def _defense_run(key: Key, cp: dict[str, Any]) -> Any:
-    if key[0] == "conformance":
-        return _conformance_run(key[1:], cp)
-    from repro.eval.defense_matrix import defense_matrix_cell
-    return defense_matrix_cell(cp)
+    return get_grid(key[0]).run_cell(key[1:], cp)
 
 
 def _defense_assemble(params: dict[str, Any],

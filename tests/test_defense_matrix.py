@@ -173,23 +173,20 @@ class TestGridAndCli:
     def test_small_grid_run_matches_cells(self, tmp_path):
         """One end-to-end engine run of the defense-matrix grid (tiny
         slice), checked against directly computed cells."""
-        from repro.eval.defense_matrix import attacks_cell
         from repro.exec.engine import run_experiment
 
         table, report = run_experiment(
             "defense-matrix",
             {"schemes": ["unsafe", "safespec"], "seeds": [0]},
             use_cache=False)
-        assert report.cells_total == 1 + 2 + 2
+        assert report.cells_total == 1 + 16 + 2
         assert table["conformance"]["safespec"]["ok"]
-        assert table["attacks"]["safespec"] == attacks_cell("safespec")
+        assert table["attacks"]["safespec"] == {
+            attack: "blocked" if run_attack(attack, "safespec").blocked
+            else "leaked"
+            for attack in sorted(ATTACKS)}
         assert table["performance"]["unsafe"]["overhead_geomean_pct"] == 0.0
         assert table["performance"]["safespec"]["overhead_geomean_pct"] > 0.0
-
-    def test_unknown_cell_kind_rejected(self):
-        from repro.eval.defense_matrix import defense_matrix_cell
-        with pytest.raises(ValueError, match="cell kind"):
-            defense_matrix_cell({"kind": "nope"})
 
     def test_cli_writes_byte_stable_json(self, monkeypatch, tmp_path):
         import repro.eval.defense_matrix as dm

@@ -245,7 +245,7 @@ class TestSchemeOrderInvariance:
                 "digests": digests}
         for scheme in schemes:
             h = sum(scheme.encode())
-            payloads[("attacks", scheme)] = {
+            verdicts = {
                 "spectre-v1-active": "blocked" if h % 2 else "leaked",
                 "spectre-v2-active": "blocked",
                 "ebpf-injection": "blocked" if h % 3 else "leaked",
@@ -255,7 +255,13 @@ class TestSchemeOrderInvariance:
                 "bhi-passive": "leaked",
                 "spectre-v2-vs-eibrs": "blocked",
             }
-            payloads[("perf", scheme)] = {
+            for attack, verdict in verdicts.items():
+                leaked = verdict == "leaked"
+                payloads[("security", attack, scheme)] = {
+                    "name": attack, "scheme": scheme, "secret": "4b335921",
+                    "leaked": "4b335921" if leaked else "",
+                    "unrecovered": 0 if leaked else 4, "notes": ""}
+            payloads[("lebench", scheme)] = {
                 "cycles": {"getpid": 100.0 + h, "mmap": 200.0 + h},
                 "fenced_loads": h, "committed_ops": 10_000 + h}
         return payloads
