@@ -21,7 +21,6 @@ This module reproduces that whole story:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from repro.cpu.isa import AluOp, Function, MicroOp, Op
@@ -177,7 +176,7 @@ class BPFManager:
         #: SUSE/upstream hardening: unprivileged users may not load
         #: programs at all (Section 4.2's second mitigation).
         self.allow_unprivileged = allow_unprivileged
-        self._handles = itertools.count(1)
+        self._handles = kernel.bpf_handles
         self.loaded: dict[int, LoadedProgram] = {}
 
     def load(self, proc: Process, program: BPFProgram,

@@ -16,6 +16,7 @@ Linux does (Section 6.1):
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from repro.cpu.branch import BranchUnit
@@ -140,6 +141,9 @@ class MiniKernel:
         self.tracer = KernelTracer()
         self.pipeline.trace_hook = self.tracer.on_function_entry
         from repro.kernel.ebpf import BPFManager
+        #: BPF program handles, shared by every manager on this kernel so
+        #: that program names never collide in its layout.
+        self.bpf_handles = itertools.count(1)
         self.bpf = BPFManager(self)
         self.processes: dict[int, Process] = {}
         self._next_pid = 1

@@ -11,7 +11,12 @@ from repro.attacks.ebpf import (
     masked_program,
     vulnerable_manager,
 )
-from repro.attacks.harness import build_perspective, non_driver_isv_functions
+from repro.attacks.harness import (
+    attack_on,
+    build_perspective,
+    build_policy,
+    non_driver_isv_functions,
+)
 from repro.core.views import InstructionSpeculationView
 from repro.cpu.isa import AluOp, Op, alu, call, kret, load, ret, store
 from repro.kernel.ebpf import (
@@ -176,3 +181,32 @@ class TestInjectionAttack:
             ctx, trusted, kernel.layout, source="with-bpf"))
         result = attack.run("perspective")
         assert result.blocked
+
+
+class TestRepeatedInjection:
+    """Program handles come from one sequence per kernel, so a second
+    PoC on a kernel loads its programs under new names instead of
+    colliding with the first PoC's."""
+
+    @pytest.mark.parametrize("scheme", ("unsafe", "perspective"))
+    def test_two_pocs_on_one_kernel(self, image, scheme):
+        kernel = MiniKernel(image=image)
+        attacker = kernel.create_process("attacker")
+        victim = kernel.create_process("victim")
+        build_policy(scheme, kernel)
+        results = [attack_on(kernel, attacker, victim, "ebpf-injection",
+                             scheme) for _ in range(2)]
+        if scheme == "unsafe":
+            assert [r.leaked for r in results] == [b"K3Y!", b"K3Y!"]
+        else:
+            assert all(r.blocked for r in results)
+        assert kernel.layout.local_names() == [
+            "bpf_prog_1_low", "bpf_prog_2_high",
+            "bpf_prog_3_low", "bpf_prog_4_high"]
+
+    def test_campaign_survives_a_second_epoch(self, image):
+        from repro.serve.campaign import CampaignSpec, run_campaign
+
+        report = run_campaign(CampaignSpec(attackers=("ebpf-injection",),
+                                           epochs=2), image=image)
+        assert report["leaks"]["attempted_bytes"] > 0
