@@ -1,30 +1,39 @@
-"""Block-JIT guard regressions for the new registered schemes.
+"""Block-JIT parity and miss accounting at the syscall level.
 
-SafeSpec and ConTExT override ``check_load``, so the pipeline's block
-cache automatically treats them as non-passive: memoized traces replay
-only when no predictions are in flight.  Two contracts follow, and both
-are regression-tested here for each scheme:
+Every scheme replays compiled blocks whether or not predictions are in
+flight: a generated load under an unresolved prediction calls the
+pipeline's one speculative-load method, so a policy that overrides
+``check_load`` (SafeSpec, ConTExT, DOM, STT, the Perspective flavors) is
+queried exactly as the interpreter queries it.  Two contracts follow:
 
 * **byte-exactness** -- an ``enable_block_cache`` run is digest- AND
   cycle-identical to the interpreted run (the parity oracle compares
-  every key, cycles included);
-* **accounted refusals** -- every replay the guard refuses lands in a
-  named ``miss_reasons`` bucket, with conservation
-  ``sum(miss_reasons.values()) == misses`` (nothing drops on the floor,
-  nothing double-counts).
+  every key, cycles included).  The conformance corpus runs
+  ``CONFORMANCE_SCHEMES``; this module adds the newest schemes and every
+  registered scheme the corpus leaves out;
+* **accounted misses** -- every arrival the JIT hands back to the
+  interpreter lands in a named ``miss_reasons`` bucket, with
+  conservation ``sum(miss_reasons.values()) == misses`` (nothing drops
+  on the floor, nothing double-counts).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.serve.conformance import check_seed
+from repro.defenses.registry import registered_schemes
+from repro.serve.conformance import CONFORMANCE_SCHEMES, check_seed
 
 NEW_SCHEMES = ("safespec", "context")
 
+#: Registered schemes the conformance corpus does not run (dom, stt,
+#: perspective-static, spot-ibpb, spot-nokpti at the time of writing).
+UNCOVERED_SCHEMES = tuple(scheme for scheme in registered_schemes()
+                          if scheme not in CONFORMANCE_SCHEMES)
+
 
 class TestCacheParity:
-    @pytest.mark.parametrize("scheme", NEW_SCHEMES)
+    @pytest.mark.parametrize("scheme", NEW_SCHEMES + UNCOVERED_SCHEMES)
     def test_block_cache_run_identical_to_interpreted(self, scheme, image):
         result = check_seed(0, schemes=("unsafe", scheme), image=image,
                             cache_parity=True)

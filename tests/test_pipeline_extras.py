@@ -1,61 +1,10 @@
-"""Tests for the optional fidelity features: LQ/SQ occupancy and the
-next-line prefetcher."""
+"""Tests for the optional next-line prefetcher."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.cpu.cache import CacheHierarchy
-from repro.cpu.isa import CodeLayout, Function, kret, li, load, store
-from repro.cpu.memsys import MainMemory
-from repro.cpu.pipeline import ExecutionContext, Pipeline, PipelineConfig
 
 BASE = 0x200000
-
-
-def long_load_program(n: int = 100) -> Function:
-    body = [li("r1", BASE)]
-    for i in range(n):
-        body.append(load("r2", "r1", imm=(i * 4096) % 60000))
-    body.append(kret())
-    return Function("loads", body)
-
-
-class TestLoadStoreQueues:
-    def _run(self, enforce: bool, lq_entries: int = 8) -> float:
-        layout = CodeLayout(0x40000, stride_ops=256)
-        func = layout.add(long_load_program())
-        config = PipelineConfig(enforce_lsq=enforce,
-                                load_queue_entries=lq_entries)
-        pipeline = Pipeline(layout, MainMemory(), config=config)
-        return pipeline.run(func, ExecutionContext(1)).cycles
-
-    def test_tiny_lq_throttles_memory_parallelism(self):
-        free = self._run(enforce=False)
-        throttled = self._run(enforce=True, lq_entries=4)
-        assert throttled > free
-
-    def test_table_7_1_sized_queues_rarely_bind(self):
-        """With the paper's 62 LQ entries the evaluated code never fills
-        the queue before the ROB, so results match the default model."""
-        free = self._run(enforce=False)
-        sized = self._run(enforce=True, lq_entries=62)
-        assert sized == pytest.approx(free, rel=0.05)
-
-    def test_store_queue_throttles(self):
-        layout = CodeLayout(0x40000, stride_ops=256)
-        body = [li("r1", BASE), li("r2", 7)]
-        body += [store("r1", "r2", imm=i * 8) for i in range(64)]
-        body += [kret()]
-        func = layout.add(Function("stores", body))
-
-        def run(enforce):
-            config = PipelineConfig(enforce_lsq=enforce,
-                                    store_queue_entries=2)
-            pipeline = Pipeline(layout, MainMemory(), config=config)
-            return pipeline.run(func, ExecutionContext(1)).cycles
-
-        assert run(True) >= run(False)
 
 
 class TestPrefetcher:
