@@ -43,14 +43,17 @@ import time
 from repro.cpu.isa import AluOp, CodeLayout, Function, alu, br, li, ret
 from repro.cpu.memsys import MainMemory
 from repro.cpu.pipeline import ExecutionContext, Pipeline
+from repro.exec.snapshots import SNAPSHOTS
 from repro.kernel.image import shared_image
 from repro.kernel.kernel import MiniKernel
 from repro.obs import MetricsRegistry
 from repro.serve.engine import ServeConfig, run_serve
 from repro.workloads.lebench import build_tests, run_lebench
 
-#: The serve smoke grid (matches ``python -m repro.serve --smoke``).
-SERVE_SMOKE = {"seeds": (0, 1), "tenants": (2, 3), "requests_per_tenant": 6}
+#: The serve smoke grid: the seeds, tenant counts and requests per tenant
+#: of the ``serve_smoke`` snapshot, resolved through its grid (each run
+#: keeps ``ServeConfig``'s other defaults).
+SERVE_SMOKE = SNAPSHOTS["serve_smoke"].resolve()
 
 #: Speedup floors enforced unless ``--no-gate`` (CI safety margins well
 #: under the measured numbers, which fluctuate with machine load).

@@ -43,15 +43,18 @@ import argparse
 import sys
 import time
 
+from repro.exec.snapshots import SNAPSHOTS
 from repro.obs import MetricsRegistry
 from repro.obs.reqtrace import TraceRecorder
 from repro.obs.slo import SloRollup
 from repro.serve.engine import ServeConfig, config_from_params, \
     run_serve, serve_cell
 
-#: The serve smoke grid (matches ``python -m repro.serve --smoke``).
-SERVE_SMOKE = {"seeds": (0, 1), "tenants": (2, 3), "requests_per_tenant": 6}
-SLO_WINDOW = 50_000.0
+#: The serve smoke grid: the seeds, tenant counts and requests per tenant
+#: of the ``serve_smoke`` snapshot, resolved through its grid, and the
+#: SLO window of the ``obs_slo_smoke`` dashboard.
+SERVE_SMOKE = SNAPSHOTS["serve_smoke"].resolve()
+SLO_WINDOW = SNAPSHOTS["obs_slo_smoke"].resolve()["slo_window"]
 
 #: Active-tracing wall-overhead ceiling (vs inactive hooks).
 GATE_ACTIVE_OVERHEAD = 3.0

@@ -13,30 +13,20 @@ One table no single paper has: every registered defense scheme held to
 The grid (``defense-matrix`` in :mod:`repro.exec.grids`) owns no cells:
 it runs the ``conformance`` grid's cells (one per seed), the
 ``security`` grid's (one per attack and scheme) and the ``lebench``
-grid's (one per scheme) for the matrix's schemes, so the parallel engine
-runs it with byte-exact worker parity, and CI diff-gates the assembled
-``benchmarks/out/defense_matrix.json`` snapshot.
-
-CLI::
-
-    python -m repro.eval.defense_matrix -o defense_matrix.json
-    python -m repro.eval.defense_matrix --workers 4 --no-cache
+grid's (one per scheme) for the matrix's schemes -- by default the
+conformance set, eight columns from both fencing extremes to the
+hardened Perspective flavor -- so the parallel engine runs it with
+byte-exact worker parity.  ``python -m repro.exec snapshot
+defense_matrix`` prints :func:`render_table`, writes the committed
+``benchmarks/out/defense_matrix.json`` and exits 1 if any scheme
+diverges from unsafe on the conformance corpus.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 from typing import Any
 
 from repro.eval.metrics import geomean
-from repro.serve.conformance import CONFORMANCE_SCHEMES
-
-#: The eight columns of the cross-paper table: both fencing extremes,
-#: taint tracking, the shadow-structure family, memory tagging, the
-#: deployed-software point, and the hardened Perspective flavor.
-MATRIX_SCHEMES = CONFORMANCE_SCHEMES
 
 #: PoCs grouped the way the paper's matrices slice them.  The eIBRS
 #: baseline check is a control (blocked even on unsafe hardware), so it
@@ -156,53 +146,3 @@ def render_table(table: dict[str, Any]) -> str:
             f"{perf['overhead_geomean_pct']:>8.2f}% "
             f"{perf['fences_per_kinst']:>13.2f}")
     return "\n".join(lines)
-
-
-def run_defense_matrix(schemes: tuple[str, ...] = MATRIX_SCHEMES,
-                       seeds: range | list[int] = range(20), *,
-                       workers: int = 1, use_cache: bool = True,
-                       cache_dir: str | None = None) -> dict[str, Any]:
-    """Run the full matrix on the parallel engine; returns the table."""
-    from repro.exec.engine import run_experiment
-    table, _report = run_experiment(
-        "defense-matrix", {"schemes": list(schemes),
-                           "seeds": list(seeds)},
-        workers=workers, use_cache=use_cache, cache_dir=cache_dir)
-    return table
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.eval.defense_matrix",
-        description="Cross-paper defense matrix: conformance + attacks "
-                    "+ overhead for every scheme column.")
-    parser.add_argument("-o", "--output", metavar="FILE", default=None,
-                        help="write the table as JSON (byte-stable)")
-    parser.add_argument("--seeds", type=int, default=20, metavar="N",
-                        help="conformance corpus size (default: 20)")
-    parser.add_argument("--workers", type=int, default=1, metavar="N")
-    parser.add_argument("--no-cache", action="store_true")
-    parser.add_argument("--cache-dir", metavar="DIR", default=None)
-    args = parser.parse_args(argv)
-    if args.seeds < 1:
-        parser.error(f"--seeds must be >= 1, got {args.seeds}: an empty "
-                     "conformance corpus checks nothing")
-
-    table = run_defense_matrix(
-        seeds=range(args.seeds), workers=max(1, args.workers),
-        use_cache=not args.no_cache, cache_dir=args.cache_dir)
-    blob = json.dumps(table, indent=2, sort_keys=True) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(blob)
-    print(render_table(table))
-    bad = [s for s in table["schemes"]
-           if not table["conformance"][s]["ok"]]
-    if bad:
-        print(f"CONFORMANCE DIVERGENCE: {', '.join(bad)}")
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

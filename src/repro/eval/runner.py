@@ -343,3 +343,37 @@ def run_breakdown_experiment(
                                             "requests": requests,
                                             "observe": observe},
                               use_cache=False)[0]
+
+
+def obs_matrix_cell(workload: str, scheme: str,
+                    requests: int) -> dict[str, Any]:
+    """One (workload, scheme) cell of the ``obs-matrix`` grid: the
+    environment's own metrics snapshot, observed from construction on.
+
+    Hot-path counters (``pipeline.*``) are the cell's; per-environment
+    figures are published as prefixed gauges
+    (``<workload>.<scheme>.cache.l1d.hits``) by the collectors, and spans
+    nest ``env/<workload>.<scheme>/syscall/<name>/...``.
+    """
+    from repro.obs import MetricsRegistry, instrumented
+    from repro.obs.collect import collect_env
+    from repro.workloads.driver import Driver
+    from repro.workloads.lebench import exercise_all
+
+    registry = MetricsRegistry()
+    with instrumented(registry=registry):
+        with registry.span(f"env/{workload}.{scheme}"):
+            # Environment construction itself drives syscalls (dynamic-ISV
+            # profiling runs); keep them under a ``setup`` node so they
+            # never blend into the measurement's syscall spans.
+            with registry.span("setup"):
+                env = make_env(workload, scheme)
+            if workload == "lebench":
+                exercise_all(Driver(env.kernel, env.proc,
+                                    rare_every=RARE_EVERY))
+            else:
+                AppWorkload(env.kernel, env.proc, APP_SPECS[workload],
+                            rare_every=RARE_EVERY).serve(requests)
+        collect_env(registry, env.kernel, env.framework,
+                    prefix=f"{workload}.{scheme}")
+    return registry.snapshot()

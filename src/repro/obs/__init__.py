@@ -23,12 +23,12 @@ On top of the metrics plane sits the forensics/attribution layer:
 * :mod:`repro.obs.profile` -- the differential fence-overhead profiler
   and the folded-stack / Chrome-trace exporters;
 * :mod:`repro.obs.dashboard` -- the serve-plane SLO / block-JIT
-  miss-attribution dashboard (``python -m repro.obs top`` / ``report``);
+  miss-attribution dashboard (the ``obs_slo_smoke`` snapshot);
 * :mod:`repro.obs.diffgate` -- the metric regression gate CI runs.
 
-See ``python -m repro.obs --help`` for the CLI (snapshot matrix plus the
-``events`` / ``profile`` / ``diff`` / ``top`` / ``report``
-subcommands).
+See ``python -m repro.obs --help`` for the CLI (the ``events`` /
+``profile`` / ``diff`` subcommands); the committed snapshots regenerate
+with ``python -m repro.exec snapshot NAME``.
 """
 
 from repro.obs.collect import (

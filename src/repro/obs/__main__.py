@@ -1,21 +1,7 @@
-"""CLI entry point: ``python -m repro.obs``.
-
-Without a subcommand, runs a small workload matrix with the
-observability plane armed and prints (or saves) the resulting metrics
-snapshot.  Everything in the snapshot derives from simulated cycles and
-seeded workloads, so two invocations with the same arguments produce
-**byte-identical** output -- the CI smoke step diffs a committed
-snapshot against a fresh run to keep the plane (and the counters it
-reads) honest.
+"""CLI entry point: ``python -m repro.obs``, the speculation-forensics
+toolbox.
 
 Usage::
-
-    python -m repro.obs                 # default matrix, Prometheus text
-    python -m repro.obs --smoke         # trimmed CI matrix
-    python -m repro.obs --json          # canonical JSON to stdout
-    python -m repro.obs -o snap.json    # also save the JSON snapshot
-
-Forensics subcommands::
 
     python -m repro.obs events --attack spectre-rsb-passive \\
         --scheme perspective --jsonl run.jsonl
@@ -25,10 +11,10 @@ Forensics subcommands::
         --base unsafe --scheme perspective -o outdir/
     python -m repro.obs diff baseline.json current.json  # exit 1 on drift
 
-Serve-plane dashboard (SLO state + block-JIT miss attribution)::
-
-    python -m repro.obs top                   # terminal dashboard
-    python -m repro.obs report -o model.json --artifacts outdir/
+The committed observability snapshots (``obs_smoke``, the workload
+matrix's metrics, and ``obs_slo_smoke``, the serve-plane dashboard)
+regenerate with ``python -m repro.exec snapshot NAME``
+(:mod:`repro.exec.snapshots`).
 """
 
 from __future__ import annotations
@@ -36,63 +22,6 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
-
-from repro.obs.collect import collect_env
-from repro.obs.instruments import instrumented
-from repro.obs.registry import MetricsRegistry
-
-#: The default workload x scheme matrix (kept small: this is a
-#: profiling smoke, not the paper evaluation).
-DEFAULT_WORKLOADS = ("lebench", "httpd")
-DEFAULT_SCHEMES = ("unsafe", "fence", "perspective")
-SMOKE_WORKLOADS = ("lebench",)
-SMOKE_SCHEMES = ("unsafe", "perspective")
-APP_REQUESTS = 12
-
-
-def run_workload_matrix(workloads: tuple[str, ...] = DEFAULT_WORKLOADS,
-                        schemes: tuple[str, ...] = DEFAULT_SCHEMES,
-                        seed: int = 0,
-                        requests: int = APP_REQUESTS) -> MetricsRegistry:
-    """Run the matrix under one registry and return it.
-
-    Hot-path counters (``pipeline.*``, ``campaign.*``) aggregate across
-    the whole matrix; per-environment figures are published as prefixed
-    gauges (``<workload>.<scheme>.cache.l1d.hits``) by the collectors,
-    and spans nest ``env/<workload>.<scheme>/syscall/<name>/...``.
-    """
-    from repro.eval.envs import RARE_EVERY, make_env
-    from repro.workloads.apps import APP_SPECS, AppWorkload
-    from repro.workloads.driver import Driver
-    from repro.workloads.lebench import exercise_all
-
-    registry = MetricsRegistry(meta={
-        "plane": "repro.obs", "seed": seed,
-        "workloads": list(workloads), "schemes": list(schemes),
-        "requests": requests,
-    })
-    with instrumented(registry=registry):
-        for workload in workloads:
-            for scheme in schemes:
-                with registry.span(f"env/{workload}.{scheme}"):
-                    # Environment construction itself drives syscalls
-                    # (dynamic-ISV profiling runs); keep them under a
-                    # ``setup`` node so they never blend into the
-                    # measurement's syscall spans.
-                    with registry.span("setup"):
-                        env = make_env(workload, scheme)
-                    if workload == "lebench":
-                        driver = Driver(env.kernel, env.proc,
-                                        rare_every=RARE_EVERY)
-                        exercise_all(driver)
-                    else:
-                        app = AppWorkload(env.kernel, env.proc,
-                                          APP_SPECS[workload],
-                                          rare_every=RARE_EVERY)
-                        app.serve(requests)
-                collect_env(registry, env.kernel, env.framework,
-                            prefix=f"{workload}.{scheme}")
-    return registry
 
 
 def _events_command(args: argparse.Namespace) -> int:
@@ -168,7 +97,7 @@ def _diff_command(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _subcommand_parser() -> argparse.ArgumentParser:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
         description="speculation-forensics toolbox: security-event "
@@ -216,93 +145,16 @@ def _subcommand_parser() -> argparse.ArgumentParser:
                       help="JSON tolerance rules (default: exact match)")
     diff.add_argument("--ignore-added", action="store_true",
                       help="new metrics are not findings")
-
-    top = sub.add_parser(
-        "top", help="serve-plane dashboard: SLO state, burn-rate "
-                    "alerts, block-JIT miss attribution")
-    report = sub.add_parser(
-        "report", help="write the dashboard model JSON, HTML, and "
-                       "per-request trace exports")
-    for cmd in (top, report):
-        cmd.add_argument("--workers", type=int, default=1,
-                         help="parallel grid workers (same bytes "
-                              "either way)")
-        cmd.add_argument("--no-cache", action="store_true",
-                         help="bypass the repro.exec result cache")
-    report.add_argument("-o", "--out", metavar="FILE",
-                        help="write the dashboard model JSON to FILE")
-    report.add_argument("--artifacts", metavar="DIR",
-                        help="write dashboard.html and per-request "
-                             "Chrome-trace/folded exports to DIR")
     return parser
 
 
-def _top_command(args: argparse.Namespace) -> int:
-    from repro.obs.dashboard import render_text, run_smoke
-
-    model, _traces = run_smoke(workers=args.workers,
-                               use_cache=not args.no_cache)
-    print(render_text(model), end="")
-    return 0
-
-
-def _report_command(args: argparse.Namespace) -> int:
-    from repro.obs.dashboard import model_to_json, run_smoke, write_report
-
-    model, traces = run_smoke(workers=args.workers,
-                              use_cache=not args.no_cache)
-    rendered = model_to_json(model)
-    if args.out:
-        pathlib.Path(args.out).write_text(rendered)
-        print(f"model written to {args.out}", file=sys.stderr)
-    else:
-        print(rendered, end="")
-    if args.artifacts:
-        written = write_report(args.artifacts, model, traces)
-        print(f"{len(written)} artifacts written to {args.artifacts}",
-              file=sys.stderr)
-    return 0
-
-
 _COMMANDS = {"events": _events_command, "profile": _profile_command,
-             "diff": _diff_command, "top": _top_command,
-             "report": _report_command}
+             "diff": _diff_command}
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in _COMMANDS:
-        args = _subcommand_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs",
-        description="run a small workload matrix under the deterministic "
-                    "observability plane and emit the metrics snapshot "
-                    "(subcommands: events, profile, diff, top, report)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="trimmed CI matrix (lebench x unsafe/"
-                             "perspective)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="recorded in the snapshot meta (the workloads "
-                             "are internally seeded and deterministic)")
-    parser.add_argument("--json", action="store_true",
-                        help="print the canonical JSON snapshot instead of "
-                             "the Prometheus-style text")
-    parser.add_argument("-o", "--out", metavar="FILE",
-                        help="also write the JSON snapshot to FILE")
-    args = parser.parse_args(argv)
-
-    workloads = SMOKE_WORKLOADS if args.smoke else DEFAULT_WORKLOADS
-    schemes = SMOKE_SCHEMES if args.smoke else DEFAULT_SCHEMES
-    registry = run_workload_matrix(workloads, schemes, seed=args.seed)
-
-    rendered_json = registry.to_json(indent=1) + "\n"
-    print(rendered_json if args.json else registry.to_text(), end="")
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(rendered_json)
-        print(f"snapshot written to {args.out}", file=sys.stderr)
-    return 0
+    args = _parser().parse_args(argv)
+    return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

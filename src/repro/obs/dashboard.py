@@ -23,9 +23,13 @@ Panels (one per serve scheme):
 * **exemplars** -- the latency-histogram buckets with the request
   traces that landed in them (every exemplar ID must resolve).
 
-``python -m repro.obs top`` renders the model as a terminal table;
-``python -m repro.obs report`` writes the model JSON, a static HTML
-rendering, and per-request Chrome-trace/folded exports.
+The ``dashboard`` grid (:mod:`repro.exec.grids`) runs the serve grid's
+cells once per scheme and builds the model; ``python -m repro.exec
+snapshot obs_slo_smoke`` prints it as a terminal table
+(:func:`render_text`), writes the model JSON (the committed
+``benchmarks/out/obs_slo_smoke.json``) and, with ``--artifacts``, a
+static HTML rendering and per-request Chrome-trace/folded exports
+(:func:`write_report`).
 """
 
 from __future__ import annotations
@@ -39,23 +43,10 @@ from repro.cpu.blockcache import MISS_REASONS
 from repro.obs.reqtrace import TraceRecorder
 from repro.obs.slo import DEFAULT_OBJECTIVES, SloObjective, SloRollup
 
-#: Schemes the dashboard smoke serves under.  ``stt`` is the dedicated
+#: Schemes the dashboard serves under.  ``stt`` is the dedicated
 #: taint-tracking point; the Perspective flavors pair it with the
 #: view-based design the paper argues for.
 DASHBOARD_SCHEMES = ("perspective", "perspective++", "stt")
-
-#: The serve-grid cell set of the dashboard smoke (matches the serve
-#: smoke sweep, with tracing, SLO windowing, and the block JIT armed).
-SMOKE_SWEEP: dict[str, Any] = {
-    "seeds": [0, 1],
-    "tenants": [2, 3],
-    "requests_per_tenant": 6,
-    "mean_interarrival": 12_000.0,
-    "observe": True,
-    "trace": True,
-    "slo_window": 50_000.0,
-    "block_cache": True,
-}
 
 #: Smoke objectives: the default set with the latency target tightened
 #: to the 10k-cycle bucket so the overloaded smoke grid (12k-cycle mean
@@ -208,46 +199,12 @@ def model_to_json(model: dict[str, Any]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Smoke runner (the CI-gated grid)
-# ---------------------------------------------------------------------------
-
-
-def run_smoke(schemes=DASHBOARD_SCHEMES, *, workers: int = 1,
-              use_cache: bool = True,
-              objectives=SMOKE_OBJECTIVES,
-              ) -> tuple[dict[str, Any], dict[str, dict]]:
-    """Run the dashboard smoke grid and build the model.
-
-    Returns ``(model, traces_by_scheme)``; the latter keeps the raw
-    trace snapshots so ``report`` can export per-request traces.
-    """
-    from repro.exec.engine import run_experiment
-
-    panels: dict[str, dict[str, Any]] = {}
-    traces_by_scheme: dict[str, dict] = {}
-    for scheme in schemes:
-        params = dict(SMOKE_SWEEP)
-        params["scheme"] = scheme
-        result, _report = run_experiment("serve", params, workers=workers,
-                                         use_cache=use_cache)
-        panels[scheme] = build_scheme_panel(
-            result["metrics"], result["traces"], result["slo"],
-            objectives=objectives)
-        traces_by_scheme[scheme] = result["traces"]
-    model = build_model(panels, meta={
-        "schemes": sorted(schemes),
-        "sweep": {k: SMOKE_SWEEP[k] for k in sorted(SMOKE_SWEEP)},
-    })
-    return model, traces_by_scheme
-
-
-# ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
 
 
 def render_text(model: dict[str, Any]) -> str:
-    """The ``python -m repro.obs top`` terminal rendering."""
+    """The terminal rendering of the model."""
     lines: list[str] = ["serve-plane dashboard"]
     for scheme, panel in model["schemes"].items():
         slo = panel["slo"]

@@ -188,31 +188,19 @@ class TestGridAndCli:
         assert table["performance"]["unsafe"]["overhead_geomean_pct"] == 0.0
         assert table["performance"]["safespec"]["overhead_geomean_pct"] > 0.0
 
-    def test_cli_writes_byte_stable_json(self, monkeypatch, tmp_path):
-        import repro.eval.defense_matrix as dm
-        path = (pathlib.Path(__file__).resolve().parent.parent
-                / "benchmarks" / "out" / "defense_matrix.json")
-        table = json.loads(path.read_text())
-        seen = {}
-        monkeypatch.setattr(
-            dm, "run_defense_matrix",
-            lambda **kw: seen.update(kw) or table)
-        out = tmp_path / "dm.json"
-        rc = dm.main(["-o", str(out), "--seeds", "5", "--workers", "2",
-                      "--no-cache"])
-        assert rc == 0
-        assert out.read_text() == path.read_text()
-        assert list(seen["seeds"]) == list(range(5))
-        assert seen["workers"] == 2 and seen["use_cache"] is False
-
     def test_cli_fails_on_divergence(self, monkeypatch, capsys):
-        import repro.eval.defense_matrix as dm
+        from repro.exec import ExperimentEngine, RunReport
+        from repro.exec.__main__ import main as exec_main
         bad = {"schemes": ["unsafe"],
                "conformance": {"unsafe": {"ok": False,
                                           "diverging_seeds": [3]}},
                "security": {"unsafe": {"leaks_blocked": "0/7"}},
                "performance": {"unsafe": {"overhead_geomean_pct": 0.0,
                                           "fences_per_kinst": 0.0}}}
-        monkeypatch.setattr(dm, "run_defense_matrix", lambda **kw: bad)
-        assert dm.main([]) == 1
-        assert "CONFORMANCE DIVERGENCE" in capsys.readouterr().out
+        monkeypatch.setattr(
+            ExperimentEngine, "run",
+            lambda self, name, params=None: (bad, RunReport(name, 1, False)))
+        assert exec_main(["snapshot", "defense_matrix", "--no-cache"]) == 1
+        captured = capsys.readouterr()
+        assert "DIVERGED" in captured.out
+        assert "CONFORMANCE DIVERGENCE: unsafe on seeds [3]" in captured.err

@@ -181,18 +181,28 @@ class TestExporters:
         assert list(reg.snapshot()["counters"]) == ["a", "b"]
 
 
+def _obs_matrix(**params) -> dict:
+    from repro.exec.engine import run_experiment
+    return run_experiment("obs-matrix", params, use_cache=False)[0]
+
+
+@pytest.fixture(scope="module")
+def obs_matrix_snapshot() -> dict:
+    """The ``obs-matrix`` grid at its defaults (lebench x unsafe,
+    perspective: the committed ``obs_smoke`` matrix), run once."""
+    return _obs_matrix()
+
+
 class TestDeterminism:
     def _run_once(self) -> str:
-        from repro.obs.__main__ import run_workload_matrix
-        return run_workload_matrix(("lebench",), ("perspective",)).to_json()
+        return json.dumps(_obs_matrix(schemes=["perspective"]),
+                          sort_keys=True)
 
     def test_two_seeded_runs_are_byte_identical(self):
         assert self._run_once() == self._run_once()
 
-    def test_snapshot_has_expected_sections(self):
-        from repro.obs.__main__ import run_workload_matrix
-        reg = run_workload_matrix(("lebench",), ("unsafe", "perspective"))
-        snap = reg.snapshot()
+    def test_snapshot_has_expected_sections(self, obs_matrix_snapshot):
+        snap = obs_matrix_snapshot
         assert snap["counters"]["pipeline.runs"] > 0
         assert snap["counters"]["driver.syscalls"] > 0
         assert "lebench.unsafe.cache.l1d.hits" in snap["gauges"]
@@ -204,15 +214,15 @@ class TestDeterminism:
         assert "lebench.perspective.dsvmt.walks" in snap["gauges"]
         assert snap["histograms"]["driver.syscall_cycles"]["count"] > 0
 
-    def test_span_tree_sums_to_syscall_cycles(self):
-        from repro.obs.__main__ import run_workload_matrix
-        reg = run_workload_matrix(("lebench",), ("perspective",))
-        snap = reg.snapshot()
-        # Every span lives under the env node and self-cycles are
+    def test_span_tree_sums_to_syscall_cycles(self, obs_matrix_snapshot):
+        reg = MetricsRegistry.from_snapshot(obs_matrix_snapshot)
+        spans = obs_matrix_snapshot["spans"]
+        # Every span lives under an env node and self-cycles are
         # non-negative, so subtree sums are meaningful inclusive totals.
-        total = sum(s["cycles"] for s in snap["spans"].values())
-        assert all(s["cycles"] >= 0 for s in snap["spans"].values())
-        assert reg.span_total("env/lebench.perspective") == \
+        total = sum(s["cycles"] for s in spans.values())
+        assert all(s["cycles"] >= 0 for s in spans.values())
+        assert reg.span_total("env/lebench.unsafe") \
+            + reg.span_total("env/lebench.perspective") == \
             pytest.approx(total)
 
 
@@ -401,11 +411,10 @@ class TestCollectors:
         assert 0.0 <= gauges["w.s.tlb.hit_rate"] <= 1.0
         assert gauges["w.s.tlb.resident"] <= gauges["w.s.tlb.capacity"]
 
-    def test_smoke_snapshot_covers_branch_and_memsys(self):
-        """The --smoke snapshot carries the new collector gauges."""
-        from repro.obs.__main__ import run_workload_matrix
-        snap = run_workload_matrix(("lebench",),
-                                   ("unsafe", "perspective")).snapshot()
+    def test_smoke_snapshot_covers_branch_and_memsys(
+            self, obs_matrix_snapshot):
+        """The ``obs_smoke`` matrix carries the new collector gauges."""
+        snap = obs_matrix_snapshot
         for scheme in ("unsafe", "perspective"):
             assert f"lebench.{scheme}.branch.cond.entries" \
                 in snap["gauges"]
@@ -530,18 +539,22 @@ class TestCampaignCounters:
 
 
 class TestCli:
-    def test_smoke_json_deterministic_and_saved(self, tmp_path, capsys):
-        from repro.obs.__main__ import main
-        out = tmp_path / "snap.json"
-        assert main(["--smoke", "--json", "-o", str(out)]) == 0
-        printed = capsys.readouterr().out
-        assert out.read_text() == printed
-        snap = json.loads(printed)
+    """The ``obs_smoke`` snapshot row, rendered from the grid's result
+    (``python -m repro.exec snapshot obs_smoke`` writes the same)."""
+
+    def test_smoke_json_deterministic_and_saved(self, obs_matrix_snapshot):
+        from pathlib import Path
+
+        from repro.exec.snapshots import SNAPSHOTS
+        row = SNAPSHOTS["obs_smoke"]
+        rendered = row.to_json(row.resolve(), obs_matrix_snapshot, None)
+        committed = Path(__file__).resolve().parents[1] / row.path
+        assert rendered == committed.read_text()
+        snap = json.loads(rendered)
         assert snap["meta"]["workloads"] == ["lebench"]
         assert snap["counters"]["pipeline.runs"] > 0
 
-    def test_smoke_text_output(self, capsys):
-        from repro.obs.__main__ import main
-        assert main(["--smoke"]) == 0
-        text = capsys.readouterr().out
+    def test_smoke_text_output(self, obs_matrix_snapshot):
+        from repro.exec.snapshots import SNAPSHOTS
+        text = SNAPSHOTS["obs_smoke"].to_text(obs_matrix_snapshot)
         assert "# TYPE pipeline_runs counter" in text

@@ -250,19 +250,16 @@ class TestServeCLI:
         assert _parse_seeds("3") == [0, 1, 2]
         assert _parse_seeds("4,7") == [4, 7]
 
-    @pytest.mark.parametrize("cli, argv", [
-        ("serve", ["conformance", "--seeds", "0"]),
-        ("serve", ["conformance", "--seeds", ","]),
-        ("serve", ["conformance", "--steps", "0"]),
-        ("defense-matrix", ["--seeds", "0", "--no-cache"]),
-    ], ids=["seeds-0", "seeds-comma", "steps-0", "matrix-seeds-0"])
-    def test_empty_corpus_rejected(self, cli, argv, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["conformance", "--seeds", "0"],
+        ["conformance", "--seeds", ","],
+        ["conformance", "--steps", "0"],
+    ], ids=["seeds-0", "seeds-comma", "steps-0"])
+    def test_empty_corpus_rejected(self, argv, capsys):
         """An empty corpus (no seeds, or empty traces) would pass
-        vacuously; both conformance CLIs refuse it as a usage error."""
-        from repro.eval.defense_matrix import main as matrix_main
-        main = serve_main if cli == "serve" else matrix_main
+        vacuously; the conformance CLI refuses it as a usage error."""
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            serve_main(argv)
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 

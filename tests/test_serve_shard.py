@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.exec import EngineConfig, ExperimentEngine
+from repro.exec import EngineConfig, ExperimentEngine, get_grid
 from repro.obs import events as ev
 from repro.obs import instrumented
 from repro.serve.engine import (
@@ -38,7 +38,6 @@ from repro.serve.shard import (
     run_serve_sharded,
     scale_shard_cell,
 )
-from repro.serve.__main__ import main as serve_main
 
 
 def canon(payload) -> str:
@@ -399,27 +398,28 @@ class TestHistogram:
 
 
 class TestScaleCLI:
-    def test_scale_smoke_roundtrip(self, tmp_path, capsys):
-        out = tmp_path / "scale.json"
-        art = tmp_path / "artifacts"
-        rc = serve_main(["scale", "--smoke", "--no-cache",
-                         "-o", str(out), "--artifacts", str(art)])
-        assert rc == 0
-        snap = json.loads(out.read_text())
+    def test_scale_smoke_roundtrip(self, tmp_path):
+        """The ``serve_scale`` snapshot row's JSON, text and CSV
+        renderers on a small run of its grid."""
+        from repro.exec.snapshots import SNAPSHOTS
+        row = SNAPSHOTS["serve_scale"]
+        params = get_grid(row.grid).resolve({
+            "schemes": ["perspective"], "tenants": [4], "shards": [1, 2],
+            "requests_per_tenant": 200})
+        result, _ = ExperimentEngine(EngineConfig(use_cache=False)).run(
+            row.grid, params)
+        snap = json.loads(row.to_json(params, result, None))
         assert snap["meta"]["plane"] == "repro.serve.scale"
-        assert any(k.startswith("serve_scale.") for k in snap["gauges"])
-        assert (art / "serve_scale_curves.csv").exists()
-
-    def test_sweep_accepts_shards_flag(self, tmp_path):
-        out = tmp_path / "smoke.json"
-        rc = serve_main(["--smoke", "--no-cache", "--shards", "1",
-                         "-o", str(out)])
-        assert rc == 0
-        snap = json.loads(out.read_text())
-        assert snap["meta"]["shards"] == 1
-
-    def test_sweep_rejects_nonpositive_shards(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            serve_main(["--smoke", "--no-cache", "--shards", "0"])
-        assert exc.value.code == 2
-        assert "--shards" in capsys.readouterr().err
+        assert snap["meta"]["shards"] == [1, 2]
+        assert any(k.startswith("serve_scale.perspective.t4.sh2.")
+                   for k in snap["gauges"])
+        text = row.to_text(result).splitlines()
+        assert [line.split(":")[0] for line in text] == [
+            "scheme=perspective tenants=4 shards=1",
+            "scheme=perspective tenants=4 shards=2"]
+        curves = row.artifacts(result, tmp_path)
+        assert curves == [tmp_path / "serve_scale_curves.csv"]
+        lines = curves[0].read_text().splitlines()
+        assert lines[0].startswith("scheme,tenants,shards,offered,")
+        assert [line.split(",")[:3] for line in lines[1:]] == [
+            ["perspective", "4", "1"], ["perspective", "4", "2"]]
