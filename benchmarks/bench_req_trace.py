@@ -23,9 +23,11 @@ Two timed configurations over the serve smoke grid:
 * ``inactive`` -- plain ``run_serve``: the hooks exist but no recorder
   or rollup is installed.  This is the tax every untraced serve run
   pays for the instrumentation being compiled in.
-* ``active`` -- ``serve_cell`` under a fresh ``TraceRecorder`` +
-  ``SloRollup``: every request records admission, scheduler-slice,
-  syscall, kernel-function and pipeline steps plus exemplar links.
+* ``active`` -- the ``serve`` grid's cell run through
+  ``repro.exec.grids.run_cell`` with ``trace`` and ``slo_window`` set,
+  i.e. under a fresh ``TraceRecorder`` + ``SloRollup``: every request
+  records admission, scheduler-slice, syscall, kernel-function and
+  pipeline steps plus exemplar links.
 
 The ``active/inactive`` wall ratio gates at ``<= 3.0`` (``--no-gate``
 to skip): full per-request tracing may cost real time, but if it blows
@@ -43,12 +45,12 @@ import argparse
 import sys
 import time
 
+from repro.exec.grids import run_cell
 from repro.exec.snapshots import SNAPSHOTS
 from repro.obs import MetricsRegistry
 from repro.obs.reqtrace import TraceRecorder
 from repro.obs.slo import SloRollup
-from repro.serve.engine import ServeConfig, config_from_params, \
-    run_serve, serve_cell
+from repro.serve.engine import config_from_params, run_serve
 
 #: The serve smoke grid: the seeds, tenant counts and requests per tenant
 #: of the ``serve_smoke`` snapshot, resolved through its grid, and the
@@ -75,13 +77,19 @@ def _grid():
             yield seed, tenants
 
 
+def _traced_cell(seed: int, tenants: int) -> dict:
+    """One serve cell under its own trace recorder and SLO rollup."""
+    return run_cell("serve", (str(seed), str(tenants)),
+                    _cell_params(seed, tenants, trace=True,
+                                 slo_window=SLO_WINDOW))
+
+
 def _parity_and_census(reg: MetricsRegistry) -> None:
     """Byte-parity assert + deterministic trace census, per cell."""
     for seed, tenants in _grid():
         label = f"s{seed}.t{tenants}"
         plain = run_serve(config_from_params(_cell_params(seed, tenants)))
-        cell = serve_cell(_cell_params(seed, tenants, trace=True,
-                                       slo_window=SLO_WINDOW))
+        cell = _traced_cell(seed, tenants)
         traced_report = {k: v for k, v in cell.items()
                          if k not in ("traces", "slo")}
         assert plain.as_dict() == traced_report, \
@@ -126,8 +134,7 @@ def _walls(reg: MetricsRegistry) -> float:
 
     def active() -> None:
         for seed, tenants in _grid():
-            serve_cell(_cell_params(seed, tenants, trace=True,
-                                    slo_window=SLO_WINDOW))
+            _traced_cell(seed, tenants)
 
     # Warm process-wide caches (codegen, images) before timing.
     inactive()

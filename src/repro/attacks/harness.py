@@ -27,8 +27,6 @@ from repro.defenses import PerspectivePolicy
 from repro.defenses.registry import arm
 from repro.kernel.image import shared_image
 from repro.kernel.kernel import KernelConfig, MiniKernel
-from repro.obs.events import EventJournal
-from repro.obs.instruments import instrumented
 from repro.scanner.kasper import scan
 
 #: PoC classes by the name used in the CVE registry (Table 4.1).
@@ -113,13 +111,13 @@ class MatrixCell:
 
 
 def run_attack(attack_name: str, scheme: str = "unsafe",
-               secret: bytes = b"K3Y!",
-               journal: EventJournal | None = None) -> AttackResult:
+               secret: bytes = b"K3Y!") -> AttackResult:
     """Boot, arm, attack; returns the PoC outcome under ``scheme``.
 
-    Passing a ``journal`` records every enforcement decision made during
-    the PoC as security events, so the run can be reconstructed after the
-    fact (:meth:`EventJournal.reconstruct`).
+    The PoC runs under the caller's planes: inside
+    ``instrumented(journal=...)`` every enforcement decision it makes is
+    recorded as a security event, so the run can be reconstructed after
+    the fact (:meth:`repro.obs.events.EventJournal.reconstruct`).
     """
     attack_cls = ATTACKS[attack_name]
     config = KernelConfig(
@@ -127,14 +125,11 @@ def run_attack(attack_name: str, scheme: str = "unsafe",
     kernel = MiniKernel(image=shared_image(), config=config)
     setup = make_setup(kernel, secret=secret)
     build_policy(scheme, kernel)
-    attack = attack_cls(setup)
-    with instrumented(journal=journal):
-        return attack.run(scheme_name=scheme)
+    return attack_cls(setup).run(scheme_name=scheme)
 
 
 def attack_on(kernel: MiniKernel, attacker, victim, attack_name: str,
-              scheme: str, secret: bytes = b"K3Y!",
-              journal: EventJournal | None = None) -> AttackResult:
+              scheme: str, secret: bytes = b"K3Y!") -> AttackResult:
     """Run one PoC through an existing *armed* kernel.
 
     Where :func:`run_attack` boots a fresh kernel per PoC, this entry
@@ -142,12 +137,9 @@ def attack_on(kernel: MiniKernel, attacker, victim, attack_name: str,
     other tenants -- the adversarial-campaign path, where the attacker
     is a co-located tenant and the policy, view caches, predictors, and
     memory state are shared with live victim traffic.  The caller owns
-    policy arming; the secret is (re)planted in ``victim``'s kernel heap
-    before the run.
-
-    Passing ``journal`` scopes event recording to this PoC run; leaving
-    it ``None`` keeps whatever journal is already active (the campaign
-    journals the whole timeline, attacks included).
+    policy arming and the planes (the campaign journals the whole
+    timeline, attacks included); the secret is (re)planted in
+    ``victim``'s kernel heap before the run.
     """
     attack_cls = ATTACKS[attack_name]
     if attack_name in _NEEDS_EIBRS \
@@ -156,11 +148,7 @@ def attack_on(kernel: MiniKernel, attacker, victim, attack_name: str,
     secret_va = kernel.plant_secret(victim, secret)
     setup = AttackSetup(kernel=kernel, attacker=attacker, victim=victim,
                         secret=secret, secret_va=secret_va)
-    attack = attack_cls(setup)
-    if journal is None:
-        return attack.run(scheme_name=scheme)
-    with instrumented(journal=journal):
-        return attack.run(scheme_name=scheme)
+    return attack_cls(setup).run(scheme_name=scheme)
 
 
 def run_matrix(attacks: tuple[str, ...] = tuple(ATTACKS),

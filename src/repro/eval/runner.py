@@ -321,59 +321,54 @@ def run_breakdown_experiment(
         schemes: tuple[str, ...] = ("perspective-static", "perspective",
                                     "perspective++"),
         requests: int = 30,
-        observe: bool = False,
-        journal: "EventJournal | None" = None) -> BreakdownExperiment:
+        observe: bool = False) -> BreakdownExperiment:
     """Fence attribution and view-cache hit rates under Perspective.
 
     With ``observe=True`` every cell runs inside its own fresh
     :class:`repro.obs.MetricsRegistry`; the per-cell snapshots (hot-path
     counters, span timings, and per-env collector gauges) merge in
     declared cell order into ``experiment.metrics``, identically at any
-    worker count.  A ``journal`` additionally records every enforcement
-    decision as a security event.  The measured numbers are identical
-    either way -- the observability plane only reads simulated state.
+    worker count.  The cells run in this process under the caller's
+    ``instrumented(...)`` planes, so ``instrumented(journal=...)``
+    records every enforcement decision as a security event.  The
+    measured numbers are identical either way -- the observability
+    plane only reads simulated state.
     """
     from repro.exec.engine import run_experiment
-    from repro.obs import instrumented
-    # A plane left out is inherited from the caller (e.g. a campaign's
-    # registry), where None would deactivate it.
-    with instrumented(**({} if journal is None else {"journal": journal})):
-        return run_experiment("breakdown", {"workloads": list(workloads),
-                                            "schemes": list(schemes),
-                                            "requests": requests,
-                                            "observe": observe},
-                              use_cache=False)[0]
+    return run_experiment("breakdown", {"workloads": list(workloads),
+                                        "schemes": list(schemes),
+                                        "requests": requests,
+                                        "observe": observe},
+                          use_cache=False)[0]
 
 
-def obs_matrix_cell(workload: str, scheme: str,
-                    requests: int) -> dict[str, Any]:
-    """One (workload, scheme) cell of the ``obs-matrix`` grid: the
-    environment's own metrics snapshot, observed from construction on.
+def obs_matrix_cell(workload: str, scheme: str, requests: int,
+                    registry=None) -> None:
+    """One (workload, scheme) cell of the ``obs-matrix`` grid: one
+    environment, observed from construction on.
 
-    Hot-path counters (``pipeline.*``) are the cell's; per-environment
-    figures are published as prefixed gauges
-    (``<workload>.<scheme>.cache.l1d.hits``) by the collectors, and spans
-    nest ``env/<workload>.<scheme>/syscall/<name>/...``.
+    Hot-path counters (``pipeline.*``) go to the active registry and
+    spans nest ``env/<workload>.<scheme>/syscall/<name>/...``; when
+    ``registry`` is given, the per-environment figures are collected
+    into it as prefixed gauges (``<workload>.<scheme>.cache.l1d.hits``).
     """
-    from repro.obs import MetricsRegistry, instrumented
+    from repro.obs import registry as obs
     from repro.obs.collect import collect_env
     from repro.workloads.driver import Driver
     from repro.workloads.lebench import exercise_all
 
-    registry = MetricsRegistry()
-    with instrumented(registry=registry):
-        with registry.span(f"env/{workload}.{scheme}"):
-            # Environment construction itself drives syscalls (dynamic-ISV
-            # profiling runs); keep them under a ``setup`` node so they
-            # never blend into the measurement's syscall spans.
-            with registry.span("setup"):
-                env = make_env(workload, scheme)
-            if workload == "lebench":
-                exercise_all(Driver(env.kernel, env.proc,
-                                    rare_every=RARE_EVERY))
-            else:
-                AppWorkload(env.kernel, env.proc, APP_SPECS[workload],
-                            rare_every=RARE_EVERY).serve(requests)
+    with obs.span(f"env/{workload}.{scheme}"):
+        # Environment construction itself drives syscalls (dynamic-ISV
+        # profiling runs); keep them under a ``setup`` node so they
+        # never blend into the measurement's syscall spans.
+        with obs.span("setup"):
+            env = make_env(workload, scheme)
+        if workload == "lebench":
+            exercise_all(Driver(env.kernel, env.proc,
+                                rare_every=RARE_EVERY))
+        else:
+            AppWorkload(env.kernel, env.proc, APP_SPECS[workload],
+                        rare_every=RARE_EVERY).serve(requests)
+    if registry is not None:
         collect_env(registry, env.kernel, env.framework,
                     prefix=f"{workload}.{scheme}")
-    return registry.snapshot()

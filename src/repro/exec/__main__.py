@@ -137,8 +137,7 @@ def _snapshot_command(argv: list[str]) -> int:
         parser.error(f"{row.name} writes no artifacts")
     result, report = _engine(args).run(row.grid, row.params)
     print(report.summary(), file=sys.stderr)
-    return publish(row, result, report, out=args.out,
-                   artifacts=args.artifacts)
+    return publish(row, result, out=args.out, artifacts=args.artifacts)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -26,17 +26,22 @@ tests:
 Consequently ``engine.run("lebench")`` is byte-identical at any worker
 count, cold or warm cache.
 
-At one worker the cells run in the calling process, so ambient
-``instrumented(...)`` scopes (registry, journal, fault plane) reach
+Every cell runs through :func:`repro.exec.grids.run_cell`, which arms
+the fresh planes the cell's params ask for (``observe``, ``trace``,
+``slo_window``) and attaches their snapshots to its payload.  At one
+worker the cells run in the calling process, so the caller's other
+``instrumented(...)`` planes (registry, journal, fault plane) reach
 every cell; the engine itself adds only ``exec.cells.total`` and
-``exec.cells.executed`` (plus ``exec.cache.*`` with the cache on).  Pool
-workers are separate processes, so at ``workers > 1`` an outer registry
-captures only that bookkeeping; grids that need metrics capture them per
-cell (see the breakdown grid's ``observe`` parameter).  With the cache
-off no fingerprint is computed.  The subprocess transport that the
-campaign runner (:mod:`repro.reliability.campaign`) uses for
-crash/timeout isolation lives here too (:func:`run_in_subprocess`), so
-both layers share one fork-with-spawn-fallback implementation.
+``exec.cells.executed`` (plus ``exec.cache.*`` with the cache on).
+Pool workers are separate processes, so at ``workers > 1`` an outer
+registry captures only that bookkeeping, and grids that need metrics
+capture them per cell.  With the cache off no fingerprint is computed;
+with it on, one code fingerprint -- the import closure of
+:mod:`repro.exec.grids`, which reaches every cell's code -- versions
+every cell.  The subprocess transport that the campaign runner
+(:mod:`repro.reliability.campaign`) uses for crash/timeout isolation
+lives here too (:func:`run_in_subprocess`), so both layers share one
+fork-with-spawn-fallback implementation.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from repro.exec.fingerprint import (
     code_fingerprint,
     import_closure,
 )
-from repro.exec.grids import get_grid
+from repro.exec.grids import get_grid, run_cell
 from repro.obs import registry as obs
 
 Key = tuple[str, ...]
@@ -78,11 +83,10 @@ def _roundtrip(payload: Any) -> Any:
 
 def _run_cell_task(grid_name: str, key: list[str] | Key,
                    cell_params: dict[str, Any]) -> Any:
-    """Top-level pool task: re-look up the grid by name (grids are
+    """Top-level pool task: run one cell by grid name (grids are
     registered at import time, so this works under fork and spawn
-    alike) and run one cell."""
-    grid = get_grid(grid_name)
-    return _roundtrip(grid.run_cell(tuple(key), cell_params))
+    alike)."""
+    return _roundtrip(run_cell(grid_name, tuple(key), cell_params))
 
 
 @dataclass
@@ -162,7 +166,7 @@ class ExperimentEngine:
         fingerprints: dict[Key, str] = {}
         pending = cells
         if self.config.use_cache:
-            code_fp = code_fingerprint(import_closure(grid.entry_modules))
+            code_fp = code_fingerprint(import_closure(("repro.exec.grids",)))
             pending = []
             for key, cell_params in cells:
                 fp = cell_fingerprint(experiment, key, cell_params, code_fp)

@@ -18,21 +18,28 @@ describes one experiment as
   to a per-cell function (``repro.eval.runner.lebench_cell`` etc.);
 * ``assemble(params, payloads)`` -- rebuild the experiment object from
   the per-cell payloads, iterating in declared cell order (never in
-  pool completion order); per-cell snapshots (metrics, traces, SLO
-  rollups) merge through :func:`_fold`;
-* ``entry_modules`` -- the modules whose transitive ``repro.*`` import
-  closure fingerprints the cell's code version for the result cache.
+  pool completion order).
+
+Observation planes are this module's too.  :func:`run_cell` is the one
+place a cell gets fresh planes: a cell whose params set ``observe``,
+``trace`` or ``slo_window`` runs under a fresh metrics registry, request
+tracer or SLO rollup, whose snapshot lands in its payload under
+``"metrics"``, ``"traces"`` or ``"slo"``; :func:`fold_cells` pops those
+snapshots back out and merges each plane in declared cell order.  The
+cells themselves only publish content (summary gauges, collector
+figures) through the ``repro.obs`` hooks.
 
 Cell payloads are JSON values (the engine round-trips them through
 ``json`` either way), so a cell replayed from the on-disk cache -- or
 from a campaign journal -- is indistinguishable from a freshly executed
-one.
+one.  The result cache fingerprints every cell with the import closure
+of this module, which reaches every cell's code.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable
 
 from repro.attacks.base import AttackResult
@@ -62,6 +69,12 @@ from repro.eval.sensitivity import (
     unknown_overhead_pct,
 )
 from repro.eval.sweeps import SweepResult, _measure
+from repro.kernel.image import shared_image
+from repro.obs.instruments import INSTRUMENTS, instrumented
+from repro.obs.registry import MetricsRegistry
+from repro.obs.reqtrace import TraceRecorder
+from repro.obs.slo import SloRollup
+from repro.serve.campaign import CampaignSpec, campaign_cell
 from repro.workloads.apps import APP_NAMES, APP_SPECS
 
 Key = tuple[str, ...]
@@ -77,8 +90,6 @@ class Grid:
     """One grid-shaped experiment, decomposed for the engine."""
 
     name: str
-    #: Roots of the static import closure that fingerprints cell code.
-    entry_modules: tuple[str, ...]
     defaults: Callable[[], dict[str, Any]]
     cells: Callable[[dict[str, Any]], CellList]
     run_cell: Callable[[Key, dict[str, Any]], Any]
@@ -115,6 +126,63 @@ def _fold(cls: Any, snapshots: list[Any]) -> Any:
         else:
             merged.merge(part)
     return None if merged is None else merged.snapshot()
+
+
+#: The planes a cell can ask for, in fold order: (the cell parameter
+#: that asks, the payload key its snapshot lands under, its
+#: ``instrumented`` keyword, its class, and a fresh plane from the
+#: parameter's value).
+_PLANES: tuple[tuple[str, str, str, type, Callable[[Any], Any]], ...] = (
+    ("observe", "metrics", "registry", MetricsRegistry,
+     lambda on: MetricsRegistry()),
+    ("trace", "traces", "recorder", TraceRecorder,
+     lambda on: TraceRecorder()),
+    ("slo_window", "slo", "rollup", SloRollup,
+     lambda window: SloRollup(float(window))),
+)
+
+
+def run_cell(experiment: str, key: Key, cell_params: dict[str, Any]) -> Any:
+    """Run one cell of a grid under the fresh planes its params ask for.
+
+    The one place a grid cell gets planes: ``observe`` arms a
+    :class:`MetricsRegistry`, ``trace`` a :class:`TraceRecorder` and
+    ``slo_window`` a :class:`SloRollup` of that width, and each plane's
+    snapshot lands in the payload under ``"metrics"``, ``"traces"`` or
+    ``"slo"``.  Planes the cell does not ask for are inherited from the
+    caller's ``instrumented(...)`` scope, not deactivated.
+    """
+    planes = {field: (keyword, fresh(cell_params[param]))
+              for param, field, keyword, _, fresh in _PLANES
+              if cell_params.get(param)}
+    if planes:
+        # The planes cover the whole cell but not the one-off kernel
+        # image build, whichever cell of the process happens to pay it.
+        shared_image()
+    with instrumented(**dict(planes.values())):
+        out = get_grid(experiment).run_cell(key, cell_params)
+    for field, (_, plane) in planes.items():
+        out[field] = plane.snapshot()
+    return out
+
+
+def fold_cells(cells: CellList, payloads: dict[Key, Any],
+               ) -> tuple[list[dict[str, Any]], dict[str, Any]]:
+    """Split :func:`run_cell` payloads back into content and planes.
+
+    Returns each cell's payload without its plane snapshots, in declared
+    cell order, and each plane the cells asked for with their snapshots
+    folded (:func:`_fold`) in that order, under its payload key.  The
+    ``payloads`` themselves are left untouched.
+    """
+    contents = [dict(payloads[key]) for key, _ in cells]
+    folded: dict[str, Any] = {}
+    for param, field, _, cls, _ in _PLANES:
+        merged = _fold(cls, [content.pop(field) for content, (_, cp)
+                             in zip(contents, cells) if cp.get(param)])
+        if merged is not None:
+            folded[field] = merged
+    return contents, folded
 
 
 def _with_unsafe(params: dict[str, Any]) -> dict[str, Any]:
@@ -292,21 +360,10 @@ def _breakdown_cells(params: dict[str, Any]) -> CellList:
 
 
 def _breakdown_run(key: Key, cp: dict[str, Any]) -> Any:
-    if not cp["observe"]:
-        return breakdown_cell(cp["workload"], cp["scheme"],
-                              requests=cp["requests"])
-    from repro.kernel.image import shared_image
-    from repro.obs import MetricsRegistry, instrumented
-    # The cell registry covers the whole cell (make_env and profiling
-    # included) but not the one-off image build, whichever cell of the
-    # process happens to pay it.
-    shared_image()
-    registry = MetricsRegistry()
-    with instrumented(registry=registry):
-        out = breakdown_cell(cp["workload"], cp["scheme"],
-                             requests=cp["requests"], registry=registry)
-    out["metrics"] = registry.snapshot()
-    return out
+    return breakdown_cell(cp["workload"], cp["scheme"],
+                          requests=cp["requests"],
+                          registry=INSTRUMENTS.registry if cp["observe"]
+                          else None)
 
 
 def _breakdown_assemble(params: dict[str, Any],
@@ -324,12 +381,8 @@ def _breakdown_assemble(params: dict[str, Any],
                 cell["isv_cache_hit_rate"]
             exp.dsv_cache_hit_rate[workload][scheme] = \
                 cell["dsv_cache_hit_rate"]
-    if params["observe"]:
-        from repro.obs import MetricsRegistry
-        exp.metrics = _fold(MetricsRegistry, [
-            payloads[(workload, scheme)]["metrics"]
-            for workload in params["workloads"]
-            for scheme in params["schemes"]])
+    exp.metrics = fold_cells(_breakdown_cells(params),
+                             payloads)[1].get("metrics")
     return exp
 
 
@@ -433,8 +486,9 @@ _SERVE_KEYS = ("scheme", "requests_per_tenant", "mean_interarrival",
                "queue_bound", "profiles", "rare_every", "profile_requests",
                "shards", "placement", "migrate_every", "service_model",
                "memo_warmup", "memo_period",
-               # Observation-only extras (repro.serve.engine serve_cell):
-               # the report bytes are identical with or without them.
+               # Observation-only extras (the block JIT and two planes,
+               # see run_cell): the report bytes are identical with or
+               # without them.
                "block_cache", "trace", "slo_window")
 
 
@@ -449,29 +503,15 @@ def _serve_cells(params: dict[str, Any]) -> CellList:
 
 def _serve_run(key: Key, cp: dict[str, Any]) -> Any:
     from repro.serve.engine import serve_cell
-    return serve_cell(cp, observe=cp["observe"])
+    return serve_cell(cp)
 
 
 def _serve_assemble(params: dict[str, Any],
                     payloads: dict[Key, Any]) -> dict[str, Any]:
     """JSON-able sweep summary; per-cell registries, request traces and
     SLO rollups fold in declared cell order."""
-    from repro.obs import MetricsRegistry
-    from repro.obs.reqtrace import TraceRecorder
-    from repro.obs.slo import SloRollup
-    cells = [dict(payloads[(str(seed), str(tenants))])
-             for seed in params["seeds"]
-             for tenants in params["tenants"]]
-    out: dict[str, Any] = {"cells": cells}
-    for field, cls, enabled in (
-            ("metrics", MetricsRegistry, params["observe"]),
-            ("traces", TraceRecorder, params.get("trace")),
-            ("slo", SloRollup, params.get("slo_window"))):
-        if enabled:
-            folded = _fold(cls, [cell.pop(field) for cell in cells])
-            if folded is not None:
-                out[field] = folded
-    return out
+    cells, planes = fold_cells(_serve_cells(params), payloads)
+    return {"cells": cells, **planes}
 
 
 def _serve_sweep() -> dict[str, Any]:
@@ -539,27 +579,27 @@ def _dashboard_assemble(params: dict[str, Any],
 
 
 def _obs_matrix_cells(params: dict[str, Any]) -> CellList:
+    # Every cell is observed: its metrics snapshot is the result.
     return [((workload, scheme), {"workload": workload, "scheme": scheme,
-                                  "requests": params["requests"]})
+                                  "requests": params["requests"],
+                                  "observe": True})
             for workload in params["workloads"]
             for scheme in params["schemes"]]
 
 
 def _obs_matrix_run(key: Key, cp: dict[str, Any]) -> Any:
-    return obs_matrix_cell(cp["workload"], cp["scheme"],
-                           requests=cp["requests"])
+    obs_matrix_cell(cp["workload"], cp["scheme"], requests=cp["requests"],
+                    registry=INSTRUMENTS.registry)
+    return {}
 
 
 def _obs_matrix_assemble(params: dict[str, Any],
                          payloads: dict[Key, Any]) -> dict[str, Any]:
     """One metrics snapshot: the environments' snapshots folded in
     declared cell order, the matrix in ``meta``."""
-    from repro.obs import MetricsRegistry
-    registry = MetricsRegistry.from_snapshot(_fold(MetricsRegistry, [
-        payloads[key] for key, _ in _obs_matrix_cells(params)]))
-    # ``seed`` is a fixed label: every environment is built from fixed
-    # seeds.
-    registry.meta.update({"plane": "repro.obs", "seed": 0,
+    registry = MetricsRegistry.from_snapshot(
+        fold_cells(_obs_matrix_cells(params), payloads)[1]["metrics"])
+    registry.meta.update({"plane": "repro.obs",
                           "workloads": list(params["workloads"]),
                           "schemes": list(params["schemes"]),
                           "requests": params["requests"]})
@@ -621,12 +661,10 @@ def _scale_assemble(params: dict[str, Any],
 # ---------------------------------------------------------------------------
 
 
-#: The ``CampaignSpec`` fields a campaign cell reads.
-_CAMPAIGN_KEYS = ("start_flavor", "victims", "attackers", "epochs",
-                  "requests_per_epoch", "mean_interarrival", "queue_bound",
-                  "profiles", "rare_every", "profile_requests",
-                  "secret_hex", "min_events", "probe_after_clean",
-                  "slo_factor", "slo_window_cycles", "slo_alert_evidence")
+#: The ``CampaignSpec`` fields a campaign cell reads besides the two its
+#: key names.
+_CAMPAIGN_KEYS = tuple(f.name for f in fields(CampaignSpec)
+                       if f.name not in ("seed", "scenario"))
 
 
 def _campaign_cells(params: dict[str, Any]) -> CellList:
@@ -639,23 +677,15 @@ def _campaign_cells(params: dict[str, Any]) -> CellList:
 
 
 def _campaign_run(key: Key, cp: dict[str, Any]) -> Any:
-    from repro.serve.campaign import campaign_cell
-    return campaign_cell(cp, observe=cp["observe"])
+    return campaign_cell(cp)
 
 
 def _campaign_assemble(params: dict[str, Any],
                        payloads: dict[Key, Any]) -> dict[str, Any]:
     """JSON-able campaign summary; per-cell registries fold in declared
     cell order."""
-    cells = [dict(payloads[(str(seed), scenario)])
-             for seed in params["seeds"]
-             for scenario in params["scenarios"]]
-    out: dict[str, Any] = {"cells": cells}
-    if params["observe"] and cells:
-        from repro.obs import MetricsRegistry
-        out["metrics"] = _fold(MetricsRegistry,
-                               [cell.pop("metrics") for cell in cells])
-    return out
+    cells, planes = fold_cells(_campaign_cells(params), payloads)
+    return {"cells": cells, **planes}
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +774,6 @@ def _register(grid: Grid) -> Grid:
 
 _register(Grid(
     name="lebench",
-    entry_modules=("repro.eval.runner",),
     defaults=lambda: {"schemes": list(PERF_SCHEMES),
                       "rare_every": RARE_EVERY},
     normalize=_with_unsafe,
@@ -755,7 +784,6 @@ _register(Grid(
 
 _register(Grid(
     name="apps",
-    entry_modules=("repro.eval.runner",),
     defaults=lambda: {"schemes": list(PERF_SCHEMES),
                       "apps": list(APP_NAMES), "requests": None,
                       "rare_every": RARE_EVERY},
@@ -767,7 +795,6 @@ _register(Grid(
 
 _register(Grid(
     name="surface",
-    entry_modules=("repro.eval.runner",),
     defaults=lambda: {"apps": ["lebench"] + list(APP_NAMES)},
     cells=_per_app_cells,
     run_cell=_surface_run,
@@ -776,7 +803,6 @@ _register(Grid(
 
 _register(Grid(
     name="gadgets",
-    entry_modules=("repro.eval.runner",),
     defaults=lambda: {"apps": ["lebench"] + list(APP_NAMES)},
     cells=_per_app_cells,
     run_cell=_gadgets_run,
@@ -785,7 +811,6 @@ _register(Grid(
 
 _register(Grid(
     name="kasper",
-    entry_modules=("repro.eval.runner",),
     defaults=lambda: {"apps": ["lebench"] + list(APP_NAMES),
                       "hours": 35.0, "n_seeds": 16},
     cells=_kasper_cells,
@@ -795,7 +820,6 @@ _register(Grid(
 
 _register(Grid(
     name="security",
-    entry_modules=("repro.attacks.harness",),
     defaults=lambda: {"attacks": list(ATTACKS), "schemes": list(SCHEMES),
                       "secret_hex": b"K3Y!".hex()},
     cells=_security_cells,
@@ -805,7 +829,6 @@ _register(Grid(
 
 _register(Grid(
     name="breakdown",
-    entry_modules=("repro.eval.runner",),
     defaults=lambda: {"workloads": ["lebench"] + list(APP_NAMES),
                       "schemes": ["perspective-static", "perspective",
                                   "perspective++"],
@@ -817,7 +840,6 @@ _register(Grid(
 
 _register(Grid(
     name="sweep-branch",
-    entry_modules=("repro.eval.sweeps",),
     defaults=lambda: {"values": [4.0, 7.0, 12.0, 20.0],
                       "scheme": "fence"},
     cells=_sweep_cells("branch_resolve_latency"),
@@ -827,7 +849,6 @@ _register(Grid(
 
 _register(Grid(
     name="sweep-rob",
-    entry_modules=("repro.eval.sweeps",),
     defaults=lambda: {"values": [48, 96, 192, 384], "scheme": "fence"},
     cells=_sweep_cells("rob_entries"),
     run_cell=_sweep_run,
@@ -836,7 +857,6 @@ _register(Grid(
 
 _register(Grid(
     name="unknown-allocations",
-    entry_modules=("repro.eval.sensitivity",),
     defaults=lambda: {"rare_every": RARE_EVERY},
     cells=_unknown_cells,
     run_cell=_unknown_run,
@@ -845,7 +865,6 @@ _register(Grid(
 
 _register(Grid(
     name="serve",
-    entry_modules=("repro.serve.engine",),
     defaults=lambda: {**_serve_sweep(), "scheme": "perspective",
                       "queue_bound": 0, "rare_every": RARE_EVERY},
     cells=_serve_cells,
@@ -856,7 +875,6 @@ _register(Grid(
 
 _register(Grid(
     name="dashboard",
-    entry_modules=("repro.serve.engine",),
     defaults=_dashboard_defaults,
     cells=_dashboard_cells,
     run_cell=_dashboard_run,
@@ -865,7 +883,6 @@ _register(Grid(
 
 _register(Grid(
     name="obs-matrix",
-    entry_modules=("repro.eval.runner",),
     defaults=lambda: {"workloads": ["lebench"],
                       "schemes": ["unsafe", "perspective"], "requests": 12},
     cells=_obs_matrix_cells,
@@ -875,7 +892,6 @@ _register(Grid(
 
 _register(Grid(
     name="serve-scale",
-    entry_modules=("repro.serve.shard",),
     defaults=lambda: {"schemes": ["unsafe", "perspective"],
                       "tenants": [4, 8], "shards": [1, 2, 4],
                       "seed": 0, "requests_per_tenant": 400,
@@ -892,7 +908,6 @@ _register(Grid(
 
 _register(Grid(
     name="campaign",
-    entry_modules=("repro.serve.campaign",),
     defaults=lambda: {"seeds": [0, 1],
                       "scenarios": ["none", "ibpb-storm", "refill-storm",
                                     "admission-storm"],
@@ -905,7 +920,6 @@ _register(Grid(
 
 _register(Grid(
     name="conformance",
-    entry_modules=("repro.serve.conformance",),
     defaults=_conformance_defaults,
     cells=_conformance_cells,
     run_cell=_conformance_run,
@@ -914,7 +928,6 @@ _register(Grid(
 
 _register(Grid(
     name="defense-matrix",
-    entry_modules=("repro.eval.defense_matrix",),
     defaults=_defense_defaults,
     normalize=_with_unsafe,
     cells=_defense_cells,
@@ -924,7 +937,6 @@ _register(Grid(
 
 _register(Grid(
     name="slab-sensitivity",
-    entry_modules=("repro.eval.sensitivity",),
     defaults=lambda: {"apps": list(APP_NAMES), "requests": 60,
                       "background_tenants": 3},
     cells=_slab_cells,

@@ -9,9 +9,10 @@ is the only place that says which.  A :class:`Snapshot` row names the
 grid, the parameters the committed file comes from (overrides on the
 grid's defaults), how the result renders as JSON (``meta`` included)
 and as text, and, for some rows, the artifacts it writes and the results
-that must fail the run.  Every ``meta`` block is the one the committed
-file carries, ``sweep`` labels included, so a regenerated row matches
-it byte for byte.
+that must fail the run.  A row's JSON is a function of the grid's
+resolved params and result only -- never of how the engine ran (workers,
+result cache) -- so a regenerated row matches the committed file byte
+for byte.
 
 One command regenerates any row::
 
@@ -32,7 +33,6 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.eval.defense_matrix import render_table
-from repro.exec.engine import RunReport
 from repro.exec.grids import get_grid
 from repro.obs.dashboard import model_to_json, render_text, write_report
 from repro.obs.profile import SpanTree
@@ -47,9 +47,8 @@ class Snapshot:
     grid: str
     #: Overrides on the grid's defaults: the committed parameter set.
     params: dict[str, Any]
-    #: ``(resolved params, result, RunReport or None) -> JSON text``; the
-    #: report is ``None`` when the cells came from a campaign journal.
-    to_json: Callable[[dict[str, Any], Any, RunReport | None], str]
+    #: ``(resolved params, result) -> JSON text``.
+    to_json: Callable[[dict[str, Any], Any], str]
     #: ``result -> text`` for stdout.
     to_text: Callable[[Any], str]
     #: ``(result, directory) -> written paths``.
@@ -67,15 +66,15 @@ class Snapshot:
         return get_grid(self.grid).resolve(self.params)
 
 
-def publish(row: Snapshot, result: Any, report: RunReport | None = None,
-            *, out: str | None = None, artifacts: str | None = None) -> int:
+def publish(row: Snapshot, result: Any, *, out: str | None = None,
+            artifacts: str | None = None) -> int:
     """Print ``row.to_text`` to stdout, write ``row.to_json`` of the
     row's resolved params to ``out`` and the row's artifacts (only for a
     row that has them) to ``artifacts``, then print each failure to
     stderr.  Returns the exit status: 1 if any failure, else 0."""
     sys.stdout.write(row.to_text(result))
     if out:
-        Path(out).write_text(row.to_json(row.resolve(), result, report))
+        Path(out).write_text(row.to_json(row.resolve(), result))
         print(f"snapshot written to {out}", file=sys.stderr)
     if artifacts:
         outdir = Path(artifacts)
@@ -102,17 +101,10 @@ def _lines(lines: list[str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _serve_smoke_json(params: dict[str, Any], result: dict[str, Any],
-                      report: RunReport | None) -> str:
+def _serve_smoke_json(params: dict[str, Any], result: dict[str, Any]) -> str:
     registry = MetricsRegistry.from_snapshot(result["metrics"])
-    # Result-cache traffic is the driver's, not a cell's; the snapshot
-    # documents the counters, deterministic zeros under --no-cache.
-    registry.add("exec.cache.hits", report.cache_hits)
-    registry.add("exec.cache.misses", report.cache_misses)
-    registry.add("exec.cache.stores", report.stored)
     registry.meta.update({
-        "plane": "repro.serve", "sweep": "smoke",
-        "scheme": params["scheme"],
+        "plane": "repro.serve", "scheme": params["scheme"],
         "seeds": params["seeds"], "tenants": params["tenants"],
         "requests_per_tenant": params["requests_per_tenant"],
         "shards": params["shards"],
@@ -149,8 +141,7 @@ _SCALE_FIELDS = (
     "memo_replays", "memo_interpreted")
 
 
-def _serve_scale_json(params: dict[str, Any], result: dict[str, Any],
-                      report: RunReport | None) -> str:
+def _serve_scale_json(params: dict[str, Any], result: dict[str, Any]) -> str:
     registry = MetricsRegistry()
     for row in result["experiments"]:
         prefix = (f"serve_scale.{row['scheme']}"
@@ -158,9 +149,8 @@ def _serve_scale_json(params: dict[str, Any], result: dict[str, Any],
         for fname in _SCALE_FIELDS:
             registry.gauge(f"{prefix}.{fname}", row[fname])
     registry.meta.update({
-        "plane": "repro.serve.scale", "sweep": "default",
-        "schemes": params["schemes"], "tenants": params["tenants"],
-        "shards": params["shards"],
+        "plane": "repro.serve.scale", "schemes": params["schemes"],
+        "tenants": params["tenants"], "shards": params["shards"],
     })
     return _registry_json(registry)
 
@@ -194,12 +184,11 @@ def _serve_scale_artifacts(result: dict[str, Any],
 # ---------------------------------------------------------------------------
 
 
-def _campaign_json(params: dict[str, Any], result: dict[str, Any],
-                   report: RunReport | None) -> str:
+def _campaign_json(params: dict[str, Any], result: dict[str, Any]) -> str:
     registry = MetricsRegistry.from_snapshot(result["metrics"])
     registry.meta.update({
-        "plane": "repro.serve.campaign", "sweep": "smoke",
-        "seeds": params["seeds"], "scenarios": params["scenarios"],
+        "plane": "repro.serve.campaign", "seeds": params["seeds"],
+        "scenarios": params["scenarios"],
     })
     return _registry_json(registry)
 
@@ -249,8 +238,7 @@ def _campaign_failures(result: dict[str, Any]) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _defense_json(params: dict[str, Any], table: dict[str, Any],
-                  report: RunReport | None) -> str:
+def _defense_json(params: dict[str, Any], table: dict[str, Any]) -> str:
     return json.dumps(table, indent=2, sort_keys=True) + "\n"
 
 
@@ -290,11 +278,11 @@ SNAPSHOTS: dict[str, Snapshot] = {row.name: row for row in (
              _defense_json, lambda table: render_table(table) + "\n",
              failures=_defense_failures),
     Snapshot("obs_slo_smoke", "dashboard", {},
-             lambda params, result, report: model_to_json(result["model"]),
+             lambda params, result: model_to_json(result["model"]),
              lambda result: render_text(result["model"]),
              artifacts=_dashboard_artifacts),
     Snapshot("obs_smoke", "obs-matrix", {},
-             lambda params, snapshot, report: _registry_json(
+             lambda params, snapshot: _registry_json(
                  MetricsRegistry.from_snapshot(snapshot)),
              lambda snapshot: MetricsRegistry.from_snapshot(
                  snapshot).to_text()),

@@ -36,13 +36,15 @@ def _events_command(args: argparse.Namespace) -> int:
         result = None
     else:
         from repro.attacks.harness import ATTACKS, run_attack
+        from repro.obs.instruments import instrumented
         if args.attack not in ATTACKS:
             print(f"unknown attack {args.attack!r}; one of "
                   f"{', '.join(sorted(ATTACKS))}", file=sys.stderr)
             return 2
         journal = EventJournal(capacity=args.capacity, meta={
             "attack": args.attack, "scheme": args.scheme})
-        result = run_attack(args.attack, args.scheme, journal=journal)
+        with instrumented(journal=journal):
+            result = run_attack(args.attack, args.scheme)
     if (args.tenant is not None or args.since_cycle is not None
             or args.until_cycle is not None):
         filtered = journal.query(context=args.tenant,

@@ -45,8 +45,8 @@ from dataclasses import dataclass
 from repro.obs.instruments import INSTRUMENTS
 
 __all__ = [
-    "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_OBJECTIVES",
+    "LATENCY_BUCKETS",
     "SloAlert",
     "SloObjective",
     "SloRollup",
@@ -55,8 +55,11 @@ __all__ = [
     "record_shed",
 ]
 
-#: Matches ``repro.serve.engine.LATENCY_BUCKETS`` (cycles).
-DEFAULT_LATENCY_BUCKETS = (
+#: Fixed latency buckets (simulated cycles) of the serve plane's
+#: histograms, trace exemplars and SLO rollups.  Chosen to bracket an
+#: unqueued request (a few thousand cycles of kernel service) through
+#: deep queueing delay under overload.
+LATENCY_BUCKETS: tuple[float, ...] = (
     1_000.0, 2_000.0, 5_000.0, 10_000.0, 20_000.0, 50_000.0,
     100_000.0, 1_000_000.0, 10_000_000.0)
 
@@ -204,7 +207,7 @@ class SloRollup:
     """Windowed serve-signal rollup keyed by simulated-cycle epochs."""
 
     def __init__(self, window_cycles: float, *,
-                 latency_buckets=DEFAULT_LATENCY_BUCKETS):
+                 latency_buckets=LATENCY_BUCKETS):
         if not window_cycles > 0.0:
             raise ValueError("window_cycles must be positive")
         self.window_cycles = float(window_cycles)

@@ -56,7 +56,6 @@ from repro.obs.instruments import INSTRUMENTS, instrumented
 from repro.reliability.faultplane import FaultPlane, FaultSpec
 
 JOURNAL_NAME = "campaign-journal.jsonl"
-METRICS_NAME = "campaign-metrics.json"
 
 
 def _grid(name: str) -> Grid:
@@ -88,12 +87,6 @@ class CampaignConfig:
     isolate: bool = True
     #: Optional fault plane armed inside every worker.
     fault: FaultPlane | None = None
-    #: Arm a fresh :class:`MetricsRegistry` inside every worker and merge
-    #: the per-experiment snapshots into one whole-campaign snapshot
-    #: (written as ``campaign-metrics.json`` next to the journal).
-    #: Deliberately *not* part of :meth:`header`: the snapshot is a
-    #: sidecar, and toggling it must not invalidate resumable journals.
-    collect_metrics: bool = False
 
     def resolved_params(self, name: str) -> dict[str, Any]:
         grid = _grid(name).name
@@ -150,20 +143,19 @@ class CampaignState:
 
 
 def _run_grid(name: str, params: dict[str, Any],
-              fault: dict[str, Any] | None, collect_metrics: bool,
+              fault: dict[str, Any] | None, observed: bool,
               ) -> tuple[dict[str, Any], dict[str, int],
                          dict[str, Any] | None]:
     """Run one experiment's grid: (payload, fault_fires, metrics_snapshot).
 
     The grid runs at one worker with the cache off, so every cell
-    executes here, in declared order, under the fault plane.  With
-    ``collect_metrics`` it runs under a fresh registry whose snapshot
-    ships back for whole-campaign aggregation
-    (:meth:`MetricsRegistry.merge`); hot-path counters and spans from
-    every shard combine into one picture of the campaign.
+    executes here, in declared order, under the fault plane.  When the
+    caller is ``observed`` (has a registry active) it runs under a fresh
+    registry whose snapshot ships back to be merged into the caller's
+    (:meth:`MetricsRegistry.merge`): a subprocess worker's counters and
+    spans cannot reach it otherwise.
     """
-    registry = obs.MetricsRegistry(meta={"experiment": name}) \
-        if collect_metrics else None
+    registry = obs.MetricsRegistry() if observed else None
     plane = FaultPlane.from_dict(fault) if fault is not None else None
     planes = {key: value for key, value in (
         ("registry", registry), ("faults", plane)) if value is not None}
@@ -177,12 +169,12 @@ def _run_grid(name: str, params: dict[str, Any],
 
 
 def _campaign_worker(name: str, params: dict[str, Any],
-                     fault: dict[str, Any] | None, collect_metrics: bool,
+                     fault: dict[str, Any] | None, observed: bool,
                      conn) -> None:
     """Subprocess entry point: run one experiment, ship its payload."""
     try:
         payload, fires, snapshot = _run_grid(name, params, fault,
-                                             collect_metrics)
+                                             observed)
         conn.send({"ok": True, "payload": payload, "fault_fires": fires,
                    "metrics": snapshot})
     except BaseException as exc:  # noqa: BLE001 -- report, don't crash silently
@@ -242,19 +234,6 @@ class CampaignRunner:
         self.config = config or CampaignConfig()
         self.journal_dir = pathlib.Path(journal_dir)
         self.journal_path = self.journal_dir / JOURNAL_NAME
-        self.metrics_path = self.journal_dir / METRICS_NAME
-        #: Whole-campaign metrics: per-experiment shard snapshots merged
-        #: as they arrive (only populated with ``collect_metrics``; a
-        #: resumed campaign aggregates the experiments it actually ran).
-        self.metrics = obs.MetricsRegistry(
-            meta={"plane": "repro.reliability.campaign",
-                  "seed": self.config.seed})
-        #: Shards produced by the *current* ``run()`` invocation only --
-        #: the persisted sidecar folds these into whatever an earlier
-        #: (killed/interrupted) invocation already wrote, so the on-disk
-        #: aggregate is cumulative and each experiment's counters land in
-        #: it exactly once no matter how often the campaign resumes.
-        self._pending_shards: list[obs.MetricsRegistry] = []
         self._sleep = sleep
         self._on_start = on_experiment_start
         unknown = [n for n in self.config.experiments
@@ -348,29 +327,7 @@ class CampaignRunner:
                 state.payloads[name] = record["payload"]
             else:
                 state.failures[name] = record["error"]
-        if self.config.collect_metrics:
-            self._write_metrics()
         return state
-
-    def _write_metrics(self) -> None:
-        """Persist the metrics sidecar, cumulatively across resumes.
-
-        Only the shards this ``run()`` invocation produced are folded
-        into whatever a previous (interrupted) invocation already wrote:
-        journaled experiments are never re-run, so their counters must
-        not be re-merged either -- a kill/resume cycle converges on the
-        same sidecar a single uninterrupted run writes, and resuming a
-        finished campaign is a no-op rather than an empty overwrite.
-        """
-        if self.metrics_path.exists():
-            combined = obs.MetricsRegistry.from_snapshot(
-                json.loads(self.metrics_path.read_text()))
-        else:
-            combined = obs.MetricsRegistry(meta=dict(self.metrics.meta))
-        for part in self._pending_shards:
-            combined.merge(part)
-        self._pending_shards = []
-        self.metrics_path.write_text(combined.to_json(indent=1) + "\n")
 
     def _run_with_retries(self, name: str) -> dict[str, Any]:
         params = self.config.resolved_params(name)
@@ -382,16 +339,11 @@ class CampaignRunner:
                 ok, payload_or_error, fires, snapshot = \
                     self._attempt(name, params)
             if snapshot is not None:
-                part = obs.MetricsRegistry.from_snapshot(snapshot)
-                self.metrics.merge(part)
-                self._pending_shards.append(part)
-                # Thread worker-side metrics back into whatever registry
-                # the *caller* has active: without this, counters and
-                # spans recorded inside the subprocess were silently
-                # dropped unless ``collect_metrics`` was set up front.
-                ambient = INSTRUMENTS.registry
-                if ambient is not None and ambient is not self.metrics:
-                    ambient.merge(part)
+                # The worker's counters and spans reach the caller's
+                # registry.  Journaled experiments never re-run, so a
+                # resumed campaign counts each experiment once.
+                INSTRUMENTS.registry.merge(
+                    obs.MetricsRegistry.from_snapshot(snapshot))
             obs.add(f"campaign.{name}.attempts")
             for point in sorted(fires):
                 obs.add(f"campaign.{name}.fault_fires.{point}",
@@ -423,15 +375,11 @@ class CampaignRunner:
         """One execution attempt:
         (ok, payload_or_error, fault_fires, metrics_snapshot)."""
         fault = self.config.fault.to_dict() if self.config.fault else None
-        # Collect when asked to *or* when the caller is observing: an
-        # ambient registry means someone wants these metrics, and a
-        # subprocess worker's registrations cannot reach it otherwise.
-        collect = self.config.collect_metrics \
-            or INSTRUMENTS.registry is not None
+        observed = INSTRUMENTS.registry is not None
         if not self.config.isolate:
             try:
                 payload, fires, snapshot = _run_grid(name, params, fault,
-                                                     collect)
+                                                     observed)
                 return True, payload, fires, snapshot
             except Exception as exc:  # noqa: BLE001
                 return False, f"{type(exc).__name__}: {exc}", {}, None
@@ -439,7 +387,7 @@ class CampaignRunner:
         # (fork with spawn fallback), same as the parallel cell pool.
         timeout = self.config.timeout_s
         isolated = run_in_subprocess(
-            _campaign_worker, (name, params, fault, collect), timeout)
+            _campaign_worker, (name, params, fault, observed), timeout)
         message: dict[str, Any] | None = isolated.message
         if isolated.timed_out:
             return False, f"timeout after {timeout}s", {}, None
@@ -471,7 +419,7 @@ def smoke_campaign(journal_dir: str | pathlib.Path,
     config = CampaignConfig(
         seed=seed, fast=True, fault=fault, max_attempts=2,
         timeout_s=300.0, backoff_base_s=0.05,
-        experiments=("surface", "security"), collect_metrics=True)
+        experiments=("surface", "security"))
     runner = CampaignRunner(journal_dir, config)
     state = runner.run()
     report = render_campaign_report(state)

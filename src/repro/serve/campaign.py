@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import hashlib
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 from repro.analysis.binary import APPLICATIONS
@@ -55,12 +55,7 @@ from repro.obs.events import EventJournal, SecurityEvent
 from repro.obs.instruments import instrumented
 from repro.reliability.faultplane import FaultPlane, FaultSpec
 from repro.serve.arrival import Arrival, arrival_stream, percentile
-from repro.serve.engine import (
-    LATENCY_BUCKETS,
-    ServeConfig,
-    ShardScheduler,
-    boot_tenants,
-)
+from repro.serve.engine import ServeConfig, ShardScheduler, boot_tenants
 from repro.workloads.apps import AppState
 from repro.workloads.driver import Driver
 
@@ -152,34 +147,17 @@ class CampaignSpec:
         bytes.fromhex(self.secret_hex)  # validate early
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed, "scenario": self.scenario,
-            "start_flavor": self.start_flavor,
-            "victims": self.victims, "attackers": list(self.attackers),
-            "epochs": self.epochs,
-            "requests_per_epoch": self.requests_per_epoch,
-            "mean_interarrival": self.mean_interarrival,
-            "queue_bound": self.queue_bound,
-            "profiles": list(self.profiles),
-            "rare_every": self.rare_every,
-            "profile_requests": self.profile_requests,
-            "secret_hex": self.secret_hex,
-            "min_events": self.min_events,
-            "probe_after_clean": self.probe_after_clean,
-            "slo_factor": self.slo_factor,
-            "slo_window_cycles": self.slo_window_cycles,
-            "slo_alert_evidence": self.slo_alert_evidence,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["attackers"] = list(self.attackers)
+        out["profiles"] = list(self.profiles)
+        return out
 
 
 def spec_from_params(params: dict[str, Any]) -> CampaignSpec:
-    """Build a :class:`CampaignSpec` from a plain JSON-able param dict."""
-    known = {"seed", "scenario", "start_flavor", "victims", "attackers",
-             "epochs", "requests_per_epoch", "mean_interarrival",
-             "queue_bound", "profiles", "rare_every", "profile_requests",
-             "secret_hex", "min_events", "probe_after_clean",
-             "slo_factor", "slo_window_cycles", "slo_alert_evidence"}
-    kwargs = {k: v for k, v in params.items() if k in known}
+    """Build a :class:`CampaignSpec` from a plain JSON-able param dict;
+    keys that are not spec fields are ignored."""
+    names = {f.name for f in fields(CampaignSpec)}
+    kwargs = {k: v for k, v in params.items() if k in names}
     for key in ("attackers", "profiles"):
         if key in kwargs:
             kwargs[key] = tuple(kwargs[key])
@@ -284,8 +262,7 @@ def run_campaign(spec: CampaignSpec, image=None) -> dict[str, Any]:
                                  "scenario": spec.scenario})
     sched = ShardScheduler(serve_config, victims)
     reports = sched.reports
-    rollup = slo.SloRollup(spec.slo_window_cycles,
-                           latency_buckets=LATENCY_BUCKETS)
+    rollup = slo.SloRollup(spec.slo_window_cycles)
     alert_keys: set[tuple[str, int, int]] = set()
     alerts_fired: list[slo.SloAlert] = []
     ctx_of_victim = {t.index: t.proc.cgroup.cg_id for t in victims}
@@ -575,22 +552,18 @@ def run_campaign(spec: CampaignSpec, image=None) -> dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 
-def campaign_cell(params: dict[str, Any],
-                  observe: bool = False) -> dict[str, Any]:
-    """One (seed, scenario) cell of the campaign sweep.
+def campaign_cell(params: dict[str, Any]) -> dict[str, Any]:
+    """One (seed, scenario) cell of the campaign sweep: the campaign
+    report.
 
-    Mirrors :func:`repro.serve.engine.serve_cell`: with ``observe=True``
-    the cell runs inside a fresh :class:`repro.obs.MetricsRegistry` and
-    attaches its snapshot under ``"metrics"`` so the parallel engine
-    can merge per-cell registries deterministically.
+    Mirrors :func:`repro.serve.engine.serve_cell`: with
+    ``params["observe"]`` the cell publishes its headline figures as
+    summary gauges, and :func:`repro.exec.grids.run_cell` runs it under
+    the fresh registry that collects them.
     """
     spec = spec_from_params(params)
-    if not observe:
-        return run_campaign(spec)
-    from repro.obs import MetricsRegistry
-    registry = MetricsRegistry()
-    with instrumented(registry=registry):
-        out = run_campaign(spec)
+    out = run_campaign(spec)
+    if params.get("observe"):
         cell = f"campaign.cell.s{spec.seed}.{spec.scenario}"
         obs.gauge(f"{cell}.completed", float(out["completed"]))
         obs.gauge(f"{cell}.shed", float(out["shed"]))
@@ -610,5 +583,4 @@ def campaign_cell(params: dict[str, Any],
                   out["slo"]["recovery_cycles"] or 0.0)
         obs.gauge(f"{cell}.secret_intact",
                   1.0 if out["secret"]["intact"] else 0.0)
-    out["metrics"] = registry.snapshot()
     return out

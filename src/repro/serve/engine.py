@@ -78,9 +78,9 @@ from repro.kernel.kernel import MiniKernel
 from repro.kernel.process import Process
 from repro.obs import events as ev
 from repro.obs import registry as obs
-from repro.obs import reqtrace as rt
 from repro.obs import slo
-from repro.obs.instruments import INSTRUMENTS, instrumented
+from repro.obs.instruments import INSTRUMENTS
+from repro.obs.slo import LATENCY_BUCKETS
 from repro.reliability.faultplane import fire
 from repro.serve.arrival import Arrival, arrival_stream, percentile
 from repro.workloads.apps import APP_SPECS, AppState
@@ -88,12 +88,6 @@ from repro.workloads.driver import Driver
 
 #: Simulated core frequency (Table 7.1), for requests-per-second figures.
 CORE_HZ = 2.0e9
-
-#: Fixed latency buckets (simulated cycles) for the repro.obs histograms.
-#: Chosen to bracket an unqueued request (a few thousand cycles of kernel
-#: service) through deep queueing delay under overload.
-LATENCY_BUCKETS: tuple[float, ...] = (
-    1e3, 2e3, 5e3, 1e4, 2e4, 5e4, 1e5, 1e6, 1e7)
 
 PLACEMENT_POLICIES = ("hash", "least-loaded", "affinity")
 SERVICE_MODELS = ("full", "memo")
@@ -1050,62 +1044,28 @@ def memo_tables_of(report: ServeReport) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def serve_cell(params: dict[str, Any],
-               observe: bool = False) -> dict[str, Any]:
-    """One (seed, tenants) cell of the serve sweep.
+def serve_cell(params: dict[str, Any]) -> dict[str, Any]:
+    """One (seed, tenants) cell of the serve sweep: the report as a
+    JSON-able dict.
 
-    Returns the report as a JSON-able dict; with ``observe=True`` the
-    cell runs inside its own fresh :class:`repro.obs.MetricsRegistry`
-    (the per-cell structure the parallel engine requires) and attaches
-    its snapshot under ``"metrics"``.
-
-    Extra (non-``ServeConfig``) params, all observation-only -- the
-    report bytes are identical with or without them:
-
-    * ``block_cache`` -- force the block JIT on/off for the cell.
-    * ``trace`` -- run under a fresh ``TraceRecorder``; attaches its
-      snapshot under ``"traces"``.
-    * ``slo_window`` -- run under a fresh ``SloRollup`` with this
-      window width (simulated cycles); attaches it under ``"slo"``.
+    With ``params["observe"]`` the cell also publishes its report
+    figures as summary gauges under a per-cell prefix; the ``serve``
+    grid runs it through :func:`repro.exec.grids.run_cell`, which arms
+    the cell's own planes (``observe``, ``trace``, ``slo_window``) and
+    attaches their snapshots.  ``block_cache`` forces the block JIT
+    on/off for the cell.  None of these changes the report bytes.
     """
     config = config_from_params(params)
-
-    def run() -> dict[str, Any]:
-        return run_serve(config, block_cache=params.get("block_cache")
-                         ).as_dict()
-
-    trace = bool(params.get("trace"))
-    slo_window = params.get("slo_window")
-    if not (observe or trace or slo_window):
-        return run()
-    from repro.obs import MetricsRegistry
-    registry = MetricsRegistry() if observe else None
-    recorder = rt.TraceRecorder() if trace else None
-    rollup = slo.SloRollup(float(slo_window),
-                           latency_buckets=LATENCY_BUCKETS) \
-        if slo_window else None
-    # Planes the cell does not ask for are inherited, not deactivated.
-    planes = {name: plane for name, plane in (
-        ("registry", registry), ("recorder", recorder), ("rollup", rollup))
-        if plane is not None}
-    with instrumented(**planes):
-        out = run()
-        if registry is not None:
-            # Summary gauges under a per-cell prefix, so merged cell
-            # registries never collide and the smoke snapshot carries
-            # the report figures the diff gate should watch.
-            cell = f"serve.cell.s{config.seed}.t{config.tenants}"
-            obs.gauge(f"{cell}.shards", config.shards)
-            for key in ("completed", "shed", "throughput_rps",
-                        "makespan_cycles", "latency_p50", "latency_p95",
-                        "latency_p99", "switch_cycles",
-                        "fence_stall_cycles", "migrations",
-                        "migration_excess_cycles"):
-                obs.gauge(f"{cell}.{key}", out[key])
-    if registry is not None:
-        out["metrics"] = registry.snapshot()
-    if recorder is not None:
-        out["traces"] = recorder.snapshot()
-    if rollup is not None:
-        out["slo"] = rollup.snapshot()
+    out = run_serve(config, block_cache=params.get("block_cache")).as_dict()
+    if params.get("observe"):
+        # Summary gauges under a per-cell prefix, so merged cell
+        # registries never collide and the smoke snapshot carries the
+        # report figures the diff gate should watch.
+        cell = f"serve.cell.s{config.seed}.t{config.tenants}"
+        obs.gauge(f"{cell}.shards", config.shards)
+        for key in ("completed", "shed", "throughput_rps",
+                    "makespan_cycles", "latency_p50", "latency_p95",
+                    "latency_p99", "switch_cycles", "fence_stall_cycles",
+                    "migrations", "migration_excess_cycles"):
+            obs.gauge(f"{cell}.{key}", out[key])
     return out

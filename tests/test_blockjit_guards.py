@@ -50,13 +50,12 @@ class TestGuardAccounting:
     @pytest.mark.parametrize("scheme", NEW_SCHEMES)
     def test_refusals_conserved_in_named_buckets(self, scheme):
         from repro.cpu.blockcache import MISS_REASONS
-        from repro.serve.engine import serve_cell
+        from repro.exec.grids import run_cell
 
-        cell = serve_cell({"seed": 0, "tenants": 2, "scheme": scheme,
-                           "requests_per_tenant": 4,
-                           "mean_interarrival": 8_000.0,
-                           "queue_bound": 0, "block_cache": True},
-                          observe=True)
+        cell = run_cell("serve", ("0", "2"), {
+            "seed": 0, "tenants": 2, "scheme": scheme,
+            "requests_per_tenant": 4, "mean_interarrival": 8_000.0,
+            "queue_bound": 0, "block_cache": True, "observe": True})
         counters = cell["metrics"]["counters"]
         misses = counters["pipeline.blockcache.misses"]
         by_reason = {r: counters.get(f"pipeline.blockcache.miss.{r}", 0)
@@ -74,13 +73,12 @@ class TestGuardAccounting:
         registry-derived metric label, so a newly registered scheme can
         neither collide with nor silently vanish from the namespace."""
         from repro.defenses.registry import get_scheme
-        from repro.serve.engine import serve_cell
+        from repro.exec.grids import run_cell
 
-        cell = serve_cell({"seed": 0, "tenants": 2, "scheme": scheme,
-                           "requests_per_tenant": 4,
-                           "mean_interarrival": 8_000.0,
-                           "queue_bound": 0, "block_cache": True},
-                          observe=True)
+        cell = run_cell("serve", ("0", "2"), {
+            "seed": 0, "tenants": 2, "scheme": scheme,
+            "requests_per_tenant": 4, "mean_interarrival": 8_000.0,
+            "queue_bound": 0, "block_cache": True, "observe": True})
         from repro.defenses.registry import registered_schemes
         label = get_scheme(scheme).metric_label
         known = {get_scheme(s).metric_label for s in registered_schemes()}

@@ -622,4 +622,3 @@ class TestCLI:
         for name in grid_names():
             grid = get_grid(name)
             assert grid.name == name
-            assert grid.entry_modules

@@ -450,92 +450,18 @@ class TestCampaignCounters:
         observed = (tmp_path / "observed" / JOURNAL_NAME).read_text()
         assert plain == observed
 
-    def test_campaign_metrics_snapshot_written_and_merged(self, tmp_path):
-        from repro.reliability.campaign import (
-            METRICS_NAME, CampaignConfig, CampaignRunner)
-        config = CampaignConfig(fast=True, isolate=False,
-                                experiments=("surface", "security"),
-                                collect_metrics=True)
-        runner = CampaignRunner(tmp_path, config)
-        state = runner.run()
-        assert state.done == {"surface", "security"}
-        path = tmp_path / METRICS_NAME
-        assert path.exists()
-        snap = json.loads(path.read_text())
-        # Shards from both experiments merged into one snapshot.
-        assert snap["counters"]["pipeline.runs"] > 0
-        assert snap["meta"]["plane"] == "repro.reliability.campaign"
-        # The runner-side registry holds the same figures.
-        assert runner.metrics.counter("pipeline.runs") == \
-            snap["counters"]["pipeline.runs"]
-
-    def test_campaign_metrics_off_by_default(self, tmp_path):
-        from repro.reliability.campaign import (
-            METRICS_NAME, CampaignConfig, CampaignRunner)
-        config = CampaignConfig(fast=True, isolate=False,
-                                experiments=("surface",))
-        CampaignRunner(tmp_path, config).run()
-        assert not (tmp_path / METRICS_NAME).exists()
-
-    def test_collect_metrics_does_not_change_header(self, tmp_path):
-        """Toggling the sidecar must not invalidate resumable journals."""
-        from repro.reliability.campaign import CampaignConfig
-        plain = CampaignConfig(fast=True, experiments=("surface",))
-        collecting = CampaignConfig(fast=True, experiments=("surface",),
-                                    collect_metrics=True)
-        assert plain.header() == collecting.header()
-
-    def test_campaign_metrics_survive_kill_resume_without_double_count(
-            self, tmp_path):
-        """The persisted sidecar must be cumulative and idempotent: an
-        interrupted campaign's shards survive the resume, the resumed
-        experiments are added exactly once, and resuming a finished
-        campaign does not clobber (or re-merge) anything."""
-        from repro.reliability.campaign import (
-            METRICS_NAME, CampaignConfig, CampaignRunner)
-        config = CampaignConfig(fast=True, isolate=False,
-                                experiments=("surface", "security"),
-                                collect_metrics=True)
-        path = tmp_path / METRICS_NAME
-
-        # Reference: one uninterrupted run.
-        reference = CampaignRunner(tmp_path / "ref", config).run()
-        assert reference.done == {"surface", "security"}
-        ref_snap = json.loads(
-            (tmp_path / "ref" / METRICS_NAME).read_text())
-
-        # Killed after the first experiment; the resume uses a *fresh*
-        # runner, as a restarted process would.
-        first = CampaignRunner(tmp_path, config).run(stop_after=1)
-        assert first.interrupted
-        partial = json.loads(path.read_text())
-        resumed = CampaignRunner(tmp_path, config).run()
-        assert resumed.done == {"surface", "security"}
-        combined = json.loads(path.read_text())
-
-        # The interrupted shard was not lost, and nothing was counted
-        # twice: the kill/resume cycle converges on the uninterrupted
-        # run's counters exactly.
-        assert combined["counters"] == ref_snap["counters"]
-        assert combined["counters"]["pipeline.runs"] > \
-            partial["counters"]["pipeline.runs"]
-
-        # Resuming a finished campaign is a no-op, not an empty
-        # overwrite and not a re-merge.
-        CampaignRunner(tmp_path, config).run()
-        assert json.loads(path.read_text())["counters"] == \
-            combined["counters"]
-
     def test_campaign_metrics_with_subprocess_isolation(self, tmp_path):
+        """An isolated worker's counters reach the caller's registry."""
         from repro.reliability.campaign import (
-            METRICS_NAME, CampaignConfig, CampaignRunner)
+            CampaignConfig, CampaignRunner)
+        reg = MetricsRegistry()
         config = CampaignConfig(fast=True, isolate=True,
-                                experiments=("surface",),
-                                collect_metrics=True, timeout_s=300.0)
-        state = CampaignRunner(tmp_path, config).run()
+                                experiments=("surface",), timeout_s=300.0)
+        with instrumented(registry=reg):
+            state = CampaignRunner(tmp_path, config).run()
         assert state.done == {"surface"}
-        snap = json.loads((tmp_path / METRICS_NAME).read_text())
-        assert snap["counters"]["pipeline.runs"] > 0
+        assert reg.counter("pipeline.runs") > 0
+        assert reg.counter("campaign.surface.done") == 1
 
 
 class TestCli:
@@ -547,7 +473,7 @@ class TestCli:
 
         from repro.exec.snapshots import SNAPSHOTS
         row = SNAPSHOTS["obs_smoke"]
-        rendered = row.to_json(row.resolve(), obs_matrix_snapshot, None)
+        rendered = row.to_json(row.resolve(), obs_matrix_snapshot)
         committed = Path(__file__).resolve().parents[1] / row.path
         assert rendered == committed.read_text()
         snap = json.loads(rendered)

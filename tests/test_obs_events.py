@@ -149,8 +149,27 @@ class TestAttackForensics:
     def _journaled_attack(self, scheme: str) -> EventJournal:
         from repro.attacks.harness import run_attack
         journal = EventJournal(meta={"scheme": scheme})
-        run_attack("spectre-rsb-passive", scheme, journal=journal)
+        with instrumented(journal=journal):
+            run_attack("spectre-rsb-passive", scheme)
         return journal
+
+    def test_run_attack_records_into_the_callers_journal(self):
+        """``run_attack`` inherits the caller's journal: it records
+        exactly the events of the same PoC run by hand."""
+        from repro.attacks.base import make_setup
+        from repro.attacks.harness import ATTACKS, build_policy
+        from repro.kernel.image import shared_image
+        from repro.kernel.kernel import MiniKernel
+        kernel = MiniKernel(image=shared_image())
+        setup = make_setup(kernel, secret=b"K3Y!")
+        build_policy("perspective", kernel)
+        by_hand = EventJournal()
+        with instrumented(journal=by_hand):
+            ATTACKS["spectre-rsb-passive"](setup).run(
+                scheme_name="perspective")
+        journal = self._journaled_attack("perspective")
+        assert journal.emitted > 0
+        assert journal.events() == by_hand.events()
 
     def test_perspective_blocks_are_reconstructable(self):
         journal = self._journaled_attack("perspective")
@@ -176,8 +195,8 @@ class TestAttackForensics:
     def test_attack_outcome_unchanged_by_journaling(self):
         from repro.attacks.harness import run_attack
         plain = run_attack("spectre-rsb-passive", "perspective")
-        journaled = run_attack("spectre-rsb-passive", "perspective",
-                               journal=EventJournal())
+        with instrumented(journal=EventJournal()):
+            journaled = run_attack("spectre-rsb-passive", "perspective")
         assert plain.leaked == journaled.leaked
         assert plain.unrecovered == journaled.unrecovered
         assert plain.notes == journaled.notes
@@ -220,9 +239,9 @@ class TestPipelineWiring:
     def test_breakdown_journal_records_fences(self):
         from repro.eval.runner import run_breakdown_experiment
         journal = EventJournal()
-        run_breakdown_experiment(workloads=("lebench",),
-                                 schemes=("perspective",), requests=6,
-                                 journal=journal)
+        with instrumented(journal=journal):
+            run_breakdown_experiment(workloads=("lebench",),
+                                     schemes=("perspective",), requests=6)
         kinds = journal.counts_by("kind")
         assert kinds.get("fence", 0) > 0
         # Committed-path fences name the function they fenced in.
@@ -235,8 +254,8 @@ class TestPipelineWiring:
         kwargs = dict(workloads=("lebench",), schemes=("perspective",),
                       requests=6)
         plain = run_breakdown_experiment(**kwargs)
-        journaled = run_breakdown_experiment(journal=EventJournal(),
-                                             **kwargs)
+        with instrumented(journal=EventJournal()):
+            journaled = run_breakdown_experiment(**kwargs)
         assert plain.breakdowns == journaled.breakdowns
         assert plain.isv_cache_hit_rate == journaled.isv_cache_hit_rate
         assert plain.dsv_cache_hit_rate == journaled.dsv_cache_hit_rate
@@ -246,9 +265,10 @@ class TestPipelineWiring:
         out = []
         for _ in range(2):
             journal = EventJournal()
-            run_breakdown_experiment(workloads=("lebench",),
-                                     schemes=("perspective",),
-                                     requests=6, journal=journal)
+            with instrumented(journal=journal):
+                run_breakdown_experiment(workloads=("lebench",),
+                                         schemes=("perspective",),
+                                         requests=6)
             out.append(journal.to_jsonl())
         assert out[0] == out[1]
 

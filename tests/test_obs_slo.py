@@ -24,7 +24,7 @@ from repro.core.audit import AdaptiveIsvController
 from repro.obs.events import SecurityEvent
 from repro.obs.reqtrace import TraceRecorder, trace_id
 from repro.obs.slo import (
-    DEFAULT_LATENCY_BUCKETS, SloAlert, SloObjective, SloRollup)
+    LATENCY_BUCKETS, SloAlert, SloObjective, SloRollup)
 
 WINDOW = 10_000.0
 
@@ -146,7 +146,7 @@ class TestExemplarResolution:
                                   arrival_cycle=float(seq))
                 rec.close(trace, "completed", latency_cycles=latency)
                 rec.exemplar("serve.latency_cycles", latency,
-                             DEFAULT_LATENCY_BUCKETS, trace.trace_id)
+                             LATENCY_BUCKETS, trace.trace_id)
         merged = TraceRecorder()
         merged.merge(cells[0])
         merged.merge(cells[1])
@@ -179,9 +179,10 @@ class TestServeCellConservation:
     def test_miss_reasons_and_exemplars_conserve(self):
         from repro.cpu.blockcache import MISS_REASONS
         from repro.obs.dashboard import parse_attribution
-        from repro.serve.engine import serve_cell
+        from repro.exec.grids import run_cell
 
-        cell = serve_cell(dict(self.PARAMS), observe=True)
+        cell = run_cell("serve", ("0", "2"),
+                        {**self.PARAMS, "observe": True})
         counters = cell["metrics"]["counters"]
         misses = counters["pipeline.blockcache.misses"]
         by_reason = {r: counters.get(f"pipeline.blockcache.miss.{r}", 0)

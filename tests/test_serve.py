@@ -9,6 +9,8 @@ import json
 import pytest
 
 from repro.exec import EngineConfig, ExperimentEngine
+from repro.exec.grids import run_cell
+from repro.obs import EventJournal, MetricsRegistry, instrumented
 from repro.serve import (
     ServeConfig,
     arrival_stream,
@@ -20,7 +22,6 @@ from repro.serve.engine import (
     REQUEST_PROFILES,
     boot_tenants,
     config_from_params,
-    serve_cell,
 )
 from repro.serve.__main__ import _parse_seeds, main as serve_main
 
@@ -213,8 +214,8 @@ GRID_PARAMS = {"seeds": [0], "tenants": [2], "scheme": "fence",
 
 class TestServeGrid:
     def test_cell_metrics_snapshot(self):
-        cell = serve_cell({**GRID_PARAMS, "seed": 0, "tenants": 2},
-                          observe=True)
+        cell = run_cell("serve", ("0", "2"),
+                        {**GRID_PARAMS, "seed": 0, "tenants": 2})
         assert "metrics" in cell
         gauges = cell["metrics"]["gauges"]
         assert gauges["serve.cell.s0.t2.completed"] == cell["completed"]
@@ -238,6 +239,21 @@ class TestServeGrid:
         assert canon(first) == canon(second)
         assert r1.executed == r1.cells_total
         assert r2.cache_hits == r2.cells_total
+
+    def test_cells_inherit_planes_they_do_not_ask_for(self):
+        """At one worker an observed cell runs under its own registry
+        and the caller's journal: the helper arms only what the cell's
+        params ask for and inherits the rest."""
+        outer = MetricsRegistry()
+        journal = EventJournal()
+        with instrumented(registry=outer, journal=journal):
+            result, _ = ExperimentEngine(EngineConfig(
+                workers=1, use_cache=False)).run("serve", GRID_PARAMS)
+        assert journal.emitted > 0
+        assert outer.counter("exec.cells.total") == 1
+        assert outer.counter("serve.requests.completed") == 0
+        assert result["metrics"]["counters"][
+            "serve.requests.completed"] == result["cells"][0]["completed"]
 
 
 # ---------------------------------------------------------------------------

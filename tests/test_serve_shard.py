@@ -16,6 +16,7 @@ from dataclasses import replace
 import pytest
 
 from repro.exec import EngineConfig, ExperimentEngine, get_grid
+from repro.exec.grids import run_cell
 from repro.obs import events as ev
 from repro.obs import instrumented
 from repro.serve.engine import (
@@ -26,7 +27,6 @@ from repro.serve.engine import (
     config_from_params,
     plan_placement,
     run_serve,
-    serve_cell,
     static_placement,
 )
 from repro.serve.shard import (
@@ -373,9 +373,9 @@ class TestScaleGrid:
                 for r in rows] == [("fence", 3, 1), ("fence", 3, 2)]
 
     def test_serve_cell_accepts_shard_params(self):
-        cell = serve_cell({**BASE, "shards": 2,
-                           "placement": "least-loaded",
-                           "migrate_every": 4}, observe=True)
+        cell = run_cell("serve", ("0", "3"), {
+            **BASE, "shards": 2, "placement": "least-loaded",
+            "migrate_every": 4, "observe": True})
         assert cell["config"]["shards"] == 2
         assert len(cell["shards"]) == 2
         gauges = cell["metrics"]["gauges"]
@@ -408,7 +408,7 @@ class TestScaleCLI:
             "requests_per_tenant": 200})
         result, _ = ExperimentEngine(EngineConfig(use_cache=False)).run(
             row.grid, params)
-        snap = json.loads(row.to_json(params, result, None))
+        snap = json.loads(row.to_json(params, result))
         assert snap["meta"]["plane"] == "repro.serve.scale"
         assert snap["meta"]["shards"] == [1, 2]
         assert any(k.startswith("serve_scale.perspective.t4.sh2.")
