@@ -29,7 +29,7 @@ from repro.kernel.image import shared_image
 from repro.kernel.kernel import MiniKernel
 from repro.kernel.process import Process
 from repro.workloads.apps import APP_SPECS, AppWorkload
-from repro.workloads.driver import Driver
+from repro.workloads.driver import Driver, RunStats
 from repro.workloads.lebench import exercise_all
 
 PERF_SCHEMES = ("unsafe", "fence", "perspective-static", "perspective",
@@ -57,6 +57,32 @@ class PerfEnv:
     isv: InstructionSpeculationView | None = None
 
 
+def drive_workload(kernel: MiniKernel, proc: Process, workload_name: str,
+                   *, passes: int = 1, requests: int = 0,
+                   rare_every: int = RARE_EVERY,
+                   ) -> tuple[RunStats, RunStats]:
+    """Drive one workload on ``proc``: ``passes`` rounds of LEBench's
+    :func:`exercise_all`, or an application server's setup followed by
+    ``requests`` served requests.
+
+    Returns ``(driven, served)`` driver stats: every syscall driven, and
+    the served requests alone (the window Table 10.1 reports).  LEBench
+    has no server setup, so for it the two are one object.
+    """
+    if workload_name == "lebench":
+        driver = Driver(kernel, proc, rare_every=rare_every)
+        for _ in range(passes):
+            exercise_all(driver)
+        return driver.stats, driver.stats
+    app = AppWorkload(kernel, proc, APP_SPECS[workload_name],
+                      rare_every=rare_every)
+    # serve() starts a fresh RunStats; the setup window's object lives on.
+    driven = app.driver.stats
+    app.serve(requests)
+    driven.merge(app.driver.stats)
+    return driven, app.driver.stats
+
+
 def _profile_functions(kernel: MiniKernel, proc: Process,
                        workload_name: str) -> frozenset[str]:
     """Offline profiling pass: trace the workload's kernel functions.
@@ -65,12 +91,7 @@ def _profile_functions(kernel: MiniKernel, proc: Process,
     residual dynamic-ISV fences measured in Section 9.2.
     """
     kernel.tracer.start()
-    if workload_name == "lebench":
-        exercise_all(Driver(kernel, proc, rare_every=0))
-    else:
-        workload = AppWorkload(kernel, proc, APP_SPECS[workload_name],
-                               rare_every=0)
-        workload.serve(6, measure=False)
+    drive_workload(kernel, proc, workload_name, requests=6, rare_every=0)
     kernel.tracer.stop()
     return kernel.tracer.traced_functions(proc.cgroup.cg_id)
 

@@ -11,16 +11,25 @@ place that lays out and assembles the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from repro.analysis.binary import APPLICATIONS
 from repro.analysis.flavors import flavor_isv
 from repro.analysis.static_isv import static_isv_functions
-from repro.eval.envs import PERF_SCHEMES, RARE_EVERY, build_isv_for, make_env
+from repro.eval.envs import (
+    PERF_SCHEMES,
+    RARE_EVERY,
+    build_isv_for,
+    drive_workload,
+    make_env,
+)
 from repro.eval.metrics import FenceBreakdown, geomean, normalized
 from repro.kernel.image import shared_image
 from repro.kernel.kernel import MiniKernel
+from repro.obs import registry as obs
+from repro.obs.collect import collect_env
+from repro.obs.instruments import INSTRUMENTS
 from repro.scanner.kasper import discovery_speedup, scan
 from repro.workloads.apps import APP_NAMES, APP_SPECS, AppWorkload
 from repro.workloads.clients import CLIENTS
@@ -277,42 +286,40 @@ class BreakdownExperiment:
     metrics: dict | None = None
 
 
-def breakdown_cell(workload: str, scheme: str, requests: int = 30,
-                   registry=None) -> dict:
-    """One (workload, scheme) cell of the ``breakdown`` grid.
+def env_cell(workload: str, scheme: str, passes: int, requests: int,
+             observe: bool) -> dict:
+    """One (workload, scheme) measurement: a cell of the ``breakdown``
+    (Table 10.1) and ``obs-matrix`` grids, and one side of a
+    differential profile.
 
-    Returns the raw fence-breakdown fields and view-cache hit rates; when
-    ``registry`` is given, also collects the per-env gauges into it under
-    the cell's prefix.  Run inside an ``instrumented(registry=...)`` scope
-    to capture the hot-path counters too.
+    The environment is built under the ``env/<workload>.<scheme>`` and
+    ``setup`` spans (its profiling runs drive syscalls that must not
+    blend into the measurement's) and driven by
+    :func:`~repro.eval.envs.drive_workload`; with ``observe`` set the
+    per-environment figures are collected into the active registry as
+    gauges under the ``<workload>.<scheme>`` prefix.  Returns the served
+    requests' fence breakdown, the view-cache hit rates (``None``
+    without a Perspective framework) and the ``driven`` totals of
+    everything after :func:`make_env`, server setup included.
     """
-    env = make_env(workload, scheme)
-    if workload == "lebench":
-        from repro.workloads.driver import Driver
-        from repro.workloads.lebench import exercise_all
-        driver = Driver(env.kernel, env.proc, rare_every=RARE_EVERY)
-        exercise_all(driver)
-        exercise_all(driver)
-        driver_stats = driver.stats
-    else:
-        app_workload = AppWorkload(env.kernel, env.proc,
-                                   APP_SPECS[workload],
-                                   rare_every=RARE_EVERY)
-        app_workload.serve(requests)
-        driver_stats = app_workload.driver.stats
-    fb = FenceBreakdown.from_exec(driver_stats.exec)
+    with obs.span(f"env/{workload}.{scheme}"):
+        with obs.span("setup"):
+            env = make_env(workload, scheme)
+        driven, served = drive_workload(env.kernel, env.proc, workload,
+                                        passes=passes, requests=requests)
     fw = env.framework
-    if registry is not None:
-        from repro.obs.collect import collect_env
-        collect_env(registry, env.kernel, fw,
+    if observe:
+        collect_env(INSTRUMENTS.registry, env.kernel, fw,
                     prefix=f"{workload}.{scheme}")
     return {
-        "breakdown": {"isv_fences": fb.isv_fences,
-                      "dsv_fences": fb.dsv_fences,
-                      "other_fences": fb.other_fences,
-                      "committed_ops": fb.committed_ops},
-        "isv_cache_hit_rate": fw.isv_cache.stats.hit_rate,
-        "dsv_cache_hit_rate": fw.dsv_cache.stats.hit_rate,
+        "breakdown": asdict(FenceBreakdown.from_exec(served.exec)),
+        "isv_cache_hit_rate":
+            None if fw is None else fw.isv_cache.stats.hit_rate,
+        "dsv_cache_hit_rate":
+            None if fw is None else fw.dsv_cache.stats.hit_rate,
+        "driven": {"kernel_cycles": driven.kernel_cycles,
+                   "syscalls": driven.syscalls,
+                   "committed_ops": driven.exec.committed_ops},
     }
 
 
@@ -340,35 +347,3 @@ def run_breakdown_experiment(
                                         "requests": requests,
                                         "observe": observe},
                           use_cache=False)[0]
-
-
-def obs_matrix_cell(workload: str, scheme: str, requests: int,
-                    registry=None) -> None:
-    """One (workload, scheme) cell of the ``obs-matrix`` grid: one
-    environment, observed from construction on.
-
-    Hot-path counters (``pipeline.*``) go to the active registry and
-    spans nest ``env/<workload>.<scheme>/syscall/<name>/...``; when
-    ``registry`` is given, the per-environment figures are collected
-    into it as prefixed gauges (``<workload>.<scheme>.cache.l1d.hits``).
-    """
-    from repro.obs import registry as obs
-    from repro.obs.collect import collect_env
-    from repro.workloads.driver import Driver
-    from repro.workloads.lebench import exercise_all
-
-    with obs.span(f"env/{workload}.{scheme}"):
-        # Environment construction itself drives syscalls (dynamic-ISV
-        # profiling runs); keep them under a ``setup`` node so they
-        # never blend into the measurement's syscall spans.
-        with obs.span("setup"):
-            env = make_env(workload, scheme)
-        if workload == "lebench":
-            exercise_all(Driver(env.kernel, env.proc,
-                                rare_every=RARE_EVERY))
-        else:
-            AppWorkload(env.kernel, env.proc, APP_SPECS[workload],
-                        rare_every=RARE_EVERY).serve(requests)
-    if registry is not None:
-        collect_env(registry, env.kernel, env.framework,
-                    prefix=f"{workload}.{scheme}")

@@ -94,6 +94,7 @@ class RunReport:
     """What one engine run did: cells, cache traffic, parallelism."""
 
     experiment: str
+    #: Processes that executed cells; the calling process counts as one.
     workers: int
     cache_enabled: bool
     cells_total: int = 0
@@ -181,8 +182,10 @@ class ExperimentEngine:
 
         obs.add("exec.cells.total", len(cells))
         obs.add("exec.cells.executed", len(pending))
+        # No more processes start than there are cells to execute.
+        report.workers = min(report.workers, len(pending))
         for (key, cell_params), payload in zip(
-                pending, self._execute(experiment, pending)):
+                pending, self._execute(experiment, pending, report.workers)):
             found[key] = payload
             if self.config.use_cache:
                 self.cache.put(fingerprints[key], {
@@ -194,10 +197,8 @@ class ExperimentEngine:
         return merged, payloads, report
 
     def _execute(self, experiment: str,
-                 pending: list[tuple[Key, dict[str, Any]]]) -> list[Any]:
-        if not pending:
-            return []
-        workers = min(self.config.workers, len(pending))
+                 pending: list[tuple[Key, dict[str, Any]]],
+                 workers: int) -> list[Any]:
         if workers <= 1:
             return [_run_cell_task(experiment, key, cell_params)
                     for key, cell_params in pending]

@@ -54,11 +54,10 @@ from repro.eval.runner import (
     LEBenchExperiment,
     SurfaceExperiment,
     apps_cell,
-    breakdown_cell,
+    env_cell,
     gadget_cell,
     kasper_cell,
     lebench_cell,
-    obs_matrix_cell,
     surface_cell,
 )
 from repro.eval.sensitivity import (
@@ -70,11 +69,12 @@ from repro.eval.sensitivity import (
 )
 from repro.eval.sweeps import SweepResult, _measure
 from repro.kernel.image import shared_image
-from repro.obs.instruments import INSTRUMENTS, instrumented
+from repro.obs.instruments import instrumented
 from repro.obs.registry import MetricsRegistry
 from repro.obs.reqtrace import TraceRecorder
 from repro.obs.slo import SloRollup
 from repro.serve.campaign import CampaignSpec, campaign_cell
+from repro.serve.engine import ServeConfig
 from repro.workloads.apps import APP_NAMES, APP_SPECS
 
 Key = tuple[str, ...]
@@ -351,19 +351,30 @@ def _security_assemble(params: dict[str, Any],
 # ---------------------------------------------------------------------------
 
 
-def _breakdown_cells(params: dict[str, Any]) -> CellList:
-    return [((workload, scheme), {"workload": workload, "scheme": scheme,
-                                  "requests": params["requests"],
-                                  "observe": params["observe"]})
-            for workload in params["workloads"]
-            for scheme in params["schemes"]]
+def _env_cells(passes: int) -> Callable[[dict[str, Any]], CellList]:
+    """One :func:`env_cell` per (workload, scheme), LEBench driven for
+    ``passes`` passes.  A grid without an ``observe`` param (the
+    ``obs-matrix``, whose result is its cells' metrics) observes every
+    cell."""
+    def cells(params: dict[str, Any]) -> CellList:
+        return [((workload, scheme),
+                 {"workload": workload, "scheme": scheme, "passes": passes,
+                  "requests": params["requests"],
+                  "observe": params.get("observe", True)})
+                for workload in params["workloads"]
+                for scheme in params["schemes"]]
+    return cells
 
 
-def _breakdown_run(key: Key, cp: dict[str, Any]) -> Any:
-    return breakdown_cell(cp["workload"], cp["scheme"],
-                          requests=cp["requests"],
-                          registry=INSTRUMENTS.registry if cp["observe"]
-                          else None)
+#: Table 10.1 drives LEBench twice; the observed matrix and the
+#: differential profiler once.
+_breakdown_cells = _env_cells(passes=2)
+_obs_matrix_cells = _env_cells(passes=1)
+
+
+def _env_run(key: Key, cp: dict[str, Any]) -> Any:
+    return env_cell(cp["workload"], cp["scheme"], passes=cp["passes"],
+                    requests=cp["requests"], observe=cp["observe"])
 
 
 def _breakdown_assemble(params: dict[str, Any],
@@ -481,15 +492,12 @@ def _slab_assemble(params: dict[str, Any], payloads: dict[Key, Any],
 # ---------------------------------------------------------------------------
 
 
-#: The ``ServeConfig`` fields a serve cell reads.
-_SERVE_KEYS = ("scheme", "requests_per_tenant", "mean_interarrival",
-               "queue_bound", "profiles", "rare_every", "profile_requests",
-               "shards", "placement", "migrate_every", "service_model",
-               "memo_warmup", "memo_period",
-               # Observation-only extras (the block JIT and two planes,
-               # see run_cell): the report bytes are identical with or
-               # without them.
-               "block_cache", "trace", "slo_window")
+#: The ``ServeConfig`` fields a serve cell reads besides the two its key
+#: names, plus observation-only extras (the block JIT and two planes,
+#: see run_cell): the report bytes are identical with or without them.
+_SERVE_KEYS = tuple(f.name for f in fields(ServeConfig)
+                    if f.name not in ("seed", "tenants")) + (
+    "block_cache", "trace", "slo_window")
 
 
 def _serve_cells(params: dict[str, Any]) -> CellList:
@@ -578,21 +586,6 @@ def _dashboard_assemble(params: dict[str, Any],
 # ---------------------------------------------------------------------------
 
 
-def _obs_matrix_cells(params: dict[str, Any]) -> CellList:
-    # Every cell is observed: its metrics snapshot is the result.
-    return [((workload, scheme), {"workload": workload, "scheme": scheme,
-                                  "requests": params["requests"],
-                                  "observe": True})
-            for workload in params["workloads"]
-            for scheme in params["schemes"]]
-
-
-def _obs_matrix_run(key: Key, cp: dict[str, Any]) -> Any:
-    obs_matrix_cell(cp["workload"], cp["scheme"], requests=cp["requests"],
-                    registry=INSTRUMENTS.registry)
-    return {}
-
-
 def _obs_matrix_assemble(params: dict[str, Any],
                          payloads: dict[Key, Any]) -> dict[str, Any]:
     """One metrics snapshot: the environments' snapshots folded in
@@ -611,11 +604,11 @@ def _obs_matrix_assemble(params: dict[str, Any],
 # ---------------------------------------------------------------------------
 
 
-#: The ``ServeConfig`` fields a scale-shard cell reads.
-_SCALE_KEYS = ("seed", "requests_per_tenant", "mean_interarrival",
-               "queue_bound", "profiles", "rare_every", "profile_requests",
-               "placement", "migrate_every", "service_model", "memo_warmup",
-               "memo_period", "block_cache")
+#: The ``ServeConfig`` fields a scale-shard cell reads besides the three
+#: its key names, plus the block JIT.
+_SCALE_KEYS = tuple(f.name for f in fields(ServeConfig)
+                    if f.name not in ("scheme", "tenants", "shards")) + (
+    "block_cache",)
 
 
 def _scale_cells(params: dict[str, Any]) -> CellList:
@@ -834,7 +827,7 @@ _register(Grid(
                                   "perspective++"],
                       "requests": 30, "observe": False},
     cells=_breakdown_cells,
-    run_cell=_breakdown_run,
+    run_cell=_env_run,
     assemble=_breakdown_assemble,
 ))
 
@@ -886,7 +879,7 @@ _register(Grid(
     defaults=lambda: {"workloads": ["lebench"],
                       "schemes": ["unsafe", "perspective"], "requests": 12},
     cells=_obs_matrix_cells,
-    run_cell=_obs_matrix_run,
+    run_cell=_env_run,
     assemble=_obs_matrix_assemble,
 ))
 

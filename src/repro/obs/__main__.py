@@ -73,7 +73,7 @@ def _profile_command(args: argparse.Namespace) -> int:
     from repro.obs.profile import diff_workload
 
     diff = diff_workload(args.workload, args.base, args.scheme,
-                         requests=args.requests, seed=args.seed)
+                         requests=args.requests)
     print(diff.render(top=args.top), end="")
     if args.out:
         outdir = pathlib.Path(args.out)
@@ -130,11 +130,11 @@ def _parser() -> argparse.ArgumentParser:
     profile.add_argument("--base", default="unsafe",
                          help="baseline scheme (default: unsafe)")
     profile.add_argument("--scheme", default="perspective")
-    profile.add_argument("--requests", type=int, default=12,
-                         help="requests per app-workload run")
+    profile.add_argument("--requests", type=int, default=None,
+                         help="requests per app-workload run (default: "
+                              "the obs-matrix grid's)")
     profile.add_argument("--top", type=int, default=0,
                          help="table rows to show (0: all)")
-    profile.add_argument("--seed", type=int, default=0)
     profile.add_argument("-o", "--out", metavar="DIR",
                          help="write folded stacks + Chrome traces here")
 

@@ -22,7 +22,10 @@ Accounting invariant the attribution table relies on: the span plane
 attributes *every* driven kernel cycle somewhere (syscall trap cost on
 the ``syscall/*`` node, execution on the ``fn/*`` subtree), so the
 table's total added cycles equals the end-to-end cycle delta between
-the two runs -- checked by :meth:`DiffProfile.attribution_error`.
+the two runs -- checked by :meth:`DiffProfile.attribution_error`.  Its
+three inputs (span tree, fence counters, end-to-end totals) cover one
+window: everything a run drives after building its environment, an
+application server's setup included.
 """
 
 from __future__ import annotations
@@ -30,12 +33,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import Any, Iterator
-
-from repro.obs.instruments import instrumented
-from repro.obs.registry import MetricsRegistry
-
-#: Requests served per app-workload profile run.
-PROFILE_REQUESTS = 12
 
 #: Label for cycles outside every ``fn/*`` span subtree (syscall trap
 #: cost, root ticks): attribution keeps them visible rather than letting
@@ -228,11 +225,14 @@ def _fold_num(value: float) -> str:
 
 @dataclass
 class ProfileRun:
-    """One workload x scheme measurement with observation armed."""
+    """One workload x scheme measurement with observation armed: one
+    ``obs-matrix`` cell (:func:`repro.eval.runner.env_cell`)."""
 
     workload: str
     scheme: str
+    #: The cell's metrics snapshot.
     snapshot: dict[str, Any]
+    #: End-to-end totals of the driven window.
     kernel_cycles: float
     syscalls: int
     committed_ops: int
@@ -242,8 +242,19 @@ class ProfileRun:
         return f"{self.workload}.{self.scheme}"
 
     def tree(self) -> SpanTree:
-        return SpanTree.from_spans(self.snapshot["spans"],
-                                   root_name=self.label)
+        """The driven window's spans: the cell's ``env/<label>`` subtree
+        rooted at the label, without its ``setup`` node.  Setup differs
+        between schemes by design (Perspective profiles and installs
+        views) and would pollute the differential attribution; it runs
+        before the scheme is armed, so it adds no fences to the
+        counters either."""
+        prefix = f"env/{self.label}/"
+        return SpanTree.from_spans(
+            {path[len(prefix):]: stats
+             for path, stats in self.snapshot["spans"].items()
+             if path.startswith(prefix)
+             and path[len(prefix):].split("/", 1)[0] != "setup"},
+            root_name=self.label)
 
     def fences_by_fn(self) -> dict[str, float]:
         counters = self.snapshot["counters"]
@@ -266,46 +277,6 @@ class ProfileRun:
         if self.committed_ops == 0:
             return 0.0
         return 1000.0 * self.total_fences / self.committed_ops
-
-
-def profile_workload(workload: str, scheme: str,
-                     requests: int = PROFILE_REQUESTS,
-                     seed: int = 0) -> ProfileRun:
-    """Run one workload under one scheme with the obs plane armed.
-
-    Environment construction (boot + offline ISV profiling) happens
-    *outside* observation: setup work differs between schemes by design
-    (Perspective profiles and installs views) and would otherwise pollute
-    the differential attribution.  Only the measured workload's spans
-    and counters enter the snapshot.
-    """
-    from repro.eval.envs import RARE_EVERY, make_env
-    from repro.obs.collect import collect_env
-    from repro.workloads.apps import APP_SPECS, AppWorkload
-    from repro.workloads.driver import Driver
-    from repro.workloads.lebench import exercise_all
-
-    env = make_env(workload, scheme)
-    registry = MetricsRegistry(meta={
-        "plane": "repro.obs.profile", "workload": workload,
-        "scheme": scheme, "seed": seed, "requests": requests,
-    })
-    with instrumented(registry=registry):
-        if workload == "lebench":
-            driver = Driver(env.kernel, env.proc, rare_every=RARE_EVERY)
-            exercise_all(driver)
-            stats = driver.stats
-        else:
-            app = AppWorkload(env.kernel, env.proc, APP_SPECS[workload],
-                              rare_every=RARE_EVERY)
-            app.serve(requests)
-            stats = app.driver.stats
-        collect_env(registry, env.kernel, env.framework,
-                    prefix=f"{workload}.{scheme}")
-    return ProfileRun(
-        workload=workload, scheme=scheme, snapshot=registry.snapshot(),
-        kernel_cycles=stats.kernel_cycles, syscalls=stats.syscalls,
-        committed_ops=stats.exec.committed_ops)
 
 
 # ---------------------------------------------------------------------------
@@ -473,13 +444,25 @@ class DiffProfile:
 
 
 def diff_workload(workload: str, base_scheme: str, scheme: str,
-                  requests: int = PROFILE_REQUESTS,
-                  seed: int = 0) -> DiffProfile:
-    """Profile one workload under two schemes and diff the runs."""
-    return DiffProfile(
-        profile_workload(workload, base_scheme, requests=requests,
-                         seed=seed),
-        profile_workload(workload, scheme, requests=requests, seed=seed))
+                  requests: int | None = None) -> DiffProfile:
+    """Profile one workload under two schemes and diff the runs.
+
+    Each run is one cell of the ``obs-matrix`` grid, executed in this
+    process with the result cache off; ``requests`` (served per
+    application run) defaults to the grid's.
+    """
+    from repro.exec.engine import EngineConfig, ExperimentEngine
+    params: dict[str, Any] = {"workloads": [workload],
+                              "schemes": [base_scheme, scheme]}
+    if requests is not None:
+        params["requests"] = requests
+    _, payloads, _ = ExperimentEngine(
+        EngineConfig(use_cache=False)).run_cells("obs-matrix", params)
+    return DiffProfile(*(
+        ProfileRun(workload=workload, scheme=name,
+                   snapshot=payloads[(workload, name)]["metrics"],
+                   **payloads[(workload, name)]["driven"])
+        for name in (base_scheme, scheme)))
 
 
 def _pct(new: float, old: float) -> float:

@@ -257,11 +257,10 @@ class InvariantChecker:
         from repro.core.framework import Perspective
         from repro.core.views import InstructionSpeculationView
         from repro.defenses.perspective import PerspectivePolicy
+        from repro.eval.envs import drive_workload
         from repro.kernel.buddy import OutOfMemory
         from repro.kernel.image import shared_image
         from repro.kernel.kernel import MiniKernel
-        from repro.workloads.driver import Driver
-        from repro.workloads.lebench import exercise_all
         plane = scenario.plane(self.seed)
         note = "workload completed"
         with instrumented(faults=plane):
@@ -277,7 +276,7 @@ class InvariantChecker:
                     non_driver_isv_functions(kernel.image),
                     kernel.layout, source="invariant"))
                 kernel.pipeline.set_policy(PerspectivePolicy(framework))
-                exercise_all(Driver(kernel, proc, rare_every=12))
+                drive_workload(kernel, proc, "lebench")
             except OutOfMemory as exc:
                 note = f"workload aborted fail-closed ({exc})"
         problems = audit_dsv_fail_closed(kernel, framework)

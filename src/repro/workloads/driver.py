@@ -47,6 +47,12 @@ class RunStats:
         if result.exec_result is not None:
             self.exec.merge(result.exec_result)
 
+    def merge(self, other: "RunStats") -> None:
+        """Accumulate another window of the same run into this one."""
+        self.kernel_cycles += other.kernel_cycles
+        self.syscalls += other.syscalls
+        self.exec.merge(other.exec)
+
     @property
     def cycles_per_syscall(self) -> float:
         return self.kernel_cycles / self.syscalls if self.syscalls else 0.0

@@ -319,7 +319,7 @@ class TestPinnedRunnerDigests:
         assert digest(fields(exp)) == \
             "3539f34bf5381b56658216e4d8f07dca19781d07fd754c2ff820b27ecd614e1a"
         assert digest(exp.metrics) == \
-            "b8b06a4056e8ffa2b987c7dfbe21607708cb00a1c91f295cd5cf9c9351193d5f"
+            "24bc301ce80d62e8e524e21fb85ae9f26ead97a61f76dfd7203d357a0cdbc6b6"
 
     def test_sweeps(self):
         branch = [dataclasses.asdict(sweeps.sweep_branch_resolve_latency(
@@ -474,6 +474,21 @@ class TestEngineParity:
         with pytest.raises(TypeError, match="'serve'.*tenant, trac"):
             engine(tmp_path).run_cells("serve", {"trace": True},
                                        trac=True, tenant=[2])
+
+    @pytest.mark.parametrize("grid, keyed", [
+        ("serve", ("seed", "tenants")),
+        ("serve-scale", ("scheme", "tenants", "shards")),
+    ])
+    def test_serve_grids_accept_every_config_field(self, grid, keyed):
+        """Every ``ServeConfig`` field the cell key does not name is a
+        parameter of both serve grids."""
+        from repro.serve.engine import ServeConfig
+        config = ServeConfig()
+        for field in dataclasses.fields(ServeConfig):
+            if field.name not in keyed:
+                value = getattr(config, field.name)
+                assert get_grid(grid).resolve(
+                    {field.name: value})[field.name] == value
 
     def test_run_cells_returns_declared_order(self, tmp_path):
         eng = engine(tmp_path, workers=2)

@@ -13,7 +13,6 @@ from repro.obs.profile import (
     DiffProfile,
     SpanTree,
     diff_workload,
-    profile_workload,
 )
 
 SPANS = {
@@ -204,16 +203,27 @@ class TestDifferentialProfile:
             DiffProfile(base, other)
 
 
+class TestAppWindow:
+    def test_app_attribution_matches_end_to_end(self):
+        """Server setup syscalls run after the scheme is armed: the span
+        tree, the fence counters and the end-to-end totals must all
+        count them, or the table adds up to more than the delta."""
+        diff = diff_workload("httpd", "unsafe", "perspective")
+        assert diff.end_to_end_delta > 0
+        assert diff.attribution_error < 0.01
+
+
 class TestReproducibility:
-    def test_exports_byte_identical_across_runs(self):
-        runs = [profile_workload("lebench", "perspective")
-                for _ in range(2)]
-        trees = [run.tree() for run in runs]
-        assert trees[0].to_folded() == trees[1].to_folded()
-        assert trees[0].to_chrome_trace_json() == \
-            trees[1].to_chrome_trace_json()
-        assert json.dumps(runs[0].snapshot, sort_keys=True) == \
-            json.dumps(runs[1].snapshot, sort_keys=True)
+    def test_exports_byte_identical_across_runs(self, lebench_diff):
+        again = diff_workload("lebench", "unsafe", "perspective")
+        for first, second in ((lebench_diff.base, again.base),
+                              (lebench_diff.scheme, again.scheme)):
+            trees = [first.tree(), second.tree()]
+            assert trees[0].to_folded() == trees[1].to_folded()
+            assert trees[0].to_chrome_trace_json() == \
+                trees[1].to_chrome_trace_json()
+            assert json.dumps(first.snapshot, sort_keys=True) == \
+                json.dumps(second.snapshot, sort_keys=True)
 
 
 class TestCli:
