@@ -9,26 +9,20 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.eval.runner import (
-    run_apps_experiment,
-    run_gadget_experiment,
-    run_kasper_experiment,
-    run_lebench_experiment,
-    run_surface_experiment,
-)
 from repro.eval.validate import validate_claims
+from repro.exec import run_experiment
 
-SCHEMES = ("unsafe", "fence", "dom", "stt", "spot", "perspective")
+SCHEMES = ["unsafe", "fence", "dom", "stt", "spot", "perspective"]
 
 
 def test_paper_claims_scorecard(benchmark, emit):
     def score():
-        lebench = run_lebench_experiment(schemes=SCHEMES)
-        apps = run_apps_experiment(schemes=("unsafe", "fence",
-                                            "perspective"))
-        surface = run_surface_experiment()
-        gadgets = run_gadget_experiment()
-        kasper = run_kasper_experiment(n_seeds=16)
+        lebench = run_experiment("lebench", {"schemes": SCHEMES})
+        apps = run_experiment("apps", {"schemes": ["unsafe", "fence",
+                                                   "perspective"]})
+        surface = run_experiment("surface")
+        gadgets = run_experiment("gadgets")
+        kasper = run_experiment("kasper", {"n_seeds": 16})
         return validate_claims(lebench=lebench, apps=apps,
                                surface=surface, gadgets=gadgets,
                                kasper=kasper)

@@ -8,11 +8,11 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.eval.figures import figure_9_1
-from repro.eval.runner import run_kasper_experiment
+from repro.exec import run_experiment
 
 
 def test_figure_9_1_kasper_speedup(benchmark, emit):
-    exp = run_once(benchmark, run_kasper_experiment)
+    exp = run_once(benchmark, lambda: run_experiment("kasper"))
     emit(figure_9_1(exp))
     for app, speedup in exp.speedups.items():
         assert speedup > 1.0, (app, speedup)

@@ -8,15 +8,15 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.eval.figures import figure_9_2
-from repro.eval.runner import run_lebench_experiment
+from repro.exec import run_experiment
 
-SCHEMES = ("unsafe", "fence", "perspective-static", "perspective",
-           "perspective++")
+SCHEMES = ["unsafe", "fence", "perspective-static", "perspective",
+           "perspective++"]
 
 
 def test_figure_9_2_lebench(benchmark, emit):
     exp = run_once(benchmark,
-                   lambda: run_lebench_experiment(schemes=SCHEMES))
+                   lambda: run_experiment("lebench", {"schemes": SCHEMES}))
     emit(figure_9_2(exp))
     assert 30.0 <= exp.average_overhead_pct("fence") <= 70.0
     for test in ("select", "poll", "epoll"):

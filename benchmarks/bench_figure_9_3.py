@@ -8,15 +8,15 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.eval.figures import figure_9_3
-from repro.eval.runner import run_apps_experiment
+from repro.exec import run_experiment
 
-SCHEMES = ("unsafe", "fence", "perspective-static", "perspective",
-           "perspective++")
+SCHEMES = ["unsafe", "fence", "perspective-static", "perspective",
+           "perspective++"]
 
 
 def test_figure_9_3_datacenter_apps(benchmark, emit):
     exp = run_once(benchmark,
-                   lambda: run_apps_experiment(schemes=SCHEMES))
+                   lambda: run_experiment("apps", {"schemes": SCHEMES}))
     emit(figure_9_3(exp))
     assert 2.0 <= exp.average_throughput_overhead_pct("fence") <= 10.0
     for scheme in ("perspective-static", "perspective", "perspective++"):

@@ -8,14 +8,14 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.eval.runner import run_apps_experiment, run_lebench_experiment
+from repro.exec import run_experiment
 
-SCHEMES = ("unsafe", "dom", "stt", "invisispec", "perspective")
+SCHEMES = ["unsafe", "dom", "stt", "invisispec", "perspective"]
 
 
 def test_hw_mitigations_lebench(benchmark, emit):
     exp = run_once(benchmark,
-                   lambda: run_lebench_experiment(schemes=SCHEMES))
+                   lambda: run_experiment("lebench", {"schemes": SCHEMES}))
     lines = ["Hardware-only schemes on LEBench (paper: DOM 23.1%, STT "
              "3.7%, Perspective 3.5%; InvisiSpec is this reproduction's "
              "extra comparison point)"]
@@ -34,8 +34,8 @@ def test_hw_mitigations_lebench(benchmark, emit):
 
 def test_hw_mitigations_apps(benchmark, emit):
     exp = run_once(benchmark,
-                   lambda: run_apps_experiment(schemes=SCHEMES,
-                                               requests=30))
+                   lambda: run_experiment("apps", {"schemes": SCHEMES,
+                                                   "requests": 30}))
     lines = ["Hardware-only schemes on applications (paper: all within "
              "~2% of UNSAFE: 98.3 / 99.6 / 98.8%)"]
     for scheme in SCHEMES[1:]:

@@ -1,13 +1,13 @@
 """Benchmark the parallel experiment engine against its one-worker path.
 
 Runs the full table/figure suite (LEBench, applications, breakdown,
-attack surface) three ways -- the ``run_*`` functions, engine with a
-cold cache at ``--workers`` processes, engine again with a warm cache --
+attack surface) three ways -- ``run_experiment``, engine with a cold
+cache at ``--workers`` processes, engine again with a warm cache --
 asserting byte parity between all three, and writes a diffgate-
 compatible snapshot (``repro.obs.MetricsRegistry`` shape).  The
-"serial" leg (``wall_serial_s``, ``speedup_*``) is the engine at one
-worker with the cache off, which is what every ``run_*`` function is;
-the name stays so the committed snapshot's keys do not move:
+"serial" leg (``wall_serial_s``, ``speedup_*``) is ``run_experiment``:
+the engine at one worker with the cache off; the name stays so the
+committed snapshot's keys do not move:
 
 * **counters/gauges** -- cell counts, cache traffic, parity flags, and
   headline simulated results.  Fully deterministic (the simulation is
@@ -35,18 +35,10 @@ import tempfile
 import time
 from typing import Any, Callable
 
-from repro.eval import runner
-from repro.exec import EngineConfig, ExperimentEngine
+from repro.exec import EngineConfig, ExperimentEngine, run_experiment
 from repro.obs import MetricsRegistry
 
 SUITE = ("lebench", "apps", "breakdown", "surface")
-
-SERIAL: dict[str, Callable[[], Any]] = {
-    "lebench": runner.run_lebench_experiment,
-    "apps": runner.run_apps_experiment,
-    "breakdown": runner.run_breakdown_experiment,
-    "surface": runner.run_surface_experiment,
-}
 
 
 def _canon(result: Any) -> str:
@@ -75,7 +67,7 @@ def main(argv: list[str] | None = None) -> int:
     serial: dict[str, str] = {}
     wall_serial = 0.0
     for name in SUITE:
-        result, dt = _timed(SERIAL[name])
+        result, dt = _timed(lambda: run_experiment(name))
         serial[name] = _canon(result)
         wall_serial += dt
         print(f"serial   {name}: {dt:.2f}s", file=sys.stderr)

@@ -79,9 +79,8 @@ def _grid():
 
 def _traced_cell(seed: int, tenants: int) -> dict:
     """One serve cell under its own trace recorder and SLO rollup."""
-    return run_cell("serve", (str(seed), str(tenants)),
-                    _cell_params(seed, tenants, trace=True,
-                                 slo_window=SLO_WINDOW))
+    return run_cell("serve", _cell_params(seed, tenants, trace=True,
+                                          slo_window=SLO_WINDOW))
 
 
 def _parity_and_census(reg: MetricsRegistry) -> None:

@@ -5,13 +5,12 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.eval.runner import run_breakdown_experiment
-from repro.eval.sensitivity import run_slab_sensitivity, \
-    run_unknown_allocations
+from repro.exec import run_experiment
 
 
 def test_unknown_allocations(benchmark, emit):
-    result = run_once(benchmark, run_unknown_allocations)
+    result = run_once(benchmark,
+                      lambda: run_experiment("unknown-allocations"))
     emit(f"Unknown allocations (paper: 1.5 points of LEBench overhead)\n"
          f"full enforcement:   {result.overhead_full_pct:+.2f}%\n"
          f"unknown allowed:    {result.overhead_unknown_allowed_pct:+.2f}%\n"
@@ -20,8 +19,8 @@ def test_unknown_allocations(benchmark, emit):
 
 
 def test_view_cache_hit_rates(benchmark, emit):
-    exp = run_once(benchmark, lambda: run_breakdown_experiment(
-        workloads=("lebench", "httpd", "redis")))
+    exp = run_once(benchmark, lambda: run_experiment(
+        "breakdown", {"workloads": ["lebench", "httpd", "redis"]}))
     lines = ["View-cache hit rates (paper: ~99% for both structures)"]
     for workload in exp.isv_cache_hit_rate:
         isv = exp.isv_cache_hit_rate[workload]["perspective"]
@@ -33,7 +32,8 @@ def test_view_cache_hit_rates(benchmark, emit):
 
 
 def test_secure_slab_fragmentation_and_reassignment(benchmark, emit):
-    result = run_once(benchmark, run_slab_sensitivity)
+    result = run_once(benchmark,
+                      lambda: run_experiment("slab-sensitivity"))
     lines = ["Secure slab allocator (paper: 0.91% memory overhead; "
              "redis 0.23%/96 reassignments per s, others near zero)"]
     for app in result.secure_utilization:

@@ -8,14 +8,14 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.eval.runner import run_apps_experiment, run_lebench_experiment
+from repro.exec import run_experiment
 
-SCHEMES = ("unsafe", "spot", "spot-nokpti", "perspective")
+SCHEMES = ["unsafe", "spot", "spot-nokpti", "perspective"]
 
 
 def test_spot_mitigations_lebench(benchmark, emit):
     exp = run_once(benchmark,
-                   lambda: run_lebench_experiment(schemes=SCHEMES))
+                   lambda: run_experiment("lebench", {"schemes": SCHEMES}))
     lines = ["Spot software mitigations on LEBench (paper: 14.5% with "
              "KPTI, 6.6% without, Perspective 3.5%)"]
     for scheme in SCHEMES[1:]:
@@ -29,8 +29,8 @@ def test_spot_mitigations_lebench(benchmark, emit):
 
 def test_spot_mitigations_apps(benchmark, emit):
     exp = run_once(benchmark,
-                   lambda: run_apps_experiment(schemes=SCHEMES,
-                                               requests=30))
+                   lambda: run_experiment("apps", {"schemes": SCHEMES,
+                                                   "requests": 30}))
     lines = ["Spot software mitigations on applications (paper: 5% with "
              "KPTI, 1.2% without, Perspective 1.2%)"]
     for scheme in SCHEMES[1:]:

@@ -5,16 +5,14 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.eval.sweeps import (
-    sweep_branch_resolve_latency,
-    sweep_rob_entries,
-)
+from repro.exec import run_experiment
 
 
 def test_resolve_latency_sweep(benchmark, emit):
     def sweep():
-        fence = sweep_branch_resolve_latency()
-        perspective = sweep_branch_resolve_latency(scheme="perspective")
+        fence = run_experiment("sweep-branch")
+        perspective = run_experiment("sweep-branch",
+                                     {"scheme": "perspective"})
         return fence, perspective
 
     fence, perspective = run_once(benchmark, sweep)
@@ -27,7 +25,7 @@ def test_resolve_latency_sweep(benchmark, emit):
 
 
 def test_rob_depth_sweep(benchmark, emit):
-    result = run_once(benchmark, sweep_rob_entries)
+    result = run_once(benchmark, lambda: run_experiment("sweep-rob"))
     emit(result.render()
          + "\n(deeper ROBs help the unprotected baseline overlap misses "
            "more than they help FENCE, so the ratio saturates)")

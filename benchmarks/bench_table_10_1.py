@@ -8,12 +8,12 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.eval.runner import run_breakdown_experiment
 from repro.eval.tables import table_10_1
+from repro.exec import run_experiment
 
 
 def test_table_10_1_fence_breakdown(benchmark, emit):
-    exp = run_once(benchmark, run_breakdown_experiment)
+    exp = run_once(benchmark, lambda: run_experiment("breakdown"))
     emit(table_10_1(exp))
     for workload, per_scheme in exp.breakdowns.items():
         # DSV fences dominate in every configuration (the ISV++ rows run

@@ -7,12 +7,12 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.eval.runner import run_surface_experiment
 from repro.eval.tables import table_8_1
+from repro.exec import run_experiment
 
 
 def test_table_8_1_attack_surface(benchmark, emit):
-    exp = run_once(benchmark, run_surface_experiment)
+    exp = run_once(benchmark, lambda: run_experiment("surface"))
     emit(table_8_1(exp))
     for app in exp.static_isv_size:
         assert exp.reduction(app, "static") >= 0.88

@@ -7,12 +7,12 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.eval.runner import run_gadget_experiment
 from repro.eval.tables import table_8_2
+from repro.exec import run_experiment
 
 
 def test_table_8_2_gadget_reduction(benchmark, emit):
-    exp = run_once(benchmark, run_gadget_experiment)
+    exp = run_once(benchmark, lambda: run_experiment("gadgets"))
     emit(table_8_2(exp))
     for app, rows in exp.blocked.items():
         for cls in ("mds", "port", "cache"):

@@ -14,11 +14,11 @@ import sys
 from repro.defenses import PerspectivePolicy
 from repro.eval.envs import make_env
 from repro.eval.metrics import FenceBreakdown
-from repro.eval.runner import run_apps_experiment
+from repro.exec import run_experiment
 from repro.workloads.apps import APP_NAMES, APP_SPECS, AppWorkload
 
-SCHEMES = ("unsafe", "fence", "dom", "stt", "invisispec", "spot",
-           "perspective")
+SCHEMES = ["unsafe", "fence", "dom", "stt", "invisispec", "spot",
+           "perspective"]
 
 
 def main() -> None:
@@ -28,7 +28,8 @@ def main() -> None:
 
     print(f"== {app}: throughput under each defense "
           f"(kernel-time fraction {APP_SPECS[app].kernel_time_fraction:.0%})")
-    exp = run_apps_experiment(schemes=SCHEMES, apps=(app,), requests=40)
+    exp = run_experiment("apps", {"schemes": SCHEMES, "apps": [app],
+                                  "requests": 40})
     for scheme in SCHEMES:
         rps = exp.rps(app, scheme)
         norm = exp.normalized_rps(app, scheme)
@@ -38,7 +39,7 @@ def main() -> None:
     print("\n== where Perspective's (small) cost comes from")
     env = make_env(app, "perspective")
     workload = AppWorkload(env.kernel, env.proc, APP_SPECS[app])
-    workload.serve(10, measure=False)
+    workload.serve(10)  # warm-up
     run = workload.serve(40)
     breakdown = FenceBreakdown.from_exec(workload.driver.stats.exec)
     print(f"  fences: {breakdown.total} over {breakdown.committed_ops} "
@@ -57,7 +58,7 @@ def main() -> None:
     assert isinstance(env2.policy, PerspectivePolicy)
     env2.policy.treat_unknown_as_owned = True  # measurement-only knob
     workload2 = AppWorkload(env2.kernel, env2.proc, APP_SPECS[app])
-    workload2.serve(10, measure=False)
+    workload2.serve(10)  # warm-up
     run2 = workload2.serve(40)
     delta = run.kernel_cycles_per_request - run2.kernel_cycles_per_request
     pct = 100 * delta / run.kernel_cycles_per_request

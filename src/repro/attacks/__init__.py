@@ -41,7 +41,6 @@ from repro.attacks.harness import (
     build_policy,
     non_driver_isv_functions,
     run_attack,
-    run_matrix,
 )
 from repro.attacks.midfunction import (
     MidFunctionHijackAttack,
@@ -91,6 +90,5 @@ __all__ = [
     "record_for_row",
     "records_by_primitive",
     "run_attack",
-    "run_matrix",
     "run_midfunction_attack",
 ]

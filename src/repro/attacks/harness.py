@@ -2,12 +2,15 @@
 
 ``run_attack(attack, scheme)`` boots a fresh kernel (sharing the cached
 image), installs the requested defense policy, plants a secret, runs the
-PoC end to end, and reports whether the secret leaked.
+PoC end to end, and reports whether the secret leaked;
+:func:`security_cell` is that run as one cell of the ``security`` grid
+(:mod:`repro.exec.grids`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Any
 
 from repro.analysis.flavors import FLAVORS, non_driver_isv_functions
 from repro.attacks.base import AttackResult, AttackSetup, make_setup
@@ -151,14 +154,10 @@ def attack_on(kernel: MiniKernel, attacker, victim, attack_name: str,
     return attack_cls(setup).run(scheme_name=scheme)
 
 
-def run_matrix(attacks: tuple[str, ...] = tuple(ATTACKS),
-               schemes: tuple[str, ...] = SCHEMES,
-               secret: bytes = b"K3Y!") -> list[MatrixCell]:
-    """The full Chapter 8 security matrix: one :func:`run_attack` cell
-    per (attack, scheme) of the ``security`` grid
-    (:mod:`repro.exec.grids`), in declared order."""
-    from repro.exec.engine import run_experiment
-    return run_experiment("security", {"attacks": list(attacks),
-                                       "schemes": list(schemes),
-                                       "secret_hex": secret.hex()},
-                          use_cache=False)[0]
+def security_cell(attack: str, scheme: str,
+                  secret_hex: str) -> dict[str, Any]:
+    """One (attack, scheme) cell of the ``security`` grid: the
+    :func:`run_attack` result as JSON, its bytes as hex."""
+    result = run_attack(attack, scheme, secret=bytes.fromhex(secret_hex))
+    return {**asdict(result), "secret": result.secret.hex(),
+            "leaked": result.leaked.hex()}

@@ -7,7 +7,6 @@ from repro.core.dsv import DSVRegistry
 from repro.core.dsvmt import DSVMT, WALK_LATENCY
 from repro.core.framework import Perspective
 from repro.core.hardware import (
-    HardwareCharacterization,
     ISV_BLOCK_INSTRUCTIONS,
     REFILL_LATENCY,
     ViewCache,
@@ -24,7 +23,6 @@ __all__ = [
     "DSVMT",
     "DSVRegistry",
     "DataSpeculationView",
-    "HardwareCharacterization",
     "ISVPageTable",
     "ISV_BLOCK_INSTRUCTIONS",
     "InstructionSpeculationView",

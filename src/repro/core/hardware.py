@@ -170,14 +170,3 @@ class ViewCache:
 def isv_block_of(inst_va: int) -> int:
     """ISV-cache key for an instruction VA."""
     return inst_va // ISV_BLOCK_BYTES
-
-
-@dataclass(frozen=True)
-class HardwareCharacterization:
-    """CACTI-style figures for one structure (Table 9.1)."""
-
-    name: str
-    area_mm2: float
-    access_time_ps: float
-    dynamic_energy_pj: float
-    leakage_power_mw: float

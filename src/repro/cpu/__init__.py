@@ -16,7 +16,6 @@ from repro.cpu.isa import (
     MicroOp,
     Op,
     OP_SIZE,
-    REGISTERS,
 )
 from repro.cpu.memsys import TLB, AddressSpace, MainMemory, PageFault
 from repro.cpu.pipeline import (
@@ -50,7 +49,6 @@ __all__ = [
     "PageFault",
     "Pipeline",
     "PipelineConfig",
-    "REGISTERS",
     "RSBConfig",
     "ReturnStackBuffer",
     "SetAssociativeCache",

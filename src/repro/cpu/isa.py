@@ -60,12 +60,6 @@ class AluOp(enum.Enum):
     CMPEQ = "cmpeq"  # dst = 1 if src1 == src2 else 0
 
 
-#: Register names available to generated programs.  ``r0`` conventionally
-#: holds syscall arguments on kernel entry; the kernel image generator
-#: assigns the remaining registers freely.
-REGISTERS = tuple(f"r{i}" for i in range(16))
-
-
 @dataclass(frozen=True, slots=True)
 class MicroOp:
     """A single micro-op.

@@ -34,8 +34,6 @@ from repro.workloads.lebench import exercise_all
 
 PERF_SCHEMES = ("unsafe", "fence", "perspective-static", "perspective",
                 "perspective++")
-COMPARISON_SCHEMES = ("unsafe", "dom", "stt", "invisispec", "spot",
-                      "spot-nokpti")
 ALL_SCHEMES = ("unsafe", "fence", "dom", "stt", "invisispec", "safespec",
                "context", "spot", "spot-nokpti", "perspective-static",
                "perspective", "perspective++")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cpu.pipeline import ExecResult
 
@@ -83,16 +83,3 @@ class FenceBreakdown:
         count = {"isv": self.isv_fences, "dsv": self.dsv_fences,
                  "total": self.total}[kind]
         return 1000.0 * count / self.committed_ops
-
-
-@dataclass
-class SchemeSummary:
-    """Aggregate for one (workload, scheme) measurement."""
-
-    workload: str
-    scheme: str
-    cycles: float
-    committed_ops: int
-    breakdown: FenceBreakdown = field(default_factory=FenceBreakdown)
-    isv_cache_hit_rate: float = 0.0
-    dsv_cache_hit_rate: float = 0.0

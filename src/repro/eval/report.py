@@ -83,19 +83,18 @@ SECTIONS: tuple[Section, ...] = (
 def run_full_evaluation(fast: bool = False) -> EvaluationArtifacts:
     """Regenerate every section of :data:`SECTIONS`.
 
-    Each grid runs on the engine at one worker with the cache off, at its
-    section's ``full`` params, or its ``fast`` params when ``fast`` is
-    set.
+    Each grid runs in this process with the cache off
+    (:func:`~repro.exec.engine.run_experiment`), at its section's
+    ``full`` params, or its ``fast`` params when ``fast`` is set.
     """
-    from repro.exec.engine import EngineConfig, ExperimentEngine
-    engine = ExperimentEngine(EngineConfig(workers=1, use_cache=False))
+    from repro.exec.engine import run_experiment
     artifacts = EvaluationArtifacts()
     for section in SECTIONS:
         if section.grid is None:
             body = section.render()
         else:
-            result, _ = engine.run(section.grid, section.params(fast))
-            body = section.render(result)
+            body = section.render(run_experiment(section.grid,
+                                                 section.params(fast)))
         artifacts.sections[section.title] = body
     return artifacts
 

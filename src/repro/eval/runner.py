@@ -1,12 +1,13 @@
-"""Experiment runners: one function per table/figure of the evaluation.
+"""The evaluation's cells and result objects, one section per
+table/figure.
 
-Each runner assembles fresh environments, measures, and returns a plain
-data object that the formatting layer (:mod:`repro.eval.tables`,
-:mod:`repro.eval.figures`) renders in the paper's shape.  Every runner
-(LEBench, applications, attack surface, gadgets, Kasper, breakdown) is
-one :func:`repro.exec.engine.run_experiment` call: its cells are the
-``*_cell`` functions below, and :mod:`repro.exec.grids` is the only
-place that lays out and assembles the grid.
+Each ``*_cell`` function below measures one cell of a grid of
+:mod:`repro.exec.grids` (LEBench, applications, attack surface, gadgets,
+Kasper, breakdown) in fresh environments and returns its JSON payload;
+the grid assembles the payloads into the plain data object defined next
+to it, which the formatting layer (:mod:`repro.eval.tables`,
+:mod:`repro.eval.figures`) renders in the paper's shape.  Run a grid
+with ``repro.exec.run_experiment(name, params)``.
 """
 
 from __future__ import annotations
@@ -17,13 +18,7 @@ from typing import Any
 from repro.analysis.binary import APPLICATIONS
 from repro.analysis.flavors import flavor_isv
 from repro.analysis.static_isv import static_isv_functions
-from repro.eval.envs import (
-    PERF_SCHEMES,
-    RARE_EVERY,
-    build_isv_for,
-    drive_workload,
-    make_env,
-)
+from repro.eval.envs import build_isv_for, drive_workload, make_env
 from repro.eval.metrics import FenceBreakdown, geomean, normalized
 from repro.kernel.image import shared_image
 from repro.kernel.kernel import MiniKernel
@@ -31,7 +26,7 @@ from repro.obs import registry as obs
 from repro.obs.collect import collect_env
 from repro.obs.instruments import INSTRUMENTS
 from repro.scanner.kasper import discovery_speedup, scan
-from repro.workloads.apps import APP_NAMES, APP_SPECS, AppWorkload
+from repro.workloads.apps import APP_SPECS, AppWorkload
 from repro.workloads.clients import CLIENTS
 from repro.workloads.lebench import run_lebench
 
@@ -73,8 +68,7 @@ class LEBenchExperiment:
         return worst_test, 100.0 * worst
 
 
-def lebench_cell(scheme: str,
-                 rare_every: int = RARE_EVERY) -> dict[str, Any]:
+def lebench_cell(scheme: str, rare_every: int) -> dict[str, Any]:
     """One (scheme) cell of the ``lebench`` grid: per-test average
     ``cycles``, plus the run's ``fenced_loads`` and ``committed_ops``."""
     env = make_env("lebench", scheme)
@@ -84,16 +78,6 @@ def lebench_cell(scheme: str,
     return {"cycles": cycles,
             "fenced_loads": sum(s.exec.total_fenced for s in stats),
             "committed_ops": sum(s.exec.committed_ops for s in stats)}
-
-
-def run_lebench_experiment(schemes: tuple[str, ...] = PERF_SCHEMES,
-                           rare_every: int = RARE_EVERY,
-                           ) -> LEBenchExperiment:
-    """Run the LEBench suite under every scheme (Figure 9.2)."""
-    from repro.exec.engine import run_experiment
-    return run_experiment("lebench", {"schemes": list(schemes),
-                                      "rare_every": rare_every},
-                          use_cache=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -126,30 +110,19 @@ class AppsExperiment:
         return 100.0 * (1.0 - mean)
 
 
-def apps_cell(app: str, scheme: str, requests: int | None = None,
-              rare_every: int = RARE_EVERY) -> float:
-    """One (app, scheme) cell of the ``apps`` grid: kernel
-    cycles/request."""
+def apps_cell(app: str, scheme: str, requests: int | None,
+              rare_every: int) -> dict[str, float]:
+    """One (app, scheme) cell of the ``apps`` grid: kernel cycles per
+    request of a client batch (``requests``, or the client's sampled
+    count), served after a warm-up batch."""
     env = make_env(app, scheme)
     workload = AppWorkload(env.kernel, env.proc, APP_SPECS[app],
                            rare_every=rare_every)
     batch = requests if requests is not None \
         else CLIENTS[app].sampled_requests
-    workload.serve(24, measure=False)  # warmup to steady state
-    result = workload.serve(batch)
-    return result.kernel_cycles_per_request
-
-
-def run_apps_experiment(schemes: tuple[str, ...] = PERF_SCHEMES,
-                        apps: tuple[str, ...] = APP_NAMES,
-                        requests: int | None = None,
-                        rare_every: int = RARE_EVERY) -> AppsExperiment:
-    """Serve client batches per app x scheme (Figure 9.3)."""
-    from repro.exec.engine import run_experiment
-    return run_experiment("apps", {"schemes": list(schemes),
-                                   "apps": list(apps), "requests": requests,
-                                   "rare_every": rare_every},
-                          use_cache=False)[0]
+    workload.serve(24)  # warmup to steady state
+    return {"kernel_cycles_per_request":
+            workload.serve(batch).kernel_cycles_per_request}
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +152,6 @@ def surface_cell(app: str) -> dict[str, int]:
     isv = build_isv_for(kernel, proc, app, "dynamic")
     return {"static": static_size, "dynamic": len(isv),
             "total_functions": image.total_functions}
-
-
-def run_surface_experiment(apps: tuple[str, ...] = ("lebench",) + APP_NAMES,
-                           ) -> SurfaceExperiment:
-    """Compute per-app static and dynamic ISV sizes (Table 8.1)."""
-    from repro.exec.engine import run_experiment
-    return run_experiment("surface", {"apps": list(apps)},
-                          use_cache=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +191,6 @@ def gadget_cell(app: str) -> dict:
     }
 
 
-def run_gadget_experiment(apps: tuple[str, ...] = ("lebench",) + APP_NAMES,
-                          ) -> GadgetExperiment:
-    """Per-app gadget blocking for ISV-S / ISV / ISV++ (Table 8.2)."""
-    from repro.exec.engine import run_experiment
-    return run_experiment("gadgets", {"apps": list(apps)},
-                          use_cache=False)[0]
-
-
 @dataclass
 class KasperExperiment:
     #: app -> discovery-rate speedup (bounded / unbounded).
@@ -244,26 +201,18 @@ class KasperExperiment:
         return geomean(list(self.speedups.values()))
 
 
-def kasper_cell(app: str, hours: float, seed: int, n_seeds: int) -> float:
-    """One (app) cell of the ``kasper`` grid: the discovery-rate speedup
-    of fuzzing bounded to the app's dynamic ISV."""
+def kasper_cell(app: str, hours: float, seed: int,
+                n_seeds: int) -> dict[str, float]:
+    """One (app) cell of the ``kasper`` grid: the discovery-rate
+    ``speedup`` of fuzzing bounded to the app's dynamic ISV, averaged
+    over ``n_seeds`` fuzzing seeds per paired campaign."""
     image = shared_image()
     kernel = MiniKernel(image=image)
     proc = kernel.create_process(app)
     isv = build_isv_for(kernel, proc, app, "dynamic")
-    return discovery_speedup(image, app, isv.functions, hours=hours,
-                             seed=seed, n_seeds=n_seeds).speedup
-
-
-def run_kasper_experiment(apps: tuple[str, ...] = ("lebench",) + APP_NAMES,
-                          hours: float = 35.0,
-                          n_seeds: int = 16) -> KasperExperiment:
-    """ISV-bounded fuzzing speedups per app (Figure 9.1), averaged over
-    ``n_seeds`` fuzzing seeds per paired campaign."""
-    from repro.exec.engine import run_experiment
-    return run_experiment("kasper", {"apps": list(apps), "hours": hours,
-                                     "n_seeds": n_seeds},
-                          use_cache=False)[0]
+    return {"speedup": discovery_speedup(
+        image, app, isv.functions, hours=hours, seed=seed,
+        n_seeds=n_seeds).speedup}
 
 
 # ---------------------------------------------------------------------------
@@ -322,28 +271,3 @@ def env_cell(workload: str, scheme: str, passes: int, requests: int,
                    "committed_ops": driven.exec.committed_ops},
     }
 
-
-def run_breakdown_experiment(
-        workloads: tuple[str, ...] = ("lebench",) + APP_NAMES,
-        schemes: tuple[str, ...] = ("perspective-static", "perspective",
-                                    "perspective++"),
-        requests: int = 30,
-        observe: bool = False) -> BreakdownExperiment:
-    """Fence attribution and view-cache hit rates under Perspective.
-
-    With ``observe=True`` every cell runs inside its own fresh
-    :class:`repro.obs.MetricsRegistry`; the per-cell snapshots (hot-path
-    counters, span timings, and per-env collector gauges) merge in
-    declared cell order into ``experiment.metrics``, identically at any
-    worker count.  The cells run in this process under the caller's
-    ``instrumented(...)`` planes, so ``instrumented(journal=...)``
-    records every enforcement decision as a security event.  The
-    measured numbers are identical either way -- the observability
-    plane only reads simulated state.
-    """
-    from repro.exec.engine import run_experiment
-    return run_experiment("breakdown", {"workloads": list(workloads),
-                                        "schemes": list(schemes),
-                                        "requests": requests,
-                                        "observe": observe},
-                          use_cache=False)[0]

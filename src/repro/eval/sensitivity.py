@@ -11,9 +11,9 @@
   to the buddy allocator (paper: redis 0.23% of frees / 96 per second;
   httpd, nginx, memcached at 0.01% / 0.003% and single digits per second).
 
-Both runners are one ``unknown-allocations``/``slab-sensitivity`` grid of
-:mod:`repro.exec.grids` run on the engine; the ``*_cell`` functions below
-are their cells.
+Each analysis is one ``unknown-allocations``/``slab-sensitivity`` grid of
+:mod:`repro.exec.grids`; the ``*_cell`` functions below are their
+cells.
 """
 
 from __future__ import annotations
@@ -21,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.defenses.perspective import PerspectivePolicy
-from repro.eval.envs import RARE_EVERY, make_env
+from repro.eval.envs import drive_workload, make_env
 from repro.eval.metrics import geomean
 from repro.kernel.image import shared_image
 from repro.kernel.kernel import KernelConfig, MiniKernel
-from repro.workloads.apps import APP_NAMES, APP_SPECS, AppWorkload
 from repro.workloads.lebench import run_lebench
 
 CORE_HZ = 2.0e9
@@ -44,17 +43,19 @@ class UnknownAllocationsResult:
         return self.overhead_full_pct - self.overhead_unknown_allowed_pct
 
 
-def unknown_allocations_cell(scheme: str, rare_every: int = RARE_EVERY,
-                             treat_unknown: bool = False,
-                             ) -> dict[str, float]:
-    """One cell of the ``unknown-allocations`` grid: LEBench cycles under
-    ``scheme``, optionally with unknown memory allowed to speculate."""
+def unknown_allocations_cell(scheme: str, rare_every: int,
+                             treat_unknown: bool,
+                             ) -> dict[str, dict[str, float]]:
+    """One cell of the ``unknown-allocations`` grid: LEBench ``cycles``
+    under ``scheme``, optionally with unknown memory allowed to
+    speculate."""
     env = make_env("lebench", scheme)
     if treat_unknown:
         policy = env.policy
         assert isinstance(policy, PerspectivePolicy)
         policy.treat_unknown_as_owned = True
-    return run_lebench(env.kernel, env.proc, rare_every=rare_every)
+    return {"cycles": run_lebench(env.kernel, env.proc,
+                                  rare_every=rare_every)}
 
 
 def unknown_overhead_pct(cycles: dict[str, float],
@@ -62,14 +63,6 @@ def unknown_overhead_pct(cycles: dict[str, float],
     """Geomean LEBench overhead of ``cycles`` vs ``baseline``, percent."""
     mean = geomean([cycles[t] / baseline[t] for t in baseline])
     return 100.0 * (mean - 1.0)
-
-
-def run_unknown_allocations(rare_every: int = RARE_EVERY,
-                            ) -> UnknownAllocationsResult:
-    """Quantify the unknown-allocation share of Perspective's overhead."""
-    from repro.exec.engine import run_experiment
-    return run_experiment("unknown-allocations", {"rare_every": rare_every},
-                          use_cache=False)[0]
 
 
 @dataclass
@@ -100,26 +93,16 @@ class SlabSensitivityResult:
         return sum(self.memory_overhead_pct(a) for a in apps) / len(apps)
 
 
-def run_slab_sensitivity(apps: tuple[str, ...] = APP_NAMES,
-                         requests: int = 60,
-                         background_tenants: int = 3,
-                         ) -> SlabSensitivityResult:
-    """Measure slab fragmentation and reassignment under real churn.
+def slab_sensitivity_cell(app: str, requests: int,
+                          background_tenants: int) -> dict[str, float]:
+    """One (app) cell of the ``slab-sensitivity`` grid: slab
+    fragmentation and reassignment under real churn, both allocator
+    configurations measured back to back.
 
-    Each application shares its kernel with a few background tenants in
-    other cgroups, since the secure allocator's fragmentation cost only
-    appears when multiple contexts would otherwise pack together.
+    The application shares its kernel with ``background_tenants`` tenants
+    in other cgroups, since the secure allocator's fragmentation cost
+    only appears when multiple contexts would otherwise pack together.
     """
-    from repro.exec.engine import run_experiment
-    return run_experiment("slab-sensitivity", {
-        "apps": list(apps), "requests": requests,
-        "background_tenants": background_tenants}, use_cache=False)[0]
-
-
-def slab_sensitivity_cell(app: str, requests: int = 60,
-                          background_tenants: int = 3) -> dict[str, float]:
-    """One (app) cell of the ``slab-sensitivity`` grid: both allocator
-    configurations measured back to back."""
     image = shared_image()
     per_config: dict[bool, tuple[float, float, float, int]] = {}
     for secure in (True, False):
@@ -135,15 +118,14 @@ def slab_sensitivity_cell(app: str, requests: int = 60,
             fds = [kernel.syscall(tenant, "open", args=(j,)).retval
                    for j in range(4)]
             tenant_fds.append(fds)
-        workload = AppWorkload(kernel, proc, APP_SPECS[app],
-                               rare_every=0)
-        run = workload.serve(requests)
+        _, served = drive_workload(kernel, proc, app, requests=requests,
+                                   rare_every=0)
         for tenant, fds in zip(tenants, tenant_fds):
             for fd in fds[:2]:
                 kernel.syscall(tenant, "close", args=(fd,))
             kernel.syscall(tenant, "open", args=(9,))
         stats = kernel.slab.stats
-        seconds = run.kernel_cycles / CORE_HZ
+        seconds = served.kernel_cycles / CORE_HZ
         per_second = (stats.reassignment_frees / seconds
                       if seconds > 0 else 0.0)
         per_config[secure] = (

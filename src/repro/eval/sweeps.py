@@ -13,7 +13,7 @@ sensible direction) and the ablation data a reviewer would ask for:
 * **view-cache entries** -- Perspective's conservative-miss rate.
 
 Each sweep is one ``sweep-branch``/``sweep-rob`` grid of
-:mod:`repro.exec.grids` run on the engine; :func:`_measure` is its cell.
+:mod:`repro.exec.grids`; :func:`sweep_cell` is its cell.
 """
 
 from __future__ import annotations
@@ -50,9 +50,11 @@ class SweepResult:
         return "\n".join(lines)
 
 
-def _measure(scheme: str, pipeline_overrides: dict) -> float:
-    """Geomean LEBench-subset overhead of ``scheme`` vs unsafe, with the
-    same pipeline configuration applied to both.
+def sweep_cell(parameter: str, value: float,
+               scheme: str) -> dict[str, float]:
+    """One swept value: the geomean LEBench-subset overhead (percent,
+    ``overhead_pct``) of ``scheme`` vs unsafe, with the pipeline's
+    ``parameter`` set to ``value`` for both.
 
     Policies come from the scheme registry, so every registered scheme
     is measured as itself and an unknown name raises ``ValueError``.
@@ -63,8 +65,7 @@ def _measure(scheme: str, pipeline_overrides: dict) -> float:
     cycles = {}
     for name in ("unsafe", scheme):
         config = KernelConfig()
-        for attr, value in pipeline_overrides.items():
-            setattr(config.pipeline, attr, value)
+        setattr(config.pipeline, parameter, value)
         kernel = MiniKernel(image=shared_image(), config=config)
         proc = kernel.create_process("sweep")
         views = ()
@@ -75,23 +76,4 @@ def _measure(scheme: str, pipeline_overrides: dict) -> float:
         arm(kernel, name, views)
         cycles[name] = run_lebench(kernel, proc, tests=tests)
     ratios = [cycles[scheme][t] / cycles["unsafe"][t] for t in cycles[scheme]]
-    return 100.0 * (geomean(ratios) - 1.0)
-
-
-def sweep_branch_resolve_latency(
-        values=(4.0, 7.0, 12.0, 20.0),
-        scheme: str = "fence") -> SweepResult:
-    """Overhead vs speculation-window length."""
-    from repro.exec.engine import run_experiment
-    return run_experiment("sweep-branch", {"values": list(values),
-                                           "scheme": scheme},
-                          use_cache=False)[0]
-
-
-def sweep_rob_entries(values=(48, 96, 192, 384),
-                      scheme: str = "fence") -> SweepResult:
-    """Overhead vs reorder-buffer depth."""
-    from repro.exec.engine import run_experiment
-    return run_experiment("sweep-rob", {"values": list(values),
-                                        "scheme": scheme},
-                          use_cache=False)[0]
+    return {"overhead_pct": 100.0 * (geomean(ratios) - 1.0)}

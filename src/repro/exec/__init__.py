@@ -1,12 +1,11 @@
 """repro.exec -- the deterministic experiment engine.
 
-Every runner in the evaluation (LEBench, applications, breakdown,
+Every experiment in the evaluation (LEBench, applications, breakdown,
 attack surface, gadgets, Kasper, the attack matrix, sweeps, sensitivity
-analyses) decomposes into independent (workload, scheme, params)
-**cells**, and each ``run_*`` function is one engine run of its grid;
-the resilient campaign runner (:mod:`repro.reliability`) schedules the
-same grids and journals their cell payloads.  This package runs those
-cells through:
+analyses) is a grid of independent (workload, scheme, params) **cells**,
+run in process by ``run_experiment(name, params)``; the resilient
+campaign runner (:mod:`repro.reliability`) schedules the same grids and
+journals their cell payloads.  This package runs those cells through:
 
 * :mod:`repro.exec.engine` -- in-process or process-pool scatter/gather
   with seeded, order-independent merging, byte-identical at any worker

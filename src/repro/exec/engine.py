@@ -6,11 +6,11 @@ resolving each cell against the content-addressed result cache
 (:mod:`repro.exec.cache`), executing the remaining cells -- inline, or
 scattered over a process pool when ``workers > 1`` -- and assembling the
 experiment object in declared cell order.  It is the only execution path
-of every experiment: the ``run_*`` functions of :mod:`repro.eval` and
-``run_matrix`` are single :func:`run_experiment` calls with the cache
-off, and the campaign runner (:mod:`repro.reliability.campaign`)
-journals what :meth:`ExperimentEngine.run_cells` returns -- the resolved
-parameters and cell payloads -- and assembles them on resume.
+of every experiment: :func:`run_experiment` runs a grid in this process
+with the cache off, and the campaign runner
+(:mod:`repro.reliability.campaign`) journals what
+:meth:`ExperimentEngine.run_cells` returns -- the resolved parameters
+and cell payloads -- and assembles them on resume.
 
 Determinism contract, enforced by the pinned-digest and worker-parity
 tests:
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -81,12 +82,11 @@ def _roundtrip(payload: Any) -> Any:
     return json.loads(json.dumps(payload))
 
 
-def _run_cell_task(grid_name: str, key: list[str] | Key,
-                   cell_params: dict[str, Any]) -> Any:
+def _run_cell_task(grid_name: str, cell_params: dict[str, Any]) -> Any:
     """Top-level pool task: run one cell by grid name (grids are
     registered at import time, so this works under fork and spawn
     alike)."""
-    return _roundtrip(run_cell(grid_name, tuple(key), cell_params))
+    return _roundtrip(run_cell(grid_name, cell_params))
 
 
 @dataclass
@@ -131,22 +131,18 @@ class ExperimentEngine:
                 else default_cache_dir())
         self.cache = ResultCache(root=root)
 
-    def run(self, experiment: str,
-            params: dict[str, Any] | None = None,
-            **overrides: Any) -> tuple[Any, RunReport]:
+    def run(self, experiment: str, params: dict[str, Any] | None = None,
+            ) -> tuple[Any, RunReport]:
         """Run one experiment; returns ``(result, report)``.
 
-        ``result`` is the object the matching ``run_*`` function of
-        :mod:`repro.eval` returns; ``params``/``overrides`` override the
-        grid defaults.
+        ``result`` is what the grid's ``assemble`` builds; ``params``
+        override the grid defaults.
         """
-        merged, payloads, report = self.run_cells(experiment, params,
-                                                  **overrides)
+        merged, payloads, report = self.run_cells(experiment, params)
         return get_grid(experiment).assemble(merged, payloads), report
 
     def run_cells(self, experiment: str,
                   params: dict[str, Any] | None = None,
-                  **overrides: Any,
                   ) -> tuple[dict[str, Any], dict[Key, Any], RunReport]:
         """Compute every cell of one experiment, without assembling.
 
@@ -154,11 +150,21 @@ class ExperimentEngine:
         resolved parameters and each cell's JSON payload keyed by cell
         key, in declared cell order -- exactly what the grid's
         ``assemble`` takes, and what a campaign journal stores.  Raises
-        ``TypeError`` for a parameter the grid does not read.
+        ``TypeError`` for a parameter the grid does not read, and
+        ``ValueError``, before any cell runs, when the params lay out one
+        cell key twice (a repeated scheme, seed, ...): the payloads keep
+        one entry per key, so the repeat would be computed and folded
+        twice.
         """
         grid = get_grid(experiment)
-        merged = grid.resolve({**(params or {}), **overrides})
+        merged = grid.resolve(params or {})
         cells = grid.cells(merged)
+        repeated = [key for key, count in
+                    Counter(key for key, _ in cells).items() if count > 1]
+        if repeated:
+            raise ValueError(
+                f"grid {experiment!r} repeats cell key(s): "
+                f"{', '.join('/'.join(key) for key in repeated)}")
         report = RunReport(experiment=experiment,
                            workers=self.config.workers,
                            cache_enabled=self.config.use_cache,
@@ -200,26 +206,26 @@ class ExperimentEngine:
                  pending: list[tuple[Key, dict[str, Any]]],
                  workers: int) -> list[Any]:
         if workers <= 1:
-            return [_run_cell_task(experiment, key, cell_params)
-                    for key, cell_params in pending]
+            return [_run_cell_task(experiment, cell_params)
+                    for _, cell_params in pending]
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=_mp_context()) as pool:
-            futures = [pool.submit(_run_cell_task, experiment, list(key),
-                                   cell_params)
-                       for key, cell_params in pending]
+            futures = [pool.submit(_run_cell_task, experiment, cell_params)
+                       for _, cell_params in pending]
             # Gather in submission order; completion order is irrelevant.
             return [future.result() for future in futures]
 
 
 def run_experiment(experiment: str,
-                   params: dict[str, Any] | None = None,
-                   *, workers: int = 1, use_cache: bool = True,
-                   cache_dir: str | Path | None = None,
-                   **overrides: Any) -> tuple[Any, RunReport]:
-    """One-shot convenience wrapper around :class:`ExperimentEngine`."""
-    engine = ExperimentEngine(EngineConfig(
-        workers=workers, use_cache=use_cache, cache_dir=cache_dir))
-    return engine.run(experiment, params, **overrides)
+                   params: dict[str, Any] | None = None) -> Any:
+    """Run one grid in this process with the cache off; returns the
+    assembled result.
+
+    ``params`` override the grid's defaults.  Workers, the result cache
+    and the :class:`RunReport` are :class:`ExperimentEngine`'s.
+    """
+    engine = ExperimentEngine(EngineConfig(use_cache=False))
+    return engine.run(experiment, params)[0]
 
 
 # ---------------------------------------------------------------------------

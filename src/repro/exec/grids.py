@@ -1,10 +1,10 @@
 """Grid definitions: the one registry of every experiment.
 
-The ``run_*`` functions of :mod:`repro.eval` (LEBench, applications,
-attack surface, gadgets, Kasper, breakdown, sweeps, sensitivity
-analyses), the Chapter 8 attack matrix and the serving sweeps are each a
-single :func:`repro.exec.engine.run_experiment` call on one of these
-grids, every committed JSON snapshot is one run of one of them
+Every experiment of the evaluation (LEBench, applications, attack
+surface, gadgets, Kasper, breakdown, sweeps, sensitivity analyses, the
+Chapter 8 attack matrix) and every serving sweep is one of these grids,
+run in process by :func:`repro.exec.engine.run_experiment` with a
+params dict; every committed JSON snapshot is one run of one of them
 (:mod:`repro.exec.snapshots`), and the resilient campaign runner
 (:mod:`repro.reliability`) schedules the same grids; nothing else loops
 over their cells or assembles their results.  A :class:`Grid`
@@ -14,8 +14,9 @@ describes one experiment as
   other name raises ``TypeError``, see :meth:`Grid.resolve`);
 * ``cells(params)`` -- the independent (workload, scheme, params) cells,
   in declared order;
-* ``run_cell(key, cell_params)`` -- one cell's computation, delegating
-  to a per-cell function (``repro.eval.runner.lebench_cell`` etc.);
+* ``cell(**cell_params)`` -- one cell's computation: a per-cell
+  function (``repro.eval.runner.lebench_cell`` etc.) called with the
+  cell's params as keywords, returning the cell's JSON payload;
 * ``assemble(params, payloads)`` -- rebuild the experiment object from
   the per-cell payloads, iterating in declared cell order (never in
   pool completion order).
@@ -39,11 +40,11 @@ of this module, which reaches every cell's code.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Any, Callable
 
 from repro.attacks.base import AttackResult
-from repro.attacks.harness import ATTACKS, SCHEMES, MatrixCell, run_attack
+from repro.attacks.harness import ATTACKS, SCHEMES, MatrixCell, security_cell
 from repro.eval.envs import PERF_SCHEMES, RARE_EVERY
 from repro.eval.metrics import FenceBreakdown
 from repro.eval.runner import (
@@ -67,14 +68,20 @@ from repro.eval.sensitivity import (
     unknown_allocations_cell,
     unknown_overhead_pct,
 )
-from repro.eval.sweeps import SweepResult, _measure
+from repro.eval.sweeps import SweepResult, sweep_cell
 from repro.kernel.image import shared_image
 from repro.obs.instruments import instrumented
 from repro.obs.registry import MetricsRegistry
 from repro.obs.reqtrace import TraceRecorder
 from repro.obs.slo import SloRollup
 from repro.serve.campaign import CampaignSpec, campaign_cell
-from repro.serve.engine import ServeConfig
+from repro.serve.conformance import (
+    CONFORMANCE_SCHEMES,
+    ConformanceResult,
+    conformance_cell,
+)
+from repro.serve.engine import ServeConfig, serve_cell
+from repro.serve.shard import merge_scale_shards, scale_shard_cell
 from repro.workloads.apps import APP_NAMES, APP_SPECS
 
 Key = tuple[str, ...]
@@ -92,7 +99,8 @@ class Grid:
     name: str
     defaults: Callable[[], dict[str, Any]]
     cells: Callable[[dict[str, Any]], CellList]
-    run_cell: Callable[[Key, dict[str, Any]], Any]
+    #: One cell's computation, called with the cell's params as keywords.
+    cell: Callable[..., Any]
     assemble: Callable[[dict[str, Any], dict[Key, Any]], Any]
     #: Rewrites the merged parameters before the cells are laid out.
     normalize: Callable[[dict[str, Any]], dict[str, Any]] = _identity
@@ -142,7 +150,7 @@ _PLANES: tuple[tuple[str, str, str, type, Callable[[Any], Any]], ...] = (
 )
 
 
-def run_cell(experiment: str, key: Key, cell_params: dict[str, Any]) -> Any:
+def run_cell(experiment: str, cell_params: dict[str, Any]) -> Any:
     """Run one cell of a grid under the fresh planes its params ask for.
 
     The one place a grid cell gets planes: ``observe`` arms a
@@ -160,7 +168,7 @@ def run_cell(experiment: str, key: Key, cell_params: dict[str, Any]) -> Any:
         # image build, whichever cell of the process happens to pay it.
         shared_image()
     with instrumented(**dict(planes.values())):
-        out = get_grid(experiment).run_cell(key, cell_params)
+        out = get_grid(experiment).cell(**cell_params)
     for field, (_, plane) in planes.items():
         out[field] = plane.snapshot()
     return out
@@ -203,10 +211,6 @@ def _lebench_cells(params: dict[str, Any]) -> CellList:
             for scheme in params["schemes"]]
 
 
-def _lebench_run(key: Key, cp: dict[str, Any]) -> Any:
-    return lebench_cell(cp["scheme"], rare_every=cp["rare_every"])
-
-
 def _lebench_assemble(params: dict[str, Any],
                       payloads: dict[Key, Any]) -> LEBenchExperiment:
     exp = LEBenchExperiment(schemes=tuple(params["schemes"]))
@@ -228,12 +232,6 @@ def _apps_cells(params: dict[str, Any]) -> CellList:
             for scheme in params["schemes"]]
 
 
-def _apps_run(key: Key, cp: dict[str, Any]) -> Any:
-    return {"kernel_cycles_per_request": apps_cell(
-        cp["app"], cp["scheme"], requests=cp["requests"],
-        rare_every=cp["rare_every"])}
-
-
 def _apps_assemble(params: dict[str, Any],
                    payloads: dict[Key, Any]) -> AppsExperiment:
     exp = AppsExperiment(schemes=tuple(params["schemes"]))
@@ -241,11 +239,10 @@ def _apps_assemble(params: dict[str, Any],
         per_scheme_kernel = {
             scheme: payloads[(app, scheme)]["kernel_cycles_per_request"]
             for scheme in params["schemes"]}
-        # Userspace budget from the paper's kernel-time fraction at the
-        # UNSAFE baseline; identical across schemes (user code is not
-        # gated by kernel speculation control).
-        f = APP_SPECS[app].kernel_time_fraction
-        user = per_scheme_kernel["unsafe"] * (1.0 - f) / f
+        # User code is not gated by kernel speculation control, so one
+        # budget, from the UNSAFE baseline, serves every scheme.
+        user = APP_SPECS[app].user_cycles_per_request(
+            per_scheme_kernel["unsafe"])
         exp.kernel_cycles_per_request[app] = per_scheme_kernel
         exp.total_cycles_per_request[app] = {
             scheme: kernel + user
@@ -262,10 +259,6 @@ def _per_app_cells(params: dict[str, Any]) -> CellList:
     return [((app,), {"app": app}) for app in params["apps"]]
 
 
-def _surface_run(key: Key, cp: dict[str, Any]) -> Any:
-    return surface_cell(cp["app"])
-
-
 def _surface_assemble(params: dict[str, Any],
                       payloads: dict[Key, Any]) -> SurfaceExperiment:
     first = payloads[(params["apps"][0],)]
@@ -280,10 +273,6 @@ def _surface_assemble(params: dict[str, Any],
 # ---------------------------------------------------------------------------
 # Gadget reduction (Table 8.2) and Kasper speedup (Figure 9.1)
 # ---------------------------------------------------------------------------
-
-
-def _gadgets_run(key: Key, cp: dict[str, Any]) -> Any:
-    return gadget_cell(cp["app"])
 
 
 def _gadgets_assemble(params: dict[str, Any],
@@ -303,12 +292,6 @@ def _kasper_cells(params: dict[str, Any]) -> CellList:
             for i, app in enumerate(params["apps"])]
 
 
-def _kasper_run(key: Key, cp: dict[str, Any]) -> Any:
-    return {"speedup": kasper_cell(cp["app"], hours=cp["hours"],
-                                   seed=cp["seed"],
-                                   n_seeds=cp["n_seeds"])}
-
-
 def _kasper_assemble(params: dict[str, Any],
                      payloads: dict[Key, Any]) -> KasperExperiment:
     return KasperExperiment(speedups={
@@ -325,13 +308,6 @@ def _security_cells(params: dict[str, Any]) -> CellList:
                                 "secret_hex": params["secret_hex"]})
             for attack in params["attacks"]
             for scheme in params["schemes"]]
-
-
-def _security_run(key: Key, cp: dict[str, Any]) -> Any:
-    result = run_attack(cp["attack"], cp["scheme"],
-                        secret=bytes.fromhex(cp["secret_hex"]))
-    return {**asdict(result), "secret": result.secret.hex(),
-            "leaked": result.leaked.hex()}
 
 
 def _security_assemble(params: dict[str, Any],
@@ -372,11 +348,6 @@ _breakdown_cells = _env_cells(passes=2)
 _obs_matrix_cells = _env_cells(passes=1)
 
 
-def _env_run(key: Key, cp: dict[str, Any]) -> Any:
-    return env_cell(cp["workload"], cp["scheme"], passes=cp["passes"],
-                    requests=cp["requests"], observe=cp["observe"])
-
-
 def _breakdown_assemble(params: dict[str, Any],
                         payloads: dict[Key, Any]) -> BreakdownExperiment:
     exp = BreakdownExperiment()
@@ -411,11 +382,6 @@ def _sweep_cells(parameter: str):
     return cells
 
 
-def _sweep_run(key: Key, cp: dict[str, Any]) -> Any:
-    return {"overhead_pct": _measure(cp["scheme"],
-                                     {cp["parameter"]: cp["value"]})}
-
-
 def _sweep_assemble(parameter: str):
     def assemble(params: dict[str, Any],
                  payloads: dict[Key, Any]) -> SweepResult:
@@ -445,12 +411,6 @@ def _unknown_cells(params: dict[str, Any]) -> CellList:
     ]
 
 
-def _unknown_run(key: Key, cp: dict[str, Any]) -> Any:
-    return {"cycles": unknown_allocations_cell(
-        cp["scheme"], rare_every=cp["rare_every"],
-        treat_unknown=cp["treat_unknown"])}
-
-
 def _unknown_assemble(params: dict[str, Any], payloads: dict[Key, Any],
                       ) -> UnknownAllocationsResult:
     baseline = payloads[("baseline",)]["cycles"]
@@ -465,12 +425,6 @@ def _slab_cells(params: dict[str, Any]) -> CellList:
     return [((app,), {"app": app, "requests": params["requests"],
                       "background_tenants": params["background_tenants"]})
             for app in params["apps"]]
-
-
-def _slab_run(key: Key, cp: dict[str, Any]) -> Any:
-    return slab_sensitivity_cell(
-        cp["app"], requests=cp["requests"],
-        background_tenants=cp["background_tenants"])
 
 
 def _slab_assemble(params: dict[str, Any], payloads: dict[Key, Any],
@@ -507,11 +461,6 @@ def _serve_cells(params: dict[str, Any]) -> CellList:
               "observe": params["observe"]})
             for seed in params["seeds"]
             for tenants in params["tenants"]]
-
-
-def _serve_run(key: Key, cp: dict[str, Any]) -> Any:
-    from repro.serve.engine import serve_cell
-    return serve_cell(cp)
 
 
 def _serve_assemble(params: dict[str, Any],
@@ -555,10 +504,6 @@ def _dashboard_cells(params: dict[str, Any]) -> CellList:
     return [((scheme,) + key, cp)
             for scheme, part in _dashboard_parts(params).items()
             for key, cp in _serve_cells(part)]
-
-
-def _dashboard_run(key: Key, cp: dict[str, Any]) -> Any:
-    return _serve_run(key[1:], cp)
 
 
 def _dashboard_assemble(params: dict[str, Any],
@@ -626,17 +571,11 @@ def _scale_cells(params: dict[str, Any]) -> CellList:
             for shard in range(shards)]
 
 
-def _scale_run(key: Key, cp: dict[str, Any]) -> Any:
-    from repro.serve.shard import scale_shard_cell
-    return scale_shard_cell(cp)
-
-
 def _scale_assemble(params: dict[str, Any],
                     payloads: dict[Key, Any]) -> dict[str, Any]:
     """Scaling rows, merged per experiment in declared shard order
     (pure integer/float folds over JSON payloads: byte-exact under any
     worker fan-out)."""
-    from repro.serve.shard import merge_scale_shards
     rows = []
     for scheme in params["schemes"]:
         for tenants in params["tenants"]:
@@ -669,10 +608,6 @@ def _campaign_cells(params: dict[str, Any]) -> CellList:
             for scenario in params["scenarios"]]
 
 
-def _campaign_run(key: Key, cp: dict[str, Any]) -> Any:
-    return campaign_cell(cp)
-
-
 def _campaign_assemble(params: dict[str, Any],
                        payloads: dict[Key, Any]) -> dict[str, Any]:
     """JSON-able campaign summary; per-cell registries fold in declared
@@ -686,13 +621,6 @@ def _campaign_assemble(params: dict[str, Any],
 # ---------------------------------------------------------------------------
 
 
-def _conformance_defaults() -> dict[str, Any]:
-    from repro.serve.conformance import CONFORMANCE_SCHEMES
-    return {"schemes": list(CONFORMANCE_SCHEMES),
-            "seeds": list(range(20)), "steps": 14, "tenants": 2,
-            "cache_parity": False}
-
-
 def _conformance_cells(params: dict[str, Any]) -> CellList:
     """One cell per seed, so each trace is profiled once for every
     scheme."""
@@ -703,16 +631,8 @@ def _conformance_cells(params: dict[str, Any]) -> CellList:
             for seed in params["seeds"]]
 
 
-def _conformance_run(key: Key, cp: dict[str, Any]) -> Any:
-    from repro.serve.conformance import check_seed
-    return asdict(check_seed(cp["seed"], schemes=tuple(cp["schemes"]),
-                             steps=cp["steps"], tenants=cp["tenants"],
-                             cache_parity=cp["cache_parity"]))
-
-
 def _conformance_assemble(params: dict[str, Any],
                           payloads: dict[Key, Any]) -> list[Any]:
-    from repro.serve.conformance import ConformanceResult
     results = []
     for seed in params["seeds"]:
         cell = payloads[(str(seed),)]
@@ -727,23 +647,26 @@ def _conformance_assemble(params: dict[str, Any],
 
 
 def _defense_defaults() -> dict[str, Any]:
-    from repro.serve.conformance import CONFORMANCE_SCHEMES
-    return {"schemes": list(CONFORMANCE_SCHEMES),
-            "seeds": list(range(20)), "steps": 14, "tenants": 2,
+    """The ``conformance`` grid's defaults for the parameters the matrix
+    passes it, and LEBench's rare-path period."""
+    from repro.eval.defense_matrix import PARTS
+    conformance = get_grid("conformance").defaults()
+    return {**{key: conformance[key] for key in PARTS["conformance"]},
             "rare_every": RARE_EVERY}
 
 
 def _defense_cells(params: dict[str, Any]) -> CellList:
     """The ``conformance``, ``security`` and ``lebench`` grids' cells
-    for the matrix's schemes, each key prefixed by its grid's name."""
+    for the matrix's schemes, each key prefixed by its grid's name and
+    each cell's params naming it as ``grid``."""
     from repro.eval.defense_matrix import part_params
-    return [((name,) + key, cp)
+    return [((name,) + key, {"grid": name, **cp})
             for name, part in part_params(params).items()
             for key, cp in get_grid(name).cells(part)]
 
 
-def _defense_run(key: Key, cp: dict[str, Any]) -> Any:
-    return get_grid(key[0]).run_cell(key[1:], cp)
+def _defense_cell(grid: str, **cell_params: Any) -> Any:
+    return get_grid(grid).cell(**cell_params)
 
 
 def _defense_assemble(params: dict[str, Any],
@@ -771,7 +694,7 @@ _register(Grid(
                       "rare_every": RARE_EVERY},
     normalize=_with_unsafe,
     cells=_lebench_cells,
-    run_cell=_lebench_run,
+    cell=lebench_cell,
     assemble=_lebench_assemble,
 ))
 
@@ -782,7 +705,7 @@ _register(Grid(
                       "rare_every": RARE_EVERY},
     normalize=_with_unsafe,
     cells=_apps_cells,
-    run_cell=_apps_run,
+    cell=apps_cell,
     assemble=_apps_assemble,
 ))
 
@@ -790,7 +713,7 @@ _register(Grid(
     name="surface",
     defaults=lambda: {"apps": ["lebench"] + list(APP_NAMES)},
     cells=_per_app_cells,
-    run_cell=_surface_run,
+    cell=surface_cell,
     assemble=_surface_assemble,
 ))
 
@@ -798,7 +721,7 @@ _register(Grid(
     name="gadgets",
     defaults=lambda: {"apps": ["lebench"] + list(APP_NAMES)},
     cells=_per_app_cells,
-    run_cell=_gadgets_run,
+    cell=gadget_cell,
     assemble=_gadgets_assemble,
 ))
 
@@ -807,7 +730,7 @@ _register(Grid(
     defaults=lambda: {"apps": ["lebench"] + list(APP_NAMES),
                       "hours": 35.0, "n_seeds": 16},
     cells=_kasper_cells,
-    run_cell=_kasper_run,
+    cell=kasper_cell,
     assemble=_kasper_assemble,
 ))
 
@@ -816,7 +739,7 @@ _register(Grid(
     defaults=lambda: {"attacks": list(ATTACKS), "schemes": list(SCHEMES),
                       "secret_hex": b"K3Y!".hex()},
     cells=_security_cells,
-    run_cell=_security_run,
+    cell=security_cell,
     assemble=_security_assemble,
 ))
 
@@ -827,7 +750,7 @@ _register(Grid(
                                   "perspective++"],
                       "requests": 30, "observe": False},
     cells=_breakdown_cells,
-    run_cell=_env_run,
+    cell=env_cell,
     assemble=_breakdown_assemble,
 ))
 
@@ -836,7 +759,7 @@ _register(Grid(
     defaults=lambda: {"values": [4.0, 7.0, 12.0, 20.0],
                       "scheme": "fence"},
     cells=_sweep_cells("branch_resolve_latency"),
-    run_cell=_sweep_run,
+    cell=sweep_cell,
     assemble=_sweep_assemble("branch_resolve_latency"),
 ))
 
@@ -844,7 +767,7 @@ _register(Grid(
     name="sweep-rob",
     defaults=lambda: {"values": [48, 96, 192, 384], "scheme": "fence"},
     cells=_sweep_cells("rob_entries"),
-    run_cell=_sweep_run,
+    cell=sweep_cell,
     assemble=_sweep_assemble("rob_entries"),
 ))
 
@@ -852,7 +775,7 @@ _register(Grid(
     name="unknown-allocations",
     defaults=lambda: {"rare_every": RARE_EVERY},
     cells=_unknown_cells,
-    run_cell=_unknown_run,
+    cell=unknown_allocations_cell,
     assemble=_unknown_assemble,
 ))
 
@@ -861,7 +784,7 @@ _register(Grid(
     defaults=lambda: {**_serve_sweep(), "scheme": "perspective",
                       "queue_bound": 0, "rare_every": RARE_EVERY},
     cells=_serve_cells,
-    run_cell=_serve_run,
+    cell=serve_cell,
     assemble=_serve_assemble,
     optional=_SERVE_KEYS,
 ))
@@ -870,7 +793,7 @@ _register(Grid(
     name="dashboard",
     defaults=_dashboard_defaults,
     cells=_dashboard_cells,
-    run_cell=_dashboard_run,
+    cell=serve_cell,
     assemble=_dashboard_assemble,
 ))
 
@@ -879,7 +802,7 @@ _register(Grid(
     defaults=lambda: {"workloads": ["lebench"],
                       "schemes": ["unsafe", "perspective"], "requests": 12},
     cells=_obs_matrix_cells,
-    run_cell=_env_run,
+    cell=env_cell,
     assemble=_obs_matrix_assemble,
 ))
 
@@ -894,7 +817,7 @@ _register(Grid(
                       "service_model": "memo", "memo_warmup": 1,
                       "memo_period": 24, "block_cache": True},
     cells=_scale_cells,
-    run_cell=_scale_run,
+    cell=scale_shard_cell,
     assemble=_scale_assemble,
     optional=_SCALE_KEYS,
 ))
@@ -906,16 +829,18 @@ _register(Grid(
                                     "admission-storm"],
                       "observe": True},
     cells=_campaign_cells,
-    run_cell=_campaign_run,
+    cell=campaign_cell,
     assemble=_campaign_assemble,
     optional=_CAMPAIGN_KEYS,
 ))
 
 _register(Grid(
     name="conformance",
-    defaults=_conformance_defaults,
+    defaults=lambda: {"schemes": list(CONFORMANCE_SCHEMES),
+                      "seeds": list(range(20)), "steps": 14, "tenants": 2,
+                      "cache_parity": False},
     cells=_conformance_cells,
-    run_cell=_conformance_run,
+    cell=conformance_cell,
     assemble=_conformance_assemble,
 ))
 
@@ -924,7 +849,7 @@ _register(Grid(
     defaults=_defense_defaults,
     normalize=_with_unsafe,
     cells=_defense_cells,
-    run_cell=_defense_run,
+    cell=_defense_cell,
     assemble=_defense_assemble,
 ))
 
@@ -933,7 +858,7 @@ _register(Grid(
     defaults=lambda: {"apps": list(APP_NAMES), "requests": 60,
                       "background_tenants": 3},
     cells=_slab_cells,
-    run_cell=_slab_run,
+    cell=slab_sensitivity_cell,
     assemble=_slab_assemble,
 ))
 

@@ -65,8 +65,6 @@ from repro.reliability.faultplane import fire
 #: Frame holding the global kernel data page ("unknown" memory: it belongs
 #: to no DSV, so speculative access to it is conservatively fenced).
 GLOBAL_PAGE_FRAME = 48
-#: Per-cpu data frames (also "unknown" allocations, reserved at boot).
-PERCPU_FRAMES = range(49, 53)
 
 #: Fixed cost of the user->kernel->user transition (trap, swapgs, sysret).
 SYSCALL_TRAP_COST = 150.0

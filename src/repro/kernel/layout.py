@@ -50,17 +50,5 @@ def direct_map_pa(va: int) -> int:
     return va - DIRECT_MAP_BASE
 
 
-def is_direct_map(va: int) -> bool:
-    return DIRECT_MAP_BASE <= va < DIRECT_MAP_BASE + PHYS_SIZE
-
-
-def frame_of_pa(pa: int) -> int:
-    return pa >> PAGE_SHIFT
-
-
 def pa_of_frame(frame: int) -> int:
     return frame << PAGE_SHIFT
-
-
-def page_of_va(va: int) -> int:
-    return va >> PAGE_SHIFT

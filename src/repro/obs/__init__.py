@@ -39,7 +39,7 @@ from repro.obs.collect import (
     collect_kernel,
     collect_memsys,
 )
-from repro.obs.diffgate import DiffReport, ToleranceRule, diff_snapshots
+from repro.obs.diffgate import DiffReport, diff_snapshots
 from repro.obs.events import EventJournal, SecurityEvent
 from repro.obs.instruments import INSTRUMENTS, instrumented
 from repro.obs.profile import DiffProfile, ProfileRun, SpanTree
@@ -74,7 +74,6 @@ __all__ = [
     "SloWindow",
     "SpanStats",
     "SpanTree",
-    "ToleranceRule",
     "TraceRecorder",
     "add",
     "collect_branch_unit",

@@ -72,8 +72,12 @@ def _profile_command(args: argparse.Namespace) -> int:
     """Differential profile: one workload, two schemes, one table."""
     from repro.obs.profile import diff_workload
 
-    diff = diff_workload(args.workload, args.base, args.scheme,
-                         requests=args.requests)
+    try:
+        diff = diff_workload(args.workload, args.base, args.scheme,
+                             requests=args.requests)
+    except ValueError as exc:  # e.g. --base equal to --scheme
+        print(exc, file=sys.stderr)
+        return 2
     print(diff.render(top=args.top), end="")
     if args.out:
         outdir = pathlib.Path(args.out)
@@ -92,9 +96,7 @@ def _diff_command(args: argparse.Namespace) -> int:
     """Regression gate: nonzero exit when current drifts from baseline."""
     from repro.obs.diffgate import gate_files
 
-    report = gate_files(args.baseline, args.current,
-                        rules_path=args.rules,
-                        ignore_added=args.ignore_added)
+    report = gate_files(args.baseline, args.current)
     print(report.render(), end="")
     return 0 if report.ok else 1
 
@@ -143,10 +145,6 @@ def _parser() -> argparse.ArgumentParser:
                      "regression)")
     diff.add_argument("baseline", help="baseline snapshot JSON")
     diff.add_argument("current", help="current snapshot JSON")
-    diff.add_argument("--rules", metavar="FILE",
-                      help="JSON tolerance rules (default: exact match)")
-    diff.add_argument("--ignore-added", action="store_true",
-                      help="new metrics are not findings")
     return parser
 
 

@@ -1,21 +1,14 @@
-"""Metric regression gate: diff two snapshots under tolerance rules.
+"""Metric regression gate: diff two snapshots exactly.
 
-The observability plane is deterministic, so the strongest possible gate
--- *exact equality* against a committed baseline -- is the default: any
-drift in any counter, gauge, span, or histogram is a finding.  Real
-performance work sometimes needs slack, though (a cache tweak shifts a
-hit counter without being a regression), so named **tolerance rules**
-relax specific metrics: a glob pattern plus an absolute and/or relative
-allowance, optionally direction-sensitive (``increase`` lets a latency
-counter shrink freely but bounds growth).
+The observability plane is deterministic, so the gate is the strongest
+possible one -- *exact equality* against a committed baseline: any drift
+in any counter, gauge, span, or histogram is a finding.
 
 Usage (also wired as ``python -m repro.obs diff``, which exits nonzero
-when the gate fails -- that is what CI runs against
-``benchmarks/out/obs_smoke.json``)::
+when the gate fails -- that is what CI runs against the committed
+``benchmarks/out/BENCH_*.json`` snapshots)::
 
-    report = diff_snapshots(baseline_snapshot, current_snapshot,
-                            rules=[ToleranceRule("counters.cache.*",
-                                                 rel_tol=0.02)])
+    report = diff_snapshots(baseline_snapshot, current_snapshot)
     if not report.ok:
         print(report.render())
 
@@ -28,76 +21,19 @@ that appear on only one side are findings of their own.
 
 from __future__ import annotations
 
-import fnmatch
 import json
 from dataclasses import dataclass, field
 from typing import Any
 
-#: Rule directions: which way a metric may move without regressing.
-DIRECTIONS = ("both", "increase", "decrease")
-
-
-@dataclass(frozen=True)
-class ToleranceRule:
-    """Slack for metrics matching a glob ``pattern``.
-
-    ``abs_tol`` and ``rel_tol`` combine permissively (a delta inside
-    either passes).  ``direction`` names the *regressing* direction:
-    ``"increase"`` means only growth beyond tolerance fails (shrinkage
-    always passes), ``"decrease"`` the reverse, ``"both"`` (default)
-    bounds movement either way.  First matching rule wins, so order
-    specific patterns before catch-alls.
-    """
-
-    pattern: str
-    abs_tol: float = 0.0
-    rel_tol: float = 0.0
-    direction: str = "both"
-
-    def __post_init__(self) -> None:
-        if self.direction not in DIRECTIONS:
-            raise ValueError(f"rule direction must be one of {DIRECTIONS}, "
-                             f"not {self.direction!r}")
-        if self.abs_tol < 0 or self.rel_tol < 0:
-            raise ValueError(f"tolerances must be non-negative: {self}")
-
-    def matches(self, name: str) -> bool:
-        return fnmatch.fnmatchcase(name, self.pattern)
-
-    def allows(self, baseline: float, current: float) -> bool:
-        delta = current - baseline
-        if self.direction == "increase" and delta <= 0:
-            return True
-        if self.direction == "decrease" and delta >= 0:
-            return True
-        if abs(delta) <= self.abs_tol:
-            return True
-        return abs(delta) <= self.rel_tol * abs(baseline)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ToleranceRule":
-        return cls(pattern=data["pattern"],
-                   abs_tol=float(data.get("abs_tol", 0.0)),
-                   rel_tol=float(data.get("rel_tol", 0.0)),
-                   direction=data.get("direction", "both"))
-
-
-def load_rules(path: str) -> list[ToleranceRule]:
-    """Read a JSON rules file (a list of rule objects)."""
-    with open(path) as handle:
-        data = json.load(handle)
-    return [ToleranceRule.from_dict(entry) for entry in data]
-
 
 @dataclass(frozen=True)
 class MetricDiff:
-    """One compared metric; ``verdict`` is how it fared under the gate."""
+    """One metric that failed the gate, and how (``verdict``)."""
 
     name: str
     baseline: float | None  # None: metric only exists in current
     current: float | None   # None: metric only exists in baseline
-    rule: ToleranceRule | None
-    verdict: str  # "ok" | "regressed" | "added" | "removed"
+    verdict: str  # "regressed" | "added" | "removed"
 
     @property
     def delta(self) -> float:
@@ -113,7 +49,7 @@ class DiffReport:
 
     @property
     def regressions(self) -> list[MetricDiff]:
-        return [d for d in self.diffs if d.verdict != "ok"]
+        return self.diffs
 
     @property
     def ok(self) -> bool:
@@ -130,14 +66,13 @@ class DiffReport:
                 lines.append(f"  REMOVED   {diff.name} "
                              f"(baseline {diff.baseline})")
             else:
-                why = f" [rule {diff.rule.pattern}]" if diff.rule else ""
                 lines.append(f"  REGRESSED {diff.name}: "
                              f"{diff.baseline} -> {diff.current} "
-                             f"({diff.delta:+g}){why}")
+                             f"({diff.delta:+g})")
         if len(bad) > max_rows:
             lines.append(f"  ... {len(bad) - max_rows} more")
         if self.ok:
-            lines.append("  all metrics within tolerance")
+            lines.append("  all metrics equal")
         return "\n".join(lines) + "\n"
 
 
@@ -164,63 +99,36 @@ def flatten_snapshot(snapshot: dict[str, Any]) -> dict[str, float]:
     return flat
 
 
-def _rule_for(name: str,
-              rules: tuple[ToleranceRule, ...]) -> ToleranceRule | None:
-    for rule in rules:
-        if rule.matches(name):
-            return rule
-    return None
-
-
-def diff_snapshots(baseline: dict[str, Any], current: dict[str, Any],
-                   rules: list[ToleranceRule] | tuple[ToleranceRule, ...]
-                   = (),
-                   ignore_added: bool = False) -> DiffReport:
-    """Gate ``current`` against ``baseline`` under ``rules``.
+def diff_snapshots(baseline: dict[str, Any],
+                   current: dict[str, Any]) -> DiffReport:
+    """Gate ``current`` against ``baseline``: every metric must be equal.
 
     Metrics present only in ``current`` are ``added`` findings (new
-    instrumentation must update the committed baseline deliberately)
-    unless ``ignore_added``; metrics that disappeared are ``removed``
-    findings unless a matching rule covers them (a rule on a metric
-    acknowledges it may change -- including to nothing, e.g. a counter
-    that stops firing).
+    instrumentation must update the committed baseline deliberately);
+    metrics that disappeared are ``removed`` findings.
     """
-    rules = tuple(rules)
     base_flat = flatten_snapshot(baseline)
     cur_flat = flatten_snapshot(current)
     report = DiffReport()
     for name in sorted(set(base_flat) | set(cur_flat)):
-        rule = _rule_for(name, rules)
         if name not in cur_flat:
-            if rule is None:
-                report.diffs.append(MetricDiff(
-                    name, base_flat[name], None, None, "removed"))
-            continue
-        if name not in base_flat:
-            if not ignore_added:
-                report.diffs.append(MetricDiff(
-                    name, None, cur_flat[name], None, "added"))
-            continue
-        report.compared += 1
-        base_value, cur_value = base_flat[name], cur_flat[name]
-        if rule is not None:
-            ok = rule.allows(base_value, cur_value)
-        else:
-            ok = cur_value == base_value
-        if not ok:
             report.diffs.append(MetricDiff(
-                name, base_value, cur_value, rule, "regressed"))
+                name, base_flat[name], None, "removed"))
+        elif name not in base_flat:
+            report.diffs.append(MetricDiff(
+                name, None, cur_flat[name], "added"))
+        else:
+            report.compared += 1
+            if cur_flat[name] != base_flat[name]:
+                report.diffs.append(MetricDiff(
+                    name, base_flat[name], cur_flat[name], "regressed"))
     return report
 
 
-def gate_files(baseline_path: str, current_path: str,
-               rules_path: str | None = None,
-               ignore_added: bool = False) -> DiffReport:
+def gate_files(baseline_path: str, current_path: str) -> DiffReport:
     """File-level entry point used by the CLI and CI."""
     with open(baseline_path) as handle:
         baseline = json.load(handle)
     with open(current_path) as handle:
         current = json.load(handle)
-    rules = load_rules(rules_path) if rules_path else []
-    return diff_snapshots(baseline, current, rules=rules,
-                          ignore_added=ignore_added)
+    return diff_snapshots(baseline, current)

@@ -48,13 +48,13 @@ def _parse_seeds(spec: str) -> list[int]:
 
 
 def _conformance_command(args: argparse.Namespace) -> int:
-    from repro.serve.conformance import CONFORMANCE_SCHEMES, run_corpus
+    """The ``conformance`` grid at its defaults, overridden by the flags
+    given (a flag not given is absent from ``args``)."""
+    from repro.serve.conformance import run_corpus
 
-    schemes = tuple(args.schemes.split(",")) if args.schemes \
-        else CONFORMANCE_SCHEMES
-    results = run_corpus(args.seeds, schemes=schemes, steps=args.steps,
-                         minimize=not args.no_minimize,
-                         cache_parity=args.cache_parity)
+    params = {key: value for key, value in vars(args).items()
+              if key in ("seeds", "steps", "schemes", "cache_parity")}
+    results = run_corpus(params, minimize=not args.no_minimize)
     divergent = [r for r in results if not r.ok]
     for r in results:
         cycles = {s: round(d["cycles"]) for s, d in r.digests.items()}
@@ -67,13 +67,13 @@ def _conformance_command(args: argparse.Namespace) -> int:
         print(f"\n{len(divergent)}/{len(results)} seeds diverged",
               file=sys.stderr)
         return 1
-    if args.cache_parity:
+    if results[0].cache_parity:
         print(f"all {len(results)} seeds byte-identical (cycles included) "
-              f"with the block cache on vs off across {len(schemes)} "
-              "schemes")
+              f"with the block cache on vs off across "
+              f"{len(results[0].schemes)} schemes")
     else:
         print(f"all {len(results)} seeds architecturally conformant "
-              f"across {len(schemes)} schemes")
+              f"across {len(results[0].schemes)} schemes")
     return 0
 
 
@@ -150,20 +150,27 @@ def _parser() -> argparse.ArgumentParser:
         "conformance",
         help="differential conformance: every scheme must agree on "
              "architectural results (exit 1 on divergence)")
-    conf.add_argument("--seeds", type=_parse_seeds, default="20",
+    # The grid's parameters: a flag not given stays out of the
+    # namespace, so the grid's default applies.
+    conf.add_argument("--seeds", type=_parse_seeds,
+                      default=argparse.SUPPRESS,
                       help="N for seeds 0..N-1, or a comma list (default: "
-                           "20)")
-    conf.add_argument("--steps", type=_positive_int, default=14,
-                      help="syscalls per generated trace")
-    conf.add_argument("--schemes", default="",
-                      help="comma list (default: the conformance set)")
-    conf.add_argument("--no-minimize", action="store_true",
-                      help="skip trace minimization on divergence")
+                           "the conformance grid's)")
+    conf.add_argument("--steps", type=_positive_int,
+                      default=argparse.SUPPRESS,
+                      help="syscalls per generated trace (default: the "
+                           "conformance grid's)")
+    conf.add_argument("--schemes", type=lambda text: text.split(","),
+                      default=argparse.SUPPRESS,
+                      help="comma list (default: the conformance grid's)")
     conf.add_argument("--cache-parity", action="store_true",
+                      default=argparse.SUPPRESS,
                       help="both checks: besides the cross-scheme "
                            "comparison, run each trace with the block "
                            "cache off and on and require identical "
                            "digests AND cycles")
+    conf.add_argument("--no-minimize", action="store_true",
+                      help="skip trace minimization on divergence")
 
     camp = sub.add_parser(
         "campaign",

@@ -552,14 +552,14 @@ def run_campaign(spec: CampaignSpec, image=None) -> dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 
-def campaign_cell(params: dict[str, Any]) -> dict[str, Any]:
+def campaign_cell(**params: Any) -> dict[str, Any]:
     """One (seed, scenario) cell of the campaign sweep: the campaign
     report.
 
-    Mirrors :func:`repro.serve.engine.serve_cell`: with
-    ``params["observe"]`` the cell publishes its headline figures as
-    summary gauges, and :func:`repro.exec.grids.run_cell` runs it under
-    the fresh registry that collects them.
+    Mirrors :func:`repro.serve.engine.serve_cell`: with ``observe`` set
+    the cell publishes its headline figures as summary gauges, and
+    :func:`repro.exec.grids.run_cell` runs it under the fresh registry
+    that collects them.
     """
     spec = spec_from_params(params)
     out = run_campaign(spec)

@@ -22,7 +22,8 @@ The same oracle holds the block JIT to exact replay: with
 ``cache_parity``, every scheme also runs the trace with the block JIT
 on, and that run must equal the JIT-off run in every key, cycles
 included.  One seed is one cell of the ``conformance`` grid
-(:mod:`repro.exec.grids`): :func:`run_corpus` runs those cells for the
+(:mod:`repro.exec.grids`, whose row holds the corpus's default seeds,
+steps, tenants and schemes): :func:`run_corpus` runs those cells for the
 CLI and the test corpus, and the defense matrix runs them too.
 """
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from random import Random
 from typing import Any
 
@@ -99,8 +100,7 @@ class TraceStep:
                 "spin": self.spin}
 
 
-def generate_trace(seed: int, steps: int = 14,
-                   tenants: int = 2) -> list[TraceStep]:
+def generate_trace(seed: int, steps: int, tenants: int) -> list[TraceStep]:
     """A seeded multi-tenant trace mixing resource producers, consumers,
     and neutral syscalls; consumers are only emitted when a producer ran
     earlier, so every reference resolves to a live resource."""
@@ -215,7 +215,7 @@ def _view_digest(framework: Perspective | None) -> str | None:
     return hashlib.sha256(json.dumps(owners).encode()).hexdigest()
 
 
-def run_trace_under(scheme: str, trace: list[TraceStep], tenants: int = 2,
+def run_trace_under(scheme: str, trace: list[TraceStep], tenants: int,
                     image=None,
                     profiles: list[frozenset[str]] | None = None,
                     block_cache: bool | None = None,
@@ -359,8 +359,8 @@ def _compare(digests: dict[str, dict[str, Any]],
     return divergences
 
 
-def check_seed(seed: int, schemes: tuple[str, ...] = CONFORMANCE_SCHEMES,
-               steps: int = 14, tenants: int = 2, image=None,
+def check_seed(seed: int, schemes: tuple[str, ...], steps: int,
+               tenants: int, image=None,
                cache_parity: bool = False) -> ConformanceResult:
     """Run one seeded trace under every scheme and compare architecture.
 
@@ -392,9 +392,8 @@ def _check_trace(trace: list[TraceStep], seed: int,
                              digests=digests, cache_parity=cache_parity)
 
 
-def minimize_divergence(trace: list[TraceStep],
-                        schemes: tuple[str, ...] = CONFORMANCE_SCHEMES,
-                        tenants: int = 2, image=None,
+def minimize_divergence(trace: list[TraceStep], schemes: tuple[str, ...],
+                        tenants: int, image=None,
                         cache_parity: bool = False) -> list[TraceStep]:
     """Greedy delta-debugging: drop any step whose removal keeps the
     divergence alive, until no single removal does.  Symbolic tokens stay
@@ -419,26 +418,30 @@ def minimize_divergence(trace: list[TraceStep],
     return current
 
 
-def run_corpus(seeds: range | list[int],
-               schemes: tuple[str, ...] = CONFORMANCE_SCHEMES,
-               steps: int = 14, tenants: int = 2, minimize: bool = True,
-               cache_parity: bool = False) -> list[ConformanceResult]:
-    """Check every seed, one ``conformance`` grid cell each (see
-    :func:`check_seed`); with ``minimize``, divergent results carry a
-    minimized repro."""
+def conformance_cell(seed: int, schemes: list[str], steps: int,
+                     tenants: int, cache_parity: bool) -> dict[str, Any]:
+    """One seed of the ``conformance`` grid: :func:`check_seed`'s result
+    as JSON."""
+    return asdict(check_seed(seed, tuple(schemes), steps, tenants,
+                             cache_parity=cache_parity))
+
+
+def run_corpus(params: dict[str, Any] | None = None,
+               minimize: bool = True) -> list[ConformanceResult]:
+    """Check every seed of the ``conformance`` grid, whose defaults
+    ``params`` override (one cell per seed, see :func:`check_seed`);
+    with ``minimize``, divergent results carry a minimized repro."""
     # Imported on first call: ``import repro.serve`` stays engine-free.
     from repro.exec.engine import run_experiment
-    results, _report = run_experiment(
-        "conformance", {"seeds": list(seeds), "schemes": list(schemes),
-                        "steps": steps, "tenants": tenants,
-                        "cache_parity": cache_parity},
-        use_cache=False)
+    from repro.exec.grids import get_grid
+    resolved = get_grid("conformance").resolve(params or {})
+    results = run_experiment("conformance", resolved)
     if minimize:
         for result in results:
             if not result.ok:
                 result.minimized = minimize_divergence(
-                    generate_trace(result.seed, steps=steps,
-                                   tenants=tenants),
-                    schemes=schemes, tenants=tenants,
-                    cache_parity=cache_parity)
+                    generate_trace(result.seed, resolved["steps"],
+                                   resolved["tenants"]),
+                    result.schemes, resolved["tenants"],
+                    cache_parity=result.cache_parity)
     return results

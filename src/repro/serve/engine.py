@@ -1044,15 +1044,15 @@ def memo_tables_of(report: ServeReport) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def serve_cell(params: dict[str, Any]) -> dict[str, Any]:
+def serve_cell(**params: Any) -> dict[str, Any]:
     """One (seed, tenants) cell of the serve sweep: the report as a
     JSON-able dict.
 
-    With ``params["observe"]`` the cell also publishes its report
-    figures as summary gauges under a per-cell prefix; the ``serve``
-    grid runs it through :func:`repro.exec.grids.run_cell`, which arms
-    the cell's own planes (``observe``, ``trace``, ``slo_window``) and
-    attaches their snapshots.  ``block_cache`` forces the block JIT
+    With ``observe`` set the cell also publishes its report figures as
+    summary gauges under a per-cell prefix; the ``serve`` grid runs it
+    through :func:`repro.exec.grids.run_cell`, which arms the cell's own
+    planes (``observe``, ``trace``, ``slo_window``) and attaches their
+    snapshots.  ``block_cache`` forces the block JIT
     on/off for the cell.  None of these changes the report bytes.
     """
     config = config_from_params(params)

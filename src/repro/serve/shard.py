@@ -71,7 +71,7 @@ def histogram_percentile(counts: list[int], q: float) -> float:
     return SCALE_LATENCY_BUCKETS[-1]
 
 
-def scale_shard_cell(params: dict[str, Any]) -> dict[str, Any]:
+def scale_shard_cell(**params: Any) -> dict[str, Any]:
     """One (scheme, tenants, shards, shard) cell of the scale grid.
 
     Reconstructs the placement plan independently (it is a pure

@@ -13,7 +13,6 @@ smaller than microbenchmark ones.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,11 +26,10 @@ from repro.workloads.driver import Driver
 
 @dataclass
 class AppState:
-    """Long-lived server state (listening socket, open log, rng)."""
+    """Long-lived server state (listening socket, open log)."""
 
     listen_fd: int = -1
     log_fd: int = -1
-    rng: random.Random | None = None
 
 
 @dataclass
@@ -43,8 +41,13 @@ class AppSpec:
     kernel_time_fraction: float
     setup: Callable[[Driver, AppState], None]
     request: Callable[[Driver, AppState, int], None]
-    #: Paper's UNSAFE-baseline throughput, for absolute-scale reporting.
-    paper_unsafe_rps: float = 0.0
+
+    def user_cycles_per_request(self,
+                                unsafe_kernel_per_request: float) -> float:
+        """Userspace budget implied by the paper's kernel-time fraction
+        at the UNSAFE baseline's kernel cycles per request."""
+        f = self.kernel_time_fraction
+        return unsafe_kernel_per_request * (1.0 - f) / f
 
 
 def _setup_server(driver: Driver, state: AppState) -> None:
@@ -105,17 +108,13 @@ def _redis_request(driver: Driver, state: AppState, i: int) -> None:
 
 APP_SPECS: dict[str, AppSpec] = {
     "httpd": AppSpec("httpd", APPLICATIONS["httpd"], 0.50,
-                     _setup_server, _httpd_request,
-                     paper_unsafe_rps=11_500),
+                     _setup_server, _httpd_request),
     "nginx": AppSpec("nginx", APPLICATIONS["nginx"], 0.65,
-                     _setup_server, _nginx_request,
-                     paper_unsafe_rps=18_000),
+                     _setup_server, _nginx_request),
     "memcached": AppSpec("memcached", APPLICATIONS["memcached"], 0.65,
-                         _setup_server, _memcached_request,
-                         paper_unsafe_rps=55_000),
+                         _setup_server, _memcached_request),
     "redis": AppSpec("redis", APPLICATIONS["redis"], 0.53,
-                     _setup_redis, _redis_request,
-                     paper_unsafe_rps=40_700),
+                     _setup_redis, _redis_request),
 }
 
 APP_NAMES = tuple(APP_SPECS)
@@ -144,14 +143,14 @@ class AppWorkload:
         self.proc = proc
         self.spec = spec
         self.driver = Driver(kernel, proc, rare_every=rare_every)
-        self.state = AppState(rng=random.Random(f"app:{spec.name}"))
+        self.state = AppState()
         spec.setup(self.driver, self.state)
         self._request_counter = 0
 
-    def serve(self, requests: int, measure: bool = True) -> AppRunResult:
-        """Serve a batch of client requests; returns kernel-side timing."""
-        if measure:
-            self.driver.reset_stats()
+    def serve(self, requests: int) -> AppRunResult:
+        """Serve a batch of client requests on fresh driver stats;
+        returns the batch's kernel-side timing."""
+        self.driver.reset_stats()
         for _ in range(requests):
             with obs.span(f"request/{self.spec.name}"):
                 self.spec.request(self.driver, self.state,
@@ -161,8 +160,3 @@ class AppWorkload:
         return AppRunResult(app=self.spec.name, requests=requests,
                             kernel_cycles=stats.kernel_cycles,
                             syscalls=stats.syscalls)
-
-    def user_cycles_per_request(self, unsafe_kernel_per_request: float) -> float:
-        """Userspace budget implied by the paper's kernel-time fraction."""
-        f = self.spec.kernel_time_fraction
-        return unsafe_kernel_per_request * (1.0 - f) / f

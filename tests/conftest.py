@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.exec.grids import get_grid
 from repro.kernel.image import shared_image
 from repro.kernel.kernel import KernelConfig, MiniKernel
 from repro.serve.conformance import (
@@ -39,14 +40,21 @@ def proc(kernel):
 
 
 @pytest.fixture(scope="session")
-def conformance_corpus(image):
-    """The 20-seed conformance corpus over the conformance set of schemes,
-    computed once per session."""
-    return run_corpus(range(20))
+def conformance_params():
+    """The ``conformance`` grid's defaults: the corpus's seeds, steps,
+    tenants and schemes."""
+    return get_grid("conformance").defaults()
 
 
 @pytest.fixture(scope="session")
-def arch_digest(image, conformance_corpus):
+def conformance_corpus(image):
+    """The conformance grid at its defaults (20 seeds over the
+    conformance set of schemes), computed once per session."""
+    return run_corpus()
+
+
+@pytest.fixture(scope="session")
+def arch_digest(image, conformance_corpus, conformance_params):
     """Memoized ``(scheme, seed) -> digest`` oracle, seeded from
     :func:`conformance_corpus`; schemes outside the conformance set run
     on first use.  Compare two digests with ``arch_divergence``."""
@@ -58,8 +66,11 @@ def arch_digest(image, conformance_corpus):
     def get(scheme: str, seed: int) -> dict:
         key = (scheme, seed)
         if key not in cache:
-            trace = generate_trace(seed)
-            cache[key] = run_trace_under(scheme, trace, image=image)
+            tenants = conformance_params["tenants"]
+            trace = generate_trace(seed, conformance_params["steps"],
+                                   tenants)
+            cache[key] = run_trace_under(scheme, trace, tenants,
+                                         image=image)
         return cache[key]
 
     return get

@@ -35,14 +35,14 @@ UNCOVERED_SCHEMES = tuple(scheme for scheme in registered_schemes()
 class TestCacheParity:
     @pytest.mark.parametrize("scheme", NEW_SCHEMES + UNCOVERED_SCHEMES)
     def test_block_cache_run_identical_to_interpreted(self, scheme, image):
-        result = check_seed(0, schemes=("unsafe", scheme), image=image,
-                            cache_parity=True)
+        result = check_seed(0, schemes=("unsafe", scheme), steps=14,
+                            tenants=2, image=image, cache_parity=True)
         assert result.ok, result.repro()
         assert set(result.digests) == {"unsafe", scheme}
 
     def test_parity_holds_for_both_new_schemes_together(self, image):
-        result = check_seed(1, schemes=NEW_SCHEMES, image=image,
-                            cache_parity=True)
+        result = check_seed(1, schemes=NEW_SCHEMES, steps=14, tenants=2,
+                            image=image, cache_parity=True)
         assert result.ok, result.repro()
 
 
@@ -52,7 +52,7 @@ class TestGuardAccounting:
         from repro.cpu.blockcache import MISS_REASONS
         from repro.exec.grids import run_cell
 
-        cell = run_cell("serve", ("0", "2"), {
+        cell = run_cell("serve", {
             "seed": 0, "tenants": 2, "scheme": scheme,
             "requests_per_tenant": 4, "mean_interarrival": 8_000.0,
             "queue_bound": 0, "block_cache": True, "observe": True})
@@ -75,7 +75,7 @@ class TestGuardAccounting:
         from repro.defenses.registry import get_scheme
         from repro.exec.grids import run_cell
 
-        cell = run_cell("serve", ("0", "2"), {
+        cell = run_cell("serve", {
             "seed": 0, "tenants": 2, "scheme": scheme,
             "requests_per_tenant": 4, "mean_interarrival": 8_000.0,
             "queue_bound": 0, "block_cache": True, "observe": True})

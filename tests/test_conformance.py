@@ -23,12 +23,12 @@ from repro.serve.conformance import (
 
 class TestTraceGeneration:
     def test_deterministic(self):
-        assert generate_trace(5) == generate_trace(5)
-        assert generate_trace(5) != generate_trace(6)
+        assert generate_trace(5, 14, 2) == generate_trace(5, 14, 2)
+        assert generate_trace(5, 14, 2) != generate_trace(6, 14, 2)
 
     def test_requested_length(self):
         for steps in (1, 7, 30):
-            assert len(generate_trace(0, steps=steps)) == steps
+            assert len(generate_trace(0, steps=steps, tenants=2)) == steps
 
     def test_consumers_always_have_producers(self):
         # Replaying the symbolic resource accounting over the generated
@@ -58,7 +58,7 @@ class TestTraceGeneration:
                     n_vas[t] = n_vas.get(t, 0) - 1
 
     def test_steps_json_round_trip(self):
-        trace = generate_trace(9, steps=20)
+        trace = generate_trace(9, steps=20, tenants=2)
         raw = json.loads(json.dumps([s.as_dict() for s in trace]))
         assert steps_from_dicts(raw) == trace
 
@@ -69,23 +69,24 @@ class TestTraceGeneration:
 
 class TestArchitecturalDigest:
     def test_unsafe_keeps_secret_architecturally_intact(self, image):
-        trace = generate_trace(0, steps=10)
-        digest = run_trace_under("unsafe", trace, image=image)
+        trace = generate_trace(0, steps=10, tenants=2)
+        digest = run_trace_under("unsafe", trace, tenants=2, image=image)
         assert digest["secret_intact"]
         assert digest["views"] is None
         assert len(digest["outcomes"]) == 10
 
     def test_perspective_reports_view_digest(self, image):
-        trace = generate_trace(0, steps=8)
-        digest = run_trace_under("perspective", trace, image=image)
+        trace = generate_trace(0, steps=8, tenants=2)
+        digest = run_trace_under("perspective", trace, tenants=2,
+                                 image=image)
         assert digest["views"] is not None
         assert digest["fenced_loads"] > 0
 
     def test_digest_equals_its_json_round_trip(self, image):
         # Corpus digests reach callers through the engine's JSON round
         # trip, and tests compare them with freshly computed ones.
-        digest = run_trace_under("perspective", generate_trace(0),
-                                 image=image)
+        digest = run_trace_under("perspective", generate_trace(0, 14, 2),
+                                 tenants=2, image=image)
         assert json.loads(json.dumps(digest)) == digest
 
     def test_static_flavor_installs_static_views(self, image, monkeypatch):
@@ -101,8 +102,8 @@ class TestArchitecturalDigest:
             install(framework, isv)
 
         monkeypatch.setattr(Perspective, "install_isv", record)
-        trace = generate_trace(0)
-        run_trace_under("perspective-static", trace, image=image)
+        trace = generate_trace(0, steps=14, tenants=2)
+        run_trace_under("perspective-static", trace, tenants=2, image=image)
         assert len(installed) == 2
         for t, isv in enumerate(installed):
             binary = ApplicationBinary(f"conf{t}", frozenset(
@@ -182,15 +183,17 @@ class TestMinimizer:
         trace = [TraceStep(0, "getpid"), TraceStep(1, "open", (0,)),
                  TraceStep(0, "mmap", (0, 4096)),
                  TraceStep(1, "close", (("fd", 0),))]
-        minimized = minimize_divergence(trace, image=object())
+        minimized = minimize_divergence(trace, ("unsafe", "fence"), 2,
+                                        image=object())
         assert minimized == [TraceStep(0, "mmap", (0, 4096))]
 
     def test_nondivergent_trace_survives_whole(self, monkeypatch):
         def fake_check(trace, seed, schemes, tenants, image, cache_parity):
             return ConformanceResult(seed=seed, schemes=schemes, ok=True)
         monkeypatch.setattr(conformance, "_check_trace", fake_check)
-        trace = generate_trace(0, steps=5)
-        assert minimize_divergence(trace, image=object()) == trace
+        trace = generate_trace(0, steps=5, tenants=2)
+        assert minimize_divergence(trace, ("unsafe", "fence"), 2,
+                                   image=object()) == trace
 
 
 class TestCorpus:
@@ -208,8 +211,11 @@ class TestCorpus:
             assert r.digests["fence"]["cycles"] > \
                 r.digests["unsafe"]["cycles"]
 
-    def test_check_seed_matches_corpus_entry(self, image):
-        single = check_seed(3, image=image)
+    def test_check_seed_matches_corpus_entry(self, image,
+                                             conformance_params):
+        params = conformance_params
+        single = check_seed(3, tuple(params["schemes"]), params["steps"],
+                            params["tenants"], image=image)
         assert single.ok
         assert single.seed == 3
 
@@ -221,8 +227,8 @@ class TestCacheParity:
 
     def test_replay_matches_interpretation_exactly(self, image):
         result = check_seed(
-            0, schemes=("unsafe", "perspective"), image=image,
-            cache_parity=True)
+            0, schemes=("unsafe", "perspective"), steps=14, tenants=2,
+            image=image, cache_parity=True)
         assert result.ok, result.repro()
         assert set(result.digests) == {"unsafe", "perspective"}
 

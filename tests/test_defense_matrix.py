@@ -173,12 +173,11 @@ class TestGridAndCli:
     def test_small_grid_run_matches_cells(self, tmp_path):
         """One end-to-end engine run of the defense-matrix grid (tiny
         slice), checked against directly computed cells."""
-        from repro.exec.engine import run_experiment
+        from repro.exec.engine import EngineConfig, ExperimentEngine
 
-        table, report = run_experiment(
+        table, report = ExperimentEngine(EngineConfig(use_cache=False)).run(
             "defense-matrix",
-            {"schemes": ["unsafe", "safespec"], "seeds": [0]},
-            use_cache=False)
+            {"schemes": ["unsafe", "safespec"], "seeds": [0]})
         assert report.cells_total == 1 + 16 + 2
         assert table["conformance"]["safespec"]["ok"]
         assert table["attacks"]["safespec"] == {

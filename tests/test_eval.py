@@ -1,5 +1,5 @@
 """Tests for the evaluation harness: environments, metrics, experiment
-runners (at reduced scale), and the table/figure renderers."""
+grids (at reduced scale), and the table/figure renderers."""
 
 from __future__ import annotations
 
@@ -9,13 +9,8 @@ from repro.defenses import PerspectivePolicy
 from repro.eval.envs import ALL_SCHEMES, make_env
 from repro.eval.metrics import FenceBreakdown, geomean, normalized, \
     overhead_pct
-from repro.eval.runner import (
-    run_apps_experiment,
-    run_gadget_experiment,
-    run_lebench_experiment,
-    run_surface_experiment,
-)
 from repro.eval import figures, tables
+from repro.exec import run_experiment
 
 
 class TestMetrics:
@@ -100,26 +95,26 @@ class TestEnvironments:
 
 class TestExperimentsReducedScale:
     def test_lebench_experiment_normalization(self):
-        exp = run_lebench_experiment(schemes=("unsafe", "fence"))
+        exp = run_experiment("lebench", {"schemes": ["unsafe", "fence"]})
         for test in exp.cycles["unsafe"]:
             assert exp.normalized_latency(test, "unsafe") == 1.0
         assert exp.average_overhead_pct("fence") > 10.0
 
     def test_apps_experiment_rps(self):
-        exp = run_apps_experiment(schemes=("unsafe", "fence"),
-                                  apps=("memcached",), requests=12)
+        exp = run_experiment("apps", {"schemes": ["unsafe", "fence"],
+                                      "apps": ["memcached"], "requests": 12})
         assert exp.rps("memcached", "unsafe") > 0
         assert exp.normalized_rps("memcached", "unsafe") == 1.0
         assert exp.normalized_rps("memcached", "fence") < 1.0
 
     def test_surface_experiment_matches_table_8_1(self):
-        exp = run_surface_experiment(apps=("httpd",))
+        exp = run_experiment("surface", {"apps": ["httpd"]})
         assert 0.88 <= exp.reduction("httpd", "static") <= 0.94
         assert 0.93 <= exp.reduction("httpd", "dynamic") <= 0.98
 
     def test_gadget_experiment_ordering(self):
         """Table 8.2's invariant: ISV-S <= ISV <= ISV++ == 100%."""
-        exp = run_gadget_experiment(apps=("redis",))
+        exp = run_experiment("gadgets", {"apps": ["redis"]})
         rows = exp.blocked["redis"]
         for cls in ("mds", "port", "cache"):
             assert rows["ISV-S"][cls] <= rows["ISV"][cls] + 0.02
@@ -139,7 +134,7 @@ class TestRenderers:
         assert "ISV Cache" in text
 
     def test_table_8_1_renders(self):
-        exp = run_surface_experiment(apps=("httpd",))
+        exp = run_experiment("surface", {"apps": ["httpd"]})
         text = tables.table_8_1(exp)
         assert "ISV-S" in text and "httpd" in text
 
@@ -148,6 +143,6 @@ class TestRenderers:
         assert "0.0024" in text and "114" in text
 
     def test_figures_render(self):
-        exp = run_lebench_experiment(schemes=("unsafe", "fence"))
+        exp = run_experiment("lebench", {"schemes": ["unsafe", "fence"]})
         text = figures.figure_9_2(exp)
         assert "select" in text and "fence" in text

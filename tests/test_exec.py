@@ -1,5 +1,5 @@
-"""The experiment engine (:mod:`repro.exec`): the runners' pinned
-payload digests, worker-count parity, content-addressed caching,
+"""The experiment engine (:mod:`repro.exec`): the grids' pinned
+result digests, worker-count parity, content-addressed caching,
 fingerprint invalidation, merge determinism, decode-cache invalidation,
 and the CLI."""
 
@@ -16,10 +16,8 @@ import time
 
 import pytest
 
-from repro.attacks.harness import run_matrix
 from repro.cpu.isa import Function, OP_SIZE, load, nop
 from repro.cpu.pipeline import ExecResult
-from repro.eval import runner, sensitivity, sweeps
 from repro.exec import (
     EngineConfig,
     ExperimentEngine,
@@ -29,6 +27,7 @@ from repro.exec import (
     get_grid,
     grid_names,
     import_closure,
+    run_experiment,
     run_in_subprocess,
 )
 from repro.exec import fingerprint as fp_mod
@@ -274,10 +273,8 @@ class TestResultCache:
 
 
 SMALL = {
-    "lebench": ({"schemes": ["unsafe", "fence"]},
-                dict(schemes=("unsafe", "fence"))),
-    "surface": ({"apps": ["lebench", "httpd"]},
-                dict(apps=("lebench", "httpd"))),
+    "lebench": {"schemes": ["unsafe", "fence"]},
+    "surface": {"apps": ["lebench", "httpd"]},
 }
 
 
@@ -286,106 +283,104 @@ def digest(payload) -> str:
 
 
 class TestPinnedRunnerDigests:
-    """The ``run_*`` functions and ``run_matrix`` are one-worker engine
-    runs.
+    """The evaluation's grids, run by :func:`run_experiment` (one
+    worker, cache off).
 
     Each digest hashes the result's ``dataclasses.asdict`` JSON and was
-    measured with the serial loop that function ran before it became a
+    measured with the serial loop the experiment ran before it became a
     grid (identical under PYTHONHASHSEED 0 and 7): the engine must
     reproduce it byte for byte, insertion order included.
     """
 
     def test_lebench(self):
-        exp = runner.run_lebench_experiment(schemes=("fence", "perspective"))
+        exp = run_experiment("lebench", {"schemes": ["fence", "perspective"]})
         assert digest(fields(exp)) == \
             "24521d59d8aa5deeb2a308c9a180fe0e914534c128ca8b38652118cc0961e873"
 
     def test_apps(self):
-        exp = runner.run_apps_experiment(schemes=("unsafe", "fence"),
-                                         apps=("httpd", "redis"),
-                                         requests=12)
+        exp = run_experiment("apps", {"schemes": ["unsafe", "fence"],
+                                      "apps": ["httpd", "redis"],
+                                      "requests": 12})
         assert digest(fields(exp)) == \
             "445635acc6a43e9ddf6e6be4ced8ea0efae29cfd0ba28e03a31d9662a380bf0f"
 
     def test_surface(self):
-        exp = runner.run_surface_experiment(apps=("lebench", "httpd"))
+        exp = run_experiment("surface", {"apps": ["lebench", "httpd"]})
         assert digest(fields(exp)) == \
             "04a51a5d6ae848d6ff7fb0dc0f17cd2d9db5df2e7cb683d0be6f14765dd60842"
 
     def test_breakdown_with_metrics(self):
-        exp = runner.run_breakdown_experiment(
-            workloads=("lebench", "httpd"), schemes=("perspective",),
-            requests=12, observe=True)
+        exp = run_experiment("breakdown", {
+            "workloads": ["lebench", "httpd"], "schemes": ["perspective"],
+            "requests": 12, "observe": True})
         assert digest(fields(exp)) == \
             "3539f34bf5381b56658216e4d8f07dca19781d07fd754c2ff820b27ecd614e1a"
         assert digest(exp.metrics) == \
             "24bc301ce80d62e8e524e21fb85ae9f26ead97a61f76dfd7203d357a0cdbc6b6"
 
     def test_sweeps(self):
-        branch = [dataclasses.asdict(sweeps.sweep_branch_resolve_latency(
-            values=(4.0, 20.0), scheme=scheme))
+        branch = [dataclasses.asdict(run_experiment(
+            "sweep-branch", {"values": [4.0, 20.0], "scheme": scheme}))
             for scheme in ("fence", "perspective")]
         assert digest(branch) == \
             "9e48a2bb3697512becd88de052d8332c5f5871b105545f7feb02843e2cb6c3b0"
-        rob = sweeps.sweep_rob_entries(values=(48, 192))
+        rob = run_experiment("sweep-rob", {"values": [48, 192]})
         assert digest(dataclasses.asdict(rob)) == \
             "d63f582a55451456cd26aa609831d9627b92dcbfe30f75770dbff887c29b3c0d"
 
     def test_unknown_allocations(self):
-        result = sensitivity.run_unknown_allocations()
+        result = run_experiment("unknown-allocations")
         assert digest(dataclasses.asdict(result)) == \
             "07e08c0f589738dbd4c32abd3dccc4756a53702289adf3e2ac2055a3b35ff683"
 
     def test_slab_sensitivity(self):
-        result = sensitivity.run_slab_sensitivity(apps=("httpd", "redis"),
-                                                  requests=24)
+        result = run_experiment("slab-sensitivity",
+                                {"apps": ["httpd", "redis"], "requests": 24})
         assert digest(dataclasses.asdict(result)) == \
             "ab6884b6634215b2701220dfb782d5dd7b0767f2b245daaff432fe615450b625"
 
     def test_gadgets(self):
-        exp = runner.run_gadget_experiment(apps=("httpd", "redis"))
+        exp = run_experiment("gadgets", {"apps": ["httpd", "redis"]})
         assert digest(fields(exp)) == \
             "caae10bba33e24c579826a69e6578bb3bdaa46d3761ee4a1d0a62c20570a9383"
 
     def test_kasper(self):
-        exp = runner.run_kasper_experiment(apps=("lebench", "httpd"),
-                                           n_seeds=2)
+        exp = run_experiment("kasper", {"apps": ["lebench", "httpd"],
+                                        "n_seeds": 2})
         assert digest(fields(exp)) == \
             "6b23fab45dde4045879bcebab7829cdd3e2df22db72ab346d0116e9d643c0b8d"
 
     def test_security(self):
-        cells = run_matrix(attacks=("spectre-v1-active",
-                                    "spectre-v2-passive"),
-                           schemes=("unsafe", "perspective"))
+        cells = run_experiment("security", {
+            "attacks": ["spectre-v1-active", "spectre-v2-passive"],
+            "schemes": ["unsafe", "perspective"]})
         assert digest([dataclasses.asdict(cell) for cell in cells]) == \
             "067a8b814694e3daa86727a1e764fef547d4382dafce2dbe4d6e39c4f3b72131"
 
 
 class TestEngineParity:
-    """Two workers against the one-worker path the ``run_*`` functions
-    take, plus caching and bookkeeping."""
+    """Two workers against the one-worker path :func:`run_experiment`
+    takes, plus caching and bookkeeping."""
 
     def test_lebench_two_workers_match_one(self, tmp_path):
         par, report = engine(tmp_path, workers=2).run(
-            "lebench", SMALL["lebench"][0])
-        one = runner.run_lebench_experiment(**SMALL["lebench"][1])
+            "lebench", SMALL["lebench"])
+        one = run_experiment("lebench", SMALL["lebench"])
         assert canon(fields(par)) == canon(fields(one))
         assert (report.cells_total, report.executed) == (2, 2)
         assert report.cache_misses == 2 and report.cache_hits == 0
 
     def test_surface_two_workers_match_one(self, tmp_path):
         par, _ = engine(tmp_path, workers=2).run(
-            "surface", SMALL["surface"][0])
-        one = runner.run_surface_experiment(**SMALL["surface"][1])
+            "surface", SMALL["surface"])
+        one = run_experiment("surface", SMALL["surface"])
         assert canon(fields(par)) == canon(fields(one))
 
     def test_breakdown_metrics_two_workers_match_one(self, tmp_path):
         params = {"workloads": ["lebench"], "schemes": ["perspective"],
                   "requests": 12, "observe": True}
         par, _ = engine(tmp_path, workers=2).run("breakdown", params)
-        one = runner.run_breakdown_experiment(
-            workloads=("lebench",), schemes=("perspective",),
-            requests=12, observe=True)
+        one = run_experiment("breakdown", params)
         assert canon(fields(par)) == canon(fields(one))
         assert canon(par.metrics) == canon(one.metrics)
 
@@ -397,8 +392,8 @@ class TestEngineParity:
 
     def test_warm_cache_replay_is_identical(self, tmp_path):
         eng = engine(tmp_path, workers=2)
-        cold, report_cold = eng.run("lebench", SMALL["lebench"][0])
-        warm, report_warm = eng.run("lebench", SMALL["lebench"][0])
+        cold, report_cold = eng.run("lebench", SMALL["lebench"])
+        warm, report_warm = eng.run("lebench", SMALL["lebench"])
         assert canon(fields(cold)) == canon(fields(warm))
         assert report_cold.cache_hits == 0 and report_cold.executed == 2
         assert report_warm.cache_hits == 2 and report_warm.executed == 0
@@ -472,8 +467,25 @@ class TestEngineParity:
         with pytest.raises(TypeError, match="'surface'.*appz"):
             engine(tmp_path).run("surface", {"appz": ["httpd"]})
         with pytest.raises(TypeError, match="'serve'.*tenant, trac"):
-            engine(tmp_path).run_cells("serve", {"trace": True},
-                                       trac=True, tenant=[2])
+            engine(tmp_path).run_cells("serve", {"trace": True,
+                                                "trac": True, "tenant": [2]})
+
+    @pytest.mark.parametrize("grid, params", [
+        ("obs-matrix", {"schemes": ["unsafe", "unsafe"]}),
+        ("lebench", {"schemes": ["perspective", "perspective"]}),
+        ("serve", {"seeds": [0, 0]}),
+    ])
+    def test_repeated_cell_key_rejected(self, tmp_path, monkeypatch,
+                                        grid, params):
+        """A repeated list entry lays out one cell key twice: the cell
+        would run twice and its snapshot fold twice, so the engine
+        refuses before any cell runs."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran a cell of a repeated layout")
+
+        monkeypatch.setattr("repro.exec.engine.run_cell", refuse)
+        with pytest.raises(ValueError, match=f"{grid!r} repeats cell key"):
+            engine(tmp_path).run_cells(grid, params)
 
     @pytest.mark.parametrize("grid, keyed", [
         ("serve", ("seed", "tenants")),
@@ -502,9 +514,9 @@ class TestEngineParity:
     @pytest.mark.parametrize("module", ["repro.eval.envs", "repro.attacks",
                                         "repro.serve.shard"])
     def test_importing_leaves_engine_unloaded(self, module):
-        """The runners, ``run_matrix`` and ``run_corpus`` import the
-        engine on first call, so the modules the end-to-end benchmark
-        imports at set-up stay cheap."""
+        """Only ``run_corpus`` imports the engine, on first call, so
+        the modules the end-to-end benchmark imports at set-up stay
+        cheap."""
         code = (f"import sys, {module}; "
                 "assert 'repro.exec.engine' not in sys.modules")
         subprocess.run([sys.executable, "-c", code], check=True,
@@ -514,7 +526,7 @@ class TestEngineParity:
 @pytest.mark.slow
 class TestFullGridWorkerParity:
     """Full-scale byte parity of every eval grid at four workers against
-    the one-worker path its ``run_*`` function takes.
+    the one-worker path :func:`run_experiment` takes.
 
     Expensive; excluded from the default run (see pyproject addopts) and
     exercised by the parallel-eval CI job via ``-m slow``.
@@ -522,42 +534,42 @@ class TestFullGridWorkerParity:
 
     def test_lebench_full(self, tmp_path):
         par, _ = engine(tmp_path, workers=4).run("lebench")
-        one = runner.run_lebench_experiment()
+        one = run_experiment("lebench")
         assert canon(fields(par)) == canon(fields(one))
 
     def test_apps_full(self, tmp_path):
         par, _ = engine(tmp_path, workers=4).run("apps", {"requests": 16})
-        one = runner.run_apps_experiment(requests=16)
+        one = run_experiment("apps", {"requests": 16})
         assert canon(fields(par)) == canon(fields(one))
 
     def test_breakdown_full(self, tmp_path):
         par, _ = engine(tmp_path, workers=4).run(
             "breakdown", {"requests": 16, "observe": True})
-        one = runner.run_breakdown_experiment(requests=16, observe=True)
+        one = run_experiment("breakdown", {"requests": 16, "observe": True})
         assert canon(fields(par)) == canon(fields(one))
         assert canon(par.metrics) == canon(one.metrics)
 
     def test_surface_full(self, tmp_path):
         par, _ = engine(tmp_path, workers=4).run("surface")
-        one = runner.run_surface_experiment()
+        one = run_experiment("surface")
         assert canon(fields(par)) == canon(fields(one))
 
     def test_sweeps_full(self, tmp_path):
         eng = engine(tmp_path, workers=4)
         par_b, _ = eng.run("sweep-branch")
-        one_b = sweeps.sweep_branch_resolve_latency()
+        one_b = run_experiment("sweep-branch")
         assert par_b.overhead_pct == one_b.overhead_pct
         par_r, _ = eng.run("sweep-rob")
-        one_r = sweeps.sweep_rob_entries()
+        one_r = run_experiment("sweep-rob")
         assert par_r.overhead_pct == one_r.overhead_pct
 
     def test_sensitivity_full(self, tmp_path):
         eng = engine(tmp_path, workers=4)
         par_u, _ = eng.run("unknown-allocations")
-        one_u = sensitivity.run_unknown_allocations()
+        one_u = run_experiment("unknown-allocations")
         assert dataclasses.asdict(par_u) == dataclasses.asdict(one_u)
         par_s, _ = eng.run("slab-sensitivity")
-        one_s = sensitivity.run_slab_sensitivity()
+        one_s = run_experiment("slab-sensitivity")
         assert canon(dataclasses.asdict(par_s)) == \
             canon(dataclasses.asdict(one_s))
 

@@ -6,10 +6,10 @@ import json
 
 import pytest
 
-from repro.attacks.harness import ATTACKS, build_policy, run_matrix
+from repro.attacks.harness import ATTACKS, build_policy
 from repro.eval.export import export_all, lebench_to_dict, scorecard_to_dict
-from repro.eval.runner import run_lebench_experiment, run_surface_experiment
 from repro.eval.validate import validate_claims
+from repro.exec import run_experiment
 from repro.kernel.image import shared_image
 from repro.kernel.kernel import KernelConfig, MiniKernel
 
@@ -17,7 +17,7 @@ from repro.kernel.kernel import KernelConfig, MiniKernel
 class TestExport:
     @pytest.fixture(scope="class")
     def lebench(self):
-        return run_lebench_experiment(schemes=("unsafe", "fence"))
+        return run_experiment("lebench", {"schemes": ["unsafe", "fence"]})
 
     def test_document_is_valid_json_with_provenance(self, lebench):
         doc = json.loads(export_all(lebench=lebench))
@@ -31,7 +31,7 @@ class TestExport:
         assert data["average_overhead_pct"]["fence"] > 0
 
     def test_surface_and_scorecard_roundtrip(self):
-        surface = run_surface_experiment(apps=("httpd",))
+        surface = run_experiment("surface", {"apps": ["httpd"]})
         card = validate_claims(surface=surface)
         doc = json.loads(export_all(surface=surface, scorecard=card))
         assert doc["surface"]["reduction"]["httpd"]["static"] > 0.88
@@ -57,8 +57,9 @@ class TestHarnessUtilities:
         assert kernel.pipeline.policy is policy
 
     def test_run_matrix_small(self):
-        cells = run_matrix(attacks=("spectre-v1-active",),
-                           schemes=("unsafe", "perspective"))
+        cells = run_experiment("security", {
+            "attacks": ["spectre-v1-active"],
+            "schemes": ["unsafe", "perspective"]})
         assert len(cells) == 2
         by_scheme = {cell.scheme: cell.result for cell in cells}
         assert by_scheme["unsafe"].success

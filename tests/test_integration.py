@@ -63,7 +63,7 @@ class TestInterpositionMarriage:
         kernel.tracer.start()
         workload = AppWorkload(kernel, proc, APP_SPECS["httpd"],
                                rare_every=0)
-        workload.serve(4, measure=False)
+        workload.serve(4)
         kernel.tracer.stop()
         filt = seccomp_filter_from_trace(kernel, proc.cgroup.cg_id)
         # The profiled syscalls are allowed...

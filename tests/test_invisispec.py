@@ -60,8 +60,8 @@ class TestPerformancePosition:
         """InvisiSpec sits between the unprotected baseline and FENCE
         (its paper reports ~7-20% on SPEC; our kernel paths land ~12%)."""
         exp_schemes = ("unsafe", "invisispec", "fence")
-        from repro.eval.runner import run_lebench_experiment
-        exp = run_lebench_experiment(schemes=exp_schemes)
+        from repro.exec import run_experiment
+        exp = run_experiment("lebench", {"schemes": list(exp_schemes)})
         invisi = exp.average_overhead_pct("invisispec")
         assert 2.0 <= invisi <= 30.0
         assert invisi < exp.average_overhead_pct("fence")

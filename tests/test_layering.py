@@ -8,6 +8,10 @@ import from a model package up into one of those planes -- even a
 function-local one -- turns the plane into a hidden dependency of the
 machine and invites import cycles.  ``repro.obs`` and ``repro.reliability.faultplane`` are
 cross-cutting planes every layer may call into.
+
+The same holds one level up: the experiment engine (``repro.exec``)
+calls the grid cells, so the modules that define cells never call the
+engine.
 """
 
 from __future__ import annotations
@@ -46,4 +50,23 @@ def test_model_package_does_not_import_upper_planes(package):
         for line, module in _imports(path)
         if any(module == plane or module.startswith(plane + ".")
                for plane in UPPER_PLANES)]
+    assert not offenders, "\n".join(offenders)
+
+
+#: The modules that define the cells of :mod:`repro.exec.grids`.
+CELL_MODULES = (
+    *sorted((SRC / "attacks").rglob("*.py")),
+    *(SRC / "eval" / f"{name}.py"
+      for name in ("envs", "runner", "sensitivity", "sweeps")),
+    *(SRC / "serve" / f"{name}.py"
+      for name in ("engine", "shard", "campaign")),
+)
+
+
+def test_cell_modules_do_not_import_the_engine():
+    offenders = [
+        f"{path.relative_to(SRC.parent)}:{line}: {module}"
+        for path in CELL_MODULES
+        for line, module in _imports(path)
+        if module == "repro.exec" or module.startswith("repro.exec.")]
     assert not offenders, "\n".join(offenders)

@@ -183,7 +183,7 @@ class TestExporters:
 
 def _obs_matrix(**params) -> dict:
     from repro.exec.engine import run_experiment
-    return run_experiment("obs-matrix", params, use_cache=False)[0]
+    return run_experiment("obs-matrix", params)
 
 
 @pytest.fixture(scope="module")
@@ -228,11 +228,11 @@ class TestDeterminism:
 
 class TestObservabilityIsNeutral:
     def test_breakdown_results_identical_with_and_without(self):
-        from repro.eval.runner import run_breakdown_experiment
-        kwargs = dict(workloads=("lebench",), schemes=("perspective",),
-                      requests=6)
-        plain = run_breakdown_experiment(observe=False, **kwargs)
-        observed = run_breakdown_experiment(observe=True, **kwargs)
+        from repro.exec import run_experiment
+        params = {"workloads": ["lebench"], "schemes": ["perspective"],
+                  "requests": 6}
+        plain = run_experiment("breakdown", {**params, "observe": False})
+        observed = run_experiment("breakdown", {**params, "observe": True})
         assert plain.metrics is None
         assert observed.metrics is not None
         assert plain.breakdowns == observed.breakdowns
@@ -240,10 +240,10 @@ class TestObservabilityIsNeutral:
         assert plain.dsv_cache_hit_rate == observed.dsv_cache_hit_rate
 
     def test_breakdown_snapshot_carries_env_gauges(self):
-        from repro.eval.runner import run_breakdown_experiment
-        exp = run_breakdown_experiment(workloads=("lebench",),
-                                       schemes=("perspective",),
-                                       requests=6, observe=True)
+        from repro.exec import run_experiment
+        exp = run_experiment("breakdown", {"workloads": ["lebench"],
+                                           "schemes": ["perspective"],
+                                           "requests": 6, "observe": True})
         gauges = exp.metrics["gauges"]
         assert "lebench.perspective.cache.l1d.hits" in gauges
         assert "lebench.perspective.dsvmt.walks" in gauges

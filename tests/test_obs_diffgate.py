@@ -4,15 +4,11 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.obs.diffgate import (
     DiffReport,
-    ToleranceRule,
     diff_snapshots,
     flatten_snapshot,
     gate_files,
-    load_rules,
 )
 
 
@@ -20,41 +16,6 @@ def _snap(counters=None, gauges=None, histograms=None, spans=None):
     return {"meta": {}, "counters": counters or {},
             "gauges": gauges or {}, "histograms": histograms or {},
             "spans": spans or {}}
-
-
-class TestToleranceRule:
-    def test_exact_by_default(self):
-        rule = ToleranceRule("x")
-        assert rule.allows(10.0, 10.0)
-        assert not rule.allows(10.0, 10.000001)
-
-    def test_abs_and_rel_combine_permissively(self):
-        rule = ToleranceRule("x", abs_tol=1.0, rel_tol=0.10)
-        assert rule.allows(100.0, 109.0)   # inside rel
-        assert rule.allows(2.0, 3.0)       # inside abs
-        assert not rule.allows(2.0, 3.5)   # outside both
-
-    def test_direction_increase_lets_shrinkage_pass(self):
-        rule = ToleranceRule("x", abs_tol=5.0, direction="increase")
-        assert rule.allows(100.0, 10.0)     # shrank: fine
-        assert rule.allows(100.0, 104.0)    # grew within tolerance
-        assert not rule.allows(100.0, 106.0)
-
-    def test_direction_decrease(self):
-        rule = ToleranceRule("x", direction="decrease")
-        assert rule.allows(10.0, 999.0)
-        assert not rule.allows(10.0, 9.0)
-
-    def test_invalid_inputs_rejected(self):
-        with pytest.raises(ValueError, match="direction"):
-            ToleranceRule("x", direction="sideways")
-        with pytest.raises(ValueError, match="non-negative"):
-            ToleranceRule("x", abs_tol=-1.0)
-
-    def test_glob_matching(self):
-        rule = ToleranceRule("counters.cache.*")
-        assert rule.matches("counters.cache.l1d.hits")
-        assert not rule.matches("counters.pipeline.runs")
 
 
 class TestFlatten:
@@ -92,34 +53,12 @@ class TestDiffSnapshots:
         assert finding.name == "counters.a"
         assert finding.delta == 1.0
 
-    def test_rule_grants_slack(self):
-        report = diff_snapshots(
-            _snap(counters={"a": 100}), _snap(counters={"a": 104}),
-            rules=[ToleranceRule("counters.a", rel_tol=0.05)])
-        assert report.ok
-
-    def test_first_matching_rule_wins(self):
-        rules = [ToleranceRule("counters.a", abs_tol=100.0),
-                 ToleranceRule("counters.*", abs_tol=0.0)]
-        report = diff_snapshots(_snap(counters={"a": 1, "b": 1}),
-                                _snap(counters={"a": 50, "b": 2}),
-                                rules=rules)
-        names = [d.name for d in report.regressions]
-        assert names == ["counters.b"]
-
     def test_added_and_removed_metrics_are_findings(self):
         report = diff_snapshots(_snap(counters={"old": 1}),
                                 _snap(counters={"new": 1}))
         verdicts = {d.name: d.verdict for d in report.regressions}
         assert verdicts == {"counters.old": "removed",
                             "counters.new": "added"}
-
-    def test_ignore_added_and_rule_covered_removal(self):
-        report = diff_snapshots(
-            _snap(counters={"old": 1}), _snap(counters={"new": 1}),
-            rules=[ToleranceRule("counters.old", abs_tol=999.0)],
-            ignore_added=True)
-        assert report.ok
 
     def test_render_shows_each_verdict(self):
         report = diff_snapshots(_snap(counters={"old": 1, "x": 1}),
@@ -138,19 +77,12 @@ class TestGateFiles:
         path.write_text(json.dumps(snap))
         return str(path)
 
-    def test_gate_files_with_rules(self, tmp_path):
+    def test_gate_files_is_exact(self, tmp_path):
         base = self._write(tmp_path / "base.json",
                            _snap(counters={"a": 100}))
         cur = self._write(tmp_path / "cur.json",
                           _snap(counters={"a": 101}))
         assert not gate_files(base, cur).ok
-        rules = tmp_path / "rules.json"
-        rules.write_text(json.dumps(
-            [{"pattern": "counters.a", "rel_tol": 0.05}]))
-        assert gate_files(base, cur, rules_path=str(rules)).ok
-        loaded = load_rules(str(rules))
-        assert loaded[0].rel_tol == 0.05
-        assert loaded[0].direction == "both"
 
     def test_cli_exit_codes(self, tmp_path, capsys):
         from repro.obs.__main__ import main

@@ -237,11 +237,12 @@ class TestForensicHardening:
 
 class TestPipelineWiring:
     def test_breakdown_journal_records_fences(self):
-        from repro.eval.runner import run_breakdown_experiment
+        from repro.exec import run_experiment
         journal = EventJournal()
         with instrumented(journal=journal):
-            run_breakdown_experiment(workloads=("lebench",),
-                                     schemes=("perspective",), requests=6)
+            run_experiment("breakdown", {"workloads": ["lebench"],
+                                         "schemes": ["perspective"],
+                                         "requests": 6})
         kinds = journal.counts_by("kind")
         assert kinds.get("fence", 0) > 0
         # Committed-path fences name the function they fenced in.
@@ -250,25 +251,25 @@ class TestPipelineWiring:
 
     def test_breakdown_results_identical_with_and_without_journal(self):
         """The journal extends PR 2's observation-neutrality guarantee."""
-        from repro.eval.runner import run_breakdown_experiment
-        kwargs = dict(workloads=("lebench",), schemes=("perspective",),
-                      requests=6)
-        plain = run_breakdown_experiment(**kwargs)
+        from repro.exec import run_experiment
+        params = {"workloads": ["lebench"], "schemes": ["perspective"],
+                  "requests": 6}
+        plain = run_experiment("breakdown", params)
         with instrumented(journal=EventJournal()):
-            journaled = run_breakdown_experiment(**kwargs)
+            journaled = run_experiment("breakdown", params)
         assert plain.breakdowns == journaled.breakdowns
         assert plain.isv_cache_hit_rate == journaled.isv_cache_hit_rate
         assert plain.dsv_cache_hit_rate == journaled.dsv_cache_hit_rate
 
     def test_journaled_runs_are_byte_identical(self):
-        from repro.eval.runner import run_breakdown_experiment
+        from repro.exec import run_experiment
         out = []
         for _ in range(2):
             journal = EventJournal()
             with instrumented(journal=journal):
-                run_breakdown_experiment(workloads=("lebench",),
-                                         schemes=("perspective",),
-                                         requests=6)
+                run_experiment("breakdown", {"workloads": ["lebench"],
+                                             "schemes": ["perspective"],
+                                             "requests": 6})
             out.append(journal.to_jsonl())
         assert out[0] == out[1]
 

@@ -242,3 +242,10 @@ class TestCli:
             assert folded.read_text().splitlines()
             payload = json.loads(trace.read_text())
             assert payload["traceEvents"]
+
+    def test_profile_of_one_scheme_against_itself_exits_2(self, capsys):
+        from repro.obs.__main__ import main
+        assert main(["profile", "--base", "unsafe",
+                     "--scheme", "unsafe"]) == 2
+        err = capsys.readouterr().err
+        assert "repeats cell key(s): lebench/unsafe" in err

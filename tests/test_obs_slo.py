@@ -181,8 +181,7 @@ class TestServeCellConservation:
         from repro.obs.dashboard import parse_attribution
         from repro.exec.grids import run_cell
 
-        cell = run_cell("serve", ("0", "2"),
-                        {**self.PARAMS, "observe": True})
+        cell = run_cell("serve", {**self.PARAMS, "observe": True})
         counters = cell["metrics"]["counters"]
         misses = counters["pipeline.blockcache.misses"]
         by_reason = {r: counters.get(f"pipeline.blockcache.miss.{r}", 0)

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.eval.runner import run_apps_experiment, run_lebench_experiment
+from repro.exec import run_experiment
 
 
 @pytest.fixture(scope="module")
 def lebench():
-    return run_lebench_experiment(
-        schemes=("unsafe", "fence", "dom", "stt",
-                 "perspective-static", "perspective", "perspective++"))
+    return run_experiment("lebench", {"schemes": [
+        "unsafe", "fence", "dom", "stt",
+        "perspective-static", "perspective", "perspective++"]})
 
 
 class TestLEBenchShape:
@@ -79,8 +79,8 @@ class TestLEBenchShape:
 class TestSpotMitigationShape:
     @pytest.fixture(scope="class")
     def spot(self):
-        return run_lebench_experiment(
-            schemes=("unsafe", "spot", "spot-nokpti", "perspective"))
+        return run_experiment("lebench", {"schemes": [
+            "unsafe", "spot", "spot-nokpti", "perspective"]})
 
     def test_spot_average_near_paper(self, spot):
         """Paper: KPTI+retpoline cost 14.5% on LEBench."""
@@ -102,8 +102,8 @@ class TestSpotMitigationShape:
 class TestAppsShape:
     @pytest.fixture(scope="class")
     def apps(self):
-        return run_apps_experiment(
-            schemes=("unsafe", "fence", "perspective"), requests=30)
+        return run_experiment("apps", {
+            "schemes": ["unsafe", "fence", "perspective"], "requests": 30})
 
     def test_fence_app_overhead_near_paper(self, apps):
         """Paper: 5.7% average throughput loss under FENCE."""

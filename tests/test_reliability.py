@@ -9,13 +9,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.attacks.harness import run_matrix
 from repro.core.dsv import DSVRegistry
 from repro.core.dsvmt import DSVMT
 from repro.core.hardware import ViewCache
-from repro.eval import runner, sensitivity
 from repro.eval.report import SECTIONS, render_campaign_report
 from repro.eval.tables import MISSING
+from repro.exec import run_experiment
 from repro.kernel.buddy import BuddyAllocator, OutOfMemory
 from repro.kernel.slab import SlabAllocator
 from repro.kernel.tracing import KernelTracer
@@ -398,40 +397,22 @@ class TestCampaignRunner:
         assert state.done == {"surface"}
 
 
-#: Every grid of the report's section table, at small parameters: the
-#: campaign's params and the direct call that must give the same result.
+#: Every grid of the report's section table, at small parameters, for
+#: the campaign and for the direct run that must give the same result.
 #: Orders are deliberately not alphabetical.
 PAPER_GRIDS = {
-    "surface": ({"apps": ["lebench", "httpd"]},
-                lambda: runner.run_surface_experiment(
-                    apps=("lebench", "httpd"))),
-    "gadgets": ({"apps": ["lebench", "httpd"]},
-                lambda: runner.run_gadget_experiment(
-                    apps=("lebench", "httpd"))),
-    "security": ({"attacks": ["spectre-v1-active"],
-                  "schemes": ["unsafe", "perspective"]},
-                 lambda: run_matrix(attacks=("spectre-v1-active",),
-                                    schemes=("unsafe", "perspective"))),
-    "kasper": ({"apps": ["httpd"], "n_seeds": 2},
-               lambda: runner.run_kasper_experiment(apps=("httpd",),
-                                                    n_seeds=2)),
-    "lebench": ({"schemes": ["unsafe", "fence"]},
-                lambda: runner.run_lebench_experiment(
-                    schemes=("unsafe", "fence"))),
-    "apps": ({"schemes": ["unsafe", "fence"], "apps": ["httpd"],
-              "requests": 6},
-             lambda: runner.run_apps_experiment(
-                 schemes=("unsafe", "fence"), apps=("httpd",),
-                 requests=6)),
-    "breakdown": ({"workloads": ["lebench"], "schemes": ["perspective"],
-                   "requests": 6},
-                  lambda: runner.run_breakdown_experiment(
-                      workloads=("lebench",), schemes=("perspective",),
-                      requests=6)),
-    "unknown-allocations": ({}, sensitivity.run_unknown_allocations),
-    "slab-sensitivity": ({"apps": ["redis"], "requests": 6},
-                         lambda: sensitivity.run_slab_sensitivity(
-                             apps=("redis",), requests=6)),
+    "surface": {"apps": ["lebench", "httpd"]},
+    "gadgets": {"apps": ["lebench", "httpd"]},
+    "security": {"attacks": ["spectre-v1-active"],
+                 "schemes": ["unsafe", "perspective"]},
+    "kasper": {"apps": ["httpd"], "n_seeds": 2},
+    "lebench": {"schemes": ["unsafe", "fence"]},
+    "apps": {"schemes": ["unsafe", "fence"], "apps": ["httpd"],
+             "requests": 6},
+    "breakdown": {"workloads": ["lebench"], "schemes": ["perspective"],
+                  "requests": 6},
+    "unknown-allocations": {},
+    "slab-sensitivity": {"apps": ["redis"], "requests": 6},
 }
 
 
@@ -445,17 +426,18 @@ def _asdict_json(result) -> str:
 
 def test_campaign_results_match_direct_runs(tmp_path):
     """Every paper grid's result, assembled from the journal, renders and
-    serializes exactly like the direct ``run_*`` call -- declared order
-    included (a sort_keys journal printed Table 8.1's apps
+    serializes exactly like a direct ``run_experiment`` -- declared
+    order included (a sort_keys journal printed Table 8.1's apps
     alphabetically)."""
     config = CampaignConfig(
         experiments=tuple(PAPER_GRIDS), isolate=False, max_attempts=1,
-        params={name: params for name, (params, _) in PAPER_GRIDS.items()})
+        params=PAPER_GRIDS)
     assert not CampaignRunner(tmp_path, config).run().failures
     state = CampaignRunner(tmp_path, config).load_state()  # from disk
-    for name, (_, direct) in PAPER_GRIDS.items():
+    for name, params in PAPER_GRIDS.items():
         render = next(s.render for s in SECTIONS if s.grid == name)
-        expected, journaled = direct(), state.result(name)
+        expected = run_experiment(name, params)
+        journaled = state.result(name)
         assert render(journaled) == render(expected), name
         assert _asdict_json(journaled) == _asdict_json(expected), name
 

@@ -6,15 +6,14 @@ import json
 
 import pytest
 
-from repro.attacks.harness import run_matrix
 from repro.eval.envs import ALL_SCHEMES, PERF_SCHEMES
 from repro.eval.figures import figure_9_2, figure_9_3
 from repro.eval.report import SECTIONS, EvaluationArtifacts, \
     render_campaign_report
 from repro.eval.tables import security_matrix_text_from_cells, \
     table_10_1, table_8_2
-from repro.eval.runner import AppsExperiment, LEBenchExperiment, \
-    run_breakdown_experiment, run_gadget_experiment
+from repro.eval.runner import AppsExperiment, LEBenchExperiment
+from repro.exec import run_experiment
 from repro.exec.grids import get_grid
 from repro.reliability.campaign import CampaignState
 
@@ -33,7 +32,7 @@ class TestArtifacts:
 class TestSecurityMatrixText:
     def test_single_scheme_matrix(self):
         text = security_matrix_text_from_cells(
-            run_matrix(schemes=("unsafe",)))
+            run_experiment("security", {"schemes": ["unsafe"]}))
         assert "spectre-v1-active" in text
         assert "LEAKED" in text
         # The eIBRS control is the only blocked row on unsafe hardware.
@@ -44,14 +43,14 @@ class TestSecurityMatrixText:
 
 class TestTableRenderers:
     def test_table_8_2_mentions_scale_note(self):
-        exp = run_gadget_experiment(apps=("httpd",))
+        exp = run_experiment("gadgets", {"apps": ["httpd"]})
         text = table_8_2(exp)
         assert "paper scale 1533" in text
         assert "100%" in text  # the ISV++ column
 
     def test_table_10_1_reports_rates(self):
-        exp = run_breakdown_experiment(workloads=("httpd",),
-                                       schemes=("perspective",))
+        exp = run_experiment("breakdown", {"workloads": ["httpd"],
+                                           "schemes": ["perspective"]})
         text = table_10_1(exp)
         assert "fence rates /kiloinstruction" in text
         assert "httpd" in text

@@ -4,16 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.eval.runner import run_breakdown_experiment
-from repro.eval.sensitivity import run_slab_sensitivity, \
-    run_unknown_allocations
+from repro.exec import run_experiment
 
 
 @pytest.fixture(scope="module")
 def breakdown():
-    return run_breakdown_experiment(workloads=("lebench", "httpd"),
-                                    schemes=("perspective-static",
-                                             "perspective"))
+    return run_experiment("breakdown", {
+        "workloads": ["lebench", "httpd"],
+        "schemes": ["perspective-static", "perspective"]})
 
 
 class TestFenceBreakdown:
@@ -49,7 +47,7 @@ class TestUnknownAllocations:
     def test_unknown_blocking_costs_measurable_share(self):
         """Paper: unknown allocations cause ~1.5 points of the LEBench
         overhead; allowing them removes that share."""
-        result = run_unknown_allocations()
+        result = run_experiment("unknown-allocations")
         assert result.unknown_contribution_pct > 0.2
         assert result.overhead_unknown_allowed_pct < \
             result.overhead_full_pct
@@ -58,7 +56,7 @@ class TestUnknownAllocations:
 class TestSecureSlabSensitivity:
     @pytest.fixture(scope="class")
     def slab(self):
-        return run_slab_sensitivity(requests=48)
+        return run_experiment("slab-sensitivity", {"requests": 48})
 
     def test_memory_overhead_small(self, slab):
         """Paper: 0.91% memory overhead from per-cgroup page lists."""

@@ -214,8 +214,7 @@ GRID_PARAMS = {"seeds": [0], "tenants": [2], "scheme": "fence",
 
 class TestServeGrid:
     def test_cell_metrics_snapshot(self):
-        cell = run_cell("serve", ("0", "2"),
-                        {**GRID_PARAMS, "seed": 0, "tenants": 2})
+        cell = run_cell("serve", {**GRID_PARAMS, "seed": 0, "tenants": 2})
         assert "metrics" in cell
         gauges = cell["metrics"]["gauges"]
         assert gauges["serve.cell.s0.t2.completed"] == cell["completed"]

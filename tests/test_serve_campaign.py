@@ -29,7 +29,7 @@ from repro.core.audit import (
 )
 from repro.core.hardware import ViewCache
 from repro.core.views import InstructionSpeculationView
-from repro.exec.engine import run_experiment
+from repro.exec.engine import EngineConfig, ExperimentEngine
 from repro.kernel.image import shared_image
 from repro.obs import instrumented
 from repro.obs.events import EventJournal, SecurityEvent
@@ -139,10 +139,10 @@ GRID_PARAMS = {
 
 class TestCampaignGrid:
     def test_worker_parity_including_merged_metrics(self, tmp_path):
-        one, _ = run_experiment("campaign", dict(GRID_PARAMS),
-                                workers=1, cache_dir=tmp_path / "c1")
-        two, _ = run_experiment("campaign", dict(GRID_PARAMS),
-                                workers=2, cache_dir=tmp_path / "c2")
+        one, _ = ExperimentEngine(EngineConfig(
+            workers=1, cache_dir=tmp_path / "c1")).run("campaign", GRID_PARAMS)
+        two, _ = ExperimentEngine(EngineConfig(
+            workers=2, cache_dir=tmp_path / "c2")).run("campaign", GRID_PARAMS)
         assert report_bytes(one) == report_bytes(two)
         # The merged metrics sidecar -- not just the cells -- must be
         # worker-count invariant (per-cell registries merge in declared
@@ -151,10 +151,9 @@ class TestCampaignGrid:
 
     def test_cached_replay_is_byte_identical(self, tmp_path):
         params = dict(GRID_PARAMS, scenarios=["none"], epochs=3)
-        first, fresh = run_experiment("campaign", params,
-                                      cache_dir=tmp_path / "cache")
-        again, cached = run_experiment("campaign", params,
-                                       cache_dir=tmp_path / "cache")
+        engine = ExperimentEngine(EngineConfig(cache_dir=tmp_path / "cache"))
+        first, fresh = engine.run("campaign", params)
+        again, cached = engine.run("campaign", params)
         assert fresh.executed == 1 and fresh.cache_hits == 0
         assert cached.executed == 0 and cached.cache_hits == 1
         assert report_bytes(first) == report_bytes(again)

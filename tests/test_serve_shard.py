@@ -342,11 +342,11 @@ SCALE_PARAMS = {"schemes": ["fence"], "tenants": [3], "shards": [1, 2],
 class TestScaleGrid:
     def test_cells_merge_to_in_process_run(self):
         shards = 2
-        payloads = [scale_shard_cell({
+        payloads = [scale_shard_cell(
             **{k: v for k, v in SCALE_PARAMS.items()
                if k not in ("schemes", "tenants", "shards")},
-            "scheme": "fence", "tenants": 3, "shards": shards,
-            "shard": k}) for k in range(shards)]
+            scheme="fence", tenants=3, shards=shards,
+            shard=k) for k in range(shards)]
         merged = merge_scale_shards("fence", 3, shards, payloads)
         direct = run_serve(config_from_params({
             **{k: v for k, v in SCALE_PARAMS.items()
@@ -373,7 +373,7 @@ class TestScaleGrid:
                 for r in rows] == [("fence", 3, 1), ("fence", 3, 2)]
 
     def test_serve_cell_accepts_shard_params(self):
-        cell = run_cell("serve", ("0", "3"), {
+        cell = run_cell("serve", {
             **BASE, "shards": 2, "placement": "least-loaded",
             "migrate_every": 4, "observe": True})
         assert cell["config"]["shards"] == 2

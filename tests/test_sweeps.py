@@ -5,16 +5,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.eval.sweeps import (
-    sweep_branch_resolve_latency,
-    sweep_rob_entries,
-)
+from repro.exec import run_experiment
 
 
 class TestResolveLatencySweep:
     @pytest.fixture(scope="class")
     def fence(self):
-        return sweep_branch_resolve_latency(values=(4.0, 12.0, 20.0))
+        return run_experiment("sweep-branch", {"values": [4.0, 12.0, 20.0]})
 
     def test_fence_cost_grows_with_window(self, fence):
         """Longer speculation windows mean longer waits at the visibility
@@ -25,9 +22,9 @@ class TestResolveLatencySweep:
     def test_perspective_barely_responds(self):
         """Perspective fences are rare, so the window length moves it far
         less than FENCE."""
-        perspective = sweep_branch_resolve_latency(
-            values=(4.0, 20.0), scheme="perspective")
-        fence = sweep_branch_resolve_latency(values=(4.0, 20.0))
+        perspective = run_experiment(
+            "sweep-branch", {"values": [4.0, 20.0], "scheme": "perspective"})
+        fence = run_experiment("sweep-branch", {"values": [4.0, 20.0]})
         p_delta = perspective.overhead_pct[20.0] - \
             perspective.overhead_pct[4.0]
         f_delta = fence.overhead_pct[20.0] - fence.overhead_pct[4.0]
@@ -41,14 +38,16 @@ class TestResolveLatencySweep:
         """Delay-on-Miss holds back speculative L1 misses, so it must cost
         something (it once fell through to the unsafe policy and read
         0.0%)."""
-        dom = sweep_branch_resolve_latency(values=(7.0,), scheme="dom")
+        dom = run_experiment("sweep-branch",
+                             {"values": [7.0], "scheme": "dom"})
         assert dom.overhead_pct[7.0] > 0.0
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError, match="unknown scheme"):
-            sweep_branch_resolve_latency(values=(7.0,), scheme="nonesuch")
+            run_experiment("sweep-branch",
+                           {"values": [7.0], "scheme": "nonesuch"})
         with pytest.raises(ValueError, match="unknown scheme"):
-            sweep_rob_entries(values=(48,), scheme="nonesuch")
+            run_experiment("sweep-rob", {"values": [48], "scheme": "nonesuch"})
 
 
 class TestROBSweep:
@@ -57,7 +56,7 @@ class TestROBSweep:
         more than FENCE, whose chains are data-limited rather than
         window-limited -- so the overhead ratio grows a little with depth
         and then saturates once the window covers the dependence chains."""
-        sweep = sweep_rob_entries(values=(48, 192, 384))
+        sweep = run_experiment("sweep-rob", {"values": [48, 192, 384]})
         assert sweep.overhead_pct[48] < sweep.overhead_pct[192]
         assert sweep.overhead_pct[384] == pytest.approx(
             sweep.overhead_pct[192], abs=2.0)

@@ -4,13 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.eval.runner import (
-    run_gadget_experiment,
-    run_lebench_experiment,
-    run_surface_experiment,
-)
 from repro.eval.validate import CLAIMS, Claim, Scorecard, claim, \
     validate_claims
+from repro.exec import run_experiment
 
 
 class TestClaimMechanics:
@@ -49,15 +45,15 @@ class TestLiveValidation:
     """Run the cheap experiments and check their claims hold."""
 
     def test_surface_and_gadget_claims(self):
-        surface = run_surface_experiment()
-        gadgets = run_gadget_experiment(apps=("httpd", "redis"))
+        surface = run_experiment("surface")
+        gadgets = run_experiment("gadgets", {"apps": ["httpd", "redis"]})
         card = validate_claims(surface=surface, gadgets=gadgets)
         assert len(card.outcomes) == 3
         assert card.all_ok, "\n" + card.render()
 
     def test_lebench_claims(self):
-        lebench = run_lebench_experiment(
-            schemes=("unsafe", "fence", "perspective"))
+        lebench = run_experiment(
+            "lebench", {"schemes": ["unsafe", "fence", "perspective"]})
         card = validate_claims(lebench=lebench)
         ids = {o.claim.claim_id for o in card.outcomes}
         assert "fence-lebench-avg" in ids

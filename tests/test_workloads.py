@@ -122,10 +122,8 @@ class TestApps:
         assert APP_SPECS["memcached"].kernel_time_fraction == 0.65
         assert APP_SPECS["redis"].kernel_time_fraction == 0.53
 
-    def test_user_cycle_budget_formula(self, kernel):
-        proc = kernel.create_process("httpd")
-        workload = AppWorkload(kernel, proc, APP_SPECS["httpd"])
-        assert workload.user_cycles_per_request(1000.0) == \
+    def test_user_cycle_budget_formula(self):
+        assert APP_SPECS["httpd"].user_cycles_per_request(1000.0) == \
             pytest.approx(1000.0)  # f=0.5 -> user == kernel
 
     def test_request_syscalls_within_binary_surface(self, kernel):
@@ -136,7 +134,7 @@ class TestApps:
             kernel.tracer.start()
             workload = AppWorkload(kernel, proc, APP_SPECS[app],
                                    rare_every=0)
-            workload.serve(100, measure=False)
+            workload.serve(100)
             kernel.tracer.stop()
             used = kernel.tracer.traced_syscalls(proc.cgroup.cg_id)
             declared = APP_SPECS[app].binary.static_syscall_surface()
