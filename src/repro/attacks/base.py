@@ -23,6 +23,9 @@ from repro.kernel.image import PROBE_ARRAY_OFF
 from repro.kernel.kernel import MiniKernel
 from repro.kernel.process import Process
 
+#: The secret every PoC plants by default.
+DEFAULT_SECRET = b"K3Y!"
+
 
 @dataclass
 class AttackResult:
@@ -60,7 +63,7 @@ class AttackSetup:
 
 
 def make_setup(kernel: MiniKernel | None = None,
-               secret: bytes = b"K3Y!") -> AttackSetup:
+               secret: bytes = DEFAULT_SECRET) -> AttackSetup:
     """Boot a kernel (if needed) with an attacker and a victim process,
     planting ``secret`` in the victim's kernel heap."""
     kernel = kernel or MiniKernel()

@@ -13,7 +13,12 @@ from dataclasses import asdict, dataclass
 from typing import Any
 
 from repro.analysis.flavors import FLAVORS, non_driver_isv_functions
-from repro.attacks.base import AttackResult, AttackSetup, make_setup
+from repro.attacks.base import (
+    DEFAULT_SECRET,
+    AttackResult,
+    AttackSetup,
+    make_setup,
+)
 from repro.attacks.bhi import BHIPassiveAttack, EIBRSBaselineCheck
 from repro.attacks.ebpf import EBPFInjectionOnVulnerableConfig
 from repro.attacks.retbleed import RetbleedPassiveAttack
@@ -114,7 +119,7 @@ class MatrixCell:
 
 
 def run_attack(attack_name: str, scheme: str = "unsafe",
-               secret: bytes = b"K3Y!") -> AttackResult:
+               secret: bytes = DEFAULT_SECRET) -> AttackResult:
     """Boot, arm, attack; returns the PoC outcome under ``scheme``.
 
     The PoC runs under the caller's planes: inside
@@ -132,7 +137,7 @@ def run_attack(attack_name: str, scheme: str = "unsafe",
 
 
 def attack_on(kernel: MiniKernel, attacker, victim, attack_name: str,
-              scheme: str, secret: bytes = b"K3Y!") -> AttackResult:
+              scheme: str, secret: bytes = DEFAULT_SECRET) -> AttackResult:
     """Run one PoC through an existing *armed* kernel.
 
     Where :func:`run_attack` boots a fresh kernel per PoC, this entry

@@ -16,6 +16,7 @@ default CFI layer suppresses the hijack at the predictor.
 from __future__ import annotations
 
 from repro.attacks.base import (
+    DEFAULT_SECRET,
     AttackResult,
     AttackSetup,
     PassiveAttack,
@@ -70,7 +71,7 @@ class MidFunctionHijackAttack(PassiveAttack):
 
 
 def run_midfunction_attack(cfi: bool, image: KernelImage | None = None,
-                           secret: bytes = b"K3Y!") -> AttackResult:
+                           secret: bytes = DEFAULT_SECRET) -> AttackResult:
     """Run the PoC under Perspective with CFI on or off.
 
     The ISV is permissive (it contains the gadget function) and DSV

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from repro.cpu.isa import OP_SIZE
 from repro.obs import events as ev
+from repro.obs.instruments import INSTRUMENTS
 from repro.reliability.faultplane import fire
 
 #: Instructions covered by one ISV cache entry (64 B of bitmap = 512 bits).
@@ -91,39 +92,42 @@ class ViewCache:
         self.entries = entries
         self.ways = ways
         self.num_sets = entries // ways
-        # Each set: list of (tag, bit) ordered MRU-first.
-        self._sets: list[list[tuple[tuple[int, int], bool]]] = [
-            [] for _ in range(self.num_sets)]
+        # Each set: {(asid, key): bit} in recency order, least-recently
+        # used first; a hit re-inserts its entry at the end.
+        self._sets: list[dict[tuple[int, int], bool]] = [
+            {} for _ in range(self.num_sets)]
         self.stats = ViewCacheStats()
         registered = name in ("isv", "dsv")
         self._miss_fault = f"{name}-cache-forced-miss" if registered else None
         self._stale_fault = f"{name}-cache-stale" if registered else None
 
-    def _set_index(self, key: int) -> int:
-        return key % self.num_sets
-
     def lookup(self, asid: int, key: int) -> bool | None:
-        """Cached in-view bit for (asid, key), or None on miss."""
-        if self._miss_fault is not None and fire(self._miss_fault):
-            self.stats.injected_misses += 1
-            self.stats.misses += 1
+        """Cached in-view bit for (asid, key), or None on miss.
+
+        The forced-miss point is drawn on every lookup and the stale
+        point only on a match, and only while a fault plane is armed."""
+        plane = INSTRUMENTS.faults
+        stats = self.stats
+        if plane is not None and self._miss_fault is not None \
+                and plane.should_fire(self._miss_fault):
+            stats.injected_misses += 1
+            stats.misses += 1
             return None
-        ways = self._sets[self._set_index(key)]
+        ways = self._sets[key % self.num_sets]
         tag = (asid, key)
-        for i, (entry_tag, bit) in enumerate(ways):
-            if entry_tag == tag:
-                if self._stale_fault is not None and fire(self._stale_fault):
-                    # Parity fault on the matched entry: drop it and miss.
-                    ways.pop(i)
-                    self.stats.stale_drops += 1
-                    self.stats.misses += 1
-                    return None
-                self.stats.hits += 1
-                if i != 0:
-                    ways.insert(0, ways.pop(i))
-                return bit
-        self.stats.misses += 1
-        return None
+        bit = ways.pop(tag, None)
+        if bit is None:
+            stats.misses += 1
+            return None
+        if plane is not None and self._stale_fault is not None \
+                and plane.should_fire(self._stale_fault):
+            # Parity fault on the matched entry: it stays dropped.
+            stats.stale_drops += 1
+            stats.misses += 1
+            return None
+        ways[tag] = bit
+        stats.hits += 1
+        return bit
 
     def fill(self, asid: int, key: int, bit: bool) -> None:
         if self._miss_fault is not None and fire("view-refill-fault"):
@@ -136,17 +140,14 @@ class ViewCache:
             ev.emit_here("fault-fallback",
                          reason=f"{self.name}-refill-dropped")
             return
-        ways = self._sets[self._set_index(key)]
+        ways = self._sets[key % self.num_sets]
         tag = (asid, key)
-        for i, (entry_tag, _) in enumerate(ways):
-            if entry_tag == tag:
-                ways.pop(i)
-                break
-        else:
-            if len(ways) >= self.ways:
-                ways.pop()
-                self.stats.evictions += 1
-        ways.insert(0, (tag, bit))
+        if tag in ways:
+            del ways[tag]
+        elif len(ways) >= self.ways:
+            del ways[next(iter(ways))]
+            self.stats.evictions += 1
+        ways[tag] = bit
         self.stats.fills += 1
 
     def invalidate_asid(self, asid: int) -> int:
@@ -154,9 +155,10 @@ class ViewCache:
         returns the number of entries dropped."""
         dropped = 0
         for ways in self._sets:
-            before = len(ways)
-            ways[:] = [(tag, bit) for tag, bit in ways if tag[0] != asid]
-            dropped += before - len(ways)
+            stale = [tag for tag in ways if tag[0] == asid]
+            for tag in stale:
+                del ways[tag]
+            dropped += len(stale)
         return dropped
 
     def flush(self) -> None:

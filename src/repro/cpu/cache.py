@@ -10,7 +10,7 @@ The hierarchy (L1I, L1D, shared L2, DRAM) follows Table 7.1 of the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 
@@ -121,16 +121,19 @@ class SetAssociativeCache:
         return sum(len(ways) for ways in self._sets)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AccessResult:
-    """Outcome of a hierarchy access: where it hit and total latency."""
+    """Outcome of a hierarchy access: where it hit and total latency.
+
+    A hierarchy hands out one shared result per level, so an access
+    allocates nothing."""
 
     level: str  # "l1", "l2", "dram"
     latency: int
-    l1_hit: bool = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.l1_hit = self.level == "l1"
+    @property
+    def l1_hit(self) -> bool:
+        return self.level == "l1"
 
 
 class CacheHierarchy:
@@ -166,6 +169,10 @@ class CacheHierarchy:
         #: tooling; it exists for fidelity experiments.
         self.prefetcher = prefetcher
         self.prefetches = 0
+        self._at_l1 = AccessResult("l1", self.L1_LATENCY)
+        self._at_l2 = AccessResult("l2", self.L1_LATENCY + self.L2_LATENCY)
+        self._at_dram = AccessResult(
+            "dram", self.L1_LATENCY + self.L2_LATENCY + self.DRAM_LATENCY)
 
     def access_data(self, paddr: int, *, fill: bool = True,
                     touch_lru: bool = True) -> AccessResult:
@@ -176,22 +183,20 @@ class CacheHierarchy:
         experiment reports."""
         if not fill:
             if self.l1d.peek(paddr):
-                return AccessResult("l1", self.L1_LATENCY)
+                return self._at_l1
             if self.l2.peek(paddr):
-                return AccessResult("l2", self.L1_LATENCY + self.L2_LATENCY)
-            return AccessResult(
-                "dram", self.L1_LATENCY + self.L2_LATENCY + self.DRAM_LATENCY)
+                return self._at_l2
+            return self._at_dram
         if self.l1d.lookup(paddr, touch_lru=touch_lru):
-            return AccessResult("l1", self.L1_LATENCY)
+            return self._at_l1
         if self.l2.lookup(paddr, touch_lru=touch_lru):
             self.l1d.fill(paddr)
             self._maybe_prefetch(paddr)
-            return AccessResult("l2", self.L1_LATENCY + self.L2_LATENCY)
+            return self._at_l2
         self.l2.fill(paddr)
         self.l1d.fill(paddr)
         self._maybe_prefetch(paddr)
-        return AccessResult(
-            "dram", self.L1_LATENCY + self.L2_LATENCY + self.DRAM_LATENCY)
+        return self._at_dram
 
     def _maybe_prefetch(self, paddr: int) -> None:
         if not self.prefetcher:
@@ -209,14 +214,13 @@ class CacheHierarchy:
     def access_inst(self, paddr: int) -> AccessResult:
         """Instruction-side access (fetch path)."""
         if self.l1i.lookup(paddr):
-            return AccessResult("l1", self.L1_LATENCY)
+            return self._at_l1
         if self.l2.lookup(paddr):
             self.l1i.fill(paddr)
-            return AccessResult("l2", self.L1_LATENCY + self.L2_LATENCY)
+            return self._at_l2
         self.l2.fill(paddr)
         self.l1i.fill(paddr)
-        return AccessResult(
-            "dram", self.L1_LATENCY + self.L2_LATENCY + self.DRAM_LATENCY)
+        return self._at_dram
 
     def is_l1d_hit(self, paddr: int) -> bool:
         """Non-perturbing L1D presence check (Delay-on-Miss predicate)."""

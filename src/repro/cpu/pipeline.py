@@ -76,24 +76,26 @@ class PipelineConfig:
     enable_block_cache: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class LoadQuery:
-    """Everything a defense scheme may consult about a speculative load."""
+    """Everything a defense scheme may consult about a speculative load.
+
+    Built positionally, once per load the policy checks."""
 
     inst_va: int
     load_va: int
     load_pa: int
     context_id: int
     domain: str
-    speculative: bool
     transient: bool  # on a wrong path that will squash (ground truth)
     tainted: bool  # address depends on speculatively-loaded data
     l1_hit: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class LoadDecision:
-    """Outcome of a policy check for one speculative load.
+    """Outcome of a policy check for one speculative load.  Frozen, so
+    policies hand out shared instances.
 
     ``invisible`` implements InvisiSpec-style speculation: the load
     executes (data returns, dependents proceed) but leaves *no trace* in
@@ -790,16 +792,13 @@ class Pipeline:
             return self.memory.load(pa), done, done
         policy = self.policy
         inst_va = func.va_of(idx)
-        l1_hit = hierarchy.is_l1d_hit(pa)
         journal = INSTRUMENTS.journal
         if journal is not None:
             ev.set_site(t, context.context_id, inst_va, func.name,
                         policy.name)
         decision = policy.check_load(LoadQuery(
-            inst_va=inst_va, load_va=va, load_pa=pa,
-            context_id=context.context_id, domain=context.domain,
-            speculative=True, transient=False, tainted=src_taint > t,
-            l1_hit=l1_hit))
+            inst_va, va, pa, context.context_id, context.domain, False,
+            src_taint > t, hierarchy.is_l1d_hit(pa)))
         if not decision.allow:
             # Stall to the visibility point: no older instruction can
             # squash the load once all in-flight predictions resolve.
@@ -1044,15 +1043,14 @@ class Pipeline:
                     result.transient_loads_executed += 1
                     idx += 1
                     continue
+                inst_va = func.va_of(idx)
                 if journal is not None:
-                    ev.set_site(clock, context.context_id, func.va_of(idx),
+                    ev.set_site(clock, context.context_id, inst_va,
                                 func.name, self.policy.name)
                 decision = self.policy.check_load(LoadQuery(
-                    inst_va=func.va_of(idx), load_va=va, load_pa=pa,
-                    context_id=context.context_id, domain=context.domain,
-                    speculative=True, transient=True,
-                    tainted=op.src1 in shadow_taint,
-                    l1_hit=self.hierarchy.is_l1d_hit(pa)))
+                    inst_va, va, pa, context.context_id, context.domain,
+                    True, op.src1 in shadow_taint,
+                    self.hierarchy.is_l1d_hit(pa)))
                 if decision.allow:
                     if not decision.invisible:
                         # The cache fill IS the covert-channel transmit;
@@ -1075,7 +1073,7 @@ class Pipeline:
                         journal.emit(
                             "blocked-leak", cycle=clock,
                             context=context.context_id,
-                            pc=func.va_of(idx), kernel_fn=func.name,
+                            pc=inst_va, kernel_fn=func.name,
                             reason=decision.reason or self.policy.name,
                             scheme=self.policy.name)
             elif kind is Op.STORE:

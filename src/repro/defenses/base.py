@@ -9,6 +9,7 @@ source uniformly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from repro.cpu.pipeline import LoadDecision, LoadQuery, SpeculationPolicy
@@ -31,6 +32,12 @@ class FenceStats:
         self.by_reason.clear()
 
 
+@functools.cache
+def _blocked(reason: str, extra_latency: float) -> LoadDecision:
+    """The one shared blocking decision per (reason, extra latency)."""
+    return LoadDecision(False, reason, extra_latency)
+
+
 class CountingPolicy(SpeculationPolicy):
     """Base class recording a fence event per blocking decision."""
 
@@ -40,7 +47,7 @@ class CountingPolicy(SpeculationPolicy):
     def block(self, reason: str,
               extra_latency: float = 0.0) -> LoadDecision:
         self.fence_stats.record(reason)
-        return LoadDecision(False, reason=reason, extra_latency=extra_latency)
+        return _blocked(reason, extra_latency)
 
     def reset_stats(self) -> None:
         self.fence_stats.reset()

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from repro.core.dsvmt import WALK_LATENCY
 from repro.core.framework import Perspective
-from repro.core.hardware import REFILL_LATENCY, isv_block_of
+from repro.core.hardware import ISV_BLOCK_BYTES, REFILL_LATENCY
 from repro.obs import events as ev
 from repro.reliability.faultplane import DSVMTWalkFault
 from repro.cpu.pipeline import LoadDecision, LoadQuery
@@ -77,63 +77,59 @@ class PerspectivePolicy(CountingPolicy):
 
     def check_load(self, query: LoadQuery) -> LoadDecision:
         ctx = query.context_id
+        framework = self.framework
         if self.enforce_isv:
-            decision = self._check_isv(ctx, query)
-            if decision is not None:
-                return decision
+            isv, pages = self._views_for(ctx)
+            if isv is None:
+                # No view installed: nothing is trusted speculatively.
+                return self._untrusted("isv", "isv-miss", "no-view")
+            inst_va = query.inst_va
+            block_key = inst_va // ISV_BLOCK_BYTES
+            cached = framework.isv_cache.lookup(ctx, block_key)
+            if cached is None:
+                return self._isv_refill(ctx, pages, inst_va, block_key)
+            if not cached:
+                return self._untrusted("isv", "isv-miss", "untrusted")
         if self.enforce_dsv:
-            decision = self._check_dsv(ctx, query)
-            if decision is not None:
-                return decision
+            frame = query.load_pa >> PAGE_SHIFT
+            if self.treat_unknown_as_owned \
+                    and framework.dsv_registry.owner_of(frame) is None:
+                return LoadDecision.ALLOW
+            cached = framework.dsv_cache.lookup(ctx, frame)
+            if cached is None:
+                return self._dsv_walk(ctx, frame)
+            if not cached:
+                return self._untrusted("dsv", "dsv-ownership-miss",
+                                       "cached")
         return LoadDecision.ALLOW
 
-    # -- ISV side ---------------------------------------------------------
+    def _untrusted(self, view: str, event: str, reason: str) -> LoadDecision:
+        """Block a load its view does not trust."""
+        ev.emit_here(event, reason=reason)
+        return self.block(view)
 
-    def _check_isv(self, ctx: int, query: LoadQuery) -> LoadDecision | None:
-        isv, pages = self._views_for(ctx)
-        if isv is None:
-            # No view installed: nothing is trusted speculatively.
-            ev.emit_here("isv-miss", reason="no-view")
-            return self.block("isv")
-        cache = self.framework.isv_cache
-        block_key = isv_block_of(query.inst_va)
-        cached = cache.lookup(ctx, block_key)
-        if cached is None:
-            # Conservative block on miss; refill from the bitmap page.
-            ev.emit_here("isv-miss", reason="cache-refill")
-            bit = pages.bit_for(query.inst_va)
-            cache.fill(ctx, block_key, bit)
-            return self.block("isv", extra_latency=REFILL_LATENCY)
-        if not cached:
-            ev.emit_here("isv-miss", reason="untrusted")
-            return self.block("isv")
-        return None
+    def _isv_refill(self, ctx: int, pages, inst_va: int,
+                    block_key: int) -> LoadDecision:
+        """ISV cache miss: block conservatively and refill the entry from
+        the bitmap page."""
+        ev.emit_here("isv-miss", reason="cache-refill")
+        bit = pages.bit_for(inst_va)
+        self.framework.isv_cache.fill(ctx, block_key, bit)
+        return self.block("isv", extra_latency=REFILL_LATENCY)
 
-    # -- DSV side --------------------------------------------------------
-
-    def _check_dsv(self, ctx: int, query: LoadQuery) -> LoadDecision | None:
-        frame = query.load_pa >> PAGE_SHIFT
-        registry = self.framework.dsv_registry
-        if self.treat_unknown_as_owned \
-                and registry.owner_of(frame) is None:
-            return None
-        cache = self.framework.dsv_cache
-        cached = cache.lookup(ctx, frame)
-        if cached is None:
-            try:
-                in_view = registry.dsvmt_for(ctx).lookup(frame)
-            except DSVMTWalkFault:
-                # Fail closed: a failed walk fences the load and leaves
-                # no cache entry -- the next access re-walks.
-                return self.block("dsv", extra_latency=WALK_LATENCY)
-            if not in_view:
-                ev.emit_here("dsv-ownership-miss", reason="walk")
-            cache.fill(ctx, frame, in_view)
+    def _dsv_walk(self, ctx: int, frame: int) -> LoadDecision:
+        """DSV cache miss: block conservatively and refill the entry with
+        a DSVMT walk."""
+        try:
+            in_view = self.framework.dsv_registry.dsvmt_for(ctx).lookup(frame)
+        except DSVMTWalkFault:
+            # Fail closed: a failed walk fences the load and leaves
+            # no cache entry -- the next access re-walks.
             return self.block("dsv", extra_latency=WALK_LATENCY)
-        if not cached:
-            ev.emit_here("dsv-ownership-miss", reason="cached")
-            return self.block("dsv")
-        return None
+        if not in_view:
+            ev.emit_here("dsv-ownership-miss", reason="walk")
+        self.framework.dsv_cache.fill(ctx, frame, in_view)
+        return self.block("dsv", extra_latency=WALK_LATENCY)
 
 
 def _make_perspective(framework=None, kernel=None):

@@ -43,7 +43,7 @@ import json
 from dataclasses import dataclass, fields
 from typing import Any, Callable
 
-from repro.attacks.base import AttackResult
+from repro.attacks.base import DEFAULT_SECRET, AttackResult
 from repro.attacks.harness import ATTACKS, SCHEMES, MatrixCell, security_cell
 from repro.eval.envs import PERF_SCHEMES, RARE_EVERY
 from repro.eval.metrics import FenceBreakdown
@@ -637,7 +637,8 @@ def _conformance_assemble(params: dict[str, Any],
     for seed in params["seeds"]:
         cell = payloads[(str(seed),)]
         results.append(ConformanceResult(
-            **{**cell, "schemes": tuple(cell["schemes"])}))
+            **{**cell, "schemes": tuple(cell["schemes"]),
+               "steps": params["steps"]}))
     return results
 
 
@@ -737,7 +738,7 @@ _register(Grid(
 _register(Grid(
     name="security",
     defaults=lambda: {"attacks": list(ATTACKS), "schemes": list(SCHEMES),
-                      "secret_hex": b"K3Y!".hex()},
+                      "secret_hex": DEFAULT_SECRET.hex()},
     cells=_security_cells,
     cell=security_cell,
     assemble=_security_assemble,

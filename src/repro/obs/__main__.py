@@ -7,8 +7,9 @@ Usage::
         --scheme perspective --jsonl run.jsonl
     python -m repro.obs events --input run.jsonl --tenant 2 \\
         --since-cycle 1e4 --until-cycle 5e4   # filter a saved journal
-    python -m repro.obs profile --workload lebench \\
-        --base unsafe --scheme perspective -o outdir/
+    python -m repro.obs profile -o outdir/   # the obs-matrix grid's pair
+    python -m repro.obs profile --workload httpd \\
+        --base perspective-static --scheme perspective -o outdir/
     python -m repro.obs diff baseline.json current.json  # exit 1 on drift
 
 The committed observability snapshots (``obs_smoke``, the workload
@@ -69,11 +70,17 @@ def _events_command(args: argparse.Namespace) -> int:
 
 
 def _profile_command(args: argparse.Namespace) -> int:
-    """Differential profile: one workload, two schemes, one table."""
+    """Differential profile: one workload, two schemes, one table.  A
+    flag not given takes the ``obs-matrix`` grid's value: its first
+    workload, and its first and second scheme."""
+    from repro.exec.grids import get_grid
     from repro.obs.profile import diff_workload
 
+    row = get_grid("obs-matrix").defaults()
     try:
-        diff = diff_workload(args.workload, args.base, args.scheme,
+        diff = diff_workload(args.workload or row["workloads"][0],
+                             args.base or row["schemes"][0],
+                             args.scheme or row["schemes"][1],
                              requests=args.requests)
     except ValueError as exc:  # e.g. --base equal to --scheme
         print(exc, file=sys.stderr)
@@ -128,10 +135,15 @@ def _parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser(
         "profile", help="diff one workload under two schemes")
-    profile.add_argument("--workload", default="lebench")
-    profile.add_argument("--base", default="unsafe",
-                         help="baseline scheme (default: unsafe)")
-    profile.add_argument("--scheme", default="perspective")
+    profile.add_argument("--workload",
+                         help="default: the obs-matrix grid's first "
+                              "workload")
+    profile.add_argument("--base",
+                         help="baseline scheme (default: the obs-matrix "
+                              "grid's first scheme)")
+    profile.add_argument("--scheme",
+                         help="default: the obs-matrix grid's second "
+                              "scheme")
     profile.add_argument("--requests", type=int, default=None,
                          help="requests per app-workload run (default: "
                               "the obs-matrix grid's)")

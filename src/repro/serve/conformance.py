@@ -314,15 +314,21 @@ class ConformanceResult:
     minimized: list[TraceStep] | None = None
     #: Whether the block-JIT check ran too (``--cache-parity``).
     cache_parity: bool = False
+    #: Syscalls in the seed's trace (``--steps``).  The cell payload
+    #: leaves it out: the grid's params carry it.
+    steps: int | None = None
 
     def repro(self) -> str:
-        """A copy-pasteable reproduction recipe for a divergence."""
+        """A copy-pasteable reproduction recipe for a divergence: the
+        run's flags, with ``--seeds N,`` selecting seed N alone."""
         trace = self.minimized
-        flag = " --cache-parity" if self.cache_parity else ""
+        flags = " --cache-parity" if self.cache_parity else ""
+        if self.steps is not None:
+            flags += f" --steps {self.steps}"
         lines = [f"# conformance divergence at seed {self.seed}: "
                  f"{self.divergences}",
-                 f"PYTHONPATH=src python -m repro.serve conformance{flag} "
-                 f"--seeds {self.seed}"]
+                 f"PYTHONPATH=src python -m repro.serve conformance{flags} "
+                 f"--seeds {self.seed}, --schemes {','.join(self.schemes)}"]
         if trace is not None:
             lines.append("# minimized trace "
                          f"({len(trace)} steps):")
@@ -389,7 +395,8 @@ def _check_trace(trace: list[TraceStep], seed: int,
     divergences = _compare(digests, schemes, jit)
     return ConformanceResult(seed=seed, schemes=schemes,
                              ok=not divergences, divergences=divergences,
-                             digests=digests, cache_parity=cache_parity)
+                             digests=digests, cache_parity=cache_parity,
+                             steps=len(trace))
 
 
 def minimize_divergence(trace: list[TraceStep], schemes: tuple[str, ...],
@@ -421,9 +428,11 @@ def minimize_divergence(trace: list[TraceStep], schemes: tuple[str, ...],
 def conformance_cell(seed: int, schemes: list[str], steps: int,
                      tenants: int, cache_parity: bool) -> dict[str, Any]:
     """One seed of the ``conformance`` grid: :func:`check_seed`'s result
-    as JSON."""
-    return asdict(check_seed(seed, tuple(schemes), steps, tenants,
-                             cache_parity=cache_parity))
+    as JSON, without the ``steps`` the cell's params already hold."""
+    payload = asdict(check_seed(seed, tuple(schemes), steps, tenants,
+                                cache_parity=cache_parity))
+    del payload["steps"]
+    return payload
 
 
 def run_corpus(params: dict[str, Any] | None = None,

@@ -5,10 +5,12 @@ comparator, and the trace minimizer."""
 from __future__ import annotations
 
 import json
+import shlex
 
 import pytest
 
 from repro.serve import conformance
+from repro.serve.__main__ import _parser
 from repro.serve.conformance import (
     CONFORMANCE_SCHEMES,
     ConformanceResult,
@@ -237,4 +239,17 @@ class TestCacheParity:
                                 divergences={"unsafe": ["cycles"]},
                                 cache_parity=True)
         assert "--cache-parity" in bad.repro()
-        assert "--seeds 4" in bad.repro()
+        assert "--seeds 4," in bad.repro()
+
+    def test_repro_command_reruns_the_diverging_run(self):
+        bad = ConformanceResult(seed=7, schemes=("unsafe", "fence"),
+                                ok=False, divergences={"fence": ["cycles"]},
+                                cache_parity=True, steps=9)
+        command = next(line for line in bad.repro().splitlines()
+                       if not line.startswith("#"))
+        argv = shlex.split(command)
+        args = _parser().parse_args(argv[argv.index("repro.serve") + 1:])
+        assert args.seeds == [7]
+        assert args.steps == 9
+        assert args.schemes == ["unsafe", "fence"]
+        assert args.cache_parity

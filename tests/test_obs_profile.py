@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -242,6 +243,25 @@ class TestCli:
             assert folded.read_text().splitlines()
             payload = json.loads(trace.read_text())
             assert payload["traceEvents"]
+
+    def test_profile_flags_default_to_the_obs_matrix_row(self, monkeypatch):
+        from repro.exec import grids
+        from repro.obs import profile
+        from repro.obs.__main__ import main
+        row = {"workloads": ["httpd"], "schemes": ["fence", "stt"]}
+        monkeypatch.setattr(grids, "get_grid", lambda name: SimpleNamespace(
+            defaults=lambda: row if name == "obs-matrix" else None))
+        calls = []
+
+        def fake_diff(*args, requests):
+            calls.append(args)
+            raise ValueError("not run")
+
+        monkeypatch.setattr(profile, "diff_workload", fake_diff)
+        assert main(["profile"]) == 2
+        assert main(["profile", "--scheme", "perspective"]) == 2
+        assert calls == [("httpd", "fence", "stt"),
+                         ("httpd", "fence", "perspective")]
 
     def test_profile_of_one_scheme_against_itself_exits_2(self, capsys):
         from repro.obs.__main__ import main

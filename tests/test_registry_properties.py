@@ -57,7 +57,6 @@ QUERIES = st.builds(
     load_pa=st.integers(min_value=0, max_value=(1 << 28) - 1),
     context_id=st.integers(min_value=0, max_value=4),
     domain=st.sampled_from(("user", "kernel")),
-    speculative=st.just(True),
     transient=st.booleans(),
     tainted=st.booleans(),
     l1_hit=st.booleans(),
@@ -114,7 +113,7 @@ class TestCapabilityConsistency:
             decision = policy.check_load(
                 LoadQuery(query.inst_va, query.load_va, query.load_pa,
                           query.context_id, query.domain,
-                          speculative=True, transient=True,
+                          transient=True,
                           tainted=query.tainted, l1_hit=False))
             installs_line = decision.allow and not decision.invisible
             assert not installs_line, scheme

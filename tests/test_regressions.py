@@ -17,8 +17,7 @@ from repro.defenses import PerspectivePolicy
 def query(**overrides) -> LoadQuery:
     defaults = dict(inst_va=0xFFFF_F000_0000_0000, load_va=0x1000,
                     load_pa=0x1000, context_id=1, domain="kernel",
-                    speculative=True, transient=False, tainted=False,
-                    l1_hit=False)
+                    transient=False, tainted=False, l1_hit=False)
     defaults.update(overrides)
     return LoadQuery(**defaults)
 
