@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.kernel import slab as slab_mod
 from repro.kernel.buddy import BuddyAllocator
+from repro.kernel.layout import PAGE_SIZE, pa_of_frame
 from repro.kernel.slab import (
     SIZE_CLASSES,
     SecureSlabAllocator,
@@ -157,3 +161,116 @@ class TestSecureSlab:
             slab.kfree(pa)
         assert slab.live_objects() == 0
         assert slab.active_bytes() == 0
+
+
+# ----------------------------------------------------------------------
+# Differential test against the scanning slab page
+# ----------------------------------------------------------------------
+
+
+@dataclasses.dataclass
+class ScanningSlabPage:
+    """Reference slab page: claims the lowest free slot by scanning up
+    from slot 0."""
+
+    frame: int
+    size_class: int
+    used: dict[int, int | None] = dataclasses.field(default_factory=dict)
+
+    @property
+    def slots(self) -> int:
+        return PAGE_SIZE // self.size_class
+
+    @property
+    def is_full(self) -> bool:
+        return len(self.used) == self.slots
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.used
+
+    def alloc_slot(self, owner: int | None) -> int:
+        for slot in range(self.slots):
+            if slot not in self.used:
+                self.used[slot] = owner
+                return pa_of_frame(self.frame) + slot * self.size_class
+        raise RuntimeError("alloc_slot on a full slab page")
+
+    def free_slot(self, slot: int) -> None:
+        del self.used[slot]
+
+
+#: ``kmalloc`` of one size (one past the largest class included) by one
+#: of three owner slots; ``fill`` allocates a page's worth of one class,
+#: so the page in use fills; ``kfree`` frees one live object; ``drain``
+#: frees every live object on one live object's page, so it empties.
+_slab_steps = st.lists(st.one_of(
+    st.tuples(st.just("kmalloc"),
+              st.integers(8, SIZE_CLASSES[-1]) | st.just(SIZE_CLASSES[-1] + 1),
+              st.integers(0, 2)),
+    st.tuples(st.just("fill"), st.sampled_from(SIZE_CLASSES),
+              st.integers(0, 2)),
+    st.tuples(st.just("kfree"), st.integers(0, 1 << 16)),
+    st.tuples(st.just("drain"), st.integers(0, 1 << 16)),
+), max_size=30)
+
+
+def _observed(slab) -> tuple:
+    return (dataclasses.asdict(slab.stats), slab.utilization(),
+            slab.collocated_owner_pairs())
+
+
+def check_against_scanning_page(cls, n_owners: int, steps) -> None:
+    slab = cls(BuddyAllocator(512, 0))
+    reference = cls(BuddyAllocator(512, 0))
+
+    def on_both(method: str, *args):
+        outcomes = []
+        for allocator, page in ((slab, slab_mod.SlabPage),
+                                (reference, ScanningSlabPage)):
+            with mock.patch.object(slab_mod, "SlabPage", page):
+                try:
+                    outcomes.append(getattr(allocator, method)(*args))
+                except ValueError as exc:
+                    outcomes.append(repr(exc))
+        assert outcomes[0] == outcomes[1], (method, args)
+        return outcomes[0]
+
+    live: list[int] = []
+    for step in steps:
+        kind = step[0]
+        if kind in ("kmalloc", "fill"):
+            size, owner = step[1], 1 + step[2] % n_owners
+            count = PAGE_SIZE // size if kind == "fill" else 1
+            for _ in range(count):
+                pa = on_both("kmalloc", size, owner)
+                if isinstance(pa, int):
+                    live.append(pa)
+        elif live:
+            victim = live[step[1] % len(live)]
+            doomed = [pa for pa in live if pa // PAGE_SIZE
+                      == victim // PAGE_SIZE] if kind == "drain" \
+                else [victim]
+            for pa in doomed:
+                on_both("kfree", pa)
+                live.remove(pa)
+        assert _observed(slab) == _observed(reference), step
+
+
+class TestAgainstScanningPage:
+    """Both allocators against themselves built on the scanning page:
+    the same addresses, ``SlabStats``, utilization and collocated lines
+    after every step."""
+
+    @pytest.mark.parametrize("cls", [SlabAllocator, SecureSlabAllocator])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n_owners=st.integers(1, 3), steps=_slab_steps)
+    def test_matches_scanning_page(self, cls, n_owners, steps):
+        check_against_scanning_page(cls, n_owners, steps)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("cls", [SlabAllocator, SecureSlabAllocator])
+    @settings(max_examples=1000, deadline=None)
+    @given(n_owners=st.integers(1, 3), steps=_slab_steps)
+    def test_matches_scanning_page_large(self, cls, n_owners, steps):
+        check_against_scanning_page(cls, n_owners, steps)
