@@ -89,6 +89,7 @@ the serve dashboard.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right, insort
 
 from repro.cpu.branch import ConditionalPredictor
 from repro.cpu.cache import CacheHierarchy, SetAssociativeCache
@@ -387,24 +388,19 @@ def _emit_tlb(w: _SegmentWriter, consts: dict, charge: bool,
 
 
 def _emit_spec_prune(w: _SegmentWriter, depth: int = 0) -> None:
-    """Inline ``_spec_until``: ``su`` = latest unresolved prediction
-    after ``t`` (0.0 if none), pruning resolved entries.  The scan
-    allocates nothing in the common no-prune case; when entries have
-    resolved, a second order-preserving pass rebuilds the list -- the
-    same final contents the interpreter's single filtering pass leaves.
+    """Inline ``Pipeline._spec_until``: ``su`` = latest unresolved
+    prediction after ``t`` (0.0 if none), dropping the resolved entries.
+    The list is ascending, so ``su`` is its last entry and the resolved
+    entries are a prefix: the whole list when ``su <= t``, else cut with
+    one ``bisect_right`` only when the first entry has resolved.
     """
     w.emit("if unresolved:", depth)
-    w.emit("su = 0.0", depth + 1)
-    w.emit("_np = 0", depth + 1)
-    w.emit("for _r in unresolved:", depth + 1)
-    w.emit("if _r > t:", depth + 2)
-    w.emit("if _r > su:", depth + 3)
-    w.emit("su = _r", depth + 4)
-    w.emit("else:", depth + 2)
-    w.emit("_np += 1", depth + 3)
-    w.emit("if _np:", depth + 1)
-    w.emit("unresolved[:] = [_r for _r in unresolved if _r > t]",
-           depth + 2)
+    w.emit("su = unresolved[-1]", depth + 1)
+    w.emit("if su <= t:", depth + 1)
+    w.emit("unresolved.clear()", depth + 2)
+    w.emit("su = 0.0", depth + 2)
+    w.emit("elif unresolved[0] <= t:", depth + 1)
+    w.emit("del unresolved[:_br(unresolved, t)]", depth + 2)
     w.emit("else:", depth)
     w.emit("su = 0.0", depth + 1)
 
@@ -619,9 +615,8 @@ def _emit_segment(body: list[MicroOp], dec: DecodedBody, start: int,
             def mispredict(pred_taken: bool, depth: int) -> None:
                 wrong = op.target if pred_taken else j + 1
                 emit("result.mispredictions += 1", depth)
-                emit(f"_rt(func, {wrong}, regs, unresolved, clock,"
-                     " resolve, context, translate, result,"
-                     " taint_until=taint_until)", depth)
+                emit(f"_rt(func, {wrong}, regs, clock, resolve, context,"
+                     " translate, result, taint_until=taint_until)", depth)
                 emit(f"clock = resolve + {penalty}", depth)
 
             # predict = counter >= 2; the update's saturating write
@@ -629,7 +624,7 @@ def _emit_segment(body: list[MicroOp], dec: DecodedBody, start: int,
             emit("if _actual:")
             emit(f"_bc[{bi}] = _c + 1 if _c < 3 else 3", 1)
             emit(f"if _c >= {consts['bp_weak']}:", 1)
-            emit("unresolved.append(resolve)", 2)
+            emit("_ins(unresolved, resolve)", 2)
             emit("else:", 1)
             mispredict(pred_taken=False, depth=2)
             emit("else:")
@@ -637,7 +632,7 @@ def _emit_segment(body: list[MicroOp], dec: DecodedBody, start: int,
             emit(f"if _c >= {consts['bp_weak']}:", 1)
             mispredict(pred_taken=True, depth=2)
             emit("else:", 1)
-            emit("unresolved.append(resolve)", 2)
+            emit("_ins(unresolved, resolve)", 2)
             emit("rob_append(resolve)")
 
         else:  # pragma: no cover - spans never include other kinds
@@ -674,8 +669,8 @@ def generate_source(body: list[MicroOp], dec: DecodedBody,
     pipelines with identical configuration.
     """
     out = [
-        "def make_region(_fd, _rt, _sl, _PF, _i1w, _i1s, _d1w, _d1s, _l2w,"
-        " _l2s, _tl, _ts, _md, _bc):",
+        "def make_region(_fd, _rt, _sl, _PF, _ins, _br, _i1w, _i1s, _d1w,"
+        " _d1s, _l2w, _l2s, _tl, _ts, _md, _bc):",
         "    def region(regs, reg_ready, taint_until, unresolved, rob,"
         " clock, last_fetch_line, result, translate, facc, func,"
         " context, _stt, _dml, _dmh, idx, _fr, _mc, _tks, _tk):",
@@ -762,7 +757,7 @@ class BlockCache:
         hierarchy = pipeline.hierarchy
         self._bindings = (
             hierarchy.flush_data, pipeline._run_transient,
-            pipeline._spec_load, PageFault,
+            pipeline._spec_load, PageFault, insort, bisect_right,
             hierarchy.l1i._sets, hierarchy.l1i.stats,
             hierarchy.l1d._sets, hierarchy.l1d.stats,
             hierarchy.l2._sets, hierarchy.l2.stats,

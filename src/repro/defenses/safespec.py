@@ -34,6 +34,10 @@ class SafeSpecPolicy(CountingPolicy):
     #: Much cheaper than InvisiSpec's replay round-trip (10.0): the
     #: shadow cache already holds the line; commit is a local transfer.
     SHADOW_COMMIT_LATENCY = 2.0
+    #: The one decision every speculative load gets.
+    DECISION = LoadDecision(True, reason="shadow-fill",
+                            extra_latency=SHADOW_COMMIT_LATENCY,
+                            invisible=True)
 
     def __init__(self) -> None:
         super().__init__()
@@ -53,9 +57,7 @@ class SafeSpecPolicy(CountingPolicy):
             self.shadow_squashes += 1
         else:
             self.shadow_commits += 1
-        return LoadDecision(True, reason="shadow-fill",
-                            extra_latency=self.SHADOW_COMMIT_LATENCY,
-                            invisible=True)
+        return self.DECISION
 
     def reset_stats(self) -> None:
         super().reset_stats()

@@ -70,12 +70,13 @@ class InvisiSpecPolicy(CountingPolicy):
 
     #: Replay round-trip at the visibility point (validation or reload).
     REPLAY_LATENCY = 10.0
+    #: The one decision every speculative load gets.
+    DECISION = LoadDecision(True, reason="invisible",
+                            extra_latency=REPLAY_LATENCY, invisible=True)
 
     def check_load(self, query: LoadQuery) -> LoadDecision:
         self.fence_stats.record("invisible")
-        return LoadDecision(True, reason="invisible",
-                            extra_latency=self.REPLAY_LATENCY,
-                            invisible=True)
+        return self.DECISION
 
 
 class STTPolicy(CountingPolicy):

@@ -13,7 +13,9 @@ sensitivity benchmarks).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from repro.kernel.buddy import BuddyAllocator, OutOfMemory
 from repro.kernel.layout import PAGE_SIZE, pa_of_frame
@@ -24,10 +26,10 @@ SIZE_CLASSES = (8, 16, 32, 64, 96, 128, 192, 256, 512, 1024, 2048, 4096)
 
 def size_class_for(size: int) -> int:
     """Smallest size class that fits ``size`` bytes."""
-    for cls in SIZE_CLASSES:
-        if size <= cls:
-            return cls
-    raise ValueError(f"kmalloc size {size} exceeds largest size class")
+    index = bisect_left(SIZE_CLASSES, size)
+    if index == len(SIZE_CLASSES):
+        raise ValueError(f"kmalloc size {size} exceeds largest size class")
+    return SIZE_CLASSES[index]
 
 
 @dataclass
@@ -38,6 +40,10 @@ class SlabPage:
     size_class: int
     #: slot index -> owner id, for occupied slots.
     used: dict[int, int | None] = field(default_factory=dict)
+    #: High-water mark: no slot at or above it has been claimed yet.
+    top: int = 0
+    #: Freed slots below ``top``, a min-heap.
+    freed: list[int] = field(default_factory=list)
 
     @property
     def slots(self) -> int:
@@ -52,15 +58,24 @@ class SlabPage:
         return not self.used
 
     def alloc_slot(self, owner: int | None) -> int:
-        """Claim the lowest free slot; returns the object's physical addr."""
-        for slot in range(self.slots):
-            if slot not in self.used:
-                self.used[slot] = owner
-                return pa_of_frame(self.frame) + slot * self.size_class
-        raise RuntimeError("alloc_slot on a full slab page")
+        """Claim the lowest free slot; returns the object's physical addr.
+
+        Every slot at or above ``top`` is free, so the lowest free slot is
+        the least freed one below it, else ``top`` itself.
+        """
+        if self.freed:
+            slot = heappop(self.freed)
+        elif self.top < self.slots:
+            slot = self.top
+            self.top += 1
+        else:
+            raise RuntimeError("alloc_slot on a full slab page")
+        self.used[slot] = owner
+        return pa_of_frame(self.frame) + slot * self.size_class
 
     def free_slot(self, slot: int) -> None:
         del self.used[slot]
+        heappush(self.freed, slot)
 
     def owners_on_line(self, line_pa: int) -> set[int | None]:
         """Distinct owners of live objects on the 64-byte line at line_pa."""

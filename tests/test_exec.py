@@ -194,10 +194,18 @@ class TestFingerprint:
     def test_edit_inside_closure_changes_fingerprint(self, monkeypatch):
         roots = ("repro.eval.runner",)
         original = fp_mod._module_source
+        # Each module is read from disk once, so a source file that
+        # changes while the test runs moves all three variants or none.
+        sources: dict[str, bytes | None] = {}
+
+        def read_once(module):
+            if module not in sources:
+                sources[module] = original(module)
+            return sources[module]
 
         def edited(target):
             def src(module):
-                data = original(module)
+                data = read_once(module)
                 if module == target and data is not None:
                     return data + b"\n# edited\n"
                 return data
@@ -211,7 +219,7 @@ class TestFingerprint:
             finally:
                 fp_mod.clear_caches()
 
-        baseline = fingerprint_with(original)
+        baseline = fingerprint_with(read_once)
         inside = fingerprint_with(edited("repro.cpu.pipeline"))
         outside = fingerprint_with(edited("repro.reliability.campaign"))
         monkeypatch.setattr(fp_mod, "_module_source", original)
