@@ -116,3 +116,73 @@ class TestEligibility:
         assert on == off
         assert on[0].kernel_cycles > 0
         assert on_kernel.pipeline._blockcache is None
+
+
+def _lebench_kernel(image):
+    """A fresh ``make_env("lebench", "perspective")`` kernel with the
+    block JIT on (the profiling boot itself interprets)."""
+    from repro.eval.envs import make_env
+
+    env = make_env("lebench", "perspective", image=image)
+    env.kernel.pipeline.config.enable_block_cache = True
+    return env
+
+
+def _suite_state(env, roi) -> dict:
+    """What one LEBench suite leaves behind: ROI cycles, architectural
+    memory, TLB/L1/L2 counters and the block cache's accounting."""
+    kernel = env.kernel
+    pipe = kernel.pipeline
+    cache = pipe._blockcache
+    state = {"roi": roi, "memory": kernel.memory.digest(),
+             "tlb": (pipe.tlb.stats.hits, pipe.tlb.stats.misses),
+             "blockcache": (cache.hits, cache.misses,
+                            dict(sorted(cache.miss_reasons.items())),
+                            cache.compiled_functions,
+                            cache.compiled_blocks)}
+    for name in ("l1i", "l1d", "l2"):
+        stats = getattr(pipe.hierarchy, name).stats
+        state[name] = (stats.hits, stats.misses, stats.fills,
+                       stats.evictions)
+    return state
+
+
+class TestFreshKernelBinding:
+    """A kernel booted over an image another kernel already ran binds
+    that kernel's compiled regions: the same suite gives the same
+    numbers, and binding needs no codegen, block rescan or re-hash."""
+
+    @pytest.fixture(scope="class")
+    def first(self, image):
+        from repro.workloads.lebench import run_lebench
+
+        env = _lebench_kernel(image)
+        return _suite_state(env, run_lebench(env.kernel, env.proc,
+                                             rare_every=4))
+
+    def test_second_kernel_matches_first(self, image, first):
+        from repro.workloads.lebench import run_lebench
+
+        env = _lebench_kernel(image)
+        roi = run_lebench(env.kernel, env.proc, rare_every=4)
+        assert _suite_state(env, roi) == first
+        assert first["blockcache"][3] > 0
+
+    def test_second_kernel_binds_without_codegen(self, image, first,
+                                                 monkeypatch):
+        import hashlib
+
+        from repro.cpu import blockcache
+        from repro.workloads.lebench import run_lebench
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cached region was regenerated")
+
+        env = _lebench_kernel(image)
+        with monkeypatch.context() as patch:
+            for owner, name in ((blockcache, "generate_source"),
+                                (blockcache, "block_spans"),
+                                (hashlib, "sha256")):
+                patch.setattr(owner, name, refuse)
+            roi = run_lebench(env.kernel, env.proc, rare_every=4)
+        assert _suite_state(env, roi) == first

@@ -7,14 +7,21 @@ determinism under tenant reorder, cross-shard conservation)."""
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.kernel.image import shared_image
 from repro.serve import ServeConfig, percentile, run_serve
-from repro.serve.arrival import arrival_stream, tenant_arrivals
+from repro.serve.arrival import (
+    DEFAULT_STREAM,
+    Arrival,
+    arrival_stream,
+    tenant_arrivals,
+)
 from repro.serve.engine import Placer, static_placement
 
 
@@ -34,6 +41,24 @@ def reference_percentile(values: list[float], q: float) -> float:
 
 floats = st.floats(min_value=-1e9, max_value=1e9,
                    allow_nan=False, allow_infinity=False)
+
+
+def keyed_merge(seed: int, tenants: int, requests: int, mean: float,
+                stream: str):
+    """The reference schedule: the per-tenant streams merged on an
+    explicit ``(cycle, tenant, seq)`` key function."""
+    return heapq.merge(
+        *(tenant_arrivals(seed, tenant, requests, mean, stream=stream)
+          for tenant in range(tenants)),
+        key=lambda a: (a.cycle, a.tenant, a.seq))
+
+
+#: The serving sweep's stream and the adversarial campaign's per-epoch
+#: streams (``campaign:epoch:<n>``).
+streams = st.one_of(
+    st.just(DEFAULT_STREAM),
+    st.integers(min_value=0, max_value=64).map(
+        lambda epoch: f"campaign:epoch:{epoch}"))
 
 
 class TestPercentileProperties:
@@ -97,6 +122,40 @@ class TestArrivalProperties:
         cycles = [a.cycle for a in arr]
         assert all(x < y for x, y in zip(cycles, cycles[1:]))
         assert all(math.isfinite(c) and c > 0 for c in cycles)
+
+    @given(st.integers(min_value=0, max_value=10_000),
+           st.integers(min_value=1, max_value=6),
+           st.integers(min_value=0, max_value=40),
+           st.floats(min_value=1.0, max_value=1e6),
+           streams)
+    @settings(max_examples=150, deadline=None)
+    def test_stream_equals_keyed_merge(self, seed, tenants, requests,
+                                       mean, stream):
+        # The merged schedule is the keyed merge arrival for arrival:
+        # same arrivals, same order, same field values.
+        got = list(arrival_stream(seed, tenants, requests, mean,
+                                  stream=stream))
+        want = list(keyed_merge(seed, tenants, requests, mean, stream))
+        assert got == want
+        assert [(a.cycle, a.tenant, a.seq) for a in got] == \
+            [(a.cycle, a.tenant, a.seq) for a in want]
+        assert all(type(a) is Arrival for a in got)
+
+    def test_arrival_record(self):
+        # The record the engine, the campaign and the traces rely on:
+        # keyword construction, field access, value equality, a hash
+        # equal to its fields' tuple, the field-naming repr, immutability.
+        arr = Arrival(cycle=1.5, tenant=2, seq=3)
+        assert (arr.cycle, arr.tenant, arr.seq) == (1.5, 2, 3)
+        assert arr == Arrival(cycle=1.5, tenant=2, seq=3)
+        assert arr != Arrival(cycle=1.5, tenant=2, seq=4)
+        assert arr != Arrival(cycle=1.5, tenant=1, seq=3)
+        assert hash(arr) == hash(Arrival(cycle=1.5, tenant=2, seq=3)) \
+            == hash((1.5, 2, 3))
+        assert len({arr, Arrival(cycle=1.5, tenant=2, seq=3)}) == 1
+        assert repr(arr) == "Arrival(cycle=1.5, tenant=2, seq=3)"
+        with pytest.raises(AttributeError):
+            arr.cycle = 2.0
 
 
 class TestBackpressureConservation:
