@@ -691,29 +691,39 @@ def generate_source(body: list[MicroOp], dec: DecodedBody,
     return "\n".join(out) + "\n"
 
 
-#: Compiled code objects shared process-wide, keyed by source digest --
-#: identical source is identical behaviour, so the content hash of the
-#: generated code *is* the content hash of the region.
+#: Region factories (each source's ``make_region``) shared process-wide,
+#: keyed by source digest -- identical source is identical behaviour, so
+#: the content hash of the generated code *is* the content hash of the
+#: region, and identical source generated for another image's function
+#: is not compiled again.
 _CODE_CACHE: dict[str, object] = {}
 
-#: Generated source shared process-wide, so short-lived pipelines over a
-#: shared image (e.g. one kernel per serve cell) do not re-run codegen
-#: for the same functions.  Keyed by function identity, decode version,
-#: placement, and the baked-in config constants; the value pins a strong
-#: reference to the function so its ``id`` can never be reused while the
-#: entry lives.  Grows with the set of distinct compiled functions, like
-#: ``_CODE_CACHE``.
-_SOURCE_CACHE: dict[tuple, tuple[object, str]] = {}
+#: Compiled regions shared process-wide, so short-lived pipelines over a
+#: shared image (e.g. one kernel per serve cell) bind them without
+#: codegen, block rescan or re-hash.  Keyed by function identity, decode
+#: version, placement, and the baked-in config constants; the value pins
+#: a strong reference to the function (so its ``id`` can never be reused
+#: while the entry lives), the region's source digest and its block
+#: leaders (empty when nothing compiles).  The source itself is dropped
+#: once compiled.  Grows with the set of distinct compiled functions,
+#: like ``_CODE_CACHE``.
+_SOURCE_CACHE: dict[tuple, tuple[Function, str, tuple[int, ...]]] = {}
 
 
-def _factory_for(source: str, digest: str):
-    code = _CODE_CACHE.get(digest)
-    if code is None:
-        code = compile(source, f"<region:{digest[:12]}>", "exec")
-        _CODE_CACHE[digest] = code
-    namespace: dict = {}
-    exec(code, namespace)
-    return namespace["make_region"]
+def _compile_region(body: list[MicroOp], dec: DecodedBody, consts: dict,
+                    ) -> tuple[str, tuple[int, ...]]:
+    """Generate, hash and compile one function's region: its source
+    digest and block leaders (no digest when nothing compiles)."""
+    spans = block_spans(body)
+    if not spans:
+        return "", ()
+    source = generate_source(body, dec, spans, consts)
+    digest = hashlib.sha256(source.encode()).hexdigest()
+    if digest not in _CODE_CACHE:
+        namespace: dict = {}
+        exec(compile(source, f"<region:{digest[:12]}>", "exec"), namespace)
+        _CODE_CACHE[digest] = namespace["make_region"]
+    return digest, tuple(start for start, _end, _term in spans)
 
 
 class CompiledRegion:
@@ -726,7 +736,7 @@ class CompiledRegion:
 
     __slots__ = ("fn", "tokens", "slot_of", "digest", "n_blocks")
 
-    def __init__(self, fn, leaders: list[int], digest: str) -> None:
+    def __init__(self, fn, leaders: tuple[int, ...], digest: str) -> None:
         self.fn = fn
         # Armed COLD: every block's first arrival re-interprets once
         # (a cold miss) before arm() installs the live epoch token.
@@ -832,53 +842,44 @@ class BlockCache:
 
     # -- compilation ---------------------------------------------------
 
-    def index_for(self, func: Function) -> dict[int, CompiledRegion]:
-        """The region index for ``func``, rebuilt when its decode is
-        stale.
+    def index_for(self, func: Function,
+                  ) -> tuple[DecodedBody, dict[int, CompiledRegion]]:
+        """The decode of ``func`` and its region index, both rebuilt when
+        the decode is stale.
 
         The fast path is identity + version + placement checks only --
-        this runs on every CALL/ICALL/RET transition, so it must not
-        rebuild (or even re-key) the decode tables.
+        this runs on every CALL/ICALL/IJMP/RET transition, so it must not
+        rebuild (or even re-key) the decode tables, and the decode it
+        returns is the one the interpreter reads after the transition.
         """
         entry = self._indexes.get(func.name)
         if entry is not None:
-            body = func.body
-            if entry[0] is body and entry[1] == getattr(body, "version", -1) \
-                    and entry[2] == func.base_va:
-                return entry[3]
+            body, dec, index = entry
+            if body is func.body and dec.version == body.version \
+                    and dec.base_va == func.base_va:
+                return dec, index
         dec = func.decoded()
         index = self._compile_function(func, dec)
         # func.body read *after* decoded(): it may have re-wrapped a
         # plain-list body into a version-tracked BodyList.
-        self._indexes[func.name] = (func.body, dec.version, dec.base_va,
-                                    index)
-        return index
-
-    def _bind(self, source: str):
-        digest = hashlib.sha256(source.encode()).hexdigest()
-        fn = self._bound.get(digest)
-        if fn is None:
-            fn = _factory_for(source, digest)(*self._bindings)
-            self._bound[digest] = fn
-        return digest, fn
+        self._indexes[func.name] = (func.body, dec, index)
+        return dec, index
 
     def _compile_function(self, func: Function,
                           dec: DecodedBody) -> dict[int, CompiledRegion]:
-        body = func.body
-        spans = block_spans(body)
-        if not spans:
-            return {}
         cfg_key = self._cfg_key if self._cfg_key is not None \
             else tuple(self._consts().items())
         src_key = (id(func), dec.version, dec.base_va, cfg_key)
         cached = _SOURCE_CACHE.get(src_key)
         if cached is None:
-            source = generate_source(body, dec, spans, self._consts())
-            _SOURCE_CACHE[src_key] = (func, source)
-        else:
-            source = cached[1]
-        digest, fn = self._bind(source)
-        leaders = [start for start, _end, _term in spans]
+            cached = _SOURCE_CACHE[src_key] = (func, *_compile_region(
+                func.body, dec, self._consts()))
+        _, digest, leaders = cached
+        if not leaders:
+            return {}
+        fn = self._bound.get(digest)
+        if fn is None:
+            fn = self._bound[digest] = _CODE_CACHE[digest](*self._bindings)
         region = CompiledRegion(fn, leaders, digest)
         self.compiled_blocks += len(leaders)
         self.compiled_functions += 1

@@ -357,7 +357,7 @@ class Pipeline:
             # journal, whose allow path they inline.
             fast_replay = self._passive_allow and INSTRUMENTS.journal is None
             stt_delays = self.policy.delays_tainted_branch_resolution()
-            blocks = bc.index_for(func)
+            dec, blocks = bc.index_for(func)
             if not blocks:
                 bc_misses += 1
                 bc_attr = {("uncompilable", func.name): 1}
@@ -491,16 +491,19 @@ class Pipeline:
                 callee = self.layout[op.callee]
                 self.branch_unit.rsb.push(dec.vas[idx + 1])
                 call_stack.append((func, idx + 1))
-                func, body, idx = callee, callee.body, 0
-                dec = callee.decoded()
+                func, idx = callee, 0
                 if bc is not None:
-                    blocks = bc.index_for(func)
+                    dec, blocks = bc.index_for(func)
                     if not blocks:
                         bc_misses += 1
                         if bc_attr is None:
                             bc_attr = {}
                         key = ("uncompilable", func.name)
                         bc_attr[key] = bc_attr.get(key, 0) + 1
+                else:
+                    dec = func.decoded()
+                # Read after the decode: it may re-wrap a plain-list body.
+                body = func.body
                 last_fetch_line = -1
                 rob.append(clock)
                 if trace is not None:
@@ -514,16 +517,18 @@ class Pipeline:
                 if kind is Op.ICALL:
                     self.branch_unit.rsb.push(dec.vas[idx + 1])
                     call_stack.append((func, idx + 1))
-                func, body, idx = new_func, new_func.body, 0
-                dec = new_func.decoded()
+                func, idx = new_func, 0
                 if bc is not None:
-                    blocks = bc.index_for(func)
+                    dec, blocks = bc.index_for(func)
                     if not blocks:
                         bc_misses += 1
                         if bc_attr is None:
                             bc_attr = {}
                         key = ("uncompilable", func.name)
                         bc_attr[key] = bc_attr.get(key, 0) + 1
+                else:
+                    dec = func.decoded()
+                body = func.body
                 last_fetch_line = -1
                 rob.append(clock)
                 if trace is not None:
@@ -537,10 +542,11 @@ class Pipeline:
                                         unresolved, clock, context,
                                         translate, result)
                 func, idx = call_stack.pop()
-                body = func.body
-                dec = func.decoded()
                 if bc is not None:
-                    blocks = bc.index_for(func)
+                    dec, blocks = bc.index_for(func)
+                else:
+                    dec = func.decoded()
+                body = func.body
                 last_fetch_line = -1
                 rob.append(clock)
                 continue

@@ -7,9 +7,10 @@ requests_per_tenant, mean_interarrival)``:
   ``random.Random`` seeded with a *string* key (string seeding hashes
   through SHA-512, so schedules do not depend on ``PYTHONHASHSEED`` or
   the process that generates them);
-* the merged schedule is sorted by ``(cycle, tenant, seq)``, so it is
-  independent of tenant iteration order and of how many
-  :mod:`repro.exec` workers later fan the sweep out.
+* the merged schedule is sorted by ``(cycle, tenant, seq)`` -- an
+  :class:`Arrival`'s own tuple order -- so it is independent of tenant
+  iteration order and of how many :mod:`repro.exec` workers later fan
+  the sweep out.
 
 Open-loop means arrivals never wait for the server (the paper's client
 tools -- ab, memslap, redis-benchmark -- are closed-loop, but open-loop
@@ -21,14 +22,16 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from random import Random
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
-@dataclass(frozen=True)
-class Arrival:
-    """One offered request: when, from whom, and its per-tenant index."""
+class Arrival(NamedTuple):
+    """One offered request: when, from whom, and its per-tenant index.
+
+    A tuple, so arrivals compare in service order, ``(cycle, tenant,
+    seq)``, without a key function.
+    """
 
     cycle: float
     tenant: int
@@ -54,13 +57,14 @@ def tenant_arrivals(seed: int, tenant: int, requests: int,
     generator, so million-request schedules stream in O(1) memory)."""
     if mean_interarrival <= 0:
         raise ValueError("mean_interarrival must be positive")
-    rng = tenant_rng(seed, tenant, stream=stream)
+    draw = tenant_rng(seed, tenant, stream=stream).random
+    log = math.log
     cycle = 0.0
     for seq in range(requests):
         # Inline inverse-CDF sampling (rather than rng.expovariate) so
         # the schedule depends only on rng.random()'s documented stream.
-        cycle += -mean_interarrival * math.log(1.0 - rng.random())
-        yield Arrival(cycle=cycle, tenant=tenant, seq=seq)
+        cycle += -mean_interarrival * log(1.0 - draw())
+        yield Arrival(cycle, tenant, seq)
 
 
 def arrival_stream(seed: int, tenants: int, requests_per_tenant: int,
@@ -69,14 +73,14 @@ def arrival_stream(seed: int, tenants: int, requests_per_tenant: int,
     """The merged multi-tenant schedule, in deterministic service order.
 
     The per-tenant streams are already cycle-sorted, so ``heapq.merge``
-    on ``(cycle, tenant, seq)`` yields the stable sort of all arrivals
-    while holding only one pending arrival per tenant in memory.
+    on the arrivals' own ``(cycle, tenant, seq)`` order yields the
+    stable sort of all arrivals while holding only one pending arrival
+    per tenant in memory.
     """
     return heapq.merge(
         *(tenant_arrivals(seed, tenant, requests_per_tenant,
                           mean_interarrival, stream=stream)
-          for tenant in range(tenants)),
-        key=lambda a: (a.cycle, a.tenant, a.seq))
+          for tenant in range(tenants)))
 
 
 def percentile(values: list[float], q: float) -> float:

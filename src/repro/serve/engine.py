@@ -78,10 +78,8 @@ from repro.kernel.kernel import MiniKernel
 from repro.kernel.process import Process
 from repro.obs import events as ev
 from repro.obs import registry as obs
-from repro.obs import slo
 from repro.obs.instruments import INSTRUMENTS
 from repro.obs.slo import LATENCY_BUCKETS
-from repro.reliability.faultplane import fire
 from repro.serve.arrival import Arrival, arrival_stream, percentile
 from repro.workloads.apps import APP_SPECS, AppState
 from repro.workloads.driver import Driver
@@ -285,6 +283,11 @@ class Placer:
         self.seen: dict[int, int] = {}
         self._decisions: dict[int, int] = {}
         self.migrations: list[Migration] = []
+        #: Re-evaluate a tenant's home every this many of its arrivals;
+        #: 0 when the policy never migrates (static policies never
+        #: change their answer).
+        self._every = (config.migrate_every
+                       if config.placement == "least-loaded" else 0)
 
     def _choose_least_loaded(self, tenant: int) -> int:
         lo = min(self.load)
@@ -309,26 +312,24 @@ class Placer:
     def route(self, arr: Arrival) -> tuple[int, Migration | None]:
         """Route one arrival; returns (shard, migration-or-None)."""
         tenant = arr.tenant
-        config = self.config
         seen = self.seen.get(tenant, 0)
-        migration = None
-        if tenant not in self.home:
-            self.home[tenant] = self._initial(tenant)
-            self._decisions[tenant] = self._decisions.get(tenant, 0) + 1
-        elif (config.migrate_every and config.placement == "least-loaded"
-                and seen % config.migrate_every == 0):
-            cur = self.home[tenant]
-            if self.load[cur] > min(self.load):
-                dst = self._choose_least_loaded(tenant)
-                self._decisions[tenant] = self._decisions.get(tenant, 0) + 1
-                if dst != cur:
-                    migration = Migration(tenant=tenant, seq=arr.seq,
-                                          src=cur, dst=dst)
-                    self.migrations.append(migration)
-                    self.home[tenant] = dst
-        shard = self.home[tenant]
-        self.load[shard] += 1
         self.seen[tenant] = seen + 1
+        shard = self.home.get(tenant)
+        migration = None
+        if shard is None:
+            shard = self.home[tenant] = self._initial(tenant)
+            self._decisions[tenant] = self._decisions.get(tenant, 0) + 1
+        elif self._every and seen % self._every == 0:
+            load = self.load
+            if load[shard] > min(load):
+                dst = self._choose_least_loaded(tenant)
+                self._decisions[tenant] += 1
+                if dst != shard:
+                    migration = Migration(tenant=tenant, seq=arr.seq,
+                                          src=shard, dst=dst)
+                    self.migrations.append(migration)
+                    shard = self.home[tenant] = dst
+        self.load[shard] += 1
         return shard, migration
 
 
@@ -342,10 +343,10 @@ def plan_placement(config: ServeConfig,
     independent :mod:`repro.exec` grid cells.
     """
     placer = Placer(config)
+    route = placer.route
     members: list[set[int]] = [set() for _ in range(config.shards)]
     for arr in config.arrivals():
-        shard, _ = placer.route(arr)
-        members[shard].add(arr.tenant)
+        members[route(arr)[0]].add(arr.tenant)
     return ([sorted(m) for m in members], placer.migrations,
             list(placer.load))
 
@@ -469,6 +470,8 @@ class TenantReport:
         self.latencies.extend(other.latencies)
 
     def as_dict(self) -> dict[str, Any]:
+        # Sorted once: percentile's own sort of a sorted list is linear.
+        ordered = sorted(self.latencies)
         return {
             "tenant": self.tenant, "profile": self.profile,
             "arrivals": self.arrivals, "admitted": self.admitted,
@@ -480,9 +483,9 @@ class TenantReport:
             "switch_cycles": self.switch_cycles,
             "fence_stall_cycles": self.fence_stall_cycles,
             "fenced_loads": dict(sorted(self.fenced_loads.items())),
-            "latency_p50": self.latency_percentile(50.0),
-            "latency_p95": self.latency_percentile(95.0),
-            "latency_p99": self.latency_percentile(99.0),
+            "latency_p50": percentile(ordered, 50.0) if ordered else 0.0,
+            "latency_p95": percentile(ordered, 95.0) if ordered else 0.0,
+            "latency_p99": percentile(ordered, 99.0) if ordered else 0.0,
             "latency_mean": (sum(self.latencies) / len(self.latencies)
                              if self.latencies else 0.0),
             "latency_max": max(self.latencies, default=0.0),
@@ -719,6 +722,7 @@ class ShardScheduler:
         rare = driver.rare_every
         key = prefix + (driver._counter % rare if rare else 0,)
         memo = self._memo.get(key)
+        reg = INSTRUMENTS.registry
         if memo is not None and self._seen.get(key, 0) >= self.memo_warmup:
             report.kernel_cycles += memo.kernel_cycles
             report.syscalls += memo.syscalls
@@ -730,7 +734,8 @@ class ShardScheduler:
             # aligned with what full interpretation would have seen.
             driver._counter += memo.driver_calls
             self.memo_replays += 1
-            obs.add("serve.memo.replays")
+            if reg is not None:
+                reg.add("serve.memo.replays")
             return memo.kernel_cycles, True
         stats = driver.stats
         cycles, syscalls, calls = \
@@ -749,7 +754,8 @@ class ShardScheduler:
                 if count != fenced_before.get(kind, 0))))
         self._seen[key] = self._seen.get(key, 0) + 1
         self.memo_interpreted += 1
-        obs.add("serve.memo.interpreted")
+        if reg is not None:
+            reg.add("serve.memo.interpreted")
         return memo.kernel_cycles, False
 
     def preload_memo(self, tables: dict[tuple, MemoRecord]) -> None:
@@ -772,8 +778,11 @@ class ShardScheduler:
 
     def dispatch(self, arr: Arrival) -> None:
         """Serve one request: charge a pending migration, switch tenants
-        if needed, run (or replay) the request, then account latency."""
-        idx = arr.tenant
+        if needed, run (or replay) the request, then account latency.
+
+        The planes are read once; an unarmed one costs an ``is None``
+        test and no hook call."""
+        cycle, idx, _ = arr
         tenant = self.tenants[idx]
         report = self.reports[idx]
         driver = tenant.driver
@@ -781,16 +790,19 @@ class ShardScheduler:
         if cold:
             self._flush_for_migration(idx, self._cold_from.pop(idx))
         phase = tenant.counter % self._periods[idx]
-        start = max(self.free_at, arr.cycle)
+        start = max(self.free_at, cycle)
         switched = self.current != idx
-        rec = INSTRUMENTS.recorder
+        ins = INSTRUMENTS
+        reg = ins.registry
+        rec = ins.recorder
+        rollup = ins.rollup
         trace = None
         if rec is not None:
             trace = self._trace_for(rec, arr)
             rec.open(trace)
             rec.record("sched", "slice", 0.0,
                        {"start_cycle": start,
-                        "queue_wait": start - arr.cycle,
+                        "queue_wait": start - cycle,
                         "switch": switched})
         memo = self.memo_mode
         before = driver.stats.kernel_cycles
@@ -809,8 +821,9 @@ class ShardScheduler:
             report.switches += 1
             report.switch_cycles += switch_cycles
             self.current = idx
-            obs.add("serve.switches")
-            obs.observe("serve.switch_cycles", switch_cycles)
+            if reg is not None:
+                reg.add("serve.switches")
+                reg.observe("serve.switch_cycles", switch_cycles)
         if memo:
             service, replayed = self._memo_cost(
                 (idx, phase, cold), tenant, report,
@@ -830,18 +843,20 @@ class ShardScheduler:
                 self.migration_excess_cycles += max(0.0, cost - warm)
         else:
             self._warm_obs[(idx, phase)] = cost
-        latency = completion - arr.cycle
+        latency = completion - cycle
         self.free_at = completion
         if completion > self.makespan:
             self.makespan = completion
         report.completed += 1
         report.latencies.append(latency)
-        obs.observe("serve.latency_cycles", latency,
-                    buckets=LATENCY_BUCKETS)
-        obs.observe(f"serve.tenant.{idx}.latency_cycles", latency,
-                    buckets=LATENCY_BUCKETS)
-        obs.add("serve.requests.completed")
-        slo.record_request(completion, latency)
+        if reg is not None:
+            reg.observe("serve.latency_cycles", latency,
+                        buckets=LATENCY_BUCKETS)
+            reg.observe(f"serve.tenant.{idx}.latency_cycles", latency,
+                        buckets=LATENCY_BUCKETS)
+            reg.add("serve.requests.completed")
+        if rollup is not None:
+            rollup.record_request(completion, latency)
         if rec is not None:
             rec.close(trace, "completed", start_cycle=start,
                       completion_cycle=completion, latency_cycles=latency)
@@ -853,22 +868,30 @@ class ShardScheduler:
     def offer(self, arr: Arrival) -> None:
         """Handle one arrival: serve whatever starts first, then admit,
         shed (queue bound), or discard (corrupt admission slot)."""
-        self.drain_until(arr.cycle)
-        report = self.reports[arr.tenant]
+        cycle, idx, _ = arr
+        self.drain_until(cycle)
+        report = self.reports[idx]
         report.arrivals += 1
-        rec = INSTRUMENTS.recorder
-        if fire("admission-queue-corrupt"):
+        ins = INSTRUMENTS
+        rec = ins.recorder
+        plane = ins.faults
+        if plane is not None \
+                and plane.should_fire("admission-queue-corrupt"):
             # The queue slot failed its integrity check: the request is
             # shed -- fail closed, a request with corrupt tenant metadata
             # is never dispatched under the wrong context's views.
             report.shed += 1
             report.corrupt_shed += 1
-            obs.add("serve.requests.shed")
-            obs.add("serve.requests.corrupt_shed")
-            obs.add(f"serve.tenant.{arr.tenant}.shed")
-            ev.emit("fault-fallback", context=arr.tenant,
+            reg = ins.registry
+            if reg is not None:
+                reg.add("serve.requests.shed")
+                reg.add("serve.requests.corrupt_shed")
+                reg.add(f"serve.tenant.{idx}.shed")
+            ev.emit("fault-fallback", context=idx,
                     reason="admission-corrupt-shed")
-            slo.record_shed(arr.cycle)
+            rollup = ins.rollup
+            if rollup is not None:
+                rollup.record_shed(cycle)
             if rec is not None:
                 trace = self._trace_for(rec, arr)
                 rec.note(trace, "admission", "corrupt-shed",
@@ -877,9 +900,13 @@ class ShardScheduler:
             return
         if self.queue_bound and len(self.waiting) >= self.queue_bound:
             report.shed += 1
-            obs.add("serve.requests.shed")
-            obs.add(f"serve.tenant.{arr.tenant}.shed")
-            slo.record_shed(arr.cycle)
+            reg = ins.registry
+            if reg is not None:
+                reg.add("serve.requests.shed")
+                reg.add(f"serve.tenant.{idx}.shed")
+            rollup = ins.rollup
+            if rollup is not None:
+                rollup.record_shed(cycle)
             if rec is not None:
                 trace = self._trace_for(rec, arr)
                 rec.note(trace, "admission", "shed",
@@ -892,7 +919,7 @@ class ShardScheduler:
             rec.note(trace, "admission", "admit",
                      queue_depth=len(self.waiting))
         if not self.waiting:
-            self._next_start = max(self.free_at, arr.cycle)
+            self._next_start = max(self.free_at, cycle)
         self.waiting.append(arr)
 
     def drain_until(self, cycle: float) -> None:
@@ -1001,8 +1028,9 @@ def serve_arrivals(config: ServeConfig,
     shard (one not booted in this process) are skipped.  Returns the
     placer, whose homes and migrations the report records."""
     placer = Placer(config)
+    route = placer.route
     for arr in config.arrivals():
-        shard, migration = placer.route(arr)
+        shard, migration = route(arr)
         sched = shards[shard]
         if sched is None:
             continue
