@@ -1,216 +1,277 @@
-"""Property-based tests (hypothesis) of the block JIT's invalidation and
-counter-conservation contracts (see ``repro.cpu.blockcache``):
+"""Property-based pins (hypothesis) of the block JIT while the
+speculation environment changes under it, and of the committed-op
+backstop with the JIT on (see ``repro.cpu.blockcache``).
 
-* a freshly compiled block's first execution re-interprets once (a
-  *cold* miss: its token slot holds the ``COLD`` sentinel) before the
-  slot is armed with the live epoch token;
-* any speculation-environment change between two executions of the same
-  block -- a policy swap, fault-point arming, or an ISV install/shrink --
-  forces the next execution of that block to re-interpret (counted as an
-  *epoch-invalidation* miss + invalidation) before it is re-armed;
-* ``hits + misses == block executions`` under *every* interleaving of
-  runs and invalidation events, i.e. invalidations convert hits into
-  misses one-for-one and never lose or double-count an execution; and
-* the per-reason miss split is conserved:
-  ``sum(miss_reasons.values()) == misses`` with
-  ``invalidations == miss_reasons["epoch-invalidation"]``.
+* **Interleavings.**  A generated program (the corpus of
+  ``tests/test_blockjit_generated.py``) runs on a kernel between the
+  changes an OS makes while it runs: a policy swap to any registered
+  scheme (armed with :func:`repro.defenses.registry.arm`), entering and
+  leaving a fault-plane scope, a run under an event journal, and an ISV
+  install or shrink.  A JIT-on kernel and its JIT-off twin see the same
+  interleaving, and after every run they agree on registers, cycles,
+  fence counts and stall cycles (the whole ``ExecResult``), the memory
+  digest, TLB/L1I/L1D/L2 statistics, the fault plane's draws and the
+  journal's JSONL.  The JIT-on twin's ``hits + misses`` also moves by
+  exactly the arrivals the interpreter makes at compiled leaders, plus
+  its entries into functions with no compiled block, so replay straight
+  after a change neither loses nor double-counts an arrival.
+* **Backstop.**  For every ``max_committed_ops`` budget across a
+  program's run, JIT on and JIT off either both raise the same "program
+  exceeded" error and leave equal memory and cache/TLB state, or both
+  return equal results.
+
+Tier-1 runs a bounded, derandomized example budget plus the explicit
+examples; ``pytest -m slow`` runs a larger random one.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+import contextlib
+import dataclasses
+import sys
+from collections import Counter
 
-from repro.core.framework import Perspective
-from repro.core.views import InstructionSpeculationView
-from repro.cpu.isa import AluOp, CodeLayout, Function, alu, br, kret, li, ret
-from repro.cpu.memsys import MainMemory
-from repro.cpu.pipeline import ExecutionContext, Pipeline, SpeculationPolicy
-from repro.defenses import PerspectivePolicy
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from repro.cpu.blockcache import block_spans
+from repro.cpu.isa import AluOp, BodyList
+from repro.cpu.pipeline import Pipeline
+from repro.defenses.registry import arm
 from repro.obs import instrumented
+from repro.obs.events import EventJournal
 from repro.reliability.faultplane import FaultPlane, FaultSpec
 
+from test_blockjit_generated import (
+    PINNED, SCHEMES, Program, _FLIP, _TRAIN, _name, _on_kernel, boot,
+    deploy, isv_of, programs,
+)
 
-def _straightline() -> tuple[Pipeline, Function]:
-    """One compiled block (leader 0), entered exactly once per run."""
-    layout = CodeLayout(0x40000, stride_ops=32)
-    func = layout.add(Function("f", [
-        li("r1", 5), li("r2", 7),
-        alu("r3", AluOp.ADD, "r1", "r2"),
-        alu("r4", AluOp.MUL, "r3", "r2"),
-        ret(),
-    ]))
-    pipeline = Pipeline(layout, MainMemory())
-    pipeline.config.enable_block_cache = True
-    return pipeline, func
+_RUN = Pipeline.run.__code__
 
 
-def _loop() -> tuple[Pipeline, Function]:
-    """A multi-block function with a loop back-edge (many arrivals/run)."""
-    layout = CodeLayout(0x40000, stride_ops=64)
-    func = layout.add(Function("f", [
-        li("r1", 9), li("r2", 3),
-        alu("r3", AluOp.ADD, "r2", "r2"),   # loop head (leader via br)
-        alu("r4", AluOp.XOR, "r3", "r1"),
-        alu("r1", AluOp.SUB, "r1", imm=1),
-        br("r1", target=2),
-        kret(),
-    ]))
-    pipeline = Pipeline(layout, MainMemory())
-    pipeline.config.enable_block_cache = True
-    return pipeline, func
+class _Fetches(BodyList):
+    """A body that counts the interpreter's committed-path fetches per
+    index: ``Pipeline.run``'s reads, not the wrong-path executor's."""
+
+    __slots__ = ("counts",)
+
+    def __init__(self, ops) -> None:
+        super().__init__(ops)
+        self.counts: Counter[int] = Counter()
+
+    def __getitem__(self, index):
+        if sys._getframe(1).f_code is _RUN:
+            self.counts[index] += 1
+        return super().__getitem__(index)
 
 
-def _counters(pipeline: Pipeline) -> tuple[int, int, int]:
-    bc = pipeline._blockcache
-    if bc is None:
-        return (0, 0, 0)
-    return (bc.hits, bc.misses, bc.invalidations)
+def _arrivals(funcs) -> int:
+    """Arrivals at compiled leaders since the last call, plus entries
+    into functions with no compiled block (only the entry reaches index
+    0 of a generated function)."""
+    total = 0
+    for func in funcs:
+        counts = func.body.counts
+        starts = [start for start, _end, _term in block_spans(func.body)]
+        total += sum(counts[s] for s in starts) if starts else counts[0]
+        counts.clear()
+    return total
 
 
-#: Invalidation events a test step may fire between runs.  Each must
-#: change one component of the block-arming epoch (policy generation /
-#: fault-plane arming generation); ISV installs are exercised separately
-#: against a full kernel below.
-_EVENTS = st.sampled_from(["run", "policy", "fault"])
+def _state(pipeline) -> dict:
+    h = pipeline.hierarchy
+    return {"memory": pipeline.memory.digest(),
+            **{name: vars(stats) for name, stats in (
+                ("tlb", pipeline.tlb.stats), ("l1i", h.l1i.stats),
+                ("l1d", h.l1d.stats), ("l2", h.l2.stats))}}
 
 
-class TestEpochInvalidation:
-    @given(st.lists(_EVENTS, min_size=1, max_size=12))
-    @settings(max_examples=60, deadline=None)
-    def test_any_bump_between_runs_forces_reinterpret(self, events):
-        """Single-block program: every run is exactly one block
-        execution, so the counter deltas are exactly predictable from
-        the event interleaving."""
-        pipeline, func = _straightline()
-        expected_hits = expected_invalidations = 0
-        expected_cold = 0
-        # A bump only invalidates state that is already memoized: the
-        # first-ever run compiles and then cold-misses (the fresh slot
-        # holds the COLD sentinel), and any bumps before that first
-        # execution have nothing to invalidate.
-        armed = False
-        bumped = False
-        baseline = None
-        for event in events:
-            if event == "policy":
-                pipeline.set_policy(SpeculationPolicy())
-                bumped = True
-            elif event == "fault":
-                # Arming (entering and leaving a scope that sets
-                # ``faults``) bumps the fault generation; memoized state
-                # from before the arming must not replay after it.
-                with instrumented(faults=FaultPlane(seed=1, specs=(
-                        FaultSpec("trace-drop", probability=0.0),))):
-                    pass
-                bumped = True
-            else:
-                result = pipeline.run(func, ExecutionContext(1))
-                if baseline is None:
-                    baseline = result.regs["r4"]
-                assert result.regs["r4"] == baseline
-                if not armed:
-                    expected_cold += 1
-                elif bumped:
-                    expected_invalidations += 1
+# ----------------------------------------------------------------------
+# Interleavings
+# ----------------------------------------------------------------------
+
+#: Armed while a ``faults`` scope is open: every point the
+#: speculative-load check can reach, firing on about half its draws.
+_SPECS = (FaultSpec("isv-cache-forced-miss", 0.5),
+          FaultSpec("isv-cache-stale", 0.5),
+          FaultSpec("dsv-cache-forced-miss", 0.5),
+          FaultSpec("dsv-cache-stale", 0.5),
+          FaultSpec("dsvmt-walk-fail", 0.5),
+          FaultSpec("view-refill-fault", 0.5))
+
+_input = st.sampled_from((_TRAIN, _FLIP))
+_funcs = st.frozensets(st.integers(0, 2))
+
+#: ``run``/``journal``: run the program on an input, the second under a
+#: fresh event journal; ``policy``: arm a scheme; ``faults``: enter a
+#: fault-plane scope with this seed, or leave the open one; ``install``:
+#: install an ISV trusting these functions; ``shrink``: drop these
+#: functions from the current ISV.
+_event = st.one_of(
+    st.tuples(st.just("run"), _input),
+    st.tuples(st.just("journal"), _input),
+    st.tuples(st.just("policy"), st.sampled_from(SCHEMES)),
+    st.tuples(st.just("faults"), st.integers(0, 3)),
+    st.tuples(st.just("install"), _funcs),
+    st.tuples(st.just("shrink"), _funcs),
+)
+
+#: A loop whose head loads under the back-edge prediction, run under
+#: ``unsafe`` and then, replayed straight after the swap, under
+#: ``fence``: a region that kept the passive fast path of the run that
+#: compiled it stops fencing.
+_SWAP = (("run", _TRAIN), ("policy", "fence"), ("run", _TRAIN),
+         ("policy", "unsafe"), ("run", _TRAIN))
+
+#: An ISV shrink and install around journaled runs under Perspective,
+#: with a fault scope open across both.
+_VIEWS = (("policy", "perspective"), ("faults", 1), ("journal", _TRAIN),
+          ("shrink", frozenset({0})), ("journal", _FLIP),
+          ("install", frozenset({0})), ("run", _TRAIN), ("faults", 0),
+          ("run", _TRAIN))
+
+
+def _interleave(program: Program, events, jit: bool) -> list[dict]:
+    """Drive ``events`` on a fresh kernel; one record per run."""
+    k, entry, ctx_id, context = boot(program)
+    pipeline = k.pipeline
+    pipeline.config.enable_block_cache = jit
+    funcs = [k.layout[_name(i)] for i in range(len(program.funcs))]
+    if not jit:
+        for func in funcs:
+            func.body = _Fetches(func.body)
+    isv = isv_of(k, ctx_id, program.trusted)
+    plane = None
+    records = []
+    with contextlib.ExitStack() as scope:
+        for kind, arg in events:
+            framework = getattr(pipeline.policy, "framework", None)
+            if kind == "policy":
+                arm(k, arg, views=(isv,))
+            elif kind == "faults":
+                if plane is None:
+                    plane = FaultPlane(seed=arg, specs=_SPECS)
+                    scope.enter_context(instrumented(faults=plane))
                 else:
-                    expected_hits += 1
-                armed = True
-                bumped = False
-        hits, misses, invalidations = _counters(pipeline)
-        assert hits == expected_hits
-        assert misses == expected_cold + expected_invalidations
-        assert invalidations == expected_invalidations
-        reasons = pipeline._blockcache.miss_reasons if misses else {}
-        assert reasons.get("cold", 0) == expected_cold
-        assert reasons.get("epoch-invalidation", 0) == expected_invalidations
-        assert sum(reasons.values()) == misses, \
-            "per-reason miss counts must sum to total misses"
-        runs = sum(1 for e in events if e == "run")
-        assert hits + misses == runs, \
-            "hits + misses must equal block executions"
-
-    @given(st.lists(_EVENTS, min_size=1, max_size=10))
-    @settings(max_examples=40, deadline=None)
-    def test_conservation_is_bump_pattern_independent(self, events):
-        """Loop program: arrivals per run are deterministic, so
-        ``hits + misses`` after k runs equals k times the per-run
-        arrival count no matter where invalidations land -- an epoch
-        bump converts hits to misses one-for-one, never changing the
-        sum."""
-        reference, ref_func = _loop()
-        reference.run(ref_func, ExecutionContext(1))
-        ref_hits, ref_misses, _ = _counters(reference)
-        per_run = ref_hits + ref_misses
-        assert per_run > 0
-
-        pipeline, func = _loop()
-        runs = 0
-        for event in events:
-            if event == "policy":
-                pipeline.set_policy(SpeculationPolicy())
-            elif event == "fault":
-                with instrumented(faults=FaultPlane(seed=1, specs=(
-                        FaultSpec("trace-drop", probability=0.0),))):
-                    pass
+                    scope.close()
+                    plane = None
+            elif kind in ("install", "shrink"):
+                chosen = {i for i in arg if i < len(funcs)}
+                if kind == "install":
+                    isv = isv_of(k, ctx_id, chosen)
+                else:
+                    isv = isv.shrink({_name(i) for i in chosen})
+                if framework is not None:
+                    framework.install_isv(isv)
             else:
-                pipeline.run(func, ExecutionContext(1))
-                runs += 1
-        hits, misses, invalidations = _counters(pipeline)
-        assert hits + misses == runs * per_run
-        reasons = pipeline._blockcache.miss_reasons if misses else {}
-        assert sum(reasons.values()) == misses
-        # Every non-cold miss here is an epoch invalidation: the loop
-        # program never stops on guards or budget.
-        assert invalidations == misses - reasons.get("cold", 0)
+                journal = EventJournal() if kind == "journal" else None
+                cache = pipeline._blockcache
+                before = cache.hits + cache.misses if cache else 0
+                with instrumented(journal=journal) if journal \
+                        else contextlib.nullcontext():
+                    result = pipeline.run(entry, context(arg))
+                cache = pipeline._blockcache
+                records.append({
+                    "result": dataclasses.asdict(result),
+                    **_state(pipeline),
+                    "draws": dict(plane.draws) if plane else None,
+                    "journal": journal.to_jsonl() if journal else None,
+                    "arrivals": cache.hits + cache.misses - before if jit
+                    else _arrivals(funcs),
+                })
+    return records
 
 
-class TestViewInstallInvalidation:
-    """``install_isv`` / ``shrink_isv`` bump the framework view epoch,
-    which is part of the block-arming key: memoized blocks must
-    re-interpret on their next execution after any view change."""
+def check_interleaving(program: Program, events) -> None:
+    off = _interleave(program, events, jit=False)
+    on = _interleave(program, events, jit=True)
+    for i, (a, b) in enumerate(zip(off, on)):
+        diverged = sorted(key for key in a if a[key] != b[key])
+        assert not diverged, (i, diverged, program, events)
+    assert len(off) == len(on)
 
-    def _prepare(self, kernel, proc):
-        framework = Perspective(kernel)
-        policy = PerspectivePolicy(framework)
-        kernel.pipeline.set_policy(policy)
-        kernel.pipeline.config.enable_block_cache = True
-        return framework
 
-    def test_install_isv_between_runs_invalidates(self, kernel, proc):
-        framework = self._prepare(kernel, proc)
-        kernel.syscall(proc, "getpid")
-        kernel.syscall(proc, "getpid")
-        hits0, misses0, inval0 = _counters(kernel.pipeline)
-        assert hits0 > 0, "warm syscall replay should produce hits"
+_BOUNDED = settings(max_examples=40, deadline=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.too_slow])
+_LARGE = settings(max_examples=600, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
 
-        framework.install_isv(InstructionSpeculationView(
-            proc.cgroup.cg_id, frozenset(["sys_read"]),
-            kernel.image.layout, source="dynamic"))
-        kernel.syscall(proc, "getpid")
-        hits1, misses1, inval1 = _counters(kernel.pipeline)
-        assert inval1 > inval0, \
-            "install_isv must force re-interpretation of memoized blocks"
-        assert misses1 > misses0
+_interleavings = given(program=programs(),
+                       events=st.lists(_event, min_size=1, max_size=12))
 
-        # Re-armed: the same syscall replays from the cache again, with
-        # no further invalidations.
-        kernel.syscall(proc, "getpid")
-        hits2, misses2, inval2 = _counters(kernel.pipeline)
-        assert hits2 > hits1
-        assert inval2 == inval1
 
-    def test_shrink_isv_between_runs_invalidates(self, kernel, proc):
-        framework = self._prepare(kernel, proc)
-        ctx = proc.cgroup.cg_id
-        framework.install_isv(InstructionSpeculationView(
-            ctx, frozenset(["sys_read", "sys_write"]),
-            kernel.image.layout, source="dynamic"))
-        kernel.syscall(proc, "getpid")
-        kernel.syscall(proc, "getpid")
-        _, _, inval0 = _counters(kernel.pipeline)
+class TestInterleavings:
+    @example(program=PINNED["loop-head-load"], events=_SWAP)
+    @example(program=PINNED["loop-head-load"]._replace(
+        trusted=frozenset({0})), events=_VIEWS)
+    @_BOUNDED
+    @_interleavings
+    def test_jit_on_equals_off_after_every_run(self, program, events):
+        check_interleaving(program, events)
 
-        framework.shrink_isv(ctx, {"sys_write"})
-        kernel.syscall(proc, "getpid")
-        _, _, inval1 = _counters(kernel.pipeline)
-        assert inval1 > inval0, \
-            "shrink_isv must force re-interpretation of memoized blocks"
+
+@pytest.mark.slow
+class TestInterleavingsLarge:
+    @_LARGE
+    @_interleavings
+    def test_jit_on_equals_off_after_every_run(self, program, events):
+        check_interleaving(program, events)
+
+
+# ----------------------------------------------------------------------
+# Backstop
+# ----------------------------------------------------------------------
+
+#: 50 trips of a load, a store and a dependent add: 252 committed ops.
+_LOOP = Program(((("loop", 50, (("load", "r2", "in", 0),
+                                ("store", "out", "r2", 8),
+                                ("alu", "r3", AluOp.ADD, "r3", "r2", 0))),),))
+
+#: Schemes the private (kernel-free) substrate arms.
+_PRIVATE = tuple(scheme for scheme in SCHEMES if not _on_kernel(scheme))
+
+
+def _bounded(pipeline, entry, context) -> tuple:
+    try:
+        outcome = ("returned", dataclasses.asdict(pipeline.run(
+            entry, context(_TRAIN))))
+    except RuntimeError as error:
+        outcome = ("raised", str(error))
+    return outcome + (_state(pipeline),)
+
+
+def check_backstop(program: Program, scheme: str) -> None:
+    """Every budget from one op to one past the run, on one pair of
+    twins (so later budgets also meet warm caches and predictors)."""
+    twins = [deploy(program, scheme, jit, kernel=False)
+             for jit in (False, True)]
+    total = twins[0][0].run(twins[0][1], twins[0][2](_TRAIN)).committed_ops
+    twins[1][0].run(twins[1][1], twins[1][2](_TRAIN))
+    for budget in range(1, total + 2):
+        outcomes = []
+        for pipeline, entry, context in twins:
+            pipeline.config.max_committed_ops = budget
+            outcomes.append(_bounded(pipeline, entry, context))
+        assert outcomes[0] == outcomes[1], (budget, scheme, program)
+        assert outcomes[0][0] == ("returned" if budget >= total
+                                  else "raised"), budget
+
+
+class TestBackstop:
+    @example(program=_LOOP, scheme="unsafe")
+    @example(program=_LOOP, scheme="fence")
+    @settings(max_examples=10, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(program=programs(), scheme=st.sampled_from(_PRIVATE))
+    def test_jit_on_equals_off_at_every_budget(self, program, scheme):
+        check_backstop(program, scheme)
+
+
+@pytest.mark.slow
+class TestBackstopLarge:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(program=programs(), scheme=st.sampled_from(_PRIVATE))
+    def test_jit_on_equals_off_at_every_budget(self, program, scheme):
+        check_backstop(program, scheme)

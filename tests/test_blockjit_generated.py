@@ -265,28 +265,8 @@ def _on_kernel(scheme: str) -> bool:
     return caps.needs_framework or caps.needs_kernel
 
 
-def _deploy(program: Program, scheme: str, jit: bool, kernel: bool):
-    """A fresh core with ``program`` placed and ``scheme`` armed: returns
-    ``(pipeline, entry, context factory)``."""
-    if not kernel:
-        pipeline = Pipeline(CodeLayout(0x40_0000, stride_ops=512),
-                            MainMemory())
-        pipeline.set_policy(build_policy(scheme))
-        entry = _place(program, pipeline.layout)
-        space = _PrivateSpace()
-        bases, ctx_id = _PRIVATE_BASES, 1
-    else:
-        k = MiniKernel(image=shared_image())
-        own, other = k.create_process("own"), k.create_process("other")
-        k.tag_non_transient(other.aspace.translate(other.heap_va), 4096)
-        entry = _place(program, k.layout)
-        ctx_id = own.cgroup.cg_id
-        trusted = frozenset(_name(i) for i in program.trusted)
-        arm(k, scheme, views=(InstructionSpeculationView(
-            ctx_id, trusted, k.layout, source="dynamic"),))
-        pipeline, space = k.pipeline, own.aspace
-        bases = {"r10": own.heap_va, "r11": other.heap_va, "r12": 0x1000}
-    pipeline.config.enable_block_cache = jit
+def _contexts(ctx_id: int, space: AddressSpace, bases: dict[str, int]):
+    """The context factory: input value -> ``ExecutionContext``."""
 
     def context(value: int) -> ExecutionContext:
         regs = {reg: 0 for reg in _DATA + ("r7", "r8", "r9", "r13")}
@@ -294,6 +274,44 @@ def _deploy(program: Program, scheme: str, jit: bool, kernel: bool):
         return ExecutionContext(ctx_id, domain="kernel",
                                 address_space=space, initial_regs=regs)
 
+    return context
+
+
+def isv_of(kernel: MiniKernel, ctx_id: int,
+           trusted) -> InstructionSpeculationView:
+    """Perspective's ISV of ``ctx_id``, trusting the generated functions
+    numbered ``trusted``."""
+    return InstructionSpeculationView(
+        ctx_id, frozenset(_name(i) for i in trusted), kernel.layout,
+        source="dynamic")
+
+
+def boot(program: Program):
+    """A fresh kernel with ``program`` placed and no scheme armed: returns
+    ``(kernel, entry, context id, context factory)``."""
+    k = MiniKernel(image=shared_image())
+    own, other = k.create_process("own"), k.create_process("other")
+    k.tag_non_transient(other.aspace.translate(other.heap_va), 4096)
+    entry = _place(program, k.layout)
+    ctx_id = own.cgroup.cg_id
+    bases = {"r10": own.heap_va, "r11": other.heap_va, "r12": 0x1000}
+    return k, entry, ctx_id, _contexts(ctx_id, own.aspace, bases)
+
+
+def deploy(program: Program, scheme: str, jit: bool, kernel: bool):
+    """A fresh core with ``program`` placed and ``scheme`` armed: returns
+    ``(pipeline, entry, context factory)``."""
+    if not kernel:
+        pipeline = Pipeline(CodeLayout(0x40_0000, stride_ops=512),
+                            MainMemory())
+        pipeline.set_policy(build_policy(scheme))
+        entry = _place(program, pipeline.layout)
+        context = _contexts(1, _PrivateSpace(), _PRIVATE_BASES)
+    else:
+        k, entry, ctx_id, context = boot(program)
+        arm(k, scheme, views=(isv_of(k, ctx_id, program.trusted),))
+        pipeline = k.pipeline
+    pipeline.config.enable_block_cache = jit
     return pipeline, entry, context
 
 
@@ -302,7 +320,7 @@ def _execute(program: Program, scheme: str, *, jit: bool,
     """Run ``program`` under ``scheme``; everything the model measures."""
     if kernel is None:
         kernel = _on_kernel(scheme)
-    pipeline, entry, context = _deploy(program, scheme, jit, kernel)
+    pipeline, entry, context = deploy(program, scheme, jit, kernel)
     events = EventJournal() if journal else None
     scope = instrumented(journal=events) if journal \
         else contextlib.nullcontext()
