@@ -6,9 +6,9 @@ cache-on and cache-off at every one, and writes a diffgate-compatible
 snapshot (``repro.obs.MetricsRegistry`` shape):
 
 * **counters/gauges** -- parity flags, simulated cycles, per-test ROI
-  cycles, and block-cache hit/miss/invalidation counts.  Fully
-  deterministic (fixed image seed, fixed run counts), so CI byte-gates
-  them with ``python -m repro.obs diff`` against the committed
+  cycles, and block-cache hit/miss counts.  Fully deterministic (fixed
+  image seed, fixed run counts), so CI byte-gates them with ``python -m
+  repro.obs diff`` against the committed
   ``benchmarks/out/BENCH_block_jit.json``.
 * **meta** -- wall-clock seconds and speedups.  Machine-dependent, so it
   rides in ``meta``, which the diff gate skips: the committed numbers
@@ -167,7 +167,6 @@ def _lebench(reg: MetricsRegistry) -> float:
     bc = k_on.pipeline._blockcache
     reg.add("block_jit.lebench.hits", bc.hits)
     reg.add("block_jit.lebench.misses", bc.misses)
-    reg.add("block_jit.lebench.invalidations", bc.invalidations)
     reg.add("block_jit.lebench.compiled_blocks", bc.compiled_blocks)
     for name, cycles in res_on[-1].items():
         reg.gauge(f"block_jit.lebench.roi_cycles.{name}", round(cycles, 6))

@@ -117,7 +117,3 @@ class DSVMT:
 
     def __len__(self) -> int:
         return len(self._leaf)
-
-    @property
-    def walk_latency(self) -> float:
-        return WALK_LATENCY

@@ -86,10 +86,3 @@ class Perspective:
 
     def frame_in_dsv(self, frame: int, context_id: int) -> bool:
         return self.dsv_registry.frame_in_view(frame, context_id)
-
-    def reset_hardware(self) -> None:
-        """Flush the view caches (e.g. between benchmark runs)."""
-        self.isv_cache.flush()
-        self.dsv_cache.flush()
-        self.isv_cache.stats.reset()
-        self.dsv_cache.stats.reset()

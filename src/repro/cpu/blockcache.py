@@ -12,9 +12,8 @@ baked in as a literal, and an in-frame ``while`` dispatcher chains block
 to block (loop back-edges included) without returning to the
 interpreter, so a spin loop executes entirely inside one Python frame.
 Control returns to the interpreter only at ops the region does not
-compile (CALL/ICALL/IJMP/RET/FENCE/KRET), at a block whose epoch token
-is stale, or when the committed-op budget is too small for the next
-block.
+compile (CALL/ICALL/IJMP/RET/FENCE/KRET), or when the committed-op
+budget is too small for the next block.
 
 TLB lookup, L1/L2 cache probes and fills, main-memory reads/writes, the
 conditional predictor, the in-flight-prediction prune and the kernel
@@ -60,30 +59,25 @@ Invalidation
 Compiled code is keyed on body content: the decode-table staleness key
 (body identity, ``body.version``, ``base_va``; see
 :class:`repro.cpu.isa.BodyList`) invalidates region indexes whenever a
-body is mutated, re-placed, or ``invalidate_decode()`` is called.
-Memoized *blocks* are additionally armed per-block on a
-speculation-environment epoch (:func:`run_epoch`) -- (policy generation,
-ISV/DSV view epoch, fault-plane arming generation, journal presence).  A
-freshly compiled region's token slots hold the :data:`COLD` sentinel, so
-each block's first execution re-interprets once (a *cold* miss,
-tiered-JIT style) before its slot is armed with the live token.  When
-any epoch component changes (``install_isv``/``shrink_isv`` bump the
-view epoch, entering or leaving ``instrumented(faults=...)`` bumps the
-arming generation, ``set_policy`` bumps the policy generation), the next
-execution of *each* armed block re-interprets once (an
-*epoch-invalidation* miss, also counted in ``invalidations``) before
-that block's token slot is re-armed.
+body is mutated, re-placed, or ``invalidate_decode()`` is called, and a
+changed pipeline configuration drops them all (:meth:`BlockCache.refresh`).
+Nothing else does: every compiled block replays from its first arrival.
+The speculation environment reaches generated code only at run time --
+the policy through the bound speculative-load and transient methods, the
+ISV/DSV views only inside the policy's check, the fault plane at no
+inlined site, and the journal through the per-run passive fast-path
+flag -- so a policy swap, an ISV install or shrink, a fault-plane scope
+or a journal takes effect on the very next replayed op.
 
-Counter conservation: ``hits + misses == block executions +
-uncompilable-function entries`` -- every time control reaches a leader
-whose block is compiled, exactly one of the two counters is bumped
-(in-region replays count hits; token or budget stops hand the block
-back to the interpreter and count one miss), and entering a function
-with no compilable blocks while the cache is armed counts one
-*uncompilable* miss.  Misses are further split by reason
-(:data:`MISS_REASONS`) with ``sum(miss_reasons.values()) == misses``;
-the pipeline attributes them per tenant x scheme x kernel function for
-the serve dashboard.
+Counter conservation: ``hits == block executions`` -- every time control
+reaches a leader whose block is compiled, the region replays it and
+counts one hit -- and entering a function with no compilable blocks
+while the cache is armed counts one *uncompilable* miss.  A block longer
+than what remains of the committed-op budget hands control to the
+interpreter, which raises the backstop inside it, so that run publishes
+nothing.  Misses are split by reason (:data:`MISS_REASONS`) with
+``sum(miss_reasons.values()) == misses``; the pipeline attributes them
+per tenant x scheme x kernel function for the serve dashboard.
 """
 
 from __future__ import annotations
@@ -95,7 +89,6 @@ from repro.cpu.branch import ConditionalPredictor
 from repro.cpu.cache import CacheHierarchy, SetAssociativeCache
 from repro.cpu.isa import AluOp, DecodedBody, Function, MicroOp, Op
 from repro.cpu.memsys import MainMemory, PageFault, TLB
-from repro.obs.instruments import INSTRUMENTS
 
 #: Ops a block may contain in its straight-line body.
 _STRAIGHT = frozenset((Op.ALU, Op.LOAD, Op.STORE, Op.FLUSH, Op.NOP))
@@ -107,27 +100,11 @@ _TERMINATORS = frozenset((Op.BR, Op.JMP, Op.CALL, Op.ICALL, Op.IJMP,
 
 _U64 = (1 << 64) - 1
 
-#: Region stop codes (the last element of a region's return tuple).
-STOP_EXIT = 0    # reached an op the region does not compile
-STOP_BUDGET = 1  # remaining max_ops budget too small for the block
-STOP_STALE = 2   # the block's epoch token slot is stale (or cold)
-
-#: Token slots of a freshly compiled region are armed with this
-#: sentinel: each block's *first* arrival token-mismatches and
-#: re-interprets once (a "cold" miss, tiered-JIT style) before
-#: :meth:`CompiledRegion.arm` installs the live epoch token.  The run
-#: loop distinguishes cold misses from epoch invalidations by checking
-#: the slot for this sentinel before re-arming.
-COLD = object()
-
 #: Miss-reason taxonomy (attribution keys used by the pipeline and the
-#: serve dashboard): ``cold`` (first arrival of a compiled block),
-#: ``op-budget`` (remaining committed-op budget smaller than the block),
-#: ``epoch-invalidation`` (policy/view/fault/journal epoch bumped) and
-#: ``uncompilable`` (run entry / CALL / ICALL / IJMP into a function
-#: with no compilable blocks while the cache was armed; returns into a
-#: caller are not re-counted).
-MISS_REASONS = ("cold", "op-budget", "epoch-invalidation", "uncompilable")
+#: serve dashboard): ``uncompilable`` (run entry / CALL / ICALL / IJMP
+#: into a function with no compilable blocks while the cache was armed;
+#: returns into a caller are not re-counted).
+MISS_REASONS = ("uncompilable",)
 
 
 def jit_eligible(pipeline) -> bool:
@@ -148,15 +125,6 @@ def jit_eligible(pipeline) -> bool:
             and type(pipeline.branch_unit.conditional)
             is ConditionalPredictor
             and not h.prefetcher)
-
-
-def run_epoch(pipeline) -> tuple:
-    """The speculation-environment epoch a run's block arming keys on."""
-    policy = pipeline.policy
-    framework = getattr(policy, "framework", None)
-    view_epoch = getattr(framework, "view_epoch", 0)
-    return (pipeline._policy_gen, view_epoch, INSTRUMENTS.generation,
-            INSTRUMENTS.journal is not None)
 
 
 def block_leaders(body: list[MicroOp]) -> set[int]:
@@ -423,7 +391,7 @@ def _emit_l1d_fill(w: _SegmentWriter, consts: dict, known_absent: bool,
 
 
 def _emit_segment(body: list[MicroOp], dec: DecodedBody, start: int,
-                  end: int, term: Op | None, consts: dict, slot: int,
+                  end: int, term: Op | None, consts: dict,
                   first: bool) -> list[str]:
     """Emit one ``if idx == <leader>:`` arm of the region dispatcher."""
     cpi = repr(float(consts["base_cpi"]))
@@ -440,15 +408,13 @@ def _emit_segment(body: list[MicroOp], dec: DecodedBody, start: int,
         if op.op in (Op.ALU, Op.LOAD):
             last_write[op.dst] = j
 
-    # Arm header + replay guards live one level up from the block body.
+    # Arm header + budget guard live one level up from the block body.
+    # A block longer than the remaining budget goes to the interpreter,
+    # which raises the backstop at the same op.
     w = _SegmentWriter(last_write, base=3)
     emit = w.emit
     emit(f"{'if' if first else 'elif'} idx == {start}:")
-    emit(f"if _tks[{slot}] is not _tk:", 1)
-    emit(f"_stop = {STOP_STALE}", 2)
-    emit("break", 2)
     emit(f"if _rem < {n_ops}:", 1)
-    emit(f"_stop = {STOP_BUDGET}", 2)
     emit("break", 2)
     emit("_hits += 1", 1)
 
@@ -673,20 +639,19 @@ def generate_source(body: list[MicroOp], dec: DecodedBody,
         " _d1s, _l2w, _l2s, _tl, _ts, _md, _bc):",
         "    def region(regs, reg_ready, taint_until, unresolved, rob,"
         " clock, last_fetch_line, result, translate, facc, func,"
-        " context, _stt, _dml, _dmh, idx, _fr, _mc, _tks, _tk):",
+        " context, _stt, _dml, _dmh, idx, _fr, _mc):",
         "        rob_append = rob.append",
         "        rob_popleft = rob.popleft",
         "        _hits = 0",
-        f"        _stop = {STOP_EXIT}",
         "        _rem = _mc - result.committed_ops",
         "        while True:",
     ]
-    for slot, (start, end, term) in enumerate(spans):
+    for i, (start, end, term) in enumerate(spans):
         out.extend(_emit_segment(body, dec, start, end, term, consts,
-                                 slot, first=slot == 0))
+                                 first=i == 0))
     out.append("            else:")
     out.append("                break")
-    out.append("        return clock, idx, last_fetch_line, _hits, _stop")
+    out.append("        return clock, idx, last_fetch_line, _hits")
     out.append("    return region")
     return "\n".join(out) + "\n"
 
@@ -727,28 +692,15 @@ def _compile_region(body: list[MicroOp], dec: DecodedBody, consts: dict,
 
 
 class CompiledRegion:
-    """One function's compiled blocks behind an in-frame dispatcher.
+    """One function's compiled blocks behind an in-frame dispatcher:
+    ``fn`` replays from any of the block ``leaders``."""
 
-    ``tokens`` holds one epoch-token slot per block (indexed by
-    ``slot_of[leader]``); a block replays only while its slot matches the
-    run's current token, preserving per-block invalidation semantics.
-    """
-
-    __slots__ = ("fn", "tokens", "slot_of", "digest", "n_blocks")
+    __slots__ = ("fn", "leaders", "digest")
 
     def __init__(self, fn, leaders: tuple[int, ...], digest: str) -> None:
         self.fn = fn
-        # Armed COLD: every block's first arrival re-interprets once
-        # (a cold miss) before arm() installs the live epoch token.
-        self.tokens = [COLD] * len(leaders)
-        self.slot_of = {leader: slot for slot, leader in enumerate(leaders)}
+        self.leaders = leaders
         self.digest = digest
-        self.n_blocks = len(leaders)
-
-    def arm(self, leader: int, token) -> None:
-        """Re-arm one block's slot after its cold or post-invalidation
-        re-interpretation."""
-        self.tokens[self.slot_of[leader]] = token
 
 
 class BlockCache:
@@ -757,9 +709,8 @@ class BlockCache:
     Compiled code objects are shared process-wide (content-hashed);
     the per-pipeline state is the binding of subsystem state (cache sets
     and stats, TLB, memory, predictor counters, the flush and transient
-    executor methods) plus the per-function region indexes and the epoch
-    token that arms blocks.  Build one only for a pipeline that
-    :func:`jit_eligible` accepts.
+    executor methods) plus the per-function region indexes.  Build one
+    only for a pipeline that :func:`jit_eligible` accepts.
     """
 
     def __init__(self, pipeline) -> None:
@@ -777,12 +728,9 @@ class BlockCache:
         )
         self._bound: dict[str, object] = {}
         self._indexes: dict[str, tuple] = {}
-        self._epoch: tuple | None = None
         self._cfg_key: tuple | None = None
-        self._token: object = object()
         self.hits = 0
         self.misses = 0
-        self.invalidations = 0
         self.compiled_blocks = 0
         self.compiled_functions = 0
         #: Misses split by :data:`MISS_REASONS` key; the pipeline run
@@ -790,7 +738,7 @@ class BlockCache:
         #: ``sum(miss_reasons.values()) == misses``).
         self.miss_reasons: dict[str, int] = {}
 
-    # -- epoch / config validity ---------------------------------------
+    # -- config validity -----------------------------------------------
 
     def _consts(self) -> dict:
         cfg = self.pipeline.config
@@ -819,15 +767,9 @@ class BlockCache:
             "bp_weak": type(predictor).WEAKLY_TAKEN,
         }
 
-    def refresh(self, epoch: tuple) -> object:
-        """Arm the cache for one run; returns the current epoch token.
-
-        A changed epoch mints a new token: every compiled block still
-        carrying the old token in its slot re-interprets once
-        (invalidation + miss) before being re-armed.  A changed
-        *pipeline config* invalidates the compiled code itself
-        (constants are baked in).
-        """
+    def refresh(self) -> None:
+        """Check the cache for one run: a changed *pipeline config*
+        invalidates the compiled code itself (constants are baked in)."""
         # Insertion order of _consts() is fixed by its construction, so
         # the items tuple is a stable identity -- no sort needed on this
         # per-run path.
@@ -835,10 +777,6 @@ class BlockCache:
         if cfg_key != self._cfg_key:
             self._cfg_key = cfg_key
             self._indexes.clear()
-        if epoch != self._epoch:
-            self._epoch = epoch
-            self._token = object()
-        return self._token
 
     # -- compilation ---------------------------------------------------
 

@@ -32,7 +32,7 @@ from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.cpu.blockcache import COLD, BlockCache, jit_eligible, run_epoch
+from repro.cpu.blockcache import BlockCache, jit_eligible
 from repro.cpu.branch import BranchUnit
 from repro.cpu.cache import CacheHierarchy
 from repro.cpu.isa import AluOp, CodeLayout, Function, MicroOp, Op, OP_SIZE
@@ -69,7 +69,7 @@ class PipelineConfig:
     max_committed_ops: int = 2_000_000  # runaway-program backstop
     #: Basic-block trace memoization (see :mod:`repro.cpu.blockcache`):
     #: straight-line micro-op runs are compiled to specialized replay
-    #: functions and dispatched whenever their epoch token is current.
+    #: functions, each replayed from its first arrival.
     #: Byte-exact against the interpreter (cycles included); off by
     #: default so existing snapshots and configs are unchanged.  Ignored
     #: when :func:`repro.cpu.blockcache.jit_eligible` refuses the
@@ -261,9 +261,6 @@ class Pipeline:
         self.branch_unit = branch_unit or BranchUnit()
         self.config = config or PipelineConfig()
         self.tlb = tlb or TLB()
-        #: Monotonic count of ``set_policy`` calls -- part of the block
-        #: JIT's epoch key, so a policy swap invalidates memoized blocks.
-        self._policy_gen = 0
         #: Lazily-built :class:`repro.cpu.blockcache.BlockCache`.
         self._blockcache = None
         self.set_policy(SpeculationPolicy())
@@ -274,7 +271,6 @@ class Pipeline:
 
     def set_policy(self, policy: SpeculationPolicy) -> None:
         self.policy = policy
-        self._policy_gen += 1
         # A *passive* policy statically allows every speculative load with
         # no side effects (the UNSAFE baseline).  The load path then skips
         # building the LoadQuery entirely -- semantics are unchanged
@@ -340,8 +336,7 @@ class Pipeline:
         facc = [0, 0.0]
         blocks = None
         bc = None
-        bc_token = None
-        bc_hits = bc_misses = bc_invalidations = 0
+        bc_hits = bc_misses = 0
         #: Lazily-allocated per-run miss attribution: (reason, fn) -> n.
         bc_attr = None
         fast_replay = False
@@ -351,7 +346,7 @@ class Pipeline:
             bc = self._blockcache
             if bc is None:
                 bc = self._blockcache = BlockCache(self)
-            bc_token = bc.refresh(run_epoch(self))
+            bc.refresh()
             # Generated loads under a prediction in flight call
             # _spec_load, except under a passive policy (UNSAFE) with no
             # journal, whose allow path they inline.
@@ -367,42 +362,18 @@ class Pipeline:
             reg = blocks.get(idx) if blocks is not None else None
             if reg is not None:
                 # Enter the function's compiled region: it replays every
-                # block it can (chaining through loops in-frame) and
-                # reports why it stopped.  Whatever ``idx`` it returns is
-                # executed by the interpreter below -- a stale or
-                # over-budget block re-interprets exactly once, and an
-                # uncompiled op is simply not ours.  ``hits + misses``
-                # therefore equals the number of arrivals at compiled
-                # leaders.
-                clock, idx, last_fetch_line, replayed, stop = reg.fn(
+                # block it can (chaining through loops in-frame), one hit
+                # per arrival at a compiled leader.  Whatever ``idx`` it
+                # returns is executed by the interpreter below: an op the
+                # region does not compile, or a block longer than what
+                # remains of the op budget, whose ops the interpreter
+                # commits one at a time up to the backstop.
+                clock, idx, last_fetch_line, replayed = reg.fn(
                     regs, reg_ready, taint_until, unresolved, rob, clock,
                     last_fetch_line, result, translate, facc, func,
                     context, stt_delays, dml, dmh, idx, fast_replay,
-                    max_commit, reg.tokens, bc_token)
+                    max_commit)
                 bc_hits += replayed
-                if stop == 2:
-                    # Token mismatch: either the block's first-ever
-                    # arrival (slot still holds the COLD sentinel) or the
-                    # speculation environment changed since it was
-                    # memoized.  Re-interpret once below, then re-arm.
-                    slot = reg.slot_of[idx]
-                    if reg.tokens[slot] is COLD:
-                        reason = "cold"
-                    else:
-                        reason = "epoch-invalidation"
-                        bc_invalidations += 1
-                    bc_misses += 1
-                    reg.tokens[slot] = bc_token
-                elif stop:  # STOP_BUDGET
-                    bc_misses += 1
-                    reason = "op-budget"
-                else:
-                    reason = None
-                if reason is not None:
-                    if bc_attr is None:
-                        bc_attr = {}
-                    key = (reason, func.name)
-                    bc_attr[key] = bc_attr.get(key, 0) + 1
             if idx >= len(body):
                 # Fall off the end of a function: implicit return.
                 op = _IMPLICIT_RET
@@ -598,7 +569,6 @@ class Pipeline:
         if bc is not None:
             bc.hits += bc_hits
             bc.misses += bc_misses
-            bc.invalidations += bc_invalidations
             if bc_attr is not None:
                 reasons = bc.miss_reasons
                 for (reason, _fn), count in bc_attr.items():
@@ -607,8 +577,7 @@ class Pipeline:
         if registry is not None:
             self._publish_run(registry, entry_name, result,
                               fetch_lines + facc[0], fetch_stall + facc[1],
-                              bc, bc_hits, bc_misses, bc_invalidations,
-                              bc_attr, context)
+                              bc, bc_hits, bc_misses, bc_attr, context)
         if INSTRUMENTS.recorder is not None:
             bc_miss: dict[str, int] = {}
             if bc_attr is not None:
@@ -626,8 +595,7 @@ class Pipeline:
     def _publish_run(self, registry, entry_name: str, result: ExecResult,
                      fetch_lines: int, fetch_stall: float,
                      bc=None, bc_hits: int = 0, bc_misses: int = 0,
-                     bc_invalidations: int = 0, bc_attr=None,
-                     context=None) -> None:
+                     bc_attr=None, context=None) -> None:
         """Publish one run's speculation statistics to the obs plane.
 
         Deferred to run completion so the hot loop pays nothing beyond
@@ -658,8 +626,6 @@ class Pipeline:
             # so cache-off snapshots stay byte-identical.
             registry.add("pipeline.blockcache.hits", bc_hits)
             registry.add("pipeline.blockcache.misses", bc_misses)
-            registry.add("pipeline.blockcache.invalidations",
-                         bc_invalidations)
             registry.gauge("pipeline.blockcache.compiled_blocks",
                            bc.compiled_blocks)
             if bc_attr:

@@ -148,9 +148,6 @@ class BuddyAllocator:
         """Owner of the allocated block containing ``frame`` (block head)."""
         return self._owner.get(frame)
 
-    def order_of(self, frame: int) -> int | None:
-        return self._allocated.get(frame)
-
     def free_frames(self) -> int:
         return sum(len(blocks) << order
                    for order, blocks in enumerate(self._free))

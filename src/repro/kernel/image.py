@@ -277,9 +277,6 @@ class KernelImage:
     # Queries used by analyses and experiments
     # ------------------------------------------------------------------
 
-    def function_names(self) -> list[str]:
-        return self.layout.names()
-
     @property
     def total_functions(self) -> int:
         return len(self.info)
@@ -301,9 +298,6 @@ class KernelImage:
         """Statically-visible call edges only (what radare2-style binary
         analysis can recover; indirect edges are invisible)."""
         return {name: info.callees for name, info in self.info.items()}
-
-    def entry_for(self, syscall_name: str) -> Function:
-        return self.layout[self.syscalls[syscall_name].entry]
 
     # ------------------------------------------------------------------
     # Construction

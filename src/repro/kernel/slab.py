@@ -77,16 +77,6 @@ class SlabPage:
         del self.used[slot]
         heappush(self.freed, slot)
 
-    def owners_on_line(self, line_pa: int) -> set[int | None]:
-        """Distinct owners of live objects on the 64-byte line at line_pa."""
-        base = pa_of_frame(self.frame)
-        owners = set()
-        for slot, owner in self.used.items():
-            obj_pa = base + slot * self.size_class
-            if obj_pa // 64 == line_pa // 64:
-                owners.add(owner)
-        return owners
-
 
 @dataclass
 class SlabStats:

@@ -13,9 +13,8 @@ Panels (one per serve scheme):
 
 * **SLO** -- windowed request/shed totals, the bucket-quantile p99, and
   every burn-rate alert the rollup fires (deterministic cycle stamps);
-* **block JIT** -- hit/miss/invalidation totals and the per-reason miss
-  split over :data:`repro.cpu.blockcache.MISS_REASONS` (``cold`` /
-  ``op-budget`` / ``epoch-invalidation`` / ``uncompilable``), per
+* **block JIT** -- hit/miss totals and the per-reason miss split over
+  :data:`repro.cpu.blockcache.MISS_REASONS` (``uncompilable``), per
   scheme;
 * **attribution** -- per kernel-function miss reasons, parsed back from
   the ``pipeline.blockcache.attr.c<ctx>.<scheme>.<fn>.<reason>``
@@ -115,8 +114,6 @@ def _blockcache_panel(counters: dict[str, int]) -> dict[str, Any]:
     return {
         "hits": hits,
         "misses": misses,
-        "invalidations": counters.get(
-            "pipeline.blockcache.invalidations", 0),
         "miss_reasons": reasons,
         "hit_rate": _round(
             hits / (hits + misses) if hits + misses else 0.0),

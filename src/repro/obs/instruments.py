@@ -33,7 +33,7 @@ if TYPE_CHECKING:
 
 @dataclass(slots=True)
 class Instruments:
-    """The active planes (``None`` = inactive) and two values no scope
+    """The active planes (``None`` = inactive) and one value no scope
     sets."""
 
     registry: MetricsRegistry | None = None
@@ -45,9 +45,6 @@ class Instruments:
     #: scheme): set by the pipeline before each policy check while a
     #: journal is active, so modules deeper in the check can stamp events.
     site: tuple[float, int, int, str, str] = (0.0, -1, 0, "", "")
-    #: Process-wide and only increasing: entering or leaving a scope that
-    #: passes ``faults`` bumps it.  The block JIT's epoch token folds it in.
-    generation: int = 0
 
 
 #: The record every hook reads.
@@ -69,13 +66,8 @@ def instrumented(*, registry=_INHERIT, journal=_INHERIT, faults=_INHERIT,
     saved = [(name, getattr(ins, name)) for name in given]
     for name, plane in given.items():
         setattr(ins, name, plane)
-    arming = faults is not _INHERIT
-    if arming:
-        ins.generation += 1
     try:
         yield ins
     finally:
         for name, plane in saved:
             setattr(ins, name, plane)
-        if arming:
-            ins.generation += 1

@@ -62,13 +62,6 @@ class FuzzCampaign:
         return self.time_units / TIME_UNITS_PER_HOUR
 
     @property
-    def discovery_rate(self) -> float:
-        """Gadgets per simulated hour over the campaign budget."""
-        if self.time_units == 0:
-            return 0.0
-        return self.gadgets_found / self.hours
-
-    @property
     def productive_rate(self) -> float:
         """Gadgets per hour up to the last new finding (excludes any
         saturated tail); useful for diagnosing campaign sizing."""

@@ -33,10 +33,6 @@ class GadgetFinding:
     transmit_index: int
     gadget_class: str
 
-    @property
-    def access_va(self) -> int:
-        raise NotImplementedError  # resolved via the layout by callers
-
 
 def analyze_function(func: Function,
                      gadget_classes: tuple[str, ...] = (),

@@ -74,3 +74,33 @@ def arch_digest(image, conformance_corpus, conformance_params):
         return cache[key]
 
     return get
+
+
+@pytest.fixture()
+def uncompilable_counters(image):
+    """Registry counters of one block-JIT run that misses, by scheme: on
+    a fresh kernel armed with the scheme, a function with no compilable
+    block (only FENCE, CALL and RET) calls another such function and then
+    a compiled one, so the run counts two ``uncompilable`` misses."""
+    from repro.cpu.isa import Function, call, fence, li, ret
+    from repro.cpu.pipeline import ExecutionContext
+    from repro.defenses.registry import arm
+    from repro.obs import instrumented
+    from repro.obs.registry import MetricsRegistry
+
+    def run(scheme: str) -> dict[str, float]:
+        kernel = MiniKernel(image=image)
+        proc = kernel.create_process("t")
+        entry = kernel.layout.add(Function("jit_refused", [
+            fence(), call("jit_refused_leaf"), call("jit_leaf"), ret()]))
+        kernel.layout.add(Function("jit_refused_leaf", [fence(), ret()]))
+        kernel.layout.add(Function("jit_leaf", [li("r1", 1), ret()]))
+        arm(kernel, scheme)
+        kernel.pipeline.config.enable_block_cache = True
+        registry = MetricsRegistry()
+        with instrumented(registry=registry):
+            kernel.pipeline.run(entry, ExecutionContext(
+                proc.cgroup.cg_id, address_space=proc.aspace))
+        return registry.snapshot()["counters"]
+
+    return run

@@ -11,10 +11,10 @@ queried exactly as the interpreter queries it.  Two contracts follow:
   every key, cycles included).  The conformance corpus runs
   ``CONFORMANCE_SCHEMES``; this module adds the newest schemes and every
   registered scheme the corpus leaves out;
-* **accounted misses** -- every arrival the JIT hands back to the
-  interpreter lands in a named ``miss_reasons`` bucket, with
-  conservation ``sum(miss_reasons.values()) == misses`` (nothing drops
-  on the floor, nothing double-counts).
+* **accounted misses** -- every function entry the JIT refuses lands in
+  a named ``miss_reasons`` bucket, with conservation
+  ``sum(miss_reasons.values()) == misses`` (nothing drops on the floor,
+  nothing double-counts).
 """
 
 from __future__ import annotations
@@ -48,15 +48,11 @@ class TestCacheParity:
 
 class TestGuardAccounting:
     @pytest.mark.parametrize("scheme", NEW_SCHEMES)
-    def test_refusals_conserved_in_named_buckets(self, scheme):
+    def test_refusals_conserved_in_named_buckets(self, scheme,
+                                                 uncompilable_counters):
         from repro.cpu.blockcache import MISS_REASONS
-        from repro.exec.grids import run_cell
 
-        cell = run_cell("serve", {
-            "seed": 0, "tenants": 2, "scheme": scheme,
-            "requests_per_tenant": 4, "mean_interarrival": 8_000.0,
-            "queue_bound": 0, "block_cache": True, "observe": True})
-        counters = cell["metrics"]["counters"]
+        counters = uncompilable_counters(scheme)
         misses = counters["pipeline.blockcache.misses"]
         by_reason = {r: counters.get(f"pipeline.blockcache.miss.{r}", 0)
                      for r in MISS_REASONS}
@@ -68,27 +64,22 @@ class TestGuardAccounting:
         assert not unknown, f"misses outside the taxonomy: {unknown}"
 
     @pytest.mark.parametrize("scheme", NEW_SCHEMES)
-    def test_attribution_keys_use_registry_metric_label(self, scheme):
+    def test_attribution_keys_use_registry_metric_label(
+            self, scheme, uncompilable_counters):
         """The per-function attribution keys embed the scheme via the
         registry-derived metric label, so a newly registered scheme can
         neither collide with nor silently vanish from the namespace."""
         from repro.defenses.registry import get_scheme
-        from repro.exec.grids import run_cell
 
-        cell = run_cell("serve", {
-            "seed": 0, "tenants": 2, "scheme": scheme,
-            "requests_per_tenant": 4, "mean_interarrival": 8_000.0,
-            "queue_bound": 0, "block_cache": True, "observe": True})
-        from repro.defenses.registry import registered_schemes
+        counters = uncompilable_counters(scheme)
         label = get_scheme(scheme).metric_label
         known = {get_scheme(s).metric_label for s in registered_schemes()}
-        attr = [key for key in cell["metrics"]["counters"]
+        attr = [key for key in counters
                 if key.startswith("pipeline.blockcache.attr.")]
         assert attr, "block-JIT runs must attribute their misses"
         seen = {key.split(".")[4] for key in attr}
-        # Boot/warmup runs under the unsafe default before the scheme is
-        # installed, so its label may appear too -- but every label must
-        # come from the registry, and the scheme under test must show up.
+        # Every label must come from the registry, and the scheme under
+        # test must show up.
         assert seen <= known, seen - known
         assert label in seen, (label, seen)
 

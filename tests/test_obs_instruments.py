@@ -3,10 +3,8 @@
 Every plane -- registry, journal, fault plane, trace recorder, SLO
 rollup -- is installed by ``instrumented(...)`` on one record.  These
 tests pin the scope rules for all five at once: a plane not passed is
-inherited, a plane passed as ``None`` is deactivated, everything the
-scope set is restored on exit (exception included), and the fault
-generation only increases and moves only around scopes that set
-``faults``.
+inherited, a plane passed as ``None`` is deactivated, and everything
+the scope set is restored on exit (exception included).
 """
 
 from __future__ import annotations
@@ -113,27 +111,3 @@ def test_every_plane_restored_on_exception():
                 raise RuntimeError("boom")
         assert _active() == dict(dict.fromkeys(PLANES), registry=outer)
     assert _active() == dict.fromkeys(PLANES)
-
-
-def test_generation_only_increases_and_moves_only_around_faults():
-    plane = FaultPlane(specs=(FaultSpec("trace-drop"),))
-    start = INSTRUMENTS.generation
-    with instrumented(registry=MetricsRegistry(), journal=EventJournal(),
-                      recorder=TraceRecorder(), rollup=SloRollup(1000.0)):
-        assert INSTRUMENTS.generation == start
-    assert INSTRUMENTS.generation == start
-    with instrumented(faults=plane):
-        armed = INSTRUMENTS.generation
-        assert armed == start + 1
-        with instrumented(registry=MetricsRegistry()):
-            assert INSTRUMENTS.generation == armed
-        assert INSTRUMENTS.generation == armed
-        with instrumented(faults=None):
-            assert INSTRUMENTS.generation == armed + 1
-        # Leaving a scope never restores an older generation.
-        assert INSTRUMENTS.generation == armed + 2
-    assert INSTRUMENTS.generation == start + 4
-    with pytest.raises(RuntimeError):
-        with instrumented(faults=plane):
-            raise RuntimeError("boom")
-    assert INSTRUMENTS.generation == start + 6
