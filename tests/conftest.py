@@ -5,9 +5,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cpu.isa import Function, call, fence, li, ret
+from repro.cpu.pipeline import ExecutionContext
+from repro.defenses.registry import arm
 from repro.exec.grids import get_grid
 from repro.kernel.image import shared_image
 from repro.kernel.kernel import KernelConfig, MiniKernel
+from repro.obs import instrumented
+from repro.obs.registry import MetricsRegistry
 from repro.serve.conformance import (
     generate_trace,
     run_corpus,
@@ -82,12 +87,6 @@ def uncompilable_counters(image):
     a fresh kernel armed with the scheme, a function with no compilable
     block (only FENCE, CALL and RET) calls another such function and then
     a compiled one, so the run counts two ``uncompilable`` misses."""
-    from repro.cpu.isa import Function, call, fence, li, ret
-    from repro.cpu.pipeline import ExecutionContext
-    from repro.defenses.registry import arm
-    from repro.obs import instrumented
-    from repro.obs.registry import MetricsRegistry
-
     def run(scheme: str) -> dict[str, float]:
         kernel = MiniKernel(image=image)
         proc = kernel.create_process("t")
