@@ -19,10 +19,18 @@ queried exactly as the interpreter queries it.  Two contracts follow:
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.cpu.isa import AluOp
+from repro.cpu.pipeline import LoadDecision, SpeculationPolicy
 from repro.defenses.registry import registered_schemes
 from repro.serve.conformance import CONFORMANCE_SCHEMES, check_seed
+
+from test_blockjit_generated import (
+    _INPUTS, Program, deploy,
+)
 
 NEW_SCHEMES = ("safespec", "context")
 
@@ -177,3 +185,100 @@ class TestFreshKernelBinding:
                 patch.setattr(owner, name, refuse)
             roi = run_lebench(env.kernel, env.proc, rare_every=4)
         assert _suite_state(env, roi) == first
+
+
+# ----------------------------------------------------------------------
+# Allowed speculative loads
+# ----------------------------------------------------------------------
+
+#: Loads that issue under correctly predicted, still-unresolved branches
+#: (the trained ``if`` and the loop's back-edge), two lines of one L1D
+#: set touched in turn so that recency moves on every trip, and a load
+#: whose address depends on a speculatively loaded value.
+_SPEC_LOADS = Program(((
+    ("load", "r1", "in", 0x1000),
+    ("if", ("r0", 64, False), (("load", "r6", "in", 0x240),)),
+    ("load", "r2", "in", 0),
+    ("load", "r3", "in", 0x1000),
+    ("iload", "r4", "r2", "out", 8),
+    ("loop", 3, (("load", "r5", "in", 0), ("load", "r3", "in", 0x1000),
+                 ("alu", "r6", AluOp.ADD, "r6", "r5", 0))),
+),))
+
+
+class _Recording(SpeculationPolicy):
+    """Allows every speculative load and records each query."""
+
+    name = "recording"
+
+    def __init__(self) -> None:
+        self.queries: list[tuple] = []
+
+    def check_load(self, query):
+        self.queries.append(dataclasses.astuple(query))
+        return self.decide(query)
+
+    def decide(self, query) -> LoadDecision:
+        return LoadDecision.ALLOW
+
+
+class _FreshAllow(_Recording):
+    """An allow equal to ``LoadDecision.ALLOW`` but not the same object."""
+
+    def decide(self, query) -> LoadDecision:
+        return LoadDecision(True)
+
+
+class _SlowAllow(_Recording):
+    """An allow that adds latency."""
+
+    def decide(self, query) -> LoadDecision:
+        return LoadDecision(True, extra_latency=3.0)
+
+
+class _FrozenAllow(_Recording):
+    """``ALLOW`` under Delay-on-Miss's frozen replacement state."""
+
+    def dom_lru_freeze(self) -> bool:
+        return True
+
+
+def _allowed_state(policy_cls, jit: bool) -> dict:
+    """Run :data:`_SPEC_LOADS` over the corpus inputs under a fresh
+    ``policy_cls``; every result, the memory, the TLB/L1D/L2 statistics,
+    the L1D sets in recency order and the policy's queries."""
+    pipeline, entry, context = deploy(_SPEC_LOADS, "unsafe", jit,
+                                      kernel=False)
+    policy = policy_cls()
+    pipeline.set_policy(policy)
+    runs = [dataclasses.asdict(pipeline.run(entry, context(value)))
+            for value in _INPUTS]
+    h = pipeline.hierarchy
+    return {"runs": runs, "memory": pipeline.memory.digest(),
+            "tlb": vars(pipeline.tlb.stats), "l1d": vars(h.l1d.stats),
+            "l2": vars(h.l2.stats),
+            "l1d_sets": [list(ways) for ways in h.l1d._sets],
+            "queries": policy.queries,
+            "hits": pipeline._blockcache.hits if jit else 0}
+
+
+class TestAllowedSpeculativeLoads:
+    """Every way a policy can allow a speculative load gives JIT on ==
+    off, and the policy sees one identical query per load either way."""
+
+    @pytest.mark.parametrize("policy_cls", (_Recording, _FreshAllow,
+                                            _SlowAllow, _FrozenAllow),
+                             ids=("allow", "fresh-allow", "extra-latency",
+                                  "lru-freeze"))
+    def test_jit_off_equals_on(self, policy_cls):
+        off = _allowed_state(policy_cls, jit=False)
+        on = _allowed_state(policy_cls, jit=True)
+        assert on.pop("hits") > 0
+        off.pop("hits")
+        assert on == off
+        committed = sum(run["speculative_loads"] for run in off["runs"])
+        transient = sum(run["transient_loads_executed"]
+                        for run in off["runs"])
+        assert committed > 0
+        assert len(off["queries"]) == committed + transient
+
