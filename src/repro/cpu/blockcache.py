@@ -19,10 +19,10 @@ TLB lookup, L1/L2 cache probes and fills, main-memory reads/writes, the
 conditional predictor, the in-flight-prediction prune and the kernel
 direct-map translation fast path are all inlined into the generated
 source, so a replayed op performs no Python calls on its common path;
-a speculative load under a non-passive policy calls the pipeline's one
-speculative-load method (below).  Within a block, register values and
-scoreboard ready-times are forwarded through locals and dead
-intermediate dictionary writes are elided (the architectural
+a speculative load under a non-passive policy also calls the pipeline's
+speculative-load method for the policy's part (below).  Within a block,
+register values and scoreboard ready-times are forwarded through locals
+and dead intermediate dictionary writes are elided (the architectural
 dictionaries always hold the final state at every point an outside
 observer -- the interpreter, the transient executor, a fault path -- can
 look; the speculative-load method reads neither of them).  The inlined
@@ -41,17 +41,20 @@ to the interpreter -- the conformance oracle and the generated micro-op
 corpus (``tests/test_blockjit_generated.py``) check this for every
 registered scheme.
 
-Speculative loads are shared, not transcribed.  A generated load that
-finds a prediction in flight calls the pipeline's ``_spec_load`` with
-the operands the interpreter passes it: that one method queries the
-policy, stalls a blocked load to its visibility point, reads around the
-caches for InvisiSpec, freezes LRU for DOM and stamps the taint.  Only
-two load paths are inlined, and neither consults the policy: the
-non-speculative load, and the speculative one under a *passive* policy
-(the UNSAFE baseline) with no event journal active, whose statically
-allowed path is a plain access plus the taint stamp.  So every block
-replays whether or not predictions are in flight, under every scheme;
-stores and flushes never consult the prediction window in this model.
+A speculative load's policy step is shared; its access is inlined.  A
+generated load that finds a prediction in flight calls the pipeline's
+``_spec_load`` with the operands the interpreter passes it (the literal
+instruction VA and the inline L1D presence bit): that one method queries
+the policy once and carries out every decision that is not a plain
+access -- a blocked load's stall to its visibility point, InvisiSpec's
+read-around, DOM's frozen LRU, an allow with extra latency.  On a plain
+``LoadDecision.ALLOW`` it returns None, and the load takes the same
+inline L1/L2/memory path as a non-speculative one, then counts itself
+speculative and stamps its taint.  A *passive* policy (the UNSAFE
+baseline) with no event journal active allows statically, so its loads
+skip the query and go straight down that path.  So every block replays
+whether or not predictions are in flight, under every scheme; stores and
+flushes never consult the prediction window in this model.
 
 Invalidation
 ------------
@@ -483,17 +486,20 @@ def _emit_segment(body: list[MicroOp], dec: DecodedBody, start: int,
             emit("else:")
             _emit_tlb(w, consts, charge=True, depth=1)
             _emit_spec_prune(w, depth=1)
-            # Under a prediction in flight the load takes the pipeline's
-            # one speculative-load path (policy query, visibility-point
-            # stall, read-around, LRU freeze, taint stamp); a passive
-            # policy's allow path is the inline one below.
-            emit("if su > 0.0 and not _fr:", 1)
-            emit(f"{vloc}, {yloc}, _e = _sl(func, {j}, {op.dst!r}, va, pa,"
-                 f" t, su, taint_until.get({op.src1!r}, 0.0), context,"
-                 " result, taint_until)", 2)
+            emit(f"_ln = pa // {consts['l1d_line']}", 1)
+            emit(f"_w = _d1w[_ln % {consts['l1d_sets']}]", 1)
+            # Under a prediction in flight the pipeline's speculative-load
+            # method takes the policy's part (one query; a blocked load's
+            # stall, read-around, LRU freeze, extra latency) unless the
+            # policy is passive; a plain allow (None) and every other
+            # load take the inline access below.
+            spec = (f"_sl(func, {dec.vas[j]}, {op.dst!r}, va, pa, t, su,"
+                    f" taint_until.get({op.src1!r}, 0.0), context, result,"
+                    " taint_until, _ln in _w)")
+            emit(f"if su > 0.0 and not _fr and (_r := {spec}) is not None:",
+                 1)
+            emit(f"{vloc}, {yloc}, _e = _r", 2)
             emit("else:", 1)
-            emit(f"_ln = pa // {consts['l1d_line']}", 2)
-            emit(f"_w = _d1w[_ln % {consts['l1d_sets']}]", 2)
             emit("if _ln in _w:", 2)
             emit("_d1s.hits += 1", 3)
             emit("if _w[0] != _ln:", 3)

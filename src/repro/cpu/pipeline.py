@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from repro.cpu.blockcache import BlockCache, jit_eligible
 from repro.cpu.branch import BranchUnit
 from repro.cpu.cache import CacheHierarchy
-from repro.cpu.isa import AluOp, CodeLayout, Function, MicroOp, Op, OP_SIZE
+from repro.cpu.isa import AluOp, CodeLayout, Function, MicroOp, Op
 from repro.cpu.memsys import AddressSpace, MainMemory, PageFault, TLB
 from repro.obs import events as ev
 from repro.obs import reqtrace as rt
@@ -347,9 +347,9 @@ class Pipeline:
             if bc is None:
                 bc = self._blockcache = BlockCache(self)
             bc.refresh()
-            # Generated loads under a prediction in flight call
-            # _spec_load, except under a passive policy (UNSAFE) with no
-            # journal, whose allow path they inline.
+            # Generated loads under a prediction in flight ask _spec_load
+            # for the policy's part, except under a passive policy
+            # (UNSAFE) with no journal, which allows them statically.
             fast_replay = self._passive_allow and INSTRUMENTS.journal is None
             stt_delays = self.policy.delays_tainted_branch_resolution()
             dec, blocks = bc.index_for(func)
@@ -725,53 +725,66 @@ class Pipeline:
         spec_until = self._spec_until(unresolved, t)
         result.loads += 1
         if spec_until > 0.0:
-            regs[op.dst], reg_ready[op.dst], done = self._spec_load(
-                func, idx, op.dst, va, pa, t, spec_until,
-                taint_until.get(op.src1, 0.0), context, result, taint_until)
-            rob.append(done)
-            return clock
+            src_taint = taint_until.get(op.src1, 0.0)
+            # A passive policy (UNSAFE) with no journal allows statically:
+            # no query, and no L1 probe to feed one.
+            if not self._passive_allow or INSTRUMENTS.journal is not None:
+                spec = self._spec_load(
+                    func, func.va_of(idx), op.dst, va, pa, t, spec_until,
+                    src_taint, context, result, taint_until,
+                    self.hierarchy.is_l1d_hit(pa))
+                if spec is not None:
+                    regs[op.dst], reg_ready[op.dst], done = spec
+                    rob.append(done)
+                    return clock
+            # Allowed as it stands: an ordinary access whose data stays
+            # tainted until the youngest prediction it sits under
+            # resolves (STT-style taint).
+            result.speculative_loads += 1
+            taint_until[op.dst] = max(spec_until, src_taint)
+        elif op.dst in taint_until:
+            del taint_until[op.dst]
         access = self.hierarchy.access_data(pa)
         regs[op.dst] = self.memory.load(pa)
         done = t + access.latency
         reg_ready[op.dst] = done
-        if op.dst in taint_until:
-            del taint_until[op.dst]
         rob.append(done)
         return clock
 
-    def _spec_load(self, func: Function, idx: int, dst: str, va: int,
+    def _spec_load(self, func: Function, inst_va: int, dst: str, va: int,
                    pa: int, t: float, spec_until: float, src_taint: float,
                    context: ExecutionContext, result: ExecResult,
-                   taint_until: dict) -> tuple[int, float, float]:
-        """A committed-path load issued under an unresolved prediction.
+                   taint_until: dict, l1_hit: bool,
+                   ) -> tuple[int, float, float] | None:
+        """The policy's part of a committed-path load issued under an
+        unresolved prediction.
 
-        The one speculative-load path: the interpreter and compiled blocks
-        (:mod:`repro.cpu.blockcache`) both call it once the load has
-        translated, paid its TLB charge (``t``) and found predictions in
-        flight until ``spec_until``.  ``src_taint`` is the address
-        register's taint stamp.  Returns ``(value, ready, rob_entry)``
-        and leaves ``dst``'s taint stamped, or cleared when the policy
-        held the load to its visibility point.
+        The interpreter and compiled blocks (:mod:`repro.cpu.blockcache`)
+        both call it once the load at ``inst_va`` has translated, paid
+        its TLB charge (``t``) and found predictions in flight until
+        ``spec_until``, unless the policy is passive and no journal
+        records the site.  ``src_taint`` is the address register's taint
+        stamp and ``l1_hit`` whether L1D holds the line.  It queries the
+        policy once.  An allow with nothing to add (``ALLOW`` itself,
+        with LRU updates on) returns None: the caller counts the load,
+        stamps ``dst``'s taint to ``max(spec_until, src_taint)`` and
+        performs its own plain access.  Any other decision is carried
+        out here, returning ``(value, ready, rob_entry)`` with ``dst``'s
+        taint stamped, or cleared when the policy held the load to its
+        visibility point.
         """
-        result.speculative_loads += 1
-        hierarchy = self.hierarchy
-        if self._passive_allow and INSTRUMENTS.journal is None:
-            # UNSAFE fast path: the decision is statically ALLOW with
-            # no latency, no LRU freeze, and no event emission, so the
-            # query (and the stats-free L1 probe feeding it) can be
-            # skipped without changing any measured number.
-            done = t + hierarchy.access_data(pa).latency
-            taint_until[dst] = max(spec_until, src_taint)
-            return self.memory.load(pa), done, done
         policy = self.policy
-        inst_va = func.va_of(idx)
         journal = INSTRUMENTS.journal
         if journal is not None:
             ev.set_site(t, context.context_id, inst_va, func.name,
                         policy.name)
         decision = policy.check_load(LoadQuery(
             inst_va, va, pa, context.context_id, context.domain, False,
-            src_taint > t, hierarchy.is_l1d_hit(pa)))
+            src_taint > t, l1_hit))
+        if decision is LoadDecision.ALLOW and self._touch_lru:
+            return None
+        result.speculative_loads += 1
+        hierarchy = self.hierarchy
         if not decision.allow:
             # Stall to the visibility point: no older instruction can
             # squash the load once all in-flight predictions resolve.

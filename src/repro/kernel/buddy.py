@@ -9,7 +9,7 @@ them (Section 6.1, "Data speculation views with cgroups").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.kernel.layout import TOTAL_FRAMES

@@ -23,13 +23,15 @@ import dataclasses
 
 import pytest
 
+from repro.cpu.cache import CacheHierarchy
 from repro.cpu.isa import AluOp
+from repro.cpu.memsys import MainMemory
 from repro.cpu.pipeline import LoadDecision, SpeculationPolicy
-from repro.defenses.registry import registered_schemes
+from repro.defenses.registry import arm, registered_schemes
 from repro.serve.conformance import CONFORMANCE_SCHEMES, check_seed
 
 from test_blockjit_generated import (
-    _INPUTS, Program, deploy,
+    _INPUTS, _TRAIN, Program, boot, deploy, isv_of,
 )
 
 NEW_SCHEMES = ("safespec", "context")
@@ -282,3 +284,53 @@ class TestAllowedSpeculativeLoads:
         assert committed > 0
         assert len(off["queries"]) == committed + transient
 
+
+_ALLOWED = Program(((
+    ("if", ("r0", 64, False), (("load", "r6", "in", 0x240),)),
+    ("load", "r2", "in", 0),
+    ("load", "r3", "in", 0x1000),
+    ("alu", "r4", AluOp.ADD, "r2", "r3", 0),
+),), frozenset({0}))
+
+
+class TestPerspectiveAllowReplay:
+    """A warm compiled block whose speculative loads Perspective allows
+    (the function in the context's ISV, the pages in its DSV) replays on
+    the block's own access path: the policy is queried, and the load
+    needs no hierarchy access, L1D probe or memory read through the
+    subsystem models."""
+
+    @staticmethod
+    def _kernel(jit: bool):
+        k, entry, ctx_id, context = boot(_ALLOWED)
+        arm(k, "perspective", views=(isv_of(k, ctx_id, _ALLOWED.trusted),))
+        k.pipeline.config.enable_block_cache = jit
+        return k.pipeline, entry, context(_TRAIN)
+
+    def test_allowed_load_replays_inline(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an allowed load left its block")
+
+        pipeline, entry, ctx = self._kernel(jit=False)
+        for _ in range(3):  # fill the view caches, train the branch
+            pipeline.run(entry, ctx)
+        expected = pipeline.run(entry, ctx)
+        assert expected.speculative_loads > 0
+        assert not expected.fenced_loads and not expected.mispredictions
+
+        pipeline, entry, ctx = self._kernel(jit=True)
+        for _ in range(3):
+            pipeline.run(entry, ctx)
+        hits = pipeline._blockcache.hits
+        dsv = pipeline.policy.framework.dsv_cache.stats
+        dsv_hits = dsv.hits
+        with monkeypatch.context() as patch:
+            for owner, name in ((CacheHierarchy, "access_data"),
+                                (CacheHierarchy, "is_l1d_hit"),
+                                (MainMemory, "load")):
+                patch.setattr(owner, name, refuse)
+            result = pipeline.run(entry, ctx)
+        assert result == expected
+        assert pipeline._blockcache.hits > hits
+        # One query per load, each reaching the DSV check.
+        assert dsv.hits - dsv_hits == result.speculative_loads
