@@ -194,9 +194,10 @@ class TestFreshKernelBinding:
 # ----------------------------------------------------------------------
 
 #: Loads that issue under correctly predicted, still-unresolved branches
-#: (the trained ``if`` and the loop's back-edge), two lines of one L1D
-#: set touched in turn so that recency moves on every trip, and a load
-#: whose address depends on a speculatively loaded value.
+#: (the trained ``if`` and the loop's back-edge): two lines of one L1D
+#: set touched in turn so that recency moves on every trip, a line
+#: flushed on every trip so that it misses L1D, and a load whose address
+#: depends on a speculatively loaded value.
 _SPEC_LOADS = Program(((
     ("load", "r1", "in", 0x1000),
     ("if", ("r0", 64, False), (("load", "r6", "in", 0x240),)),
@@ -204,6 +205,7 @@ _SPEC_LOADS = Program(((
     ("load", "r3", "in", 0x1000),
     ("iload", "r4", "r2", "out", 8),
     ("loop", 3, (("load", "r5", "in", 0), ("load", "r3", "in", 0x1000),
+                 ("load", "r2", "in", 0x240), ("flush", "in", 0x240),
                  ("alu", "r6", AluOp.ADD, "r6", "r5", 0))),
 ),))
 
@@ -283,6 +285,8 @@ class TestAllowedSpeculativeLoads:
                         for run in off["runs"])
         assert committed > 0
         assert len(off["queries"]) == committed + transient
+        # Both L1D outcomes reach the policy.
+        assert {query[-1] for query in off["queries"]} == {True, False}
 
 
 _ALLOWED = Program(((
